@@ -1,7 +1,7 @@
 """Point sets in Z_q^d and the exact configuration counters over them.
 
-Every counter is an exhaustive enumeration, vectorized with int64 numpy
-when the triple or pair count warrants it; transforms are only ever used
+Every counter is an exhaustive enumeration, vectorized with numpy when
+the triple or pair count warrants it; transforms are only ever used
 to cross-check identities, never to produce a count.
 """
 
@@ -15,7 +15,16 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .fourier import GridFunction
-from .geometry import DimensionMismatch, Line, Vec, dot, norm, vadd, vsub
+from .geometry import (
+    DimensionMismatch,
+    Line,
+    Vec,
+    dot,
+    norm,
+    vadd,
+    valuation_table,
+    vsub,
+)
 from .orthogroup import Rotation
 from .ring import Modulus
 
@@ -36,6 +45,8 @@ __all__ = [
 
 # ceiling on materialized grids and sampling universes
 FULL_GRID_CAP = 10**6
+# uint8 pair strata held at once by the difference census
+_CENSUS_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -197,18 +208,17 @@ def difference_stratum_census(m: Modulus) -> list[int]:
     in stratum i, for i = 0 .. l-1 (zero differences fall in stratum l
     and are dropped).
     """
-    p, l, q = m.p, m.l, m.q
-    vals = np.array([m.valuation(x) for x in range(q)], dtype=np.int64)
-    coords = np.array(list(itertools.product(range(q), repeat=2)), dtype=np.int64)
-    counts = np.zeros(l + 1, dtype=np.int64)
-    chunk = max(1, 5_000_000 // len(coords))
-    for s in range(0, len(coords), chunk):
-        blk = coords[s : s + chunk]
-        d0 = (blk[:, None, 0] - coords[None, :, 0]) % q
-        d1 = (blk[:, None, 1] - coords[None, :, 1]) % q
-        strat = np.minimum(vals[d0], vals[d1])
-        counts += np.bincount(strat.ravel(), minlength=l + 1)
-    return [int(c) for c in counts[:l]]
+    q, l = m.q, m.l
+    x = np.arange(q)
+    # dv[x_c * q + y_c] = v(x_c - y_c); the pair's stratum is the min over c
+    dv = valuation_table(m)[(x[:, None] - x[None, :]) % q].ravel()
+    counts = [0] * l
+    step = max(1, _CENSUS_CHUNK_BYTES // dv.size)
+    for s in range(0, dv.size, step):
+        strat = np.minimum(dv[s : s + step, None], dv[None, :])
+        for i in range(l):
+            counts[i] += int(np.count_nonzero(strat == i))
+    return counts
 
 
 def sumset(E: PointSet, line: Line) -> set[Vec]:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .ring import Modulus
 
 __all__ = [
@@ -22,6 +24,7 @@ __all__ = [
     "average_line_points",
     "det2",
     "dot",
+    "incidence_census",
     "lines_in_stratum",
     "lines_through",
     "norm",
@@ -30,7 +33,9 @@ __all__ = [
     "stratum_of",
     "stratum_points",
     "stratum_size",
+    "stratum_table",
     "vadd",
+    "valuation_table",
     "vsub",
 ]
 
@@ -84,6 +89,20 @@ def sphere_points(m: Modulus, j: int, d: int) -> tuple[Vec, ...]:
 def stratum_of(m: Modulus, v: Vec) -> int:
     """Exact power of p dividing every coordinate (l for the zero vector)."""
     return min(m.valuation(c) for c in v)
+
+
+def valuation_table(m: Modulus) -> np.ndarray:
+    """v[x] = m.valuation(x) for every residue x, as uint8 (l at zero)."""
+    v = np.zeros(m.q, dtype=np.uint8)
+    for k in range(1, m.l + 1):
+        v[:: m.p**k] += 1
+    return v
+
+
+def stratum_table(m: Modulus) -> np.ndarray:
+    """strata[x, y] = stratum_of(m, (x, y)) over the whole plane, as uint8."""
+    v = valuation_table(m)
+    return np.minimum.outer(v, v)
 
 
 def stratum_size(m: Modulus, n: int) -> int:
@@ -185,6 +204,23 @@ def lines_through(m: Modulus, v: Vec) -> tuple[Line, ...]:
     if all(c == 0 for c in v):
         raise ValueError("the zero vector lies on every line")
     return tuple(line for line in lines_in_stratum(m, 0) if v in line)
+
+
+def incidence_census(m: Modulus) -> np.ndarray:
+    """hits[x, y] = number of full-length lines through (x, y), whole plane at once.
+
+    One bincount over the |L_0| * q points t * g (t in Z_q) of the lines
+    in the stratum-0 census.  Each line's points are deduplicated before
+    counting, so a line adds at most one hit to a point even if its
+    parametrization were not injective.
+    """
+    q = m.q
+    gens = np.array([line.generator for line in lines_in_stratum(m, 0)], dtype=np.int64)
+    t = np.arange(q, dtype=np.int64)
+    pts = np.sort((t * gens[:, :1]) % q * q + (t * gens[:, 1:]) % q, axis=1)
+    first = np.ones(pts.shape, dtype=bool)
+    first[:, 1:] = pts[:, 1:] != pts[:, :-1]
+    return np.bincount(pts[first], minlength=q * q).reshape(q, q)
 
 
 def average_line_points(m: Modulus) -> Fraction:

@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -200,6 +201,28 @@ def test_difference_census_small_bruteforce():
             if d != (0, 0):
                 counts[stratum_of(m, d)] += 1
     assert counts == difference_stratum_census(m)
+
+
+def _census_int64_oracle(m):
+    # chunked int64 enumeration over coordinate, modulus and gather arrays
+    l, q = m.l, m.q
+    vals = np.array([m.valuation(x) for x in range(q)], dtype=np.int64)
+    coords = np.array(list(itertools.product(range(q), repeat=2)), dtype=np.int64)
+    counts = np.zeros(l + 1, dtype=np.int64)
+    chunk = max(1, 5_000_000 // len(coords))
+    for s in range(0, len(coords), chunk):
+        blk = coords[s : s + chunk]
+        d0 = (blk[:, None, 0] - coords[None, :, 0]) % q
+        d1 = (blk[:, None, 1] - coords[None, :, 1]) % q
+        strat = np.minimum(vals[d0], vals[d1])
+        counts += np.bincount(strat.ravel(), minlength=l + 1)
+    return [int(c) for c in counts[:l]]
+
+
+@pytest.mark.parametrize("q", [3, 9, 25, 27, 49])
+def test_difference_census_matches_int64_enumeration(q):
+    m = Modulus.from_q(q)
+    assert difference_stratum_census(m) == _census_int64_oracle(m)
 
 
 def test_sumset_examples():

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from zqgeom.geometry import (
     DimensionMismatch,
+    Line,
     average_line_points,
     det2,
     dot,
+    incidence_census,
     lines_in_stratum,
     lines_through,
     norm,
@@ -20,6 +22,7 @@ from zqgeom.geometry import (
     stratum_of,
     stratum_points,
     stratum_size,
+    stratum_table,
     vadd,
     vsub,
 )
@@ -29,6 +32,7 @@ M3 = Modulus(3, 1)
 M9 = Modulus(3, 2)
 M27 = Modulus(3, 3)
 M25 = Modulus(5, 2)
+M49 = Modulus(7, 2)
 
 
 def test_vector_arithmetic():
@@ -74,14 +78,17 @@ def test_stratum_of_examples():
 @pytest.mark.parametrize("m", [M9, M27, M25], ids=str)
 def test_strata_partition_punctured_plane(m):
     seen = set()
+    table = stratum_table(m)
     for n in range(m.l):
         pts = stratum_points(m, n)
         assert len(pts) == stratum_size(m, n)
         assert len(set(pts)) == len(pts)
         assert all(stratum_of(m, v) == n for v in pts)
+        assert all(table[v] == n for v in pts)
         seen.update(pts)
     assert len(seen) == m.q**2 - 1
     assert (0, 0) not in seen
+    assert table[0, 0] == stratum_of(m, (0, 0)) == m.l
 
 
 def test_stratum_range_errors():
@@ -127,12 +134,13 @@ def test_spanned_line_canonicalizes_the_generator():
 
 
 def test_line_membership_matches_point_listing():
-    grid = list(itertools.product(range(9), repeat=2))
-    for n in range(2):
-        for line in lines_in_stratum(M9, n):
-            pts = set(line.points())
-            for v in grid:
-                assert (v in line) == (v in pts)
+    for m in (M9, M27, M25):
+        grid = list(itertools.product(range(m.q), repeat=2))
+        for n in range(m.l):
+            for line in lines_in_stratum(m, n):
+                pts = set(line.points())
+                for v in grid:
+                    assert (v in line) == (v in pts)
 
 
 def test_lines_through_examples():
@@ -148,6 +156,26 @@ def test_point_line_incidence_counts(m):
     for n in range(m.l):
         for v in stratum_points(m, n):
             assert len(lines_through(m, v)) == m.p**n
+
+
+@pytest.mark.parametrize("m", [M9, M27, M25, M49], ids=str)
+def test_incidence_census_matches_lines_through(m):
+    hits = incidence_census(m)
+    assert hits.shape == (m.q, m.q)
+    for v in itertools.product(range(m.q), repeat=2):
+        if v != (0, 0):
+            assert hits[v] == len(lines_through(m, v))
+    # the origin lies on every line
+    assert hits[0, 0] == len(lines_in_stratum(m, 0))
+
+
+def test_incidence_census_counts_a_line_once_per_point(monkeypatch):
+    # a generator of stratum 1 posing as full length lists each point 3 times
+    fake = (Line(M9, (3, 3), 0),)
+    monkeypatch.setattr("zqgeom.geometry.lines_in_stratum", lambda m, n: fake)
+    hits = incidence_census(M9)
+    assert hits.sum() == 3
+    assert hits[0, 0] == hits[3, 3] == hits[6, 6] == 1
 
 
 def test_average_line_points_diagnostic():

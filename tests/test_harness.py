@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+from zqgeom import geometry
 from zqgeom.configsets import PointSet
 from zqgeom.harness import (
     CSV_HEADER,
     ExperimentConfig,
     SetSource,
     SplitMix64,
+    _check_point_line_incidence,
     conclusion_bound,
     generate_set,
     meets_hypothesis,
@@ -297,6 +299,63 @@ def test_lemma_suite_skips_census_at_prime_modulus():
     by_name = {c.name: c for c in rep.checks}
     assert by_name["difference_census_match"].skipped
     assert rep.all_passed
+
+
+def test_incidence_check_runs_beyond_the_old_scan_budget():
+    # 587**2 points times 588 lines exceeded the op budget of a per-vector scan
+    check = _check_point_line_incidence(Modulus(587, 1))
+    assert not check.skipped
+    assert check.passed and check.statistic == 0
+    assert check.universe == 587**2 - 1
+
+
+def _incidence_scan_oracle(m):
+    # per-vector scan of every full-length line, as (mismatches, first witness)
+    full = geometry.lines_in_stratum(m, 0)
+    fails, witness = 0, ""
+    for v in itertools.product(range(m.q), repeat=2):
+        if v == (0, 0):
+            continue
+        hits = sum(1 for line in full if v in line)
+        if hits != m.p ** geometry.stratum_of(m, v):
+            fails += 1
+            witness = witness or f"v={v}, hits={hits}"
+    return fails, witness
+
+
+@pytest.mark.parametrize("m, dropped", [(M9, 2), (M25, 0), (Modulus(3, 3), 7)], ids=str)
+def test_incidence_check_reports_a_dropped_line_like_the_scan(monkeypatch, m, dropped):
+    census = geometry.lines_in_stratum
+
+    def faulty(mod, n):
+        lines = census(mod, n)
+        return lines[:dropped] + lines[dropped + 1 :] if n == 0 else lines
+
+    monkeypatch.setattr(geometry, "lines_in_stratum", faulty)
+    check = _check_point_line_incidence(m)
+    fails, witness = _incidence_scan_oracle(m)
+    assert fails > 0
+    assert not check.passed and not check.skipped
+    assert (check.statistic, check.witness) == (fails, witness)
+
+
+@pytest.mark.parametrize(
+    "m, aggregate, skipped",
+    [
+        (Modulus(3, 5), {"passed": 15, "failed": 0, "skipped": 1},
+         {"difference_census_match"}),
+        (Modulus(5, 3), {"passed": 13, "failed": 0, "skipped": 3},
+         {"stabilizer_bound_zero_norm", "zero_norm_stratum_form",
+          "difference_census_match"}),
+    ],
+    ids=str,
+)
+def test_lemma_ladder_aggregates(m, aggregate, skipped):
+    rep = run_lemma_suite(m)
+    assert rep.aggregate == aggregate
+    assert {c.name for c in rep.checks if c.skipped} == skipped
+    incidence = next(c for c in rep.checks if c.name == "point_line_incidence")
+    assert incidence.statistic == 0 and incidence.universe == m.q**2 - 1
 
 
 def test_lemma_suite_rejects_oversized_modulus():
