@@ -1,8 +1,9 @@
 """Point sets in Z_q^d and the exact configuration counters over them.
 
 Every counter is an exhaustive enumeration, vectorized with numpy when
-the triple or pair count warrants it; transforms are only ever used
-to cross-check identities, never to produce a count.
+the triple or pair count warrants it, in blocks sized in bytes; the set
+counters stop early once every residue has been seen.  Transforms are
+only ever used to cross-check identities, never to produce a count.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .geometry import (
     DimensionMismatch,
     Line,
     Vec,
-    dot,
     norm,
     vadd,
     valuation_table,
@@ -47,6 +47,8 @@ __all__ = [
 FULL_GRID_CAP = 10**6
 # uint8 pair strata held at once by the difference census
 _CENSUS_CHUNK_BYTES = 1 << 20
+# bytes of one int64 block of areas or dot products
+_CHUNK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -81,6 +83,10 @@ class PointSet:
     def product(cls, m: Modulus, base: Iterable[int], d: int) -> "PointSet":
         """The d-fold product A x ... x A of a subset A of Z_q."""
         a = sorted({c % m.q for c in base})
+        if len(a) ** d > FULL_GRID_CAP:
+            raise ValueError(
+                f"product A^{d} with |A| = {len(a)} exceeds the {FULL_GRID_CAP}-point cap"
+            )
         return cls(m, d, tuple(itertools.product(a, repeat=d)), base=tuple(a))
 
     @classmethod
@@ -110,39 +116,62 @@ def distance_set(E: PointSet) -> set[int]:
     return {norm(E.m, vsub(E.m, x, y)) for x in E for y in E}
 
 
+def _residues(blocks: Iterable[np.ndarray], q: int, start: int = 0) -> set[int]:
+    """Residues t >= start occurring in the blocks; stops once all of them have."""
+    seen = np.zeros(q, dtype=bool)
+    for block in blocks:
+        seen[block] = True
+        if seen[start:].all():
+            break
+    return set((np.flatnonzero(seen[start:]) + start).tolist())
+
+
+def _dot_blocks(E: PointSet) -> Iterator[np.ndarray]:
+    """x.y mod q over all ordered pairs, one block of rows x at a time."""
+    pts = E.as_array()
+    step = max(1, _CHUNK_BYTES // (8 * max(1, len(pts))))
+    for s in range(0, len(pts), step):
+        yield (pts[s : s + step] @ pts.T) % E.m.q
+
+
+def _area_blocks(E: PointSet) -> Iterator[np.ndarray]:
+    """det(x - z, y - z) mod q over all triples, one block of (z, x) rows at a time."""
+    n, q = len(E), E.m.q
+    pts = E.as_array()
+    step = max(1, _CHUNK_BYTES // (8 * max(1, n)))
+    for s in range(0, n * n, step):
+        z, x = np.divmod(np.arange(s, min(n * n, s + step)), n)
+        a = (pts[x] - pts[z]) % q  # x - z, one row per (z, x)
+        b = (pts[None, :, :] - pts[z, None, :]) % q  # y - z for every y
+        yield (a[:, :1] * b[..., 1] - a[:, 1:] * b[..., 0]) % q
+
+
 def dot_product_set(E: PointSet) -> set[int]:
-    """Dot products over ordered pairs."""
-    return {dot(E.m, x, y) for x in E for y in E}
+    """Dot products over ordered pairs.
+
+    Row blocks of at most _CHUNK_BYTES of int64 each; the scan stops
+    once all q values have appeared.
+    """
+    return _residues(_dot_blocks(E), E.m.q)
 
 
 def dot_product_counts(E: PointSet) -> dict[int, int]:
     """nu(t), the number of ordered pairs with x.y = t, densely over Z_q."""
-    counts = {t: 0 for t in range(E.m.q)}
-    for x in E:
-        for y in E:
-            counts[dot(E.m, x, y)] += 1
-    return counts
+    counts = np.zeros(E.m.q, dtype=np.int64)
+    for block in _dot_blocks(E):
+        counts += np.bincount(block.ravel(), minlength=E.m.q)
+    return dict(enumerate(counts.tolist()))
 
 
 def triangle_area_set(E: PointSet) -> set[int]:
-    """Nonzero parallelogram determinants det(x - z, y - z) over vertex triples."""
+    """Nonzero parallelogram determinants det(x - z, y - z) over vertex triples.
+
+    Blocks of (z, x) rows against every y, at most _CHUNK_BYTES of int64
+    each; the scan stops once all q - 1 nonzero residues have appeared.
+    """
     if E.d != 2:
         raise DimensionMismatch("areas are a planar counter")
-    n = len(E)
-    if n == 0:
-        return set()
-    q = E.m.q
-    pts = E.as_array()
-    diff = (pts[:, None, :] - pts[None, :, :]) % q  # diff[i, k] = x_i - x_k
-    out: set[int] = set()
-    chunk = max(1, 50_000_000 // (n * n))
-    for k0 in range(0, n, chunk):
-        sl = slice(k0, min(n, k0 + chunk))
-        d0, d1 = diff[:, sl, 0], diff[:, sl, 1]
-        dets = (d0[:, None, :] * d1[None, :, :] - d1[:, None, :] * d0[None, :, :]) % q
-        out.update(int(t) for t in np.unique(dets))
-    out.discard(0)
-    return out
+    return _residues(_area_blocks(E), E.m.q, start=1)
 
 
 def rotation_correlation(E: PointSet, theta: Rotation) -> dict[Vec, int]:

@@ -9,6 +9,7 @@ reproduces the same point set on any platform and Python build.
 
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -108,12 +109,17 @@ def trial_rng(seed: int, trial: int) -> SplitMix64:
 
 
 def _sample_indices(rng: SplitMix64, n: int, k: int) -> list[int]:
-    """First k entries of a Fisher-Yates shuffle of range(n)."""
-    idx = list(range(n))
+    """First k entries of a Fisher-Yates shuffle of range(n).
+
+    Only displaced entries are stored, so the cost is O(k) whatever n is.
+    """
+    moved: dict[int, int] = {}
+    out = []
     for i in range(k):
         j = i + rng.below(n - i)
-        idx[i], idx[j] = idx[j], idx[i]
-    return idx[:k]
+        out.append(moved.get(j, j))
+        moved[j] = moved.pop(i, i)
+    return out
 
 
 def _unrank(index: int, q: int, d: int) -> tuple[int, ...]:
@@ -144,9 +150,20 @@ def format_pointset(ps: PointSet) -> str:
     return "\n".join(lines) + "\n"
 
 
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _decimal(token: str, lineno: int) -> int:
+    """int() restricted to plain ASCII decimals: no '_' separators, no other digits."""
+    token = token.strip()
+    if not _DECIMAL.fullmatch(token):
+        raise ValueError(f"line {lineno}: {token!r} is not a decimal integer")
+    return int(token)
+
+
 def parse_pointset(text: str) -> PointSet:
     """Parse the on-disk format: a 'q=<q> d=<d>' header, one point per line,
-    comma-separated residues, '#' starting a comment."""
+    comma-separated decimal residues, '#' starting a comment."""
     header: tuple[int, int] | None = None
     rows: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -159,15 +176,14 @@ def parse_pointset(text: str) -> PointSet:
                 key, sep, val = token.partition("=")
                 if not sep:
                     raise ValueError(f"line {lineno}: bad header token {token!r}")
+                if key in fields:
+                    raise ValueError(f"line {lineno}: header sets {key} twice")
                 fields[key] = val
             if set(fields) != {"q", "d"}:
                 raise ValueError(f"line {lineno}: header must set exactly q and d")
-            header = (int(fields["q"]), int(fields["d"]))
+            header = (_decimal(fields["q"], lineno), _decimal(fields["d"], lineno))
             continue
-        try:
-            rows.append(tuple(int(tok) for tok in line.split(",")))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+        rows.append(tuple(_decimal(tok, lineno) for tok in line.split(",")))
     if header is None:
         raise ValueError("missing 'q=<q> d=<d>' header line")
     q, d = header

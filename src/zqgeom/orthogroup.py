@@ -6,7 +6,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
-from .geometry import vsub
+import numpy as np
+
+from .geometry import DimensionMismatch, vsub
 from .ring import Modulus
 
 __all__ = [
@@ -21,6 +23,13 @@ __all__ = [
 
 Vec2 = tuple[int, int]
 Triangle = tuple[Vec2, Vec2, Vec2]
+
+# moduli whose group stays cached; a sweep over moduli keeps only the latest
+_GROUP_CACHE_SIZE = 8
+# bytes of one working block of the group table and the triangle census;
+# also caps the dense (distinct differences)**2 count table, which at this
+# size still holds the full Z_27 grid's 729**2 pairs
+_CHUNK_BYTES = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -58,16 +67,25 @@ class Rotation:
         return (self.a, self.b)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_GROUP_CACHE_SIZE)
+def _so2_table(m: Modulus) -> np.ndarray:
+    """Read-only (|SO_2|, 2) int64 table of the group's (a, b), lexicographic."""
+    q = m.q
+    sq = np.arange(q, dtype=np.int64) ** 2 % q
+    step = max(1, _CHUNK_BYTES // (8 * q))
+    rows = []
+    for a0 in range(0, q, step):
+        a, b = np.nonzero((sq[a0 : a0 + step, None] + sq[None, :]) % q == 1)
+        rows.append(np.stack([a + a0, b], axis=1))
+    table = np.concatenate(rows).astype(np.int64)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=_GROUP_CACHE_SIZE)
 def so2_elements(m: Modulus) -> tuple[Rotation, ...]:
     """The whole group, in lexicographic (a, b) order; its size tracks |S_1|."""
-    q = m.q
-    return tuple(
-        Rotation(a, b, m)
-        for a in range(q)
-        for b in range(q)
-        if (a * a + b * b) % q == 1
-    )
+    return tuple(Rotation(a, b, m) for a, b in _so2_table(m).tolist())
 
 
 def identity_rotation(m: Modulus) -> Rotation:
@@ -102,26 +120,141 @@ class TriangleClass(NamedTuple):
     v: Vec2
 
 
-@lru_cache(maxsize=1 << 20)
+# the census no longer calls this, so it keeps no entries; maxsize=0
+# still gives it cache_info(), which counts the calls for tracing
+@lru_cache(maxsize=0)
 def canonical_pair(m: Modulus, u: Vec2, v: Vec2) -> TriangleClass:
     """Lexicographically least image of (u, v) under the diagonal action."""
     best = min((theta.apply(u), theta.apply(v)) for theta in so2_elements(m))
     return TriangleClass(*best)
 
 
+def _turn(a, b, codes, q: int) -> np.ndarray:
+    """Code c0*q + c1 of the image of each vector code under [[a, -b], [b, a]]."""
+    c0, c1 = codes // q, codes % q
+    return (a * c0 - b * c1) % q * q + (b * c0 + a * c1) % q
+
+
+def _orbit_min(rot: np.ndarray, codes: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Least image of each vector code under the rotations `rot`, and the row
+    of `rot` attaining it."""
+    best, arg = np.empty_like(codes), np.empty_like(codes)
+    step = max(1, _CHUNK_BYTES // (8 * len(rot)))
+    for s in range(0, len(codes), step):
+        img = _turn(rot[:, :1], rot[:, 1:], codes[None, s : s + step], q)
+        arg[s : s + step] = img.argmin(axis=0)
+        best[s : s + step] = img.min(axis=0)
+    return best, arg
+
+
+def _canonical_keys(m: Modulus, codes: np.ndarray, ru: np.ndarray, rv: np.ndarray) -> np.ndarray:
+    """canonical_pair of each pair (codes[ru], codes[rv]) of vector codes, as
+    the key u*q**2 + v of the least image pair.
+
+    Codes order like the tuples they encode.  The least image of u comes
+    from its orbit alone, found once per distinct code; the rotations
+    attaining it form theta*Stab(u), and Stab(u) = Stab(theta u) as the
+    group is abelian, so v is turned by theta and then minimized over
+    that stabilizer only.
+    """
+    q = m.q
+    g = _so2_table(m)
+    least, theta = _orbit_min(g, codes, q)
+    u, t = least[ru], theta[ru]
+    v = _turn(g[t, 0], g[t, 1], codes[rv], q)
+    order = np.argsort(u, kind="stable")
+    heads = np.flatnonzero(np.r_[True, u[order][1:] != u[order][:-1]])
+    for lo, hi in zip(heads, np.r_[heads[1:], len(u)]):
+        w = int(u[order[lo]])
+        stab = g[_turn(g[:, 0], g[:, 1], w, q) == w]
+        idx = order[lo:hi]
+        v[idx] = _orbit_min(stab, v[idx], q)[0]
+    return u * q * q + v
+
+
+def _tally(rank: np.ndarray, size: int) -> np.ndarray:
+    """out[i, r] = number of entries equal to r in row i, as float64."""
+    k = len(rank)
+    flat = (np.arange(k)[:, None] * size + rank).ravel()
+    return np.bincount(flat, minlength=k * size).reshape(k, size).astype(np.float64)
+
+
+def _pair_census(rank: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keys rank[x, y] * size + rank[y, z] over all (x, y, z), with counts.
+
+    When the size**2 key space fits the chunk budget, the counts are the
+    matrix product sum_y #{x : rank[x, y] = r} * #{z : rank[y, z] = s},
+    exact in float64 while n**3 < 2**53.  Otherwise each chunk of middle
+    vertices is reduced by sorting, and the reduced chunks are merged into
+    the running union once they outgrow both the budget and the union
+    itself, so merging costs O(log) passes over the output.
+    """
+    n = len(rank)
+    if 8 * size * size <= _CHUNK_BYTES:
+        table = np.zeros((size, size))
+        step = max(1, _CHUNK_BYTES // (8 * max(n, size)))
+        for y0 in range(0, n, step):
+            ys = slice(y0, y0 + step)
+            table += _tally(rank[:, ys].T, size).T @ _tally(rank[ys, :], size)
+        keys = np.flatnonzero(table)
+        return keys, table.ravel()[keys].astype(np.int64)
+    keys = counts = np.empty(0, dtype=np.int64)
+    pending: list[tuple[np.ndarray, np.ndarray]] = []
+    held = 0
+    step = max(1, _CHUNK_BYTES // (8 * n * n))
+    for y0 in range(0, n, step):
+        ys = slice(y0, y0 + step)
+        block = rank[:, ys].T[:, :, None] * size + rank[ys, :][:, None, :]
+        pending.append(np.unique(block, return_counts=True))
+        held += 16 * len(pending[-1][0])
+        if held > max(_CHUNK_BYTES, 16 * len(keys)):
+            keys, counts = _merge_counts([(keys, counts), *pending])
+            pending, held = [], 0
+    return _merge_counts([(keys, counts), *pending])
+
+
+def _merge_counts(parts) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the counts of equal keys across (keys, counts) parts."""
+    keys = np.concatenate([k for k, _ in parts])
+    counts = np.concatenate([c for _, c in parts])
+    order = np.argsort(keys, kind="stable")
+    keys, counts = keys[order], counts[order]
+    if len(keys) == 0:
+        return keys, counts
+    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return keys[first], np.add.reduceat(counts, first)
+
+
 def triangle_classes(m: Modulus, points: Iterable[Vec2]) -> dict[TriangleClass, int]:
     """Census of congruence classes of ordered vertex triples.
 
-    Keys are canonical difference pairs; the third difference x - z is
-    their sum, so it never needs to be stored.  Multiplicities sum to
-    n**3 over the n**3 ordered triples.
+    Keys are canonical difference pairs (x - y, y - z); the third
+    difference x - z is their sum, so it never needs to be stored.
+    Duplicate points count as separate vertices, and the multiplicities
+    sum to n**3 over the n**3 ordered triples.
+
+    Differences are ranked among the distinct differences of the set, so
+    each realized pair is counted once over a key space of at most
+    min(n**2, q**2)**2; only the distinct pairs are then canonicalized,
+    each by a minimum over the cached group table.
     """
-    pts = list(points)
-    counts: dict[TriangleClass, int] = {}
-    for x in pts:
-        for y in pts:
-            u = vsub(m, x, y)
-            for z in pts:
-                key = canonical_pair(m, u, vsub(m, y, z))
-                counts[key] = counts.get(key, 0) + 1
-    return counts
+    q = m.q
+    pts = np.array([tuple(v) for v in points], dtype=np.int64)
+    if len(pts) == 0:
+        return {}
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise DimensionMismatch("triangle classes are a planar census")
+    pts %= q
+    diff = (pts[:, None, :] - pts[None, :, :]) % q  # diff[i, j] = x_i - x_j
+    codes, rank = np.unique(diff[..., 0] * q + diff[..., 1], return_inverse=True)
+    size = len(codes)
+    ranked, counts = _pair_census(rank.reshape(len(pts), len(pts)), size)
+    canon = _canonical_keys(m, codes, ranked // size, ranked % size)
+    canon, counts = _merge_counts([(canon, counts)])
+    u0, u1, v0, v1 = (canon // q**3, canon // q**2 % q, canon // q % q, canon % q)
+    return {
+        TriangleClass((a, b), (c, d)): n
+        for a, b, c, d, n in zip(
+            u0.tolist(), u1.tolist(), v0.tolist(), v1.tolist(), counts.tolist()
+        )
+    }

@@ -68,6 +68,38 @@ def test_usage_and_config_errors_exit_2(args):
     assert res.stderr != ""
 
 
+def test_product_source_above_the_cap_exits_2(tmp_path):
+    base = tmp_path / "base.txt"
+    base.write_text("q=9 d=1\n" + "".join(f"{c}\n" for c in range(9)))
+    res = run_cli(
+        "experiment", "--kind", "dotprod", "--p", "3", "--l", "2", "--d", "12",
+        "--set", f"product:{base}",
+    )
+    assert res.returncode == 2
+    assert "cap" in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "q=27 q=9 d=2\n1,2\n",  # a header key set twice
+        "q=9 d=0_2\n1,2\n",     # underscore in a header integer
+        "q=9 d=2\n0_1,2\n",     # underscore in a residue
+        "q=9 d=2\n\u0661,2\n",   # a non-ASCII digit
+    ],
+    ids=["duplicate-key", "header-underscore", "row-underscore", "non-ascii-digit"],
+)
+def test_lenient_pointset_files_exit_2(tmp_path, text):
+    path = tmp_path / "set.txt"
+    path.write_text(text, encoding="utf-8")
+    res = run_cli(
+        "experiment", "--kind", "t2", "--p", "3", "--l", "2", "--set", f"file:{path}",
+    )
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: line ")
+    assert "Traceback" not in res.stderr
+
+
 def test_gen_set_then_feed_back_as_product(tmp_path):
     out = tmp_path / "base.txt"
     res = run_cli(

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zqgeom import configsets
 from zqgeom.configsets import (
     PointSet,
     difference_stratum_census,
@@ -24,6 +25,7 @@ from zqgeom.configsets import (
 from zqgeom.geometry import (
     DimensionMismatch,
     det2,
+    dot,
     lines_in_stratum,
     spanned_line,
     stratum_of,
@@ -290,3 +292,85 @@ def test_mu_square_sum_below_nu_cube_sum():
         for theta in so2_elements(m)
     )
     assert mu2 <= total
+
+
+# -- the vectorized counters against the pair and triple loops they replaced --
+
+
+def _dot_set_loop(E):
+    return {dot(E.m, x, y) for x in E for y in E}
+
+
+def _dot_counts_loop(E):
+    counts = {t: 0 for t in range(E.m.q)}
+    for x in E:
+        for y in E:
+            counts[dot(E.m, x, y)] += 1
+    return counts
+
+
+_SMALL = [M3, Modulus(5, 1), Modulus(7, 1), M9, M25, M27]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_SMALL),
+    st.lists(st.tuples(st.integers(0, 26), st.integers(0, 26)), max_size=14),
+)
+def test_triangle_area_set_matches_the_triple_loop(m, pts):
+    E = PointSet(m, 2, tuple(pts))
+    assert triangle_area_set(E) == _areas_brute(E)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_SMALL),
+    st.sampled_from((1, 2, 3)),
+    st.lists(st.integers(0, 26), max_size=6),
+    st.lists(st.lists(st.integers(0, 26), min_size=3, max_size=3), max_size=12),
+)
+def test_dot_products_match_the_pair_loop(m, d, base, rows):
+    for E in (PointSet.product(m, base, d), PointSet(m, d, tuple(r[:d] for r in rows))):
+        assert dot_product_set(E) == _dot_set_loop(E)
+        assert dot_product_counts(E) == _dot_counts_loop(E)
+
+
+def _counting(monkeypatch, name):
+    """Wrap a block generator of configsets and count the blocks it yields."""
+    inner = getattr(configsets, name)
+    used = []
+
+    def wrapped(E):
+        for block in inner(E):
+            used.append(block.size)
+            yield block
+
+    monkeypatch.setattr(configsets, name, wrapped)
+    return used
+
+
+def test_counters_over_tiny_chunks_stop_once_saturated(monkeypatch):
+    # one row per block, so saturation is seen long before the last block
+    monkeypatch.setattr(configsets, "_CHUNK_BYTES", 8)
+    areas = _counting(monkeypatch, "_area_blocks")
+    dots = _counting(monkeypatch, "_dot_blocks")
+
+    full = PointSet.full_grid(Modulus(5, 1), 2)
+    assert triangle_area_set(full) == _areas_brute(full) == set(range(1, 5))
+    assert 0 < len(areas) < len(full) ** 2
+    assert dot_product_set(full) == set(range(5))
+    assert 0 < len(dots) < len(full)
+    assert dot_product_counts(full) == _dot_counts_loop(full)
+
+    areas.clear(), dots.clear()
+    sparse = PointSet(M9, 2, tuple((3 * s, t) for s in range(3) for t in range(3)))
+    assert triangle_area_set(sparse) == _areas_brute(sparse) == {3, 6}
+    assert len(areas) == len(sparse) ** 2 and sum(areas) == len(sparse) ** 3
+    assert dot_product_set(sparse) == _dot_set_loop(sparse)
+    assert len(dots) == len(sparse) and sum(dots) == len(sparse) ** 2
+
+    # sets near saturation, where the last residues arrive in late blocks
+    for seed in range(20):
+        E = random_subset(M9, 2, 5 + seed % 4, seed=seed)
+        assert triangle_area_set(E) == _areas_brute(E)
+        assert dot_product_set(E) == _dot_set_loop(E)

@@ -14,6 +14,7 @@ from zqgeom.harness import (
     SetSource,
     SplitMix64,
     _check_point_line_incidence,
+    _sample_indices,
     conclusion_bound,
     generate_set,
     meets_hypothesis,
@@ -61,6 +62,27 @@ def test_trial_streams_reproducible_and_distinct():
     d = [trial_rng(8, 0).next_u64() for _ in range(4)]
     assert a == b
     assert a != c and a != d
+
+
+def _sample_indices_list(rng, n, k):
+    # the dense Fisher-Yates the sparse sampler must reproduce draw for draw
+    idx = list(range(n))
+    for i in range(k):
+        j = i + rng.below(n - i)
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx[:k]
+
+
+@pytest.mark.parametrize(
+    "n,k,seed",
+    [(1, 1, 0), (9, 0, 1), (9, 9, 2), (10, 3, 3), (81, 81, 4), (625, 16, 5),
+     (729**2, 12, 6), (4096, 4096, 7)],
+)
+def test_sparse_sampler_matches_the_list_shuffle(n, k, seed):
+    for trial in range(3):
+        got = _sample_indices(trial_rng(seed, trial), n, k)
+        assert got == _sample_indices_list(trial_rng(seed, trial), n, k)
+        assert len(set(got)) == k and all(0 <= i < n for i in got)
 
 
 def test_random_subset_deterministic():

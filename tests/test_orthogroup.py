@@ -3,7 +3,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zqgeom import orthogroup
 from zqgeom.geometry import norm, stratum_of, vadd, vsub
 from zqgeom.harness import random_subset
 from zqgeom.orthogroup import (
@@ -235,3 +238,85 @@ def test_triangle_classes_rotation_invariant():
     E = list(random_subset(m, 2, 6, seed=9))
     rot = so2_elements(m)[4]
     assert triangle_classes(m, E) == triangle_classes(m, [rot.apply(v) for v in E])
+
+
+# -- the vectorized census against the per-triple loop it replaced ----------
+
+
+def _so2_loop(m):
+    q = m.q
+    return [(a, b) for a in range(q) for b in range(q) if (a * a + b * b) % q == 1]
+
+
+def _triangle_classes_loop(m, points):
+    pts = list(points)
+    counts = {}
+    for x in pts:
+        for y in pts:
+            u = vsub(m, x, y)
+            for z in pts:
+                key = canonical_pair(m, u, vsub(m, y, z))
+                counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 13, 25, 27, 49, 81, 121, 125, 243])
+def test_so2_table_matches_the_defining_loop(q):
+    elems = so2_elements(Modulus.from_q(q))
+    assert [t.key() for t in elems] == _so2_loop(Modulus.from_q(q))
+    assert all(type(t.a) is int and type(t.b) is int for t in elems)
+
+
+_MODULI = [M3, Modulus(5, 1), Modulus(7, 1), M9, M25, M27]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_MODULI),
+    st.lists(st.tuples(st.integers(-30, 60), st.integers(-30, 60)), max_size=9),
+    st.integers(0, 3),
+)
+def test_triangle_classes_match_the_triple_loop(m, pts, repeats):
+    pts = pts + pts[:repeats]  # duplicates count as separate vertices
+    counts = triangle_classes(m, pts)
+    assert counts == _triangle_classes_loop(m, pts)
+    assert all(type(c) is int for c in counts.values())
+    for key in counts:
+        assert canonical_pair(m, *key) == key
+
+
+def test_triangle_classes_empty_and_non_planar():
+    assert triangle_classes(M9, []) == {}
+    with pytest.raises(ValueError):
+        triangle_classes(M9, [(1, 2, 3)])
+
+
+@pytest.mark.parametrize("chunk_bytes", [64, 1024, 4096])
+def test_triangle_classes_tiny_chunks(monkeypatch, chunk_bytes):
+    # tiny blocks force many chunks: sorted merges of several pending parts,
+    # dense counts over many middle-vertex chunks (the repeated 2 x 2 square
+    # has only 9 distinct differences), chunked canonicalization and group tables
+    monkeypatch.setattr(orthogroup, "_CHUNK_BYTES", chunk_bytes)
+    orthogroup._so2_table.cache_clear()
+    orthogroup.so2_elements.cache_clear()
+    try:
+        cases = [(M9, [(0, 0), (1, 0), (0, 1), (1, 1)] * 3)]
+        for m, n, seed in ((M9, 12, 1), (M25, 10, 2), (M27, 8, 3)):
+            pts = list(random_subset(m, 2, n, seed=seed))
+            cases.append((m, pts + pts[:3]))
+        for m, pts in cases:
+            assert triangle_classes(m, pts) == _triangle_classes_loop(m, pts)
+        assert [t.key() for t in so2_elements(M49)] == _so2_loop(M49)
+    finally:
+        orthogroup._so2_table.cache_clear()
+        orthogroup.so2_elements.cache_clear()
+
+
+def test_group_caches_are_bounded():
+    for fn in (orthogroup._so2_table, so2_elements):
+        assert fn.cache_info().maxsize is not None
+    for q in (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29):
+        so2_elements(Modulus.from_q(q))
+    assert so2_elements.cache_info().currsize <= so2_elements.cache_info().maxsize
+    canonical_pair(M9, (1, 2), (3, 4))
+    assert canonical_pair.cache_info().currsize == 0
