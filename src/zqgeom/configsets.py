@@ -47,7 +47,8 @@ __all__ = [
 FULL_GRID_CAP = 10**6
 # uint8 pair strata held at once by the difference census
 _CENSUS_CHUNK_BYTES = 1 << 20
-# bytes of one int64 block of areas or dot products
+# bytes of one int64 block of areas or dot products; a scan keeps at most
+# four blocks' worth alive
 _CHUNK_BYTES = 1 << 22
 
 
@@ -116,41 +117,76 @@ def distance_set(E: PointSet) -> set[int]:
     return {norm(E.m, vsub(E.m, x, y)) for x in E for y in E}
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct entries of a 1-D array."""
+    values = np.sort(values)
+    return values[np.r_[True, values[1:] != values[:-1]]] if len(values) else values
+
+
 def _residues(blocks: Iterable[np.ndarray], q: int, start: int = 0) -> set[int]:
-    """Residues t >= start occurring in the blocks; stops once all of them have."""
-    seen = np.zeros(q, dtype=bool)
+    """Residues t >= start occurring in the blocks; stops once all of them have.
+
+    Each block is reduced to its distinct values, and these are merged into
+    the running union once they are at least as many as it holds.  Memory
+    follows the values found, not q, and a merge never sorts more than
+    twice what the blocks since the last merge contributed.
+    """
+    found = np.empty(0, dtype=np.int64)
+    pending, held = [], 0
     for block in blocks:
-        seen[block] = True
-        if seen[start:].all():
-            break
-    return set((np.flatnonzero(seen[start:]) + start).tolist())
+        pending.append(_distinct(block.ravel()))
+        held += len(pending[-1])
+        if held >= len(found):
+            found = _distinct(np.concatenate([found, *pending]))
+            pending, held = [], 0
+            if len(found) - np.searchsorted(found, start) == q - start:
+                break
+    found = _distinct(np.concatenate([found, *pending]))
+    return set(found[np.searchsorted(found, start) :].tolist())
 
 
 def _dot_blocks(E: PointSet) -> Iterator[np.ndarray]:
-    """x.y mod q over all ordered pairs, one block of rows x at a time."""
-    pts = E.as_array()
+    """x.y mod q over all ordered pairs, one block of rows x at a time.
+
+    The sum is reduced mod q after every coordinate, so no intermediate
+    exceeds q**2 + q, which fits int64 for every q up to MAX_Q.
+    """
+    pts, q = E.as_array(), E.m.q
     step = max(1, _CHUNK_BYTES // (8 * max(1, len(pts))))
     for s in range(0, len(pts), step):
-        yield (pts[s : s + step] @ pts.T) % E.m.q
+        rows = pts[s : s + step]
+        block = np.zeros((len(rows), len(pts)), dtype=np.int64)
+        for k in range(E.d):
+            block += rows[:, k, None] * pts[None, :, k]
+            block %= q
+        yield block
 
 
 def _area_blocks(E: PointSet) -> Iterator[np.ndarray]:
-    """det(x - z, y - z) mod q over all triples, one block of (z, x) rows at a time."""
+    """det(x - z, y - z) mod q over all triples, one block of (z, x) rows at a time.
+
+    With a = x - z, the determinant is a0*y1 - a1*y0 - (a0*z1 - a1*z0);
+    every term is below q**2, so nothing overflows int64 for q up to MAX_Q.
+    """
     n, q = len(E), E.m.q
     pts = E.as_array()
     step = max(1, _CHUNK_BYTES // (8 * max(1, n)))
     for s in range(0, n * n, step):
         z, x = np.divmod(np.arange(s, min(n * n, s + step)), n)
         a = (pts[x] - pts[z]) % q  # x - z, one row per (z, x)
-        b = (pts[None, :, :] - pts[z, None, :]) % q  # y - z for every y
-        yield (a[:, :1] * b[..., 1] - a[:, 1:] * b[..., 0]) % q
+        block = a[:, :1] * pts[None, :, 1]
+        block -= a[:, 1:] * pts[None, :, 0]
+        block -= ((a[:, 0] * pts[z, 1] - a[:, 1] * pts[z, 0]) % q)[:, None]
+        block %= q
+        yield block
 
 
 def dot_product_set(E: PointSet) -> set[int]:
     """Dot products over ordered pairs.
 
-    Row blocks of at most _CHUNK_BYTES of int64 each; the scan stops
-    once all q values have appeared.
+    Row blocks of at most _CHUNK_BYTES of int64 each, with at most four
+    blocks' worth alive at once; the scan stops once all q values have
+    appeared.
     """
     return _residues(_dot_blocks(E), E.m.q)
 
@@ -167,7 +203,8 @@ def triangle_area_set(E: PointSet) -> set[int]:
     """Nonzero parallelogram determinants det(x - z, y - z) over vertex triples.
 
     Blocks of (z, x) rows against every y, at most _CHUNK_BYTES of int64
-    each; the scan stops once all q - 1 nonzero residues have appeared.
+    each, with at most four blocks' worth alive at once; the scan stops
+    once all q - 1 nonzero residues have appeared.
     """
     if E.d != 2:
         raise DimensionMismatch("areas are a planar counter")

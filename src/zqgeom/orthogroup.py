@@ -26,7 +26,7 @@ Triangle = tuple[Vec2, Vec2, Vec2]
 
 # moduli whose group stays cached; a sweep over moduli keeps only the latest
 _GROUP_CACHE_SIZE = 8
-# bytes of one working block of the group table and the triangle census;
+# bytes of one working block of the orbit minima and the triangle census;
 # also caps the dense (distinct differences)**2 count table, which at this
 # size still holds the full Z_27 grid's 729**2 pairs
 _CHUNK_BYTES = 1 << 23
@@ -69,15 +69,22 @@ class Rotation:
 
 @lru_cache(maxsize=_GROUP_CACHE_SIZE)
 def _so2_table(m: Modulus) -> np.ndarray:
-    """Read-only (|SO_2|, 2) int64 table of the group's (a, b), lexicographic."""
+    """Read-only (|SO_2|, 2) int64 table of the group's (a, b), lexicographic.
+
+    For each a, the b with b**2 = 1 - a**2 are looked up among the squares
+    sorted by value; the sort is stable, so each run lists b in order.
+    """
     q = m.q
     sq = np.arange(q, dtype=np.int64) ** 2 % q
-    step = max(1, _CHUNK_BYTES // (8 * q))
-    rows = []
-    for a0 in range(0, q, step):
-        a, b = np.nonzero((sq[a0 : a0 + step, None] + sq[None, :]) % q == 1)
-        rows.append(np.stack([a + a0, b], axis=1))
-    table = np.concatenate(rows).astype(np.int64)
+    roots = np.argsort(sq, kind="stable")
+    ordered, want = sq[roots], (1 - sq) % q
+    lo = np.searchsorted(ordered, want, side="left")
+    count = np.searchsorted(ordered, want, side="right") - lo
+    starts = np.repeat(lo - (np.cumsum(count) - count), count)
+    table = np.stack(
+        [np.repeat(np.arange(q, dtype=np.int64), count), roots[starts + np.arange(len(starts))]],
+        axis=1,
+    )
     table.flags.writeable = False
     return table
 
@@ -147,9 +154,11 @@ def _orbit_min(rot: np.ndarray, codes: np.ndarray, q: int) -> tuple[np.ndarray, 
     return best, arg
 
 
-def _canonical_keys(m: Modulus, codes: np.ndarray, ru: np.ndarray, rv: np.ndarray) -> np.ndarray:
+def _canonical_pairs(
+    m: Modulus, codes: np.ndarray, ru: np.ndarray, rv: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """canonical_pair of each pair (codes[ru], codes[rv]) of vector codes, as
-    the key u*q**2 + v of the least image pair.
+    the codes of the least image pair.
 
     Codes order like the tuples they encode.  The least image of u comes
     from its orbit alone, found once per distinct code; the rotations
@@ -169,7 +178,7 @@ def _canonical_keys(m: Modulus, codes: np.ndarray, ru: np.ndarray, rv: np.ndarra
         stab = g[_turn(g[:, 0], g[:, 1], w, q) == w]
         idx = order[lo:hi]
         v[idx] = _orbit_min(stab, v[idx], q)[0]
-    return u * q * q + v
+    return u, v
 
 
 def _tally(rank: np.ndarray, size: int) -> np.ndarray:
@@ -249,12 +258,17 @@ def triangle_classes(m: Modulus, points: Iterable[Vec2]) -> dict[TriangleClass, 
     codes, rank = np.unique(diff[..., 0] * q + diff[..., 1], return_inverse=True)
     size = len(codes)
     ranked, counts = _pair_census(rank.reshape(len(pts), len(pts)), size)
-    canon = _canonical_keys(m, codes, ranked // size, ranked % size)
-    canon, counts = _merge_counts([(canon, counts)])
-    u0, u1, v0, v1 = (canon // q**3, canon // q**2 % q, canon // q % q, canon % q)
+    u, v = _canonical_pairs(m, codes, ranked // size, ranked % size)
+    # rank the canonical codes too, so a pair key stays below size**2 (a code
+    # pair packed as u * q**2 + v would need q**4 to fit in int64)
+    cu, ru = np.unique(u, return_inverse=True)
+    cv, rv = np.unique(v, return_inverse=True)
+    keys, counts = _merge_counts([(ru * len(cv) + rv, counts)])
+    u, v = cu[keys // len(cv)], cv[keys % len(cv)]
     return {
         TriangleClass((a, b), (c, d)): n
         for a, b, c, d, n in zip(
-            u0.tolist(), u1.tolist(), v0.tolist(), v1.tolist(), counts.tolist()
+            (u // q).tolist(), (u % q).tolist(), (v // q).tolist(), (v % q).tolist(),
+            counts.tolist(),
         )
     }

@@ -1,6 +1,7 @@
 """Configuration counters checked against small brute-force oracles."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -333,6 +334,42 @@ def test_dot_products_match_the_pair_loop(m, d, base, rows):
     for E in (PointSet.product(m, base, d), PointSet(m, d, tuple(r[:d] for r in rows))):
         assert dot_product_set(E) == _dot_set_loop(E)
         assert dot_product_counts(E) == _dot_counts_loop(E)
+
+
+@pytest.mark.parametrize("d, base", [(3, (-1, -2, -3)), (5, (-1, -2))])
+def test_dot_products_near_the_largest_modulus(d, base):
+    # d * (q - 1)**2 exceeds 2**63 here, so the pair sums must be reduced
+    # as they are accumulated
+    m = Modulus(2**31 - 1, 1)
+    E = PointSet.product(m, base, d)
+    assert d * (m.q - 1) ** 2 > 2**63
+    assert dot_product_set(E) == _dot_set_loop(E)
+
+
+def test_triangle_areas_near_the_largest_modulus():
+    m = Modulus(2**31 - 1, 1)
+    E = PointSet(m, 2, ((-1, -2), (-3, 5), (7, -11), (0, 0), (2**30, -(2**30))))
+    assert triangle_area_set(E) == _areas_brute(E)
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_counters_hold_four_blocks_at_most():
+    # sets whose values never saturate, so every block is scanned
+    lattice = PointSet(M27, 2, tuple((3 * s, t) for s in range(9) for t in range(27)))
+    assert triangle_area_set(lattice) == set(range(3, 27, 3))
+    assert _peak_bytes(triangle_area_set, lattice) <= 4 * configsets._CHUNK_BYTES
+    m = Modulus(3, 5)
+    grid = PointSet(m, 2, tuple((3 * s, 3 * t) for s in range(81) for t in range(81)))
+    assert dot_product_set(grid) == set(range(0, m.q, 9))
+    assert _peak_bytes(dot_product_set, grid) <= 4 * configsets._CHUNK_BYTES
 
 
 def _counting(monkeypatch, name):

@@ -285,6 +285,31 @@ def test_triangle_classes_match_the_triple_loop(m, pts, repeats):
         assert canonical_pair(m, *key) == key
 
 
+def test_triangle_classes_beyond_int64_code_pairs():
+    # at q = 3**10, q**4 > 2**63: a pair of vector codes no longer packs into
+    # one int64, so the classes must be grouped without that packing
+    m = Modulus(3, 10)
+    pts = [(59048, 59047), (29524, 1), (59048, 59047)]
+    assert m.q**4 > 2**63
+    assert triangle_classes(m, pts) == _triangle_classes_loop(m, pts)
+
+
+def test_triangle_class_grouping_beyond_int64_code_pairs(monkeypatch):
+    # canonical first differences stay small in practice, so switch the
+    # canonicalization off: the census is then the raw (x - y, y - z) count,
+    # whose codes near q**2 would wrap if packed as u * q**2 + v
+    m = Modulus(3, 10)
+    monkeypatch.setattr(
+        orthogroup, "_canonical_pairs", lambda m, codes, ru, rv: (codes[ru], codes[rv])
+    )
+    pts = [(0, 0), (1, 1), (59048, 3), (5, 59040), (1, 1)]
+    raw = {}
+    for x, y, z in itertools.product(pts, repeat=3):
+        key = TriangleClass(vsub(m, x, y), vsub(m, y, z))
+        raw[key] = raw.get(key, 0) + 1
+    assert triangle_classes(m, pts) == raw
+
+
 def test_triangle_classes_empty_and_non_planar():
     assert triangle_classes(M9, []) == {}
     with pytest.raises(ValueError):
