@@ -8,7 +8,6 @@ plane into annuli that the line census is organized around.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,6 +29,7 @@ __all__ = [
     "norm",
     "spanned_line",
     "sphere_points",
+    "stratum_coords",
     "stratum_of",
     "stratum_points",
     "stratum_size",
@@ -40,6 +40,12 @@ __all__ = [
 ]
 
 Vec = tuple[int, ...]
+
+# bytes of one block of the sphere scan's norm table
+_CHUNK_BYTES = 1 << 23
+# strata whose line census stays cached: the four moduli of Z_81, Z_121,
+# Z_125 and Z_243 together have 14
+_LINE_CACHE_STRATA = 16
 
 
 class DimensionMismatch(ValueError):
@@ -77,13 +83,30 @@ def det2(m: Modulus, u: Vec, v: Vec) -> int:
 
 
 def sphere_points(m: Modulus, j: int, d: int) -> tuple[Vec, ...]:
-    """All x in Z_q^d with norm j, by full scan, in lexicographic order."""
+    """All x in Z_q^d with norm j, by full scan, in lexicographic order.
+
+    The norms of the trailing d - 1 coordinates form one table of q**(d-1)
+    residues; blocks of leading squares are added to it (each sum is below
+    2q, so norm j shows as j or j + q) and scanned with argwhere, whose
+    row-major order is the lexicographic one.
+    """
     if d < 1:
         raise ValueError(f"dimension must be at least 1, got {d}")
-    j %= m.q
-    return tuple(
-        v for v in itertools.product(range(m.q), repeat=d) if norm(m, v) == j
-    )
+    q = m.q
+    j %= q
+    sq = np.arange(q, dtype=np.int64) ** 2 % q
+    rest = np.zeros(1, dtype=np.int64)
+    for _ in range(d - 1):
+        rest = (rest[:, None] + sq).ravel() % q
+    step = max(1, _CHUNK_BYTES // (8 * len(rest)))
+    out: list[Vec] = []
+    for x0 in range(0, q, step):
+        total = sq[x0 : x0 + step, None] + rest
+        hit = (total == j) | (total == j + q)
+        idx = np.argwhere(hit.reshape((-1,) + (q,) * (d - 1)))
+        idx[:, 0] += x0
+        out.extend(map(tuple, idx.tolist()))
+    return tuple(out)
 
 
 def stratum_of(m: Modulus, v: Vec) -> int:
@@ -112,17 +135,23 @@ def stratum_size(m: Modulus, n: int) -> int:
     return m.p ** (2 * (m.l - n)) - m.p ** (2 * (m.l - n - 1))
 
 
-def stratum_points(m: Modulus, n: int) -> tuple[Vec, ...]:
-    """All plane vectors with both coordinates exactly divisible by p**n."""
+def stratum_coords(m: Modulus, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates (a, b) with stratum_points(m, n) = p**n * (a, b), in the
+    same order, as two int64 arrays of |Lambda_n| entries: a, b < p**(l-n)
+    and at least one of them a unit."""
     if not 0 <= n <= m.l - 1:
         raise ValueError(f"stratum index must lie in [0, {m.l - 1}], got {n}")
-    pn, w = m.p**n, m.p ** (m.l - n)
-    return tuple(
-        (pn * a, pn * b)
-        for a in range(w)
-        for b in range(w)
-        if a % m.p != 0 or b % m.p != 0
-    )
+    w = m.p ** (m.l - n)
+    a, b = np.divmod(np.arange(w * w, dtype=np.int64), w)
+    keep = (a % m.p != 0) | (b % m.p != 0)
+    return a[keep], b[keep]
+
+
+def stratum_points(m: Modulus, n: int) -> tuple[Vec, ...]:
+    """All plane vectors with both coordinates exactly divisible by p**n."""
+    a, b = stratum_coords(m, n)
+    pn = m.p**n
+    return tuple(zip((pn * a).tolist(), (pn * b).tolist()))
 
 
 @dataclass(frozen=True)
@@ -191,11 +220,30 @@ def spanned_line(m: Modulus, v: Vec) -> Line:
     return Line(m, (pn * g0[0], pn * g0[1]), n)
 
 
-@lru_cache(maxsize=None)
+def _spanned_generators(m: Modulus, n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Code g0 * q + g1 of spanned_line(m, p**n * (a, b)).generator for each
+    stratum-n vector given by its coordinates (a, b) from stratum_coords."""
+    p, w = m.p, m.p ** (m.l - n)
+    inv = np.array([pow(u, -1, w) if u % p else 0 for u in range(w)], dtype=np.int64)
+    unit = a % p != 0
+    g0 = np.where(unit, 1, a * inv[b] % w)
+    g1 = np.where(unit, b * inv[a] % w, 1)
+    pn = p**n
+    return pn * g0 * m.q + pn * g1
+
+
+@lru_cache(maxsize=_LINE_CACHE_STRATA)
 def lines_in_stratum(m: Modulus, n: int) -> tuple[Line, ...]:
-    """All distinct lines spanned by stratum-n vectors, sorted by generator."""
-    found = {spanned_line(m, v) for v in stratum_points(m, n)}
-    return tuple(sorted(found, key=lambda line: line.generator))
+    """All distinct lines spanned by stratum-n vectors, sorted by generator.
+
+    Every stratum vector is normalized to its canonical generator, as
+    spanned_line does, and only the distinct generators become lines.
+    """
+    # sort and keep run heads; np.unique would import numpy.ma on first use
+    codes = np.sort(_spanned_generators(m, n, *stratum_coords(m, n)))
+    codes = codes[np.r_[True, codes[1:] != codes[:-1]]]
+    g0, g1 = np.divmod(codes, m.q)
+    return tuple(Line(m, gen, n) for gen in zip(g0.tolist(), g1.tolist()))
 
 
 def lines_through(m: Modulus, v: Vec) -> tuple[Line, ...]:

@@ -19,7 +19,7 @@ from statistics import fmean
 
 import numpy as np
 
-from . import geometry
+from . import geometry, orthogroup
 from .configsets import (
     FULL_GRID_CAP,
     PointSet,
@@ -28,7 +28,6 @@ from .configsets import (
     dot_product_set,
     triangle_area_set,
 )
-from .orthogroup import so2_elements, triangle_classes
 from .ring import Modulus, Polynomial, hensel_lift_root
 
 __all__ = [
@@ -480,7 +479,7 @@ def write_report(report: Report, path, fmt: str = "json") -> None:
 
 def _experiment_statistic(kind: str, m: Modulus, E: PointSet) -> int:
     if kind == "t2":
-        return len(triangle_classes(m, E))
+        return orthogroup.triangle_class_count(m, E)
     if kind == "v2":
         return len(triangle_area_set(E))
     return len(dot_product_set(E))
@@ -621,9 +620,9 @@ def _check_hensel_quadratics(m: Modulus) -> LemmaCheck:
 def _check_stratum_sizes(m: Modulus) -> LemmaCheck:
     fails, witness, total = 0, "", 0
     for n in range(m.l):
-        pts = geometry.stratum_points(m, n)
-        total += len(pts)
-        if len(pts) != geometry.stratum_size(m, n):
+        size = len(geometry.stratum_coords(m, n)[0])
+        total += size
+        if size != geometry.stratum_size(m, n):
             fails += 1
             witness = witness or f"n={n}"
     if total != m.q**2 - 1:
@@ -642,6 +641,20 @@ def _check_stratum_sizes(m: Modulus) -> LemmaCheck:
     )
 
 
+def _line_point_sets(lines, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """len(line) of each line, and its point set as a row of sorted distinct
+    codes x * q + y padded with q * q, so equal sets give equal rows."""
+    sizes = np.array([len(line) for line in lines])
+    gens = np.array([line.generator for line in lines], dtype=np.int64)
+    t = np.arange(sizes.max())
+    rows = t * gens[:, :1] % q * q + t * gens[:, 1:] % q
+    rows[t >= sizes[:, None]] = q * q
+    rows.sort(axis=1)
+    rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = q * q
+    rows.sort(axis=1)
+    return sizes, rows
+
+
 def _check_line_census(m: Modulus) -> LemmaCheck:
     fails, witness, universe = 0, "", 0
     for n in range(m.l):
@@ -650,14 +663,15 @@ def _check_line_census(m: Modulus) -> LemmaCheck:
         if len(lines) != m.p ** (m.l - n) + m.p ** (m.l - n - 1):
             fails += 1
             witness = witness or f"census size, n={n}"
-        seen = set()
-        for line in lines:
-            pts = line.points()
-            if len(set(pts)) != len(line):
-                fails += 1
-                witness = witness or f"short line {line.generator}"
-            seen.add(frozenset(pts))
-        if len(seen) != len(lines):
+        if not lines:
+            continue
+        sizes, rows = _line_point_sets(lines, m.q)
+        short = np.flatnonzero((rows < m.q**2).sum(axis=1) != sizes)
+        if len(short):
+            fails += len(short)
+            witness = witness or f"short line {lines[short[0]].generator}"
+        rows = rows[np.lexsort(rows.T[::-1])]
+        if (rows[1:] == rows[:-1]).all(axis=1).any():
             fails += 1
             witness = witness or f"duplicate point sets, n={n}"
     return LemmaCheck(
@@ -696,64 +710,64 @@ def _norm_table(m: Modulus) -> np.ndarray:
     return (x[:, None] ** 2 + x[None, :] ** 2) % m.q
 
 
-def _stabilizer_table(m: Modulus) -> np.ndarray:
-    """counts[x, y] = number of rotations fixing (x, y), whole plane at once."""
-    q = m.q
-    x = np.arange(q, dtype=np.int64)
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    counts = np.zeros((q, q), dtype=np.int64)
-    for t in so2_elements(m):
-        rx = (t.a * X - t.b * Y) % q
-        ry = (t.b * X + t.a * Y) % q
-        counts += (rx == X) & (ry == Y)
-    return counts
-
-
 def _check_group_axioms(m: Modulus) -> LemmaCheck:
     name = "group_closure_inverses"
     statement = "SO_2(Z_q) is closed under composition and inverse, with identity (1, 0)"
-    elems = so2_elements(m)
-    if len(elems) ** 2 > _OP_CAP:
+    g = orthogroup.so2_table(m)
+    k, q = len(g), m.q
+    if k**2 > _OP_CAP:
         return _skipped_check(name, statement, "pair products exceed the op budget")
-    keys = {t.key() for t in elems}
-    fails, witness = 0, ""
-    for t in elems:
-        if t.inverse().key() not in keys or t.compose(t.inverse()).key() != (1, 0):
-            fails += 1
-            witness = witness or f"inverse of {t.key()}"
-    for t in elems:
-        for u in elems:
-            if t.compose(u).key() not in keys:
-                fails += 1
-                witness = witness or f"{t.key()} o {u.key()}"
-    return LemmaCheck(
-        -1, name, statement, len(elems) ** 2, fails, 0, "eq", witness, fails == 0
-    )
+    keys = np.sort(g[:, 0] * q + g[:, 1])
+
+    def absent(a, b) -> np.ndarray:
+        code = a * q + b
+        return keys[np.searchsorted(keys, code).clip(max=k - 1)] != code
+
+    def key(row) -> tuple[int, int]:
+        return tuple(g[row].tolist())
+
+    a, b = g[:, 0], g[:, 1]
+    ib = -b % q
+    bad = absent(a, ib) | ((a * a - b * ib) % q != 1) | ((b * a + a * ib) % q != 0)
+    fails = int(bad.sum())
+    witness = f"inverse of {key(bad.argmax())}" if fails else ""
+    # compose row blocks of t against every u, t * u = (ta ua - tb ub, tb ua + ta ub)
+    step = max(1, orthogroup._CHUNK_BYTES // (8 * k))
+    for s in range(0, k, step):
+        ta, tb = a[s : s + step, None], b[s : s + step, None]
+        bad = absent((ta * a - tb * b) % q, (tb * a + ta * b) % q)
+        n_bad = int(bad.sum())
+        if n_bad:
+            fails += n_bad
+            if not witness:
+                i, j = np.argwhere(bad)[0]
+                witness = f"{key(s + i)} o {key(j)}"
+    return LemmaCheck(-1, name, statement, k**2, fails, 0, "eq", witness, fails == 0)
 
 
 def _check_norm_invariance(m: Modulus) -> LemmaCheck:
     name = "rotation_norm_invariance"
     statement = "||theta(v)|| = ||v|| for every rotation theta and plane vector v"
-    elems = so2_elements(m)
-    if m.q**2 * len(elems) > _OP_CAP:
+    g = orthogroup.so2_table(m)
+    if m.q**2 * len(g) > _OP_CAP:
         return _skipped_check(name, statement, "plane-times-group scan exceeds the op budget")
-    q = m.q
-    norms = _norm_table(m)
-    x = np.arange(q, dtype=np.int64)
-    X, Y = np.meshgrid(x, x, indexing="ij")
+    # the budget and |SO_2| >= q/2 keep q below 740, so rx**2 + ry**2 fits uint32
+    q = np.uint32(m.q)
+    norms = _norm_table(m).astype(np.uint32)
     fails, witness = 0, ""
-    for t in elems:
-        rx = (t.a * X - t.b * Y) % q
-        ry = (t.b * X + t.a * Y) % q
-        bad = norms[rx, ry] != norms
-        n_bad = int(bad.sum())
+    for t, rx, ry in orthogroup.rotated_planes(m):
+        img = np.square(rx, dtype=np.uint32)
+        img += np.square(ry, dtype=np.uint32)
+        img %= q
+        bad = img != norms
+        n_bad = int(np.count_nonzero(bad))
         if n_bad:
             fails += n_bad
             if not witness:
                 i, j = map(int, np.argwhere(bad)[0])
-                witness = f"theta={t.key()}, v=({i},{j})"
+                witness = f"theta={tuple(g[t].tolist())}, v=({i},{j})"
     return LemmaCheck(
-        -1, name, statement, m.q**2 * len(elems), fails, 0, "eq", witness, fails == 0
+        -1, name, statement, m.q**2 * len(g), fails, 0, "eq", witness, fails == 0
     )
 
 
@@ -763,11 +777,11 @@ def _stabilizer_checks(m: Modulus) -> list[LemmaCheck]:
     zero_statement = "max |Stab(xi)| over nonzero xi with ||xi|| = 0 is <= p^(l-1)"
     nz_name = "stabilizer_bound_nonzero_norm"
     nz_statement = "max |Stab(xi)| over xi with ||xi|| != 0 is <= p^(l-1)"
-    if m.q**2 * len(so2_elements(m)) > _OP_CAP:
+    if m.q**2 * len(orthogroup.so2_table(m)) > _OP_CAP:
         note = "plane-times-group scan exceeds the op budget"
         return [_skipped_check(nz_name, nz_statement, note),
                 _skipped_check(zero_name, zero_statement, note)]
-    counts = _stabilizer_table(m)
+    counts = orthogroup.stabilizer_table(m)
     norms = _norm_table(m)
     out = []
 
@@ -887,7 +901,7 @@ def run_lemma_suite(m: Modulus) -> Report:
     ]
 
     s1 = len(geometry.sphere_points(m, 1, 2))
-    group = len(so2_elements(m))
+    group = len(orthogroup.so2_table(m))
     checks.append(
         LemmaCheck(-1, "sphere_matches_group", "|SO_2(Z_q)| = |S_1|",
                    m.q**2, group, s1, "eq", f"|SO_2|={group}, |S_1|={s1}",

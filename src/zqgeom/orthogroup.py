@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -16,8 +16,12 @@ __all__ = [
     "TriangleClass",
     "canonical_pair",
     "congruence_witness",
+    "rotated_planes",
     "so2_elements",
+    "so2_table",
     "stabilizer",
+    "stabilizer_table",
+    "triangle_class_count",
     "triangle_classes",
 ]
 
@@ -68,7 +72,7 @@ class Rotation:
 
 
 @lru_cache(maxsize=_GROUP_CACHE_SIZE)
-def _so2_table(m: Modulus) -> np.ndarray:
+def so2_table(m: Modulus) -> np.ndarray:
     """Read-only (|SO_2|, 2) int64 table of the group's (a, b), lexicographic.
 
     For each a, the b with b**2 = 1 - a**2 are looked up among the squares
@@ -92,7 +96,7 @@ def _so2_table(m: Modulus) -> np.ndarray:
 @lru_cache(maxsize=_GROUP_CACHE_SIZE)
 def so2_elements(m: Modulus) -> tuple[Rotation, ...]:
     """The whole group, in lexicographic (a, b) order; its size tracks |S_1|."""
-    return tuple(Rotation(a, b, m) for a, b in _so2_table(m).tolist())
+    return tuple(Rotation(a, b, m) for a, b in so2_table(m).tolist())
 
 
 def identity_rotation(m: Modulus) -> Rotation:
@@ -103,6 +107,37 @@ def stabilizer(m: Modulus, xi: Vec2) -> tuple[Rotation, ...]:
     """Rotations fixing xi, by scanning the whole group."""
     xi = (xi[0] % m.q, xi[1] % m.q)
     return tuple(t for t in so2_elements(m) if t.apply(xi) == xi)
+
+
+def _plane_dtype(q: int) -> np.dtype:
+    return np.min_scalar_type(2 * q)
+
+
+def rotated_planes(m: Modulus) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(i, rx, ry) for each row (a, b) of so2_table(m), in table order, where
+    (rx[x, y], ry[x, y]) = (a x - b y, b x + a y) mod q over the whole plane.
+
+    The images are q x q arrays of the smallest unsigned dtype holding 2q
+    (uint8 or uint16 for every plane the lemma suite accepts).  A sum
+    s < 2q of two residues is reduced as min(s, s - q): for s < q the
+    subtraction wraps around to above s.
+    """
+    q = m.q
+    dt = _plane_dtype(q)
+    x = np.arange(q, dtype=np.int64)
+    for i, (a, b) in enumerate(so2_table(m).tolist()):
+        ax, bx, mby = ((c * x % q).astype(dt) for c in (a, b, -b))
+        rx, ry = ax[:, None] + mby, bx[:, None] + ax
+        yield i, np.minimum(rx, rx - dt.type(q)), np.minimum(ry, ry - dt.type(q))
+
+
+def stabilizer_table(m: Modulus) -> np.ndarray:
+    """counts[x, y] = len(stabilizer(m, (x, y))) over the whole plane at once."""
+    x = np.arange(m.q, dtype=_plane_dtype(m.q))
+    counts = np.zeros((m.q, m.q), dtype=np.int64)
+    for _, rx, ry in rotated_planes(m):
+        counts += (rx == x[:, None]) & (ry == x)
+    return counts
 
 
 def congruence_witness(m: Modulus, t1: Triangle, t2: Triangle) -> Optional[Rotation]:
@@ -167,7 +202,7 @@ def _canonical_pairs(
     that stabilizer only.
     """
     q = m.q
-    g = _so2_table(m)
+    g = so2_table(m)
     least, theta = _orbit_min(g, codes, q)
     u, t = least[ru], theta[ru]
     v = _turn(g[t, 0], g[t, 1], codes[rv], q)
@@ -234,13 +269,10 @@ def _merge_counts(parts) -> tuple[np.ndarray, np.ndarray]:
     return keys[first], np.add.reduceat(counts, first)
 
 
-def triangle_classes(m: Modulus, points: Iterable[Vec2]) -> dict[TriangleClass, int]:
-    """Census of congruence classes of ordered vertex triples.
-
-    Keys are canonical difference pairs (x - y, y - z); the third
-    difference x - z is their sum, so it never needs to be stored.
-    Duplicate points count as separate vertices, and the multiplicities
-    sum to n**3 over the n**3 ordered triples.
+def _class_census(
+    m: Modulus, points: Iterable[Vec2]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Codes of the canonical pairs (u, v) of triangle_classes, and their counts.
 
     Differences are ranked among the distinct differences of the set, so
     each realized pair is counted once over a key space of at most
@@ -250,7 +282,8 @@ def triangle_classes(m: Modulus, points: Iterable[Vec2]) -> dict[TriangleClass, 
     q = m.q
     pts = np.array([tuple(v) for v in points], dtype=np.int64)
     if len(pts) == 0:
-        return {}
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise DimensionMismatch("triangle classes are a planar census")
     pts %= q
@@ -264,7 +297,19 @@ def triangle_classes(m: Modulus, points: Iterable[Vec2]) -> dict[TriangleClass, 
     cu, ru = np.unique(u, return_inverse=True)
     cv, rv = np.unique(v, return_inverse=True)
     keys, counts = _merge_counts([(ru * len(cv) + rv, counts)])
-    u, v = cu[keys // len(cv)], cv[keys % len(cv)]
+    return cu[keys // len(cv)], cv[keys % len(cv)], counts
+
+
+def triangle_classes(m: Modulus, points: Iterable[Vec2]) -> dict[TriangleClass, int]:
+    """Census of congruence classes of ordered vertex triples.
+
+    Keys are canonical difference pairs (x - y, y - z); the third
+    difference x - z is their sum, so it never needs to be stored.
+    Duplicate points count as separate vertices, and the multiplicities
+    sum to n**3 over the n**3 ordered triples.
+    """
+    q = m.q
+    u, v, counts = _class_census(m, points)
     return {
         TriangleClass((a, b), (c, d)): n
         for a, b, c, d, n in zip(
@@ -272,3 +317,8 @@ def triangle_classes(m: Modulus, points: Iterable[Vec2]) -> dict[TriangleClass, 
             counts.tolist(),
         )
     }
+
+
+def triangle_class_count(m: Modulus, points: Iterable[Vec2]) -> int:
+    """len(triangle_classes(m, points)), without building the classes."""
+    return len(_class_census(m, points)[2])

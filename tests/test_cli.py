@@ -1,10 +1,15 @@
 """End-to-end command-line behavior: exit codes, wire formats, determinism."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+from zqgeom import cli
+from zqgeom.ring import Modulus
 
 
 def run_cli(*args):
@@ -145,3 +150,20 @@ def test_reports_byte_identical_modulo_wall_time(tmp_path):
     c1 = run_cli(*args, "--format", "csv")
     c2 = run_cli(*args, "--format", "csv")
     assert c1.stdout == c2.stdout
+
+
+# verify-lemmas reports captured before the lemma checks were vectorized
+GOLDEN = Path(__file__).parent / "golden"
+_WALL = re.compile(r'"wall_time_s": [0-9.e+-]+')
+
+
+@pytest.mark.parametrize("q", [27, 81, 121, 125])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_lemmas_matches_the_golden_reports(capsys, q, fmt):
+    m = Modulus.from_q(q)
+    assert cli.main(["verify-lemmas", "--p", str(m.p), "--l", str(m.l), "--format", fmt]) == 0
+    got = capsys.readouterr().out
+    want = (GOLDEN / f"lemmas_z{q}.{fmt}").read_text()
+    if fmt == "json":
+        got, want = _WALL.sub('"wall_time_s": 0', got), _WALL.sub('"wall_time_s": 0', want)
+    assert got == want

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from zqgeom import geometry
 from zqgeom.geometry import (
     DimensionMismatch,
     Line,
@@ -33,6 +34,7 @@ M9 = Modulus(3, 2)
 M27 = Modulus(3, 3)
 M25 = Modulus(5, 2)
 M49 = Modulus(7, 2)
+M121 = Modulus(11, 2)
 
 
 def test_vector_arithmetic():
@@ -197,3 +199,84 @@ def test_det2_antisymmetry(u, v):
 )
 def test_norm_of_difference_is_symmetric(u, v):
     assert norm(M9, vsub(M9, u, v)) == norm(M9, vsub(M9, v, u))
+
+
+# ---------------------------------------------------------------------------
+# vectorized scans against the loops they replaced
+
+_DIFFERENTIAL = [M9, M25, M27, M49, M121]
+
+
+def _stratum_points_loop(m, n):
+    pn, w = m.p**n, m.p ** (m.l - n)
+    return tuple(
+        (pn * a, pn * b) for a in range(w) for b in range(w) if a % m.p != 0 or b % m.p != 0
+    )
+
+
+def _lines_in_stratum_loop(m, n):
+    found = {spanned_line(m, v) for v in _stratum_points_loop(m, n)}
+    return tuple(sorted(found, key=lambda line: line.generator))
+
+
+def _sphere_scan(m, d):
+    # the itertools scan, every norm at once: spheres[j] in lexicographic order
+    spheres = [[] for _ in range(m.q)]
+    for v in itertools.product(range(m.q), repeat=d):
+        spheres[norm(m, v)].append(v)
+    return [tuple(pts) for pts in spheres]
+
+
+@pytest.mark.parametrize("m", _DIFFERENTIAL, ids=str)
+def test_line_census_matches_the_spanned_line_loop(m):
+    for n in range(m.l):
+        assert stratum_points(m, n) == _stratum_points_loop(m, n)
+        lines = lines_in_stratum(m, n)
+        assert lines == _lines_in_stratum_loop(m, n)
+        assert all(type(c) is int for line in lines for c in line.generator)
+
+
+# the 121**3-point Python scan takes seconds, so Z_121 in dimension 3 is
+# sampled by the test after this one
+@pytest.mark.parametrize(
+    "m, d", [(m, d) for m in _DIFFERENTIAL for d in (1, 2, 3) if (m, d) != (M121, 3)], ids=str
+)
+def test_sphere_points_match_the_itertools_scan(m, d):
+    for j, want in enumerate(_sphere_scan(m, d)):
+        got = sphere_points(m, j, d)
+        assert got == want
+        assert all(type(c) is int for v in got for c in v)
+    assert sphere_points(m, m.q + 1, d) == sphere_points(m, 1, d)
+
+
+def test_sphere_points_in_dimension_3_over_z121_sampled():
+    # one norm of each valuation, plus both ends of the residue range
+    js = [0, 1, 2, 11, 22, 120]
+    want = {j: [] for j in js}
+    for v in itertools.product(range(M121.q), repeat=3):
+        j = norm(M121, v)
+        if j in want:
+            want[j].append(v)
+    for j in js:
+        assert sphere_points(M121, j, 3) == tuple(want[j])
+
+
+def test_sphere_points_in_small_blocks(monkeypatch):
+    # one leading coordinate per block still lists the sphere in order
+    monkeypatch.setattr(geometry, "_CHUNK_BYTES", 8)
+    for d in (1, 2, 3):
+        assert sphere_points(M9, 4, d) == _sphere_scan(M9, d)[4]
+
+
+def test_line_census_cache_is_bounded():
+    info = lines_in_stratum.cache_info()
+    assert info.maxsize is not None
+    # 18 moduli with one or more strata each: more strata than the cache holds
+    qs = (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49)
+    strata = sum(Modulus.from_q(q).l for q in qs)
+    assert strata > info.maxsize
+    for q in qs:
+        m = Modulus.from_q(q)
+        for n in range(m.l):
+            assert len(lines_in_stratum(m, n)) == m.p ** (m.l - n) + m.p ** (m.l - n - 1)
+    assert lines_in_stratum.cache_info().currsize <= info.maxsize

@@ -3,18 +3,24 @@
 import itertools
 import json
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 
-from zqgeom import geometry
+from zqgeom import geometry, orthogroup
 from zqgeom.configsets import PointSet
 from zqgeom.harness import (
     CSV_HEADER,
     ExperimentConfig,
     SetSource,
     SplitMix64,
+    _check_group_axioms,
+    _check_line_census,
+    _check_norm_invariance,
     _check_point_line_incidence,
     _sample_indices,
+    _stabilizer_checks,
     conclusion_bound,
     generate_set,
     meets_hypothesis,
@@ -30,6 +36,7 @@ from zqgeom.harness import (
     write_pointset_file,
     write_report,
 )
+from zqgeom.orthogroup import so2_elements
 from zqgeom.ring import Modulus
 
 M3 = Modulus(3, 1)
@@ -420,3 +427,203 @@ def test_reports_identical_across_runs_modulo_wall_time():
     b = json.loads(report_to_json(run_theorem_experiment(cfg)))
     a.pop("wall_time_s"), b.pop("wall_time_s")
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# the vectorized lemma checks against the loops they replaced
+
+M27 = Modulus(3, 3)
+_DIFFERENTIAL = [M9, M25, M27, Modulus(7, 2), Modulus(11, 2)]
+
+
+def _group_axioms_loop(m):
+    # inverses first, then every composition t o u, as (mismatches, first witness)
+    elems = so2_elements(m)
+    keys = {t.key() for t in elems}
+    fails, witness = 0, ""
+    for t in elems:
+        if t.inverse().key() not in keys or t.compose(t.inverse()).key() != (1, 0):
+            fails += 1
+            witness = witness or f"inverse of {t.key()}"
+    for t in elems:
+        for u in elems:
+            if t.compose(u).key() not in keys:
+                fails += 1
+                witness = witness or f"{t.key()} o {u.key()}"
+    return fails, witness
+
+
+def _plane(m):
+    x = np.arange(m.q, dtype=np.int64)
+    return np.meshgrid(x, x, indexing="ij")
+
+
+def _norm_invariance_loop(m):
+    # one rotated int64 plane per rotation, as (mismatches, first witness)
+    q = m.q
+    X, Y = _plane(m)
+    norms = (X**2 + Y**2) % q
+    fails, witness = 0, ""
+    for t in so2_elements(m):
+        bad = norms[(t.a * X - t.b * Y) % q, (t.b * X + t.a * Y) % q] != norms
+        if bad.any():
+            fails += int(bad.sum())
+            if not witness:
+                i, j = map(int, np.argwhere(bad)[0])
+                witness = f"theta={t.key()}, v=({i},{j})"
+    return fails, witness
+
+
+def _stabilizer_table_loop(m):
+    q = m.q
+    X, Y = _plane(m)
+    counts = np.zeros((q, q), dtype=np.int64)
+    for t in so2_elements(m):
+        counts += ((t.a * X - t.b * Y) % q == X) & ((t.b * X + t.a * Y) % q == Y)
+    return counts
+
+
+def _line_census_loop(m):
+    # per line: its point list, its set, and the set of sets per stratum
+    fails, witness, universe = 0, "", 0
+    for n in range(m.l):
+        lines = geometry.lines_in_stratum(m, n)
+        universe += len(lines)
+        if len(lines) != m.p ** (m.l - n) + m.p ** (m.l - n - 1):
+            fails += 1
+            witness = witness or f"census size, n={n}"
+        seen = set()
+        for line in lines:
+            pts = line.points()
+            if len(set(pts)) != len(line):
+                fails += 1
+                witness = witness or f"short line {line.generator}"
+            seen.add(frozenset(pts))
+        if len(seen) != len(lines):
+            fails += 1
+            witness = witness or f"duplicate point sets, n={n}"
+    return fails, witness, universe
+
+
+def _stabilizer_rows(m):
+    return [c.to_dict() for c in _stabilizer_checks(m)]
+
+
+def _stabilizer_rows_loop(m):
+    # the same checks fed by the per-rotation table
+    with mock.patch.object(orthogroup, "stabilizer_table", _stabilizer_table_loop):
+        return _stabilizer_rows(m)
+
+
+@pytest.mark.parametrize("m", _DIFFERENTIAL, ids=str)
+def test_lemma_checks_match_their_loops(m):
+    check = _check_group_axioms(m)
+    assert (check.statistic, check.witness) == _group_axioms_loop(m) == (0, "")
+    check = _check_norm_invariance(m)
+    assert (check.statistic, check.witness) == _norm_invariance_loop(m) == (0, "")
+    check = _check_line_census(m)
+    assert (check.statistic, check.witness, check.universe) == _line_census_loop(m)
+    assert np.array_equal(orthogroup.stabilizer_table(m), _stabilizer_table_loop(m))
+    assert _stabilizer_rows(m) == _stabilizer_rows_loop(m)
+
+
+@pytest.fixture
+def corrupt_group(monkeypatch):
+    """Swap rotations of a modulus's group table for non-rotations, or drop
+    those mapped to None."""
+
+    def corrupt(m, swaps):
+        real = orthogroup.so2_table
+        table = real(m).copy()
+        rows = table.tolist()
+        for good, bad in swaps.items():
+            if bad is not None:
+                table[rows.index(list(good))] = bad
+        table = np.delete(table, [rows.index(list(g)) for g, b in swaps.items() if b is None], 0)
+        monkeypatch.setattr(
+            orthogroup, "so2_table", lambda mod: table if mod == m else real(mod)
+        )
+        orthogroup.so2_elements.cache_clear()
+
+    yield corrupt
+    orthogroup.so2_elements.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "m, swaps",
+    [
+        (M9, {(1, 3): (1, 4)}),
+        (M27, {(1, 9): (1, 10)}),
+        (M25, {(0, 1): (0, 2)}),
+        (Modulus(7, 2), {(1, 0): (2, 0)}),
+        # two bad rows: the earlier one in table order names the witness
+        (M27, {(1, 9): (1, 10), (0, 1): (0, 2)}),
+    ],
+    ids=str,
+)
+def test_group_checks_report_a_corrupted_rotation_like_the_loops(corrupt_group, m, swaps):
+    clean = orthogroup.stabilizer_table(m)
+    corrupt_group(m, swaps)
+    check = _check_group_axioms(m)
+    fails, witness = _group_axioms_loop(m)
+    assert fails > 0 and not check.passed
+    assert (check.statistic, check.witness) == (fails, witness)
+    check = _check_norm_invariance(m)
+    fails, witness = _norm_invariance_loop(m)
+    assert fails > 0 and not check.passed
+    assert (check.statistic, check.witness) == (fails, witness)
+    table = orthogroup.stabilizer_table(m)
+    assert not np.array_equal(table, clean)
+    assert np.array_equal(table, _stabilizer_table_loop(m))
+    assert _stabilizer_rows(m) == _stabilizer_rows_loop(m)
+
+
+@pytest.mark.parametrize(
+    "m, swaps",
+    [
+        (M9, {(8, 0): None}),
+        (M9, {(1, 3): None, (1, 6): None}),
+        (M27, {(1, 9): None, (1, 18): None}),
+        (M25, {(0, 1): None, (0, 24): None}),
+    ],
+    ids=str,
+)
+def test_group_axioms_report_missing_rotations_like_the_loop(corrupt_group, m, swaps):
+    # the dropped rotations are each other's inverses (-I is its own), so
+    # every inverse check passes and only products fall outside the table
+    corrupt_group(m, swaps)
+    check = _check_group_axioms(m)
+    fails, witness = _group_axioms_loop(m)
+    assert fails > 0 and " o " in witness
+    assert (check.statistic, check.witness) == (fails, witness)
+    assert _stabilizer_rows(m) == _stabilizer_rows_loop(m)
+
+
+def _duplicate(lines, k):
+    return lines[:k] + lines[k - 1 : k] + lines[k + 1 :]
+
+
+@pytest.mark.parametrize(
+    "m, faults",
+    [
+        (M9, {0: lambda m, lines: _duplicate(lines, 5)}),
+        (M27, {1: lambda m, lines: lines + lines[2:3]}),
+        (M25, {0: lambda m, lines: lines[:3] + (geometry.Line(m, (5, 5), 0),) + lines[4:]}),
+        (M27, {0: lambda m, lines: _duplicate(lines, 7),
+               1: lambda m, lines: lines[:1] + (geometry.Line(m, (9, 9), 1),) + lines[2:]}),
+        (M27, {2: lambda m, lines: lines + (geometry.Line(m, (0, 9), 2),) * 2}),
+    ],
+    ids=["Z_9-replaced", "Z_27-appended", "Z_25-short", "Z_27-two-strata", "Z_27-twice"],
+)
+def test_line_census_check_reports_a_faulty_census_like_the_loop(monkeypatch, m, faults):
+    census = geometry.lines_in_stratum
+
+    def faulty(mod, n):
+        lines = census(mod, n)
+        return faults[n](mod, lines) if n in faults else lines
+
+    monkeypatch.setattr(geometry, "lines_in_stratum", faulty)
+    check = _check_line_census(m)
+    fails, witness, universe = _line_census_loop(m)
+    assert fails > 0 and not check.passed
+    assert (check.statistic, check.witness, check.universe) == (fails, witness, universe)

@@ -1,6 +1,7 @@
 """Rotation group structure, stabilizers, and triangle congruence."""
 
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,11 @@ from zqgeom.orthogroup import (
     canonical_pair,
     congruence_witness,
     identity_rotation,
+    rotated_planes,
     so2_elements,
     stabilizer,
+    stabilizer_table,
+    triangle_class_count,
     triangle_classes,
 )
 from zqgeom.ring import Modulus
@@ -322,7 +326,7 @@ def test_triangle_classes_tiny_chunks(monkeypatch, chunk_bytes):
     # dense counts over many middle-vertex chunks (the repeated 2 x 2 square
     # has only 9 distinct differences), chunked canonicalization and group tables
     monkeypatch.setattr(orthogroup, "_CHUNK_BYTES", chunk_bytes)
-    orthogroup._so2_table.cache_clear()
+    orthogroup.so2_table.cache_clear()
     orthogroup.so2_elements.cache_clear()
     try:
         cases = [(M9, [(0, 0), (1, 0), (0, 1), (1, 1)] * 3)]
@@ -333,15 +337,66 @@ def test_triangle_classes_tiny_chunks(monkeypatch, chunk_bytes):
             assert triangle_classes(m, pts) == _triangle_classes_loop(m, pts)
         assert [t.key() for t in so2_elements(M49)] == _so2_loop(M49)
     finally:
-        orthogroup._so2_table.cache_clear()
+        orthogroup.so2_table.cache_clear()
         orthogroup.so2_elements.cache_clear()
 
 
 def test_group_caches_are_bounded():
-    for fn in (orthogroup._so2_table, so2_elements):
+    for fn in (orthogroup.so2_table, so2_elements):
         assert fn.cache_info().maxsize is not None
     for q in (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29):
         so2_elements(Modulus.from_q(q))
     assert so2_elements.cache_info().currsize <= so2_elements.cache_info().maxsize
     canonical_pair(M9, (1, 2), (3, 4))
     assert canonical_pair.cache_info().currsize == 0
+
+
+# -- the rotated-plane scan against Rotation.apply --------------------------
+
+
+@pytest.mark.parametrize("m", [M3, M9, M25], ids=str)
+def test_rotated_planes_match_apply(m):
+    group = so2_elements(m)
+    grid = list(itertools.product(range(m.q), repeat=2))
+    seen = 0
+    for i, rx, ry in rotated_planes(m):
+        assert rx.shape == ry.shape == (m.q, m.q)
+        for v in grid:
+            assert (int(rx[v]), int(ry[v])) == group[i].apply(v)
+        seen += 1
+    assert seen == len(group)
+
+
+@pytest.mark.parametrize("m", [M9, M25, M27], ids=str)
+def test_stabilizer_table_counts_the_stabilizer(m):
+    # the two stabilizer counters name one fact
+    table = stabilizer_table(m)
+    assert table.shape == (m.q, m.q)
+    for v in itertools.product(range(m.q), repeat=2):
+        assert table[v] == len(stabilizer(m, v))
+
+
+# -- the count-only census of the t2 experiment -----------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_MODULI),
+    st.lists(st.tuples(st.integers(-30, 60), st.integers(-30, 60)), max_size=9),
+    st.integers(0, 3),
+    st.sampled_from([None, 64]),
+)
+def test_triangle_class_count_matches_the_census(m, pts, repeats, chunk_bytes):
+    # 64-byte chunks send every set with 3 or more distinct differences
+    # through the sorted branch of _pair_census
+    pts = pts + pts[:repeats]
+    chunk = orthogroup._CHUNK_BYTES if chunk_bytes is None else chunk_bytes
+    with mock.patch.object(orthogroup, "_CHUNK_BYTES", chunk):
+        assert triangle_class_count(m, pts) == len(triangle_classes(m, pts))
+
+
+def test_triangle_class_count_of_the_full_grid():
+    assert triangle_class_count(M3, itertools.product(range(3), repeat=2)) == 21
+    assert triangle_class_count(M9, []) == 0
+    with pytest.raises(ValueError):
+        triangle_class_count(M9, [(1, 2, 3)])
