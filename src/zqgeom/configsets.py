@@ -212,16 +212,31 @@ def triangle_area_set(E: PointSet) -> set[int]:
 
 
 def rotation_correlation(E: PointSet, theta: Rotation) -> dict[Vec, int]:
-    """nu_theta(t), ordered pairs with u - theta(v) = t, densely over Z_q^2."""
+    """nu_theta(t), ordered pairs with u - theta(v) = t, densely over Z_q^2.
+
+    The set is rotated once; the codes t0*q + t1 of the differences are
+    bincounted one block of rows u at a time, each block at most
+    _CHUNK_BYTES of int64, so memory stays O(_CHUNK_BYTES + q**2) in |E|.
+    """
     if E.d != 2:
         raise DimensionMismatch("rotation correlation is a planar counter")
-    q = E.m.q
-    counts = {t: 0 for t in itertools.product(range(q), repeat=2)}
-    rotated = [theta.apply(v) for v in E]
-    for u in E:
-        for rv in rotated:
-            counts[((u[0] - rv[0]) % q, (u[1] - rv[1]) % q)] += 1
-    return counts
+    q, pts = E.m.q, E.as_array()
+    a, b = theta.a, theta.b
+    # every product stays below q**2, inside int64 for q up to MAX_Q
+    r0 = (a * pts[:, 0] - b * pts[:, 1]) % q
+    r1 = (b * pts[:, 0] + a * pts[:, 1]) % q
+    counts = np.zeros(q * q, dtype=np.int64)
+    step = max(1, _CHUNK_BYTES // (8 * max(1, len(pts))))
+    for s in range(0, len(pts), step):
+        rows = pts[s : s + step]
+        code = rows[:, :1] - r0
+        code %= q
+        code *= q
+        t1 = rows[:, 1:] - r1
+        t1 %= q
+        code += t1
+        counts += np.bincount(code.ravel(), minlength=q * q)
+    return dict(zip(itertools.product(range(q), repeat=2), counts.tolist()))
 
 
 def _as_fraction(x) -> Fraction:
@@ -236,20 +251,26 @@ def moment_bound(table, n: int) -> tuple[Fraction, Fraction]:
     lhs = sum f**n and
     rhs = |F| mean**n + n(n-1)/2 * max**(n-2) * sum (f - mean)**2,
     both as Fractions so the comparison is exact.  Equality holds exactly
-    for constant tables.
+    for constant tables.  The spread is taken as sum f**2 - mean * sum f;
+    integer tables (numpy integers included) are summed in Python ints,
+    and any other value sends the whole table through Fractions.
     """
     values = table.values() if isinstance(table, Mapping) else table
-    vals = [_as_fraction(v) for v in values]
+    vals = list(values)
     if not vals:
         raise ValueError("the table must be nonempty")
     if n < 2:
         raise ValueError(f"moment order must be at least 2, got {n}")
-    if any(v < 0 for v in vals):
+    if all(isinstance(v, (int, np.integer)) for v in vals):
+        vals = [int(v) for v in vals]
+    else:
+        vals = [_as_fraction(v) for v in vals]
+    if min(vals) < 0:
         raise ValueError("table values must be nonnegative")
-    count = len(vals)
-    mean = sum(vals) / count
-    spread = sum((v - mean) ** 2 for v in vals)
-    lhs = sum(v**n for v in vals)
+    count, total = len(vals), sum(vals)
+    mean = Fraction(total, count)
+    spread = sum(v * v for v in vals) - mean * total
+    lhs = Fraction(sum(v**n for v in vals))
     rhs = count * mean**n + Fraction(n * (n - 1), 2) * max(vals) ** (n - 2) * spread
     return lhs, rhs
 

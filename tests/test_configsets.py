@@ -411,3 +411,108 @@ def test_counters_over_tiny_chunks_stop_once_saturated(monkeypatch):
         E = random_subset(M9, 2, 5 + seed % 4, seed=seed)
         assert triangle_area_set(E) == _areas_brute(E)
         assert dot_product_set(E) == _dot_set_loop(E)
+
+
+# -- rotation correlation and moment bound against the loops they replaced --
+
+
+def _rotation_correlation_loop(E, theta):
+    q = E.m.q
+    counts = {t: 0 for t in itertools.product(range(q), repeat=2)}
+    rotated = [theta.apply(v) for v in E]
+    for u in E:
+        for rv in rotated:
+            counts[((u[0] - rv[0]) % q, (u[1] - rv[1]) % q)] += 1
+    return counts
+
+
+def _moment_bound_fractions(values, n):
+    vals = [Fraction(v.item() if isinstance(v, np.generic) else v) for v in values]
+    mean = sum(vals) / len(vals)
+    spread = sum((v - mean) ** 2 for v in vals)
+    lhs = sum(v**n for v in vals)
+    rhs = len(vals) * mean**n + Fraction(n * (n - 1), 2) * max(vals) ** (n - 2) * spread
+    return lhs, rhs
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([M9, M25, M27]),
+    st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)), max_size=30),
+)
+def test_rotation_correlation_matches_the_pair_loop(m, pts):
+    E = PointSet(m, 2, tuple(pts))
+    for theta in so2_elements(m):
+        nu = rotation_correlation(E, theta)
+        want = _rotation_correlation_loop(E, theta)
+        assert nu == want and list(nu) == list(want)
+        assert all(type(c) is int for c in nu.values())
+
+
+def test_rotation_correlation_over_tiny_chunks(monkeypatch):
+    blocks = []
+    bincount = np.bincount
+
+    def counting(x, *args, **kwargs):
+        blocks.append(x.size)
+        return bincount(x, *args, **kwargs)
+
+    E = random_subset(M27, 2, 30, seed=8)
+    for chunk, rows in ((8, 1), (8 * 7 * len(E), 7)):
+        monkeypatch.setattr(configsets, "_CHUNK_BYTES", chunk)
+        monkeypatch.setattr(np, "bincount", counting)
+        for theta in so2_elements(M27)[::5]:
+            blocks.clear()
+            assert rotation_correlation(E, theta) == _rotation_correlation_loop(E, theta)
+            assert len(blocks) == -(-len(E) // rows) > 1
+            assert sum(blocks) == len(E) ** 2
+
+
+def test_rotation_correlation_holds_a_few_blocks():
+    m = Modulus(3, 4)
+    E = random_subset(m, 2, 4000, seed=2)
+    theta = so2_elements(m)[7]
+    # all n**2 codes at once would be 128 MB; the counts and the dict are O(q**2)
+    assert 8 * len(E) ** 2 > 30 * configsets._CHUNK_BYTES
+    assert _peak_bytes(rotation_correlation, E, theta) <= (
+        4 * configsets._CHUNK_BYTES + 64 * m.q**2
+    )
+
+
+_VALUES = st.lists(st.integers(0, 50), min_size=1, max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_VALUES, st.sampled_from((2, 3, 4, 5)))
+def test_moment_bound_int_path_matches_fractions(values, n):
+    want = _moment_bound_fractions(values, n)
+    tables = (
+        values,
+        np.array(values, dtype=np.int64),
+        dict(enumerate(np.array(values, dtype=np.int64))),
+        [Fraction(v) for v in values],  # the all-Fraction path
+    )
+    for table in tables:
+        got = moment_bound(table, n)
+        assert got == want
+        assert all(type(x) is Fraction for x in got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _VALUES,
+    st.lists(
+        st.one_of(
+            st.fractions(min_value=0, max_value=50, max_denominator=12),
+            st.floats(min_value=0, max_value=50, allow_nan=False, width=32),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    st.sampled_from((2, 3, 4)),
+)
+def test_moment_bound_mixed_values_match_fractions(values, others, n):
+    table = [*values, *others]
+    assert moment_bound(table, n) == _moment_bound_fractions(table, n)
+    mixed = [np.int64(v) for v in values] + others
+    assert moment_bound(mixed, n) == _moment_bound_fractions(mixed, n)

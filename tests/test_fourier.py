@@ -1,11 +1,12 @@
-"""Transform identities on small grids: the factored path against the
-literal double sum, round trips, Plancherel, and character sums."""
+"""Transform identities on small grids: the FFT path against the literal
+double sum, round trips, Plancherel, and character sums."""
 
 import itertools
 
 import numpy as np
 import pytest
 
+from zqgeom import fourier
 from zqgeom.fourier import (
     GridFunction,
     SpectrumTable,
@@ -127,3 +128,64 @@ def test_rotation_twist_shows_up_as_frequency_twist():
         back = theta.transpose().apply(xi)
         rhs = q**2 * ehat.at(xi) * ehat.at((-back[0], -back[1]))
         assert abs(nuhat.at(xi) - rhs) < 1e-10
+
+
+def test_indicator_and_from_counts_validate_points():
+    for bad in ([(1,)], [(1, 2, 3)], [()], [(1, 2), (3,)], [(1.5, 2)]):
+        with pytest.raises(ValueError):
+            GridFunction.indicator(M9, 2, bad)
+        with pytest.raises(ValueError):
+            GridFunction.from_counts(M9, 2, {pt: 1 for pt in bad})
+    # a one-coordinate point must not fill a whole row of the plane
+    with pytest.raises(ValueError):
+        GridFunction.indicator(M9, 2, [(4,)])
+    f = GridFunction.indicator(M9, 2, iter([(-1, 10), (8, 1), (-10, 27)]))
+    assert np.flatnonzero(f.values).tolist() == [8 * 9 + 0, 8 * 9 + 1]
+    g = GridFunction.from_counts(M9, 2, {(-1, -1): 3, (20, 2): 4})
+    assert g.at((8, 8)) == 3 and g.at((2, 2)) == 4 and g.values.sum() == 7
+    for empty in (GridFunction.indicator(M9, 2, []), GridFunction.from_counts(M9, 2, {})):
+        assert empty.values.shape == (9, 9) and not empty.values.any()
+
+
+def _literal_sum(values, q, freqs, sign):
+    """sum_x chi(sign * x.m) f(x) at each frequency m, straight from the definition."""
+    points = np.indices(values.shape).reshape(values.ndim, -1).T
+    chi = np.exp(sign * 2j * np.pi * ((points @ freqs.T) % q) / q)
+    return values.reshape(-1) @ chi
+
+
+# the naive transforms hold a q**(2d) kernel, so they run where q**d <= 729;
+# above that, sampled coefficients are checked against the defining sum
+_GRIDS = [(q, d) for q in (3, 5, 9, 25, 27) for d in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("q,d", _GRIDS, ids=lambda v: str(v))
+def test_fast_transforms_match_the_literal_sums(q, d):
+    m = Modulus.from_q(q)
+    rng = np.random.default_rng(100 * q + d)
+    shape = (q,) * d
+    f = GridFunction(m, d, rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
+    fhat = forward(f)
+    back = inverse(fhat)
+    if q**d <= 729:
+        assert np.abs(fhat.values - forward_naive(f).values).max() < 1e-10
+        assert np.abs(back.values - inverse_naive(fhat).values).max() < 1e-10
+    else:
+        freqs = rng.integers(0, q, size=(4, d))
+        want = _literal_sum(f.values, q, freqs, -1) / q**d
+        assert np.abs(fhat.values[tuple(freqs.T)] - want).max() < 1e-10
+        want = _literal_sum(fhat.values, q, freqs, 1)
+        assert np.abs(back.values[tuple(freqs.T)] - want).max() < 1e-10
+    assert np.abs(back.values - f.values).max() < 1e-10
+
+
+def test_fourier_caches_are_bounded():
+    for fn in (fourier._roots_of_unity, fourier._point_gram):
+        fn.cache_clear()
+        assert fn.cache_info().maxsize is not None
+    for q in (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29):
+        f = GridFunction.indicator(Modulus.from_q(q), 1, [(1,)])
+        inverse_naive(forward_naive(f))
+    for fn in (fourier._roots_of_unity, fourier._point_gram):
+        info = fn.cache_info()
+        assert info.misses == 12 and info.currsize <= info.maxsize
