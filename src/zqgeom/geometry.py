@@ -24,6 +24,7 @@ __all__ = [
     "det2",
     "dot",
     "incidence_census",
+    "line_point_codes",
     "lines_in_stratum",
     "lines_through",
     "norm",
@@ -254,21 +255,29 @@ def lines_through(m: Modulus, v: Vec) -> tuple[Line, ...]:
     return tuple(line for line in lines_in_stratum(m, 0) if v in line)
 
 
+def line_point_codes(lines, q: int) -> np.ndarray:
+    """Points t * g (t < len(line)) of each line, as a row of distinct codes
+    x * q + y in increasing order padded with q * q; equal sets give equal rows."""
+    sizes = np.array([len(line) for line in lines])
+    gens = np.array([line.generator for line in lines], dtype=np.int64)
+    t = np.arange(sizes.max())
+    rows = t * gens[:, :1] % q * q + t * gens[:, 1:] % q
+    rows[t >= sizes[:, None]] = q * q
+    rows.sort(axis=1)
+    rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = q * q
+    rows.sort(axis=1)
+    return rows
+
+
 def incidence_census(m: Modulus) -> np.ndarray:
     """hits[x, y] = number of full-length lines through (x, y), whole plane at once.
 
-    One bincount over the |L_0| * q points t * g (t in Z_q) of the lines
-    in the stratum-0 census.  Each line's points are deduplicated before
-    counting, so a line adds at most one hit to a point even if its
-    parametrization were not injective.
+    One bincount over the point codes of the lines in the stratum-0
+    census, each line counted at most once per point.
     """
     q = m.q
-    gens = np.array([line.generator for line in lines_in_stratum(m, 0)], dtype=np.int64)
-    t = np.arange(q, dtype=np.int64)
-    pts = np.sort((t * gens[:, :1]) % q * q + (t * gens[:, 1:]) % q, axis=1)
-    first = np.ones(pts.shape, dtype=bool)
-    first[:, 1:] = pts[:, 1:] != pts[:, :-1]
-    return np.bincount(pts[first], minlength=q * q).reshape(q, q)
+    codes = line_point_codes(lines_in_stratum(m, 0), q)
+    return np.bincount(codes.ravel(), minlength=q * q + 1)[: q * q].reshape(q, q)
 
 
 def average_line_points(m: Modulus) -> Fraction:

@@ -9,13 +9,16 @@ reproduces the same point set on any platform and Python build.
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
 from statistics import fmean
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,6 +37,7 @@ __all__ = [
     "CSV_HEADER",
     "EXPERIMENT_KINDS",
     "ExperimentConfig",
+    "LEMMAS",
     "LemmaCheck",
     "Report",
     "SetSource",
@@ -360,18 +364,14 @@ class TrialRecord:
     ratio: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "trial": self.trial,
-            "set_size": self.set_size,
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "meets_threshold": self.meets_threshold,
-            "bound": self.bound,
-            "pass": self.passed,
-        }
-        if self.ratio is not None:
-            out["ratio"] = self.ratio
+        out = asdict(self)
+        out["pass"] = out.pop("passed")
+        if self.ratio is None:
+            del out["ratio"]
         return out
+
+
+_COMPARE = {"eq": operator.eq, "le": operator.le, "ge": operator.ge}
 
 
 @dataclass
@@ -380,28 +380,21 @@ class LemmaCheck:
     name: str
     statement: str
     universe: int
-    statistic: float
-    bound: float
+    statistic: int
+    bound: int
     cmp: str  # "le", "ge", or "eq", applied as statistic <cmp> bound
     witness: str
-    passed: bool
     skipped: bool = False
     note: str = ""
+    passed: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.passed = _COMPARE[self.cmp](self.statistic, self.bound)
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "name": self.name,
-            "statement": self.statement,
-            "universe": self.universe,
-            "statistic": self.statistic,
-            "bound": self.bound,
-            "cmp": self.cmp,
-            "witness": self.witness,
-            "pass": self.passed,
-            "skipped": self.skipped,
-            "note": self.note,
-        }
+        out = asdict(self)
+        out["pass"] = out.pop("passed")
+        return out
 
 
 @dataclass
@@ -535,24 +528,58 @@ def run_theorem_experiment(cfg: ExperimentConfig) -> Report:
 
 # ---------------------------------------------------------------------------
 # the lemma suite
-
-def _skipped_check(name: str, statement: str, note: str) -> LemmaCheck:
-    return LemmaCheck(
-        index=-1,
-        name=name,
-        statement=statement,
-        universe=0,
-        statistic=0,
-        bound=0,
-        cmp="eq",
-        witness="",
-        passed=True,
-        skipped=True,
-        note=note,
-    )
+#
+# A lemma is one LEMMAS row (name, comparison, statement) plus the check
+# it names.  A check returns an Outcome, or a skip note, for each row it
+# decides, and _lemma_check turns those into LemmaCheck rows.
 
 
-def _check_unit_decomposition(m: Modulus) -> LemmaCheck:
+class Outcome(NamedTuple):
+    """What a check measured: statistic <cmp> bound over universe cases."""
+
+    universe: int
+    statistic: int
+    bound: int
+    witness: str = ""
+
+
+class Lemma(NamedTuple):
+    name: str
+    cmp: str  # "le", "ge", or "eq"
+    check: Callable[[Modulus], LemmaCheck | list[LemmaCheck]]
+    statement: str
+
+
+def _row(index: int, lemma: Lemma, result: Outcome | str) -> LemmaCheck:
+    if isinstance(result, str):
+        return LemmaCheck(index, lemma.name, lemma.statement, 0, 0, 0, "eq", "",
+                          skipped=True, note=result)
+    universe, statistic, bound, witness = result
+    return LemmaCheck(index, lemma.name, lemma.statement, universe, statistic, bound,
+                      lemma.cmp, witness)
+
+
+def _lemma_check(scan):
+    """The check of the LEMMAS rows that name it, built on scan(m).
+
+    scan returns an Outcome or a skip note for a single row, or a list of
+    them, one per row, when one scan decides several adjacent rows.  A
+    skipped row records 0 eq 0, so every row passes as statistic <cmp> bound.
+    """
+
+    @functools.wraps(scan)
+    def check(m: Modulus) -> LemmaCheck | list[LemmaCheck]:
+        found = scan(m)
+        lemmas = [(i, lemma) for i, lemma in enumerate(LEMMAS) if lemma.check is check]
+        results = found if isinstance(found, list) else [found]
+        rows = [_row(i, lemma, r) for (i, lemma), r in zip(lemmas, results, strict=True)]
+        return rows if isinstance(found, list) else rows[0]
+
+    return check
+
+
+@_lemma_check
+def _check_unit_decomposition(m: Modulus) -> Outcome:
     fails, witness = 0, ""
     for x in range(1, m.q):
         v = m.valuation(x)
@@ -560,45 +587,25 @@ def _check_unit_decomposition(m: Modulus) -> LemmaCheck:
         if not (m.is_unit(u) and u * m.p**v == x):
             fails += 1
             witness = witness or f"x={x}"
-    return LemmaCheck(
-        -1,
-        "unit_valuation_decomposition",
-        "every nonzero x in Z_q equals p**v(x) times a unit",
-        m.q - 1,
-        fails,
-        0,
-        "eq",
-        witness,
-        fails == 0,
-    )
+    return Outcome(m.q - 1, fails, 0, witness)
 
 
-def _check_inverse_involution(m: Modulus) -> LemmaCheck:
+@_lemma_check
+def _check_inverse_involution(m: Modulus) -> Outcome:
     fails, witness, units = 0, "", m.units()
     for x in units:
         inv = m.inverse(x)
         if (x * inv) % m.q != 1 or m.inverse(inv) != x:
             fails += 1
             witness = witness or f"x={x}"
-    return LemmaCheck(
-        -1,
-        "unit_inverse_involution",
-        "x * x^-1 = 1 and (x^-1)^-1 = x for every unit x",
-        len(units),
-        fails,
-        0,
-        "eq",
-        witness,
-        fails == 0,
-    )
+    return Outcome(len(units), fails, 0, witness)
 
 
-def _check_hensel_quadratics(m: Modulus) -> LemmaCheck:
-    name = "hensel_quadratic_lifts"
-    statement = "each simple root mod p of x^2 + b x + c lifts to exactly one root mod q"
+@_lemma_check
+def _check_hensel_quadratics(m: Modulus) -> Outcome | str:
     p, q = m.p, m.q
     if p * p * q > _OP_CAP:
-        return _skipped_check(name, statement, "quadratic sweep exceeds the op budget")
+        return "quadratic sweep exceeds the op budget"
     fails, witness, tested = 0, "", 0
     for b in range(p):
         for c in range(p):
@@ -612,12 +619,11 @@ def _check_hensel_quadratics(m: Modulus) -> LemmaCheck:
                 if [x for x in roots_q if x % p == r] != [lifted]:
                     fails += 1
                     witness = witness or f"f=x^2+{b}x+{c}, r={r}"
-    return LemmaCheck(
-        -1, name, statement, tested, fails, 0, "eq", witness, fails == 0
-    )
+    return Outcome(tested, fails, 0, witness)
 
 
-def _check_stratum_sizes(m: Modulus) -> LemmaCheck:
+@_lemma_check
+def _check_stratum_sizes(m: Modulus) -> Outcome:
     fails, witness, total = 0, "", 0
     for n in range(m.l):
         size = len(geometry.stratum_coords(m, n)[0])
@@ -628,34 +634,11 @@ def _check_stratum_sizes(m: Modulus) -> LemmaCheck:
     if total != m.q**2 - 1:
         fails += 1
         witness = witness or "partition total"
-    return LemmaCheck(
-        -1,
-        "stratum_partition_sizes",
-        "the strata partition the punctured plane with |Lambda_n| = p^(2(l-n)) - p^(2(l-n-1))",
-        m.q**2 - 1,
-        fails,
-        0,
-        "eq",
-        witness,
-        fails == 0,
-    )
+    return Outcome(m.q**2 - 1, fails, 0, witness)
 
 
-def _line_point_sets(lines, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """len(line) of each line, and its point set as a row of sorted distinct
-    codes x * q + y padded with q * q, so equal sets give equal rows."""
-    sizes = np.array([len(line) for line in lines])
-    gens = np.array([line.generator for line in lines], dtype=np.int64)
-    t = np.arange(sizes.max())
-    rows = t * gens[:, :1] % q * q + t * gens[:, 1:] % q
-    rows[t >= sizes[:, None]] = q * q
-    rows.sort(axis=1)
-    rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = q * q
-    rows.sort(axis=1)
-    return sizes, rows
-
-
-def _check_line_census(m: Modulus) -> LemmaCheck:
+@_lemma_check
+def _check_line_census(m: Modulus) -> Outcome:
     fails, witness, universe = 0, "", 0
     for n in range(m.l):
         lines = geometry.lines_in_stratum(m, n)
@@ -665,7 +648,8 @@ def _check_line_census(m: Modulus) -> LemmaCheck:
             witness = witness or f"census size, n={n}"
         if not lines:
             continue
-        sizes, rows = _line_point_sets(lines, m.q)
+        rows = geometry.line_point_codes(lines, m.q)
+        sizes = np.array([len(line) for line in lines])
         short = np.flatnonzero((rows < m.q**2).sum(axis=1) != sizes)
         if len(short):
             fails += len(short)
@@ -674,25 +658,14 @@ def _check_line_census(m: Modulus) -> LemmaCheck:
         if (rows[1:] == rows[:-1]).all(axis=1).any():
             fails += 1
             witness = witness or f"duplicate point sets, n={n}"
-    return LemmaCheck(
-        -1,
-        "line_census_sizes",
-        "|L_n| = p^(l-n) + p^(l-n-1) distinct lines of p^(l-n) points each",
-        universe,
-        fails,
-        0,
-        "eq",
-        witness,
-        fails == 0,
-    )
+    return Outcome(universe, fails, 0, witness)
 
 
-def _check_point_line_incidence(m: Modulus) -> LemmaCheck:
-    name = "point_line_incidence"
-    statement = "every stratum-n vector lies on exactly p^n full-length lines"
+@_lemma_check
+def _check_point_line_incidence(m: Modulus) -> Outcome | str:
     # the census touches each point of the |L_0| = q + q/p full-length lines once
     if (m.q + m.q // m.p) * m.q > _OP_CAP:
-        return _skipped_check(name, statement, "incidence census exceeds the op budget")
+        return "incidence census exceeds the op budget"
     hits = geometry.incidence_census(m)
     bad = hits != m.p ** geometry.stratum_table(m).astype(np.int64)
     bad[0, 0] = False
@@ -700,9 +673,18 @@ def _check_point_line_incidence(m: Modulus) -> LemmaCheck:
     if fails:
         i, j = map(int, np.argwhere(bad)[0])
         witness = f"v={(i, j)}, hits={int(hits[i, j])}"
-    return LemmaCheck(
-        -1, name, statement, m.q**2 - 1, fails, 0, "eq", witness, fails == 0
-    )
+    return Outcome(m.q**2 - 1, fails, 0, witness)
+
+
+@_lemma_check
+def _sphere_checks(m: Modulus) -> list[Outcome]:
+    s1 = len(geometry.sphere_points(m, 1, 2))
+    group = len(orthogroup.so2_table(m))
+    return [
+        Outcome(m.q**2, group, s1, f"|SO_2|={group}, |S_1|={s1}"),
+        Outcome(m.q**2, s1, (m.q + 1) // 2, f"|S_1|={s1}"),
+        Outcome(m.q**2, s1, 2 * m.q, f"|S_1|={s1}"),
+    ]
 
 
 def _norm_table(m: Modulus) -> np.ndarray:
@@ -710,13 +692,12 @@ def _norm_table(m: Modulus) -> np.ndarray:
     return (x[:, None] ** 2 + x[None, :] ** 2) % m.q
 
 
-def _check_group_axioms(m: Modulus) -> LemmaCheck:
-    name = "group_closure_inverses"
-    statement = "SO_2(Z_q) is closed under composition and inverse, with identity (1, 0)"
+@_lemma_check
+def _check_group_axioms(m: Modulus) -> Outcome | str:
     g = orthogroup.so2_table(m)
     k, q = len(g), m.q
     if k**2 > _OP_CAP:
-        return _skipped_check(name, statement, "pair products exceed the op budget")
+        return "pair products exceed the op budget"
     keys = np.sort(g[:, 0] * q + g[:, 1])
 
     def absent(a, b) -> np.ndarray:
@@ -742,15 +723,14 @@ def _check_group_axioms(m: Modulus) -> LemmaCheck:
             if not witness:
                 i, j = np.argwhere(bad)[0]
                 witness = f"{key(s + i)} o {key(j)}"
-    return LemmaCheck(-1, name, statement, k**2, fails, 0, "eq", witness, fails == 0)
+    return Outcome(k**2, fails, 0, witness)
 
 
-def _check_norm_invariance(m: Modulus) -> LemmaCheck:
-    name = "rotation_norm_invariance"
-    statement = "||theta(v)|| = ||v|| for every rotation theta and plane vector v"
+@_lemma_check
+def _check_norm_invariance(m: Modulus) -> Outcome | str:
     g = orthogroup.so2_table(m)
     if m.q**2 * len(g) > _OP_CAP:
-        return _skipped_check(name, statement, "plane-times-group scan exceeds the op budget")
+        return "plane-times-group scan exceeds the op budget"
     # the budget and |SO_2| >= q/2 keep q below 740, so rx**2 + ry**2 fits uint32
     q = np.uint32(m.q)
     norms = _norm_table(m).astype(np.uint32)
@@ -766,104 +746,56 @@ def _check_norm_invariance(m: Modulus) -> LemmaCheck:
             if not witness:
                 i, j = map(int, np.argwhere(bad)[0])
                 witness = f"theta={tuple(g[t].tolist())}, v=({i},{j})"
-    return LemmaCheck(
-        -1, name, statement, m.q**2 * len(g), fails, 0, "eq", witness, fails == 0
-    )
+    return Outcome(m.q**2 * len(g), fails, 0, witness)
 
 
-def _stabilizer_checks(m: Modulus) -> list[LemmaCheck]:
-    bound = m.p ** (m.l - 1)
-    zero_name = "stabilizer_bound_zero_norm"
-    zero_statement = "max |Stab(xi)| over nonzero xi with ||xi|| = 0 is <= p^(l-1)"
-    nz_name = "stabilizer_bound_nonzero_norm"
-    nz_statement = "max |Stab(xi)| over xi with ||xi|| != 0 is <= p^(l-1)"
+@_lemma_check
+def _stabilizer_checks(m: Modulus) -> list[Outcome | str]:
     if m.q**2 * len(orthogroup.so2_table(m)) > _OP_CAP:
-        note = "plane-times-group scan exceeds the op budget"
-        return [_skipped_check(nz_name, nz_statement, note),
-                _skipped_check(zero_name, zero_statement, note)]
+        return ["plane-times-group scan exceeds the op budget"] * 2
+    bound = m.p ** (m.l - 1)
     counts = orthogroup.stabilizer_table(m)
     norms = _norm_table(m)
-    out = []
-
-    def extremum(mask: np.ndarray) -> tuple[int, str]:
-        masked = np.where(mask, counts, -1)
-        best = int(masked.max())
-        if best < 0:
-            return 0, "none (empty case set)"
-        i, j = map(int, np.argwhere(masked == best)[0])
-        return best, f"xi=({i},{j})"
-
     nonzero = np.ones_like(norms, dtype=bool)
     nonzero[0, 0] = False
 
-    stat, witness = extremum(nonzero & (norms != 0))
-    out.append(
-        LemmaCheck(-1, nz_name, nz_statement, int((nonzero & (norms != 0)).sum()),
-                   stat, bound, "le", witness, stat <= bound)
-    )
-    if m.p % 4 == 3:
-        stat, witness = extremum(nonzero & (norms == 0))
-        out.append(
-            LemmaCheck(-1, zero_name, zero_statement, int((nonzero & (norms == 0)).sum()),
-                       stat, bound, "le", witness, stat <= bound)
-        )
-    else:
-        out.append(
-            _skipped_check(zero_name, zero_statement,
-                           "bound needs p = 3 mod 4; zero-norm stabilizers can be large otherwise")
-        )
-    return out
+    def extremum(mask: np.ndarray) -> Outcome:
+        masked = np.where(mask, counts, -1)
+        best = int(masked.max())
+        if best < 0:
+            return Outcome(int(mask.sum()), 0, bound, "none (empty case set)")
+        i, j = map(int, np.argwhere(masked == best)[0])
+        return Outcome(int(mask.sum()), best, bound, f"xi=({i},{j})")
 
-
-def _check_zero_norm_structure(m: Modulus) -> LemmaCheck:
-    name = "zero_norm_stratum_form"
-    statement = (
-        "for p = 3 mod 4, nonzero xi has ||xi|| = 0 iff its stratum m satisfies 2m >= l"
-    )
     if m.p % 4 != 3:
-        return _skipped_check(name, statement, "characterization needs p = 3 mod 4")
-    q = m.q
-    norms = _norm_table(m)
-    zero_norm = norms == 0
+        return [extremum(nonzero & (norms != 0)),
+                "bound needs p = 3 mod 4; zero-norm stabilizers can be large otherwise"]
+    return [extremum(nonzero & (norms != 0)), extremum(nonzero & (norms == 0))]
+
+
+@_lemma_check
+def _check_zero_norm_structure(m: Modulus) -> Outcome | str:
+    if m.p % 4 != 3:
+        return "characterization needs p = 3 mod 4"
+    zero_norm = _norm_table(m) == 0
     deep = 2 * geometry.stratum_table(m) >= m.l
     zero_norm[0, 0] = deep[0, 0] = False
     bad = zero_norm ^ deep
-    fails = int(bad.sum())
-    witness = ""
+    fails, witness = int(bad.sum()), ""
     if fails:
         i, j = map(int, np.argwhere(bad)[0])
         witness = f"xi=({i},{j})"
-    return LemmaCheck(
-        -1, name, statement, q**2 - 1, fails, 0, "eq", witness, fails == 0
-    )
+    return Outcome(m.q**2 - 1, fails, 0, witness)
 
 
-def _difference_checks(m: Modulus) -> list[LemmaCheck]:
-    r_list, r = difference_stratum_counts(m)
-    bound = 2 * m.p ** (4 * m.l - 1)
-    out = [
-        LemmaCheck(
-            -1,
-            "difference_weighted_bound",
-            "r = sum_i r_i p^i over i = 1..l-1 is <= 2 p^(4l-1)",
-            m.q**4,
-            r,
-            bound,
-            "le",
-            f"r={r}",
-            r <= bound,
-        )
-    ]
-    census_name = "difference_census_match"
-    census_statement = "pair census of difference strata matches r_i = q^2 |Lambda_i|"
+@_lemma_check
+def _difference_checks(m: Modulus) -> list[Outcome | str]:
+    _, r = difference_stratum_counts(m)
+    weighted = Outcome(m.q**4, r, 2 * m.p ** (4 * m.l - 1), f"r={r}")
     if m.l == 1:
-        out.append(_skipped_check(census_name, census_statement,
-                                  "no strata above 0 when l = 1"))
-        return out
+        return [weighted, "no strata above 0 when l = 1"]
     if m.q**4 > _OP_CAP:
-        out.append(_skipped_check(census_name, census_statement,
-                                  "pair enumeration exceeds the op budget"))
-        return out
+        return [weighted, "pair enumeration exceeds the op budget"]
     census = difference_stratum_census(m)
     fails, witness = 0, ""
     for i in range(m.l):
@@ -871,11 +803,41 @@ def _difference_checks(m: Modulus) -> list[LemmaCheck]:
         if census[i] != expected:
             fails += 1
             witness = witness or f"i={i}, census={census[i]}, formula={expected}"
-    out.append(
-        LemmaCheck(-1, census_name, census_statement, m.q**4, fails, 0, "eq",
-                   witness, fails == 0)
-    )
-    return out
+    return [weighted, Outcome(m.q**4, fails, 0, witness)]
+
+
+# the suite in report order; rows that share a check are adjacent
+LEMMAS = (
+    Lemma("unit_valuation_decomposition", "eq", _check_unit_decomposition,
+          "every nonzero x in Z_q equals p**v(x) times a unit"),
+    Lemma("unit_inverse_involution", "eq", _check_inverse_involution,
+          "x * x^-1 = 1 and (x^-1)^-1 = x for every unit x"),
+    Lemma("hensel_quadratic_lifts", "eq", _check_hensel_quadratics,
+          "each simple root mod p of x^2 + b x + c lifts to exactly one root mod q"),
+    Lemma("stratum_partition_sizes", "eq", _check_stratum_sizes,
+          "the strata partition the punctured plane with |Lambda_n| = p^(2(l-n)) - p^(2(l-n-1))"),
+    Lemma("line_census_sizes", "eq", _check_line_census,
+          "|L_n| = p^(l-n) + p^(l-n-1) distinct lines of p^(l-n) points each"),
+    Lemma("point_line_incidence", "eq", _check_point_line_incidence,
+          "every stratum-n vector lies on exactly p^n full-length lines"),
+    Lemma("sphere_matches_group", "eq", _sphere_checks, "|SO_2(Z_q)| = |S_1|"),
+    Lemma("sphere_size_lower", "ge", _sphere_checks, "|S_1| >= q/2"),
+    Lemma("sphere_size_upper", "le", _sphere_checks, "|S_1| <= 2q"),
+    Lemma("group_closure_inverses", "eq", _check_group_axioms,
+          "SO_2(Z_q) is closed under composition and inverse, with identity (1, 0)"),
+    Lemma("rotation_norm_invariance", "eq", _check_norm_invariance,
+          "||theta(v)|| = ||v|| for every rotation theta and plane vector v"),
+    Lemma("stabilizer_bound_nonzero_norm", "le", _stabilizer_checks,
+          "max |Stab(xi)| over xi with ||xi|| != 0 is <= p^(l-1)"),
+    Lemma("stabilizer_bound_zero_norm", "le", _stabilizer_checks,
+          "max |Stab(xi)| over nonzero xi with ||xi|| = 0 is <= p^(l-1)"),
+    Lemma("zero_norm_stratum_form", "eq", _check_zero_norm_structure,
+          "for p = 3 mod 4, nonzero xi has ||xi|| = 0 iff its stratum m satisfies 2m >= l"),
+    Lemma("difference_weighted_bound", "le", _difference_checks,
+          "r = sum_i r_i p^i over i = 1..l-1 is <= 2 p^(4l-1)"),
+    Lemma("difference_census_match", "eq", _difference_checks,
+          "pair census of difference strata matches r_i = q^2 |Lambda_i|"),
+)
 
 
 def run_lemma_suite(m: Modulus) -> Report:
@@ -891,41 +853,11 @@ def run_lemma_suite(m: Modulus) -> Report:
         raise ValueError(
             f"plane over {m} has {m.q**2} points, beyond the exhaustive cap {SUITE_PLANE_CAP}"
         )
-    checks = [
-        _check_unit_decomposition(m),
-        _check_inverse_involution(m),
-        _check_hensel_quadratics(m),
-        _check_stratum_sizes(m),
-        _check_line_census(m),
-        _check_point_line_incidence(m),
-    ]
-
-    s1 = len(geometry.sphere_points(m, 1, 2))
-    group = len(orthogroup.so2_table(m))
-    checks.append(
-        LemmaCheck(-1, "sphere_matches_group", "|SO_2(Z_q)| = |S_1|",
-                   m.q**2, group, s1, "eq", f"|SO_2|={group}, |S_1|={s1}",
-                   group == s1)
-    )
-    checks.append(
-        LemmaCheck(-1, "sphere_size_lower", "|S_1| >= q/2",
-                   m.q**2, s1, (m.q + 1) // 2, "ge", f"|S_1|={s1}",
-                   2 * s1 >= m.q)
-    )
-    checks.append(
-        LemmaCheck(-1, "sphere_size_upper", "|S_1| <= 2q",
-                   m.q**2, s1, 2 * m.q, "le", f"|S_1|={s1}",
-                   s1 <= 2 * m.q)
-    )
-
-    checks.append(_check_group_axioms(m))
-    checks.append(_check_norm_invariance(m))
-    checks.extend(_stabilizer_checks(m))
-    checks.append(_check_zero_norm_structure(m))
-    checks.extend(_difference_checks(m))
-
-    for i, check in enumerate(checks):
-        check.index = i
+    checks: list[LemmaCheck] = []
+    for i, lemma in enumerate(LEMMAS):
+        if i == len(checks):  # a shared check has filled its later rows already
+            found = lemma.check(m)
+            checks.extend(found if isinstance(found, list) else [found])
     aggregate = {
         "passed": sum(1 for c in checks if c.passed and not c.skipped),
         "failed": sum(1 for c in checks if not c.passed),

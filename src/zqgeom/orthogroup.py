@@ -99,14 +99,10 @@ def so2_elements(m: Modulus) -> tuple[Rotation, ...]:
     return tuple(Rotation(a, b, m) for a, b in so2_table(m).tolist())
 
 
-def identity_rotation(m: Modulus) -> Rotation:
-    return Rotation(1, 0, m)
-
-
 def stabilizer(m: Modulus, xi: Vec2) -> tuple[Rotation, ...]:
-    """Rotations fixing xi, by scanning the whole group."""
-    xi = (xi[0] % m.q, xi[1] % m.q)
-    return tuple(t for t in so2_elements(m) if t.apply(xi) == xi)
+    """Rotations fixing xi, in so2_table order."""
+    rows = _fixing(m, xi[0] % m.q * m.q + xi[1] % m.q)
+    return tuple(Rotation(a, b, m) for a, b in rows.tolist())
 
 
 def _plane_dtype(q: int) -> np.dtype:
@@ -189,6 +185,12 @@ def _orbit_min(rot: np.ndarray, codes: np.ndarray, q: int) -> tuple[np.ndarray, 
     return best, arg
 
 
+def _fixing(m: Modulus, code: int) -> np.ndarray:
+    """Rows (a, b) of so2_table(m) whose rotation fixes the vector code."""
+    g = so2_table(m)
+    return g[_turn(g[:, 0], g[:, 1], code, m.q) == code]
+
+
 def _canonical_pairs(
     m: Modulus, codes: np.ndarray, ru: np.ndarray, rv: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -209,10 +211,8 @@ def _canonical_pairs(
     order = np.argsort(u, kind="stable")
     heads = np.flatnonzero(np.r_[True, u[order][1:] != u[order][:-1]])
     for lo, hi in zip(heads, np.r_[heads[1:], len(u)]):
-        w = int(u[order[lo]])
-        stab = g[_turn(g[:, 0], g[:, 1], w, q) == w]
         idx = order[lo:hi]
-        v[idx] = _orbit_min(stab, v[idx], q)[0]
+        v[idx] = _orbit_min(_fixing(m, int(u[order[lo]])), v[idx], q)[0]
     return u, v
 
 

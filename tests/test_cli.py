@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, wire formats, determinism."""
 
 import json
+import operator
 import re
 import subprocess
 import sys
@@ -157,7 +158,7 @@ GOLDEN = Path(__file__).parent / "golden"
 _WALL = re.compile(r'"wall_time_s": [0-9.e+-]+')
 
 
-@pytest.mark.parametrize("q", [27, 81, 121, 125])
+@pytest.mark.parametrize("q", [27, 81, 121, 125, 243])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_verify_lemmas_matches_the_golden_reports(capsys, q, fmt):
     m = Modulus.from_q(q)
@@ -166,4 +167,8 @@ def test_verify_lemmas_matches_the_golden_reports(capsys, q, fmt):
     want = (GOLDEN / f"lemmas_z{q}.{fmt}").read_text()
     if fmt == "json":
         got, want = _WALL.sub('"wall_time_s": 0', got), _WALL.sub('"wall_time_s": 0', want)
+        # every pass flag is statistic <cmp> bound, skipped rows included
+        compare = {"eq": operator.eq, "le": operator.le, "ge": operator.ge}
+        for row in json.loads(got)["checks"]:
+            assert row["pass"] == compare[row["cmp"]](row["statistic"], row["bound"])
     assert got == want

@@ -12,6 +12,7 @@ from zqgeom import geometry, orthogroup
 from zqgeom.configsets import PointSet
 from zqgeom.harness import (
     CSV_HEADER,
+    LEMMAS,
     ExperimentConfig,
     SetSource,
     SplitMix64,
@@ -304,6 +305,7 @@ def test_lemma_suite_q9_all_pass():
     assert rep.diagnostics["average_line_points"] == 7.5
     names = [c.name for c in rep.checks]
     assert len(names) == len(set(names))
+    assert names == [lemma.name for lemma in LEMMAS]
     assert [c.index for c in rep.checks] == list(range(len(names)))
     by_name = {c.name: c for c in rep.checks}
     stab = by_name["stabilizer_bound_zero_norm"]
@@ -390,6 +392,8 @@ def _ladder_id(value):
 def test_lemma_ladder_aggregates(m, aggregate, skipped):
     rep = run_lemma_suite(m)
     assert rep.aggregate == aggregate
+    names = [c.name for c in rep.checks]
+    assert all(names.count(lemma.name) == 1 for lemma in LEMMAS)
     assert {c.name for c in rep.checks if c.skipped} == set(skipped)
     incidence = next(c for c in rep.checks if c.name == "point_line_incidence")
     assert incidence.statistic == 0 and incidence.universe == m.q**2 - 1

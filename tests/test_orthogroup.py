@@ -15,7 +15,6 @@ from zqgeom.orthogroup import (
     TriangleClass,
     canonical_pair,
     congruence_witness,
-    identity_rotation,
     rotated_planes,
     so2_elements,
     stabilizer,
@@ -53,7 +52,7 @@ def test_defining_relation():
 def test_group_axioms_exhaustive(m):
     elems = so2_elements(m)
     keys = {t.key() for t in elems}
-    ident = identity_rotation(m)
+    ident = Rotation(1, 0, m)
     assert ident.key() == (1, 0)
     for t in elems:
         assert t.inverse().key() in keys
@@ -367,13 +366,21 @@ def test_rotated_planes_match_apply(m):
     assert seen == len(group)
 
 
+def _stabilizer_scan(m, xi):
+    # the Rotation-object scan of the whole group that stabilizer() replaced
+    xi = (xi[0] % m.q, xi[1] % m.q)
+    return tuple(t for t in so2_elements(m) if t.apply(xi) == xi)
+
+
 @pytest.mark.parametrize("m", [M9, M25, M27], ids=str)
 def test_stabilizer_table_counts_the_stabilizer(m):
     # the two stabilizer counters name one fact
     table = stabilizer_table(m)
     assert table.shape == (m.q, m.q)
     for v in itertools.product(range(m.q), repeat=2):
-        assert table[v] == len(stabilizer(m, v))
+        keys = [t.key() for t in stabilizer(m, v)]
+        assert keys == [t.key() for t in _stabilizer_scan(m, v)]
+        assert table[v] == len(keys)
 
 
 # -- the count-only census of the t2 experiment -----------------------------
