@@ -2,16 +2,19 @@
 
 Every counter is an exhaustive enumeration, vectorized with numpy when
 the triple or pair count warrants it, in blocks sized in bytes; the set
-counters stop early once every residue has been seen.  Transforms are
-only ever used to cross-check identities, never to produce a count.
+counters stop early once every residue has been seen.  Dot products of a
+product set A^d are the exception: they are counted exactly as a sumset
+of A.A, without listing A^d.  Transforms are only ever used to
+cross-check identities, never to produce a count.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+import operator
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -25,12 +28,13 @@ from .geometry import (
     valuation_table,
     vsub,
 )
-from .orthogroup import Rotation
+from .orthogroup import Rotation, _merge_counts
 from .ring import Modulus
 
 __all__ = [
     "FULL_GRID_CAP",
     "PointSet",
+    "SUMSET_BUDGET",
     "difference_stratum_census",
     "difference_stratum_counts",
     "distance_set",
@@ -40,11 +44,14 @@ __all__ = [
     "restricted_line_count",
     "rotation_correlation",
     "sumset",
+    "sumset_cost",
     "triangle_area_set",
 ]
 
 # ceiling on materialized grids and sampling universes
 FULL_GRID_CAP = 10**6
+# operations the sumset path of a product set may spend (sumset_cost)
+SUMSET_BUDGET = 2 * 10**8
 # uint8 pair strata held at once by the difference census
 _CENSUS_CHUNK_BYTES = 1 << 20
 # bytes of one int64 block of areas or dot products; a scan keeps at most
@@ -52,64 +59,124 @@ _CENSUS_CHUNK_BYTES = 1 << 20
 _CHUNK_BYTES = 1 << 22
 
 
-@dataclass(frozen=True)
 class PointSet:
     """A deduplicated, lexicographically sorted subset of Z_q^d.
 
     `base` records the one-dimensional factor when the set was built as
     a d-fold product A x ... x A; counters that only make sense for
-    product sets require it.
+    product sets require it.  Sets from `product` and `full_grid` keep
+    only their factor and d: size and membership come from the factor,
+    and the points are listed on first use, which is refused past
+    FULL_GRID_CAP.  Instances are immutable.
     """
 
-    m: Modulus
-    d: int
-    points: tuple[Vec, ...]
-    base: tuple[int, ...] | None = None
-    _index: frozenset = field(default=frozenset(), init=False, repr=False, compare=False)
+    __slots__ = ("m", "d", "base", "_factor", "_points", "_index")
 
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"dimension must be at least 1, got {self.d}")
-        q = self.m.q
-        pts = sorted({tuple(c % q for c in pt) for pt in self.points})
+    def __init__(
+        self, m: Modulus, d: int, points: Iterable[Vec], base: Iterable[int] | None = None
+    ) -> None:
+        _check_dimension(d)
+        q = m.q
+        pts = sorted({tuple(c % q for c in pt) for pt in points})
         for pt in pts:
-            if len(pt) != self.d:
-                raise DimensionMismatch(f"point {pt} is not {self.d}-dimensional")
-        object.__setattr__(self, "points", tuple(pts))
-        if self.base is not None:
-            object.__setattr__(self, "base", tuple(sorted({c % q for c in self.base})))
-        object.__setattr__(self, "_index", frozenset(pts))
+            if len(pt) != d:
+                raise DimensionMismatch(f"point {pt} is not {d}-dimensional")
+        if base is not None:
+            base = tuple(sorted({c % q for c in base}))
+        self._fill(m, d, base, None, tuple(pts))
+
+    def _fill(self, m, d, base, factor, points) -> None:
+        for name, value in zip(self.__slots__, (m, d, base, factor, points, None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PointSet is immutable; cannot set {name}")
+
+    @classmethod
+    def _lazy(cls, m: Modulus, d: int, factor: tuple[int, ...], base) -> "PointSet":
+        ps = cls.__new__(cls)
+        ps._fill(m, d, base, factor, None)
+        return ps
 
     @classmethod
     def product(cls, m: Modulus, base: Iterable[int], d: int) -> "PointSet":
         """The d-fold product A x ... x A of a subset A of Z_q."""
-        a = sorted({c % m.q for c in base})
-        if len(a) ** d > FULL_GRID_CAP:
-            raise ValueError(
-                f"product A^{d} with |A| = {len(a)} exceeds the {FULL_GRID_CAP}-point cap"
-            )
-        return cls(m, d, tuple(itertools.product(a, repeat=d)), base=tuple(a))
+        _check_dimension(d)
+        a = tuple(sorted({c % m.q for c in base}))
+        return cls._lazy(m, d, a, base=a)
 
     @classmethod
     def full_grid(cls, m: Modulus, d: int) -> "PointSet":
+        _check_dimension(d)
         if m.q**d > FULL_GRID_CAP:
             raise ValueError(f"grid Z_{m.q}^{d} exceeds the {FULL_GRID_CAP}-point cap")
-        return cls(m, d, tuple(itertools.product(range(m.q), repeat=d)))
+        return cls._lazy(m, d, tuple(range(m.q)), base=None)
+
+    def _listable(self) -> None:
+        if len(self) > FULL_GRID_CAP:
+            raise ValueError(
+                f"product A^{self.d} with |A| = {len(self._factor)} exceeds the "
+                f"{FULL_GRID_CAP}-point cap"
+            )
+
+    @property
+    def points(self) -> tuple[Vec, ...]:
+        if self._points is None:
+            self._listable()
+            object.__setattr__(
+                self, "_points", tuple(itertools.product(self._factor, repeat=self.d))
+            )
+        return self._points
 
     def __len__(self) -> int:
-        return len(self.points)
+        if self._factor is None:
+            return len(self._points)
+        return len(self._factor) ** self.d
 
     def __iter__(self) -> Iterator[Vec]:
         return iter(self.points)
 
     def __contains__(self, v) -> bool:
-        return tuple(v) in self._index
+        v = tuple(v)
+        if self._index is None:
+            members = self._points if self._factor is None else self._factor
+            object.__setattr__(self, "_index", frozenset(members))
+        if self._factor is None:
+            return v in self._index
+        return len(v) == self.d and all(c in self._index for c in v)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PointSet):
+            return NotImplemented
+        if (self.m, self.d, self.base, len(self)) != (other.m, other.d, other.base, len(other)):
+            return False
+        if self._factor is not None and other._factor is not None:
+            return self._factor == other._factor
+        if self._factor is None and other._factor is None:
+            return self._points == other._points
+        listed, lazy = (self, other) if self._factor is None else (other, self)
+        return all(v in lazy for v in listed._points)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.d, self.base, len(self)))
+
+    def __repr__(self) -> str:
+        return f"PointSet(m={self.m!r}, d={self.d}, size={len(self)}, base={self.base!r})"
 
     def as_array(self) -> np.ndarray:
-        return np.array(self.points, dtype=np.int64).reshape(len(self.points), self.d)
+        if self._points is None:
+            self._listable()
+            factor = np.array(self._factor, dtype=np.int64)
+            return factor[np.indices((len(factor),) * self.d).reshape(self.d, -1).T]
+        return np.array(self._points, dtype=np.int64).reshape(len(self), self.d)
 
     def indicator(self) -> GridFunction:
         return GridFunction.indicator(self.m, self.d, self.points)
+
+
+def _check_dimension(d: int) -> None:
+    if d < 1:
+        raise ValueError(f"dimension must be at least 1, got {d}")
 
 
 def distance_set(E: PointSet) -> set[int]:
@@ -123,8 +190,9 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[np.r_[True, values[1:] != values[:-1]]] if len(values) else values
 
 
-def _residues(blocks: Iterable[np.ndarray], q: int, start: int = 0) -> set[int]:
-    """Residues t >= start occurring in the blocks; stops once all of them have.
+def _residues(blocks: Iterable[np.ndarray], q: int, start: int = 0) -> np.ndarray:
+    """Sorted residues t >= start occurring in the blocks; stops once all of
+    them have.
 
     Each block is reduced to its distinct values, and these are merged into
     the running union once they are at least as many as it holds.  Memory
@@ -142,7 +210,23 @@ def _residues(blocks: Iterable[np.ndarray], q: int, start: int = 0) -> set[int]:
             if len(found) - np.searchsorted(found, start) == q - start:
                 break
     found = _distinct(np.concatenate([found, *pending]))
-    return set(found[np.searchsorted(found, start) :].tolist())
+    return found[np.searchsorted(found, start) :]
+
+
+def _tally(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values over (values, weights) blocks, with summed weights.
+
+    Blocks are reduced and merged into the running tally as in _residues.
+    """
+    keys = counts = np.empty(0, dtype=np.int64)
+    pending, held = [], 0
+    for values, weights in blocks:
+        pending.append(_merge_counts([(values.ravel(), weights.ravel())]))
+        held += len(pending[-1][0])
+        if held >= len(keys):
+            keys, counts = _merge_counts([(keys, counts), *pending])
+            pending, held = [], 0
+    return _merge_counts([(keys, counts), *pending])
 
 
 def _dot_blocks(E: PointSet) -> Iterator[np.ndarray]:
@@ -181,18 +265,136 @@ def _area_blocks(E: PointSet) -> Iterator[np.ndarray]:
         yield block
 
 
+def sumset_cost(q: int, a: int, d: int) -> int:
+    """Bound on the operations of the sumset path over A^d with |A| = a.
+
+    The a**2 products give A.A, of at most min(q, a(a + 1)/2) values as
+    a a' = a' a.  S_(k+1) = S_k + A.A then costs |S_k| * |A.A| sums, where
+    S_k, the k-fold sumset of A.A, is at most all of Z_q and at most the
+    number of k-element multisets of A.A.  The arrays held are bounded by
+    the same terms.  The sum stops growing once it passes SUMSET_BUDGET.
+    """
+    pp = min(q, a * (a + 1) // 2)
+    total = a * a
+    for k in range(1, d):
+        size = min(q, math.comb(pp + k - 1, k))
+        if size == q or pp <= 1:  # no further growth
+            return total + size * pp * (d - k)
+        total += size * pp
+        if total > SUMSET_BUDGET:
+            break
+    return total
+
+
+def _is_product(E: PointSet) -> bool:
+    return E.base is not None and E._factor is not None
+
+
+def _sumset_base(E: PointSet, counted: bool) -> np.ndarray:
+    """E's factor A as int64, once the sumset path is within its budget."""
+    a, d = len(E.base), E.d
+    cost = sumset_cost(E.m.q, a, d)
+    if cost > SUMSET_BUDGET:
+        raise ValueError(
+            f"dot products of A^{d} with |A| = {a} may take {cost} sumset operations, "
+            f"over the {SUMSET_BUDGET}-operation cap"
+        )
+    if counted and a ** (2 * d) >= 2**63:
+        raise ValueError(
+            f"pair counts of A^{d} with |A| = {a} reach {a}^{2 * d} >= 2^63, past the int64 cap"
+        )
+    return np.array(E.base, dtype=np.int64)
+
+
+def _pair_blocks(x: np.ndarray, y: np.ndarray, q: int, op) -> Iterator[tuple[int, np.ndarray]]:
+    """(s, op(x[s : s + k, None], y) mod q) over row blocks of x, each at
+    most _CHUNK_BYTES of int64; op is np.multiply or np.add, so every
+    entry stays below q**2 before it is reduced."""
+    step = max(1, _CHUNK_BYTES // (8 * max(1, len(y))))
+    for s in range(0, len(x), step):
+        yield s, op(x[s : s + step, None], y[None, :]) % q
+
+
+def _convolve(x, cx, y, cy, q: int, op) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct op(x_i, y_j) mod q, each with the sum of its weights cx_i * cy_j."""
+    return _tally(
+        (block, cx[s : s + len(block), None] * cy[None, :])
+        for s, block in _pair_blocks(x, y, q, op)
+    )
+
+
+def _dot_sumset(E: PointSet) -> np.ndarray:
+    """The d-fold sumset of A.A, sorted; stops once it is all of Z_q."""
+    q, a = E.m.q, _sumset_base(E, counted=False)
+    prods = _residues((b for _, b in _pair_blocks(a, a, q, np.multiply)), q)
+    found = prods
+    for _ in range(E.d - 1):
+        if len(found) == q:
+            break
+        found = _residues((b for _, b in _pair_blocks(found, prods, q, np.add)), q)
+    return found
+
+
+def _dot_convolution(E: PointSet) -> tuple[np.ndarray, np.ndarray]:
+    """The d-fold cyclic convolution of the A.A histogram, as sorted t and nu(t) > 0."""
+    q, a = E.m.q, _sumset_base(E, counted=True)
+    ones = np.ones(len(a), dtype=np.int64)
+    prods = _convolve(a, ones, a, ones, q, np.multiply)
+    keys, counts = prods
+    for _ in range(E.d - 1):
+        keys, counts = _convolve(keys, counts, *prods, q, np.add)
+    return keys, counts
+
+
+class _DotCounts(Mapping):
+    """nu(t) for every t in Z_q, held as the sorted t with nu(t) > 0."""
+
+    def __init__(self, q: int, keys: np.ndarray, counts: np.ndarray) -> None:
+        self._q, self._keys, self._counts = q, keys, counts
+
+    def __getitem__(self, t) -> int:
+        try:
+            t = operator.index(t)
+        except TypeError:
+            raise KeyError(t) from None
+        if not 0 <= t < self._q:
+            raise KeyError(t)
+        i = int(np.searchsorted(self._keys, t))
+        hit = i < len(self._keys) and self._keys[i] == t
+        return int(self._counts[i]) if hit else 0
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(self._q))
+
+    def __len__(self) -> int:
+        return self._q
+
+
 def dot_product_set(E: PointSet) -> set[int]:
     """Dot products over ordered pairs.
 
-    Row blocks of at most _CHUNK_BYTES of int64 each, with at most four
-    blocks' worth alive at once; the scan stops once all q values have
-    appeared.
+    For a set built by PointSet.product these are the d-fold sumset of
+    A.A = {a a' : a, a' in A} in Z_q, found without listing A^d and refused
+    past SUMSET_BUDGET operations (see sumset_cost).  Any other set is
+    scanned in row blocks of at most _CHUNK_BYTES of int64 each, with at
+    most four blocks' worth alive at once.  Both stop once all q values
+    have appeared.
     """
-    return _residues(_dot_blocks(E), E.m.q)
+    if _is_product(E):
+        return set(_dot_sumset(E).tolist())
+    return set(_residues(_dot_blocks(E), E.m.q).tolist())
 
 
-def dot_product_counts(E: PointSet) -> dict[int, int]:
-    """nu(t), the number of ordered pairs with x.y = t, densely over Z_q."""
+def dot_product_counts(E: PointSet) -> Mapping[int, int]:
+    """nu(t), the number of ordered pairs with x.y = t, densely over Z_q.
+
+    For a set built by PointSet.product, nu is the d-fold cyclic
+    convolution of the histogram of A.A, exact in int64 and held sparse,
+    so no length-q array is allocated; it is refused past SUMSET_BUDGET
+    or once |A|**(2d) reaches 2**63.
+    """
+    if _is_product(E):
+        return _DotCounts(E.m.q, *_dot_convolution(E))
     counts = np.zeros(E.m.q, dtype=np.int64)
     for block in _dot_blocks(E):
         counts += np.bincount(block.ravel(), minlength=E.m.q)
@@ -208,7 +410,7 @@ def triangle_area_set(E: PointSet) -> set[int]:
     """
     if E.d != 2:
         raise DimensionMismatch("areas are a planar counter")
-    return _residues(_area_blocks(E), E.m.q, start=1)
+    return set(_residues(_area_blocks(E), E.m.q, start=1).tolist())
 
 
 def rotation_correlation(E: PointSet, theta: Rotation) -> dict[Vec, int]:

@@ -472,7 +472,13 @@ def write_report(report: Report, path, fmt: str = "json") -> None:
 
 def _experiment_statistic(kind: str, m: Modulus, E: PointSet) -> int:
     if kind == "t2":
-        return orthogroup.triangle_class_count(m, E)
+        n = len(E)
+        if not orthogroup.realizes_every_pair(m, n) and n**3 > _OP_CAP:
+            raise ValueError(
+                f"t2 census over n = {n} points visits n^3 = {n**3} triples, "
+                f"over the {_OP_CAP}-operation cap"
+            )
+        return orthogroup.triangle_class_count(m, E.as_array())
     if kind == "v2":
         return len(triangle_area_set(E))
     return len(dot_product_set(E))
@@ -727,15 +733,19 @@ def _check_group_axioms(m: Modulus) -> Outcome | str:
 
 
 @_lemma_check
-def _check_norm_invariance(m: Modulus) -> Outcome | str:
+def _rotated_plane_checks(m: Modulus) -> list[Outcome | str]:
+    """Norm invariance and both stabilizer bounds, from one pass over the
+    rotated planes."""
     g = orthogroup.so2_table(m)
     if m.q**2 * len(g) > _OP_CAP:
-        return "plane-times-group scan exceeds the op budget"
+        return ["plane-times-group scan exceeds the op budget"] * 3
     # the budget and |SO_2| >= q/2 keep q below 740, so rx**2 + ry**2 fits uint32
     q = np.uint32(m.q)
     norms = _norm_table(m).astype(np.uint32)
+    counts = np.zeros((m.q, m.q), dtype=np.int64)
     fails, witness = 0, ""
     for t, rx, ry in orthogroup.rotated_planes(m):
+        counts += orthogroup.fixed_points(rx, ry)
         img = np.square(rx, dtype=np.uint32)
         img += np.square(ry, dtype=np.uint32)
         img %= q
@@ -746,15 +756,13 @@ def _check_norm_invariance(m: Modulus) -> Outcome | str:
             if not witness:
                 i, j = map(int, np.argwhere(bad)[0])
                 witness = f"theta={tuple(g[t].tolist())}, v=({i},{j})"
-    return Outcome(m.q**2 * len(g), fails, 0, witness)
+    return [Outcome(m.q**2 * len(g), fails, 0, witness), *_stabilizer_bounds(m, counts)]
 
 
-@_lemma_check
-def _stabilizer_checks(m: Modulus) -> list[Outcome | str]:
-    if m.q**2 * len(orthogroup.so2_table(m)) > _OP_CAP:
-        return ["plane-times-group scan exceeds the op budget"] * 2
+def _stabilizer_bounds(m: Modulus, counts: np.ndarray) -> list[Outcome | str]:
+    """The largest stabilizer off and on the zero-norm cone, from the table
+    counts[x, y] = |Stab((x, y))|."""
     bound = m.p ** (m.l - 1)
-    counts = orthogroup.stabilizer_table(m)
     norms = _norm_table(m)
     nonzero = np.ones_like(norms, dtype=bool)
     nonzero[0, 0] = False
@@ -825,11 +833,11 @@ LEMMAS = (
     Lemma("sphere_size_upper", "le", _sphere_checks, "|S_1| <= 2q"),
     Lemma("group_closure_inverses", "eq", _check_group_axioms,
           "SO_2(Z_q) is closed under composition and inverse, with identity (1, 0)"),
-    Lemma("rotation_norm_invariance", "eq", _check_norm_invariance,
+    Lemma("rotation_norm_invariance", "eq", _rotated_plane_checks,
           "||theta(v)|| = ||v|| for every rotation theta and plane vector v"),
-    Lemma("stabilizer_bound_nonzero_norm", "le", _stabilizer_checks,
+    Lemma("stabilizer_bound_nonzero_norm", "le", _rotated_plane_checks,
           "max |Stab(xi)| over xi with ||xi|| != 0 is <= p^(l-1)"),
-    Lemma("stabilizer_bound_zero_norm", "le", _stabilizer_checks,
+    Lemma("stabilizer_bound_zero_norm", "le", _rotated_plane_checks,
           "max |Stab(xi)| over nonzero xi with ||xi|| = 0 is <= p^(l-1)"),
     Lemma("zero_norm_stratum_form", "eq", _check_zero_norm_structure,
           "for p = 3 mod 4, nonzero xi has ||xi|| = 0 iff its stratum m satisfies 2m >= l"),

@@ -8,7 +8,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import DimensionMismatch, vsub
+from .geometry import DimensionMismatch, valuation_table, vsub
 from .ring import Modulus
 
 __all__ = [
@@ -16,6 +16,9 @@ __all__ = [
     "TriangleClass",
     "canonical_pair",
     "congruence_witness",
+    "fixed_points",
+    "orbit_pair_total",
+    "realizes_every_pair",
     "rotated_planes",
     "so2_elements",
     "so2_table",
@@ -127,13 +130,56 @@ def rotated_planes(m: Modulus) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         yield i, np.minimum(rx, rx - dt.type(q)), np.minimum(ry, ry - dt.type(q))
 
 
+def fixed_points(rx: np.ndarray, ry: np.ndarray) -> np.ndarray:
+    """Boolean q x q mask of the plane points a rotated plane leaves in place."""
+    x = np.arange(len(rx), dtype=rx.dtype)
+    return (rx == x[:, None]) & (ry == x)
+
+
 def stabilizer_table(m: Modulus) -> np.ndarray:
     """counts[x, y] = len(stabilizer(m, (x, y))) over the whole plane at once."""
-    x = np.arange(m.q, dtype=_plane_dtype(m.q))
     counts = np.zeros((m.q, m.q), dtype=np.int64)
     for _, rx, ry in rotated_planes(m):
-        counts += (rx == x[:, None]) & (ry == x)
+        counts += fixed_points(rx, ry)
     return counts
+
+
+def orbit_pair_total(m: Modulus) -> int:
+    """T(q), the number of orbits of SO_2 acting diagonally on pairs (u, v).
+
+    By Burnside, T(q) = (1/|SO_2|) sum_theta |Fix theta|**2, where Fix theta
+    is the kernel of M = theta - I = [[a - 1, -b], [b, a - 1]] on Z_q^2, and
+    |Fix theta| = p**(2k) with k = min(v(a - 1), v(b)), v(0) = l:
+
+    - a != 1 mod p: det M = (a - 1)**2 + b**2 = 2(1 - a) is a unit, so M is
+      invertible, Fix theta = {0} and k = 0.
+    - a = 1 mod p, a != 1: put s = v(a - 1), 0 < s < l.  Row and column
+      operations over Z_q bring M to its Smith form diag(p**k, p**(s - k)),
+      where k is the least valuation of an entry and s that of det M, so
+      |Fix theta| = p**s.  From a**2 + b**2 = 1, b**2 = -(a - 1)(a + 1) and
+      a + 1 = 2 mod p is a unit, so v(b**2) = s < l forces 2 v(b) = s; then
+      k = v(b) = s / 2 and |Fix theta| = p**(2k).
+    - a = 1: M = [[0, -b], [b, 0]], whose kernel is b x = b y = 0, with
+      p**v(b) = p**k solutions per coordinate.
+
+    So T costs one pass over so2_table instead of a scan of the plane.
+    """
+    g, v = so2_table(m), valuation_table(m)
+    k = np.minimum(v[(g[:, 0] - 1) % m.q], v[g[:, 1]])
+    per_k = np.bincount(k, minlength=m.l + 1).tolist()
+    total = sum(count * m.p ** (4 * i) for i, count in enumerate(per_k))
+    return total // len(g)
+
+
+def realizes_every_pair(m: Modulus, n: int) -> bool:
+    """Whether any n distinct plane points realize every difference pair (u, v).
+
+    A pair is realized when some y in E has y + u and y - v in E, so y must
+    lie in E ∩ (E - u) ∩ (E + v).  |E ∩ (E - u)| >= 2n - q**2, and two
+    subsets of Z_q^2 whose sizes sum past q**2 meet, so 3n > 2q**2 settles
+    every pair at once; then the triangle classes number orbit_pair_total(m).
+    """
+    return 3 * n > 2 * m.q**2
 
 
 def congruence_witness(m: Modulus, t1: Triangle, t2: Triangle) -> Optional[Rotation]:
@@ -269,9 +315,20 @@ def _merge_counts(parts) -> tuple[np.ndarray, np.ndarray]:
     return keys[first], np.add.reduceat(counts, first)
 
 
-def _class_census(
-    m: Modulus, points: Iterable[Vec2]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _planar(m: Modulus, points: Iterable[Vec2] | np.ndarray) -> np.ndarray:
+    """The points as an (n, 2) int64 array reduced mod q."""
+    if isinstance(points, np.ndarray):
+        pts = points.astype(np.int64)
+    else:
+        pts = np.array([tuple(v) for v in points], dtype=np.int64)
+    if len(pts) == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise DimensionMismatch("triangle classes are a planar census")
+    return pts % m.q
+
+
+def _class_census(m: Modulus, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Codes of the canonical pairs (u, v) of triangle_classes, and their counts.
 
     Differences are ranked among the distinct differences of the set, so
@@ -280,13 +337,9 @@ def _class_census(
     each by a minimum over the cached group table.
     """
     q = m.q
-    pts = np.array([tuple(v) for v in points], dtype=np.int64)
     if len(pts) == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise DimensionMismatch("triangle classes are a planar census")
-    pts %= q
     diff = (pts[:, None, :] - pts[None, :, :]) % q  # diff[i, j] = x_i - x_j
     codes, rank = np.unique(diff[..., 0] * q + diff[..., 1], return_inverse=True)
     size = len(codes)
@@ -309,7 +362,7 @@ def triangle_classes(m: Modulus, points: Iterable[Vec2]) -> dict[TriangleClass, 
     sum to n**3 over the n**3 ordered triples.
     """
     q = m.q
-    u, v, counts = _class_census(m, points)
+    u, v, counts = _class_census(m, _planar(m, points))
     return {
         TriangleClass((a, b), (c, d)): n
         for a, b, c, d, n in zip(
@@ -319,6 +372,15 @@ def triangle_classes(m: Modulus, points: Iterable[Vec2]) -> dict[TriangleClass, 
     }
 
 
-def triangle_class_count(m: Modulus, points: Iterable[Vec2]) -> int:
-    """len(triangle_classes(m, points)), without building the classes."""
-    return len(_class_census(m, points)[2])
+def triangle_class_count(m: Modulus, points: Iterable[Vec2] | np.ndarray) -> int:
+    """len(triangle_classes(m, points)), without building the classes.
+
+    Points may also come as an (n, 2) integer array.  When the distinct
+    points pass realizes_every_pair, the count is orbit_pair_total(m) and
+    no census runs.
+    """
+    pts = _planar(m, points)
+    codes = np.sort(pts[:, 0] * m.q + pts[:, 1])
+    if realizes_every_pair(m, len(codes) - int(np.count_nonzero(codes[1:] == codes[:-1]))):
+        return orbit_pair_total(m)
+    return len(_class_census(m, pts)[2])

@@ -3,13 +3,15 @@
 import json
 import operator
 import re
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from zqgeom import cli
+from zqgeom import cli, harness
 from zqgeom.ring import Modulus
 
 
@@ -75,14 +77,42 @@ def test_usage_and_config_errors_exit_2(args):
 
 
 def test_product_source_above_the_cap_exits_2(tmp_path):
+    # the whole of Z_3^9 as A: its 19683**2 products alone pass the sumset budget
     base = tmp_path / "base.txt"
-    base.write_text("q=9 d=1\n" + "".join(f"{c}\n" for c in range(9)))
+    base.write_text("q=19683 d=1\n" + "".join(f"{c}\n" for c in range(19683)))
     res = run_cli(
-        "experiment", "--kind", "dotprod", "--p", "3", "--l", "2", "--d", "12",
+        "experiment", "--kind", "dotprod", "--p", "3", "--l", "9", "--d", "2",
         "--set", f"product:{base}",
     )
     assert res.returncode == 2
     assert "cap" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_product_source_beyond_the_point_cap_runs_as_a_sumset(tmp_path):
+    # Z_9^12 has 9**12 points, far past FULL_GRID_CAP, but A.A sums stay cheap
+    base = tmp_path / "base.txt"
+    base.write_text("q=9 d=1\n" + "".join(f"{c}\n" for c in range(9)))
+    res = run_cli(
+        "experiment", "--kind", "dotprod", "--p", "3", "--l", "2", "--d", "12",
+        "--set", f"product:{base}", "--format", "csv",
+    )
+    assert res.returncode == 0
+    assert res.stdout.splitlines()[1] == f"0,{9**12},9,4.5,true"
+
+
+def test_t2_census_past_the_op_cap_is_refused_before_counting():
+    # 2000 points in Z_997^2 are far below the covering size, and 2000**3 > _OP_CAP
+    start = time.perf_counter()
+    res = subprocess.run(
+        [sys.executable, "-m", "zqgeom", "experiment", "--kind", "t2",
+         "--p", "997", "--l", "1", "--set", "random:2000"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert time.perf_counter() - start < 8
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "n = 2000" in res.stderr and str(2000**3) in res.stderr
+    assert str(harness._OP_CAP) in res.stderr
 
 
 @pytest.mark.parametrize(
@@ -172,3 +202,73 @@ def test_verify_lemmas_matches_the_golden_reports(capsys, q, fmt):
         for row in json.loads(got)["checks"]:
             assert row["pass"] == compare[row["cmp"]](row["statistic"], row["bound"])
     assert got == want
+
+
+# experiment reports captured before t2 took the orbit total and product
+# sets took the sumset path; bases come from gen-set at fixed seeds
+EXPERIMENT_BASES = {
+    "base_z49.txt": ("--p", "7", "--l", "2", "--size", "31", "--seed", "5"),
+    "base_z9.txt": ("--p", "3", "--l", "2", "--size", "6", "--seed", "5"),
+}
+EXPERIMENTS = {
+    "t2_z9_full": ("--kind", "t2", "--p", "3", "--l", "2", "--set", "full"),
+    "t2_z27_full": ("--kind", "t2", "--p", "3", "--l", "3", "--set", "full"),
+    "t2_z11_random79_x2": ("--kind", "t2", "--p", "11", "--l", "1", "--set", "random:79",
+                           "--trials", "2", "--seed", "7"),
+    "dotprod_z49_a2": ("--kind", "dotprod", "--p", "7", "--l", "2", "--d", "2",
+                       "--set", "product:base_z49.txt"),
+    "dotprod_z9_a4": ("--kind", "dotprod", "--p", "3", "--l", "2", "--d", "4",
+                      "--set", "product:base_z9.txt"),
+}
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_experiments_match_the_golden_reports(capsys, monkeypatch, tmp_path, name, fmt):
+    monkeypatch.chdir(tmp_path)
+    for base, args in EXPERIMENT_BASES.items():
+        assert cli.main(["gen-set", "--d", "1", *args, "--out", base]) == 0
+    assert cli.main(["experiment", *EXPERIMENTS[name], "--format", fmt]) == 0
+    got = capsys.readouterr().out
+    want = (GOLDEN / f"experiment_{name}.{fmt}").read_text()
+    assert _WALL.sub('"wall_time_s": 0', got) == _WALL.sub('"wall_time_s": 0', want)
+
+
+# -- the threshold frontier, each run under a 3 GB address-space limit -------
+
+_ADDRESS_SPACE = 3 * 2**30
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE, _ADDRESS_SPACE))
+
+
+def run_cli_limited(*args):
+    return subprocess.run(
+        [sys.executable, "-m", "zqgeom", *args],
+        capture_output=True, text=True, preexec_fn=_limit_address_space,
+    )
+
+
+@pytest.mark.parametrize("p, l, classes", [(3, 4, 408801), (3, 6, 298015761)])
+def test_t2_full_grid_at_the_frontier(p, l, classes):
+    res = run_cli_limited(
+        "experiment", "--kind", "t2", "--p", str(p), "--l", str(l),
+        "--set", "full", "--format", "csv",
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[1].split(",")[:3] == ["0", str((p**l) ** 2), str(classes)]
+
+
+def test_dotprod_cube_at_the_z243_threshold(tmp_path):
+    base = tmp_path / "base.txt"
+    assert cli.main([
+        "gen-set", "--p", "3", "--l", "5", "--d", "1", "--size", "169",
+        "--seed", "1", "--out", str(base),
+    ]) == 0
+    res = run_cli_limited(
+        "experiment", "--kind", "dotprod", "--p", "3", "--l", "5", "--d", "3",
+        "--set", f"product:{base}", "--format", "csv",
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[1].split(",")[:2] == ["0", str(169**3)]

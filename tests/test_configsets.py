@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zqgeom import configsets
@@ -516,3 +516,134 @@ def test_moment_bound_mixed_values_match_fractions(values, others, n):
     assert moment_bound(table, n) == _moment_bound_fractions(table, n)
     mixed = [np.int64(v) for v in values] + others
     assert moment_bound(mixed, n) == _moment_bound_fractions(mixed, n)
+
+
+# -- product sets: lazy listing and the sumset path -------------------------
+
+
+# (modulus, largest |A| drawn); near 2**31 the sums rarely coincide, so A stays small
+_PRODUCT_CASES = [(m, 12) for m in _SMALL + [Modulus(7, 2), Modulus(3, 4)]]
+_PRODUCT_CASES.append((Modulus(2**31 - 1, 1), 5))
+
+
+def _listed_twin(E):
+    """The same product with its points handed over, so nothing is lazy and
+    the dot counters scan it in row blocks."""
+    return PointSet(E.m, E.d, E.points, base=E.base)
+
+
+def _dot_counts_pair_loop(E):
+    counts = {}
+    for x in E:
+        for y in E:
+            t = dot(E.m, x, y)
+            counts[t] = counts.get(t, 0) + 1
+    return counts
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(_PRODUCT_CASES),
+    st.integers(1, 6),
+    st.lists(st.integers(-(2**31), 2**31), max_size=12),
+)
+def test_sumset_path_matches_the_scan_and_the_pair_loop(case, d, base):
+    m, most = case
+    E = PointSet.product(m, base[:most], d)
+    assume(len(E) <= 10**6)
+    got_set, got = dot_product_set(E), configsets._dot_convolution(E)
+    assert got_set == set(got[0].tolist())
+    assert got[1].min(initial=1) > 0 and int(got[1].sum()) == len(E) ** 2
+    if len(E) <= 3000 and m.q < 2**20:
+        twin = _listed_twin(E)
+        assert got_set == dot_product_set(twin)
+        assert dot_product_counts(E) == dot_product_counts(twin)
+    if len(E) <= 300:
+        assert dict(zip(got[0].tolist(), got[1].tolist())) == _dot_counts_pair_loop(E)
+
+
+def test_sumset_counts_read_like_a_dense_table():
+    m = Modulus(2**31 - 1, 1)
+    counts = dot_product_counts(PointSet.product(m, (1, -1), 2))
+    # x.y over {1, -1}^2 takes 2, 0 and -2; nothing of length q is built
+    assert len(counts) == m.q
+    assert (counts[2], counts[0], counts[m.q - 2], counts[1]) == (4, 8, 4, 0)
+    assert 0 in counts and m.q not in counts and "0" not in counts
+    with pytest.raises(KeyError):
+        counts[m.q]
+
+
+def test_sumset_path_refuses_past_its_budget():
+    q = 3**9
+    E = PointSet.product(Modulus.from_q(q), range(q), 2)
+    assert configsets.sumset_cost(q, q, 2) > configsets.SUMSET_BUDGET
+    with pytest.raises(ValueError, match="cap"):
+        dot_product_set(E)
+    with pytest.raises(ValueError, match="cap"):
+        dot_product_counts(E)
+    # |A|**(2d) = 9**30 overflows int64, so only the set is exact
+    wide = PointSet.product(M9, range(9), 15)
+    assert dot_product_set(wide) == set(range(9))
+    with pytest.raises(ValueError, match="2\\^63"):
+        dot_product_counts(wide)
+
+
+def test_sumset_cost_counts_each_step():
+    # |A| = 3: 9 products take at most 6 values; |S_k| is at most the number
+    # of k-element multisets of them (6, 21, 56, ...) and at most q
+    assert configsets.sumset_cost(10**6, 3, 3) == 9 + 6 * 6 + 21 * 6
+    assert configsets.sumset_cost(27, 3, 4) == 9 + 6 * 6 + 21 * 6 + 27 * 6
+    assert configsets.sumset_cost(27, 0, 5) == 0
+    assert configsets.sumset_cost(27, 1, 10**12) == 1 + (10**12 - 1)
+    assert configsets.sumset_cost(2**31 - 1, 2, 10**12) > configsets.SUMSET_BUDGET
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_SMALL),
+    st.integers(1, 3),
+    st.lists(st.integers(-30, 30), max_size=6),
+    st.lists(st.lists(st.integers(-30, 30), min_size=3, max_size=3), max_size=8),
+)
+def test_lazy_product_matches_its_listed_twin(m, d, base, probes):
+    E = PointSet.product(m, base, d)
+    factor = sorted({c % m.q for c in base})
+    twin = PointSet(m, d, itertools.product(factor, repeat=d), base=base)
+    assert len(E) == len(twin) == len(set(c % m.q for c in base)) ** d
+    for v in [*probes, *(p[:d] for p in probes), *twin.points[:5]]:
+        assert (v in E) == (v in twin)
+    assert E == twin and twin == E and hash(E) == hash(twin)
+    if len(twin):
+        assert E != PointSet(m, d, twin.points[1:], base=E.base)
+        assert E != PointSet(m, d, twin.points)  # no base recorded
+    if d == 2:
+        for x in [*twin.points[:4], (1, 1)]:
+            for i in range(m.l):
+                assert restricted_line_count(E, x, i) == restricted_line_count(twin, x, i)
+    assert E._points is None  # nothing above needed E listed
+    assert np.array_equal(E.as_array(), twin.as_array())
+    assert list(E) == list(twin)  # listing follows the same lexicographic order
+    assert E.points == twin.points
+
+
+@pytest.mark.parametrize("m, d", [(M3, 2), (M9, 2), (M9, 3), (Modulus(5, 1), 4)], ids=str)
+def test_lazy_full_grid_matches_its_listed_twin(m, d):
+    grid = PointSet.full_grid(m, d)
+    twin = PointSet(m, d, itertools.product(range(m.q), repeat=d))
+    assert len(grid) == len(twin) == m.q**d and grid.base is None
+    assert grid == twin and hash(grid) == hash(twin)
+    assert (0,) * d in grid and (m.q,) + (0,) * (d - 1) not in grid
+    assert list(grid) == list(twin)
+    assert np.array_equal(grid.as_array(), twin.as_array())
+
+
+def test_product_past_the_point_cap_lists_nothing_until_asked():
+    E = PointSet.product(M27, range(27), 6)
+    assert len(E) == 27**6 and (1, 2, 3, 4, 5, 6) in E
+    assert dot_product_set(E) == set(range(27))
+    with pytest.raises(ValueError, match="cap"):
+        E.points
+    with pytest.raises(ValueError, match="cap"):
+        E.as_array()
+    with pytest.raises(AttributeError):
+        E.d = 2

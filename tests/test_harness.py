@@ -3,7 +3,6 @@
 import itertools
 import json
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,10 +17,11 @@ from zqgeom.harness import (
     SplitMix64,
     _check_group_axioms,
     _check_line_census,
-    _check_norm_invariance,
     _check_point_line_incidence,
+    _rotated_plane_checks,
+    _row,
     _sample_indices,
-    _stabilizer_checks,
+    _stabilizer_bounds,
     conclusion_bound,
     generate_set,
     meets_hypothesis,
@@ -510,20 +510,22 @@ def _line_census_loop(m):
 
 
 def _stabilizer_rows(m):
-    return [c.to_dict() for c in _stabilizer_checks(m)]
+    # the rotated-plane pass decides the norm row, then the two stabilizer rows
+    return [c.to_dict() for c in _rotated_plane_checks(m)[1:]]
 
 
 def _stabilizer_rows_loop(m):
-    # the same checks fed by the per-rotation table
-    with mock.patch.object(orthogroup, "stabilizer_table", _stabilizer_table_loop):
-        return _stabilizer_rows(m)
+    # the same rows fed by the per-rotation table
+    rows = [i for i, lemma in enumerate(LEMMAS) if lemma.name.startswith("stabilizer_bound")]
+    outcomes = _stabilizer_bounds(m, _stabilizer_table_loop(m))
+    return [_row(i, LEMMAS[i], o).to_dict() for i, o in zip(rows, outcomes, strict=True)]
 
 
 @pytest.mark.parametrize("m", _DIFFERENTIAL, ids=str)
 def test_lemma_checks_match_their_loops(m):
     check = _check_group_axioms(m)
     assert (check.statistic, check.witness) == _group_axioms_loop(m) == (0, "")
-    check = _check_norm_invariance(m)
+    check = _rotated_plane_checks(m)[0]
     assert (check.statistic, check.witness) == _norm_invariance_loop(m) == (0, "")
     check = _check_line_census(m)
     assert (check.statistic, check.witness, check.universe) == _line_census_loop(m)
@@ -572,7 +574,7 @@ def test_group_checks_report_a_corrupted_rotation_like_the_loops(corrupt_group, 
     fails, witness = _group_axioms_loop(m)
     assert fails > 0 and not check.passed
     assert (check.statistic, check.witness) == (fails, witness)
-    check = _check_norm_invariance(m)
+    check = _rotated_plane_checks(m)[0]
     fails, witness = _norm_invariance_loop(m)
     assert fails > 0 and not check.passed
     assert (check.statistic, check.witness) == (fails, witness)

@@ -3,6 +3,7 @@
 import itertools
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,9 @@ from zqgeom.orthogroup import (
     TriangleClass,
     canonical_pair,
     congruence_witness,
+    fixed_points,
+    orbit_pair_total,
+    realizes_every_pair,
     rotated_planes,
     so2_elements,
     stabilizer,
@@ -407,3 +411,92 @@ def test_triangle_class_count_of_the_full_grid():
     assert triangle_class_count(M9, []) == 0
     with pytest.raises(ValueError):
         triangle_class_count(M9, [(1, 2, 3)])
+
+
+# -- the Burnside orbit total and the covering certificate ------------------
+
+
+@pytest.mark.parametrize("q", [7, 9, 25, 27, 49, 81, 125, 169])
+def test_orbit_pair_total_matches_the_fixed_point_scan(q):
+    # |Fix theta| counted on each rotated plane, against p**(2 min(v(a-1), v(b)))
+    m = Modulus.from_q(q)
+    group = so2_elements(m)
+    squares = 0
+    for i, rx, ry in rotated_planes(m):
+        fixed = int(fixed_points(rx, ry).sum())
+        a, b = group[i].key()
+        assert fixed == m.p ** (2 * min(m.valuation(a - 1), m.valuation(b)))
+        squares += fixed * fixed
+    assert squares % len(group) == 0
+    assert orbit_pair_total(m) == squares // len(group)
+
+
+@pytest.mark.parametrize("q, classes", [(7, 301), (9, 561), (25, 19657), (27, 15141)])
+def test_orbit_pair_total_matches_the_full_grid_census(q, classes):
+    m = Modulus.from_q(q)
+    grid = list(itertools.product(range(q), repeat=2))
+    assert orbit_pair_total(m) == len(triangle_classes(m, grid)) == classes
+    assert triangle_class_count(m, grid) == classes
+
+
+def test_covering_certificate_threshold():
+    # 3n > 2q**2, in integers: 2 * 49**2 / 3 = 1600.67
+    assert not realizes_every_pair(M49, 1600) and realizes_every_pair(M49, 1601)
+    assert not realizes_every_pair(M9, 54) and realizes_every_pair(M9, 55)
+
+
+_PAIR_LABELS: dict = {}
+
+
+def _pair_labels(m):
+    """label[u * q**2 + v] = least code of the orbit of (u, v), over all pairs."""
+    if m not in _PAIR_LABELS:
+        q, q2 = m.q, m.q**2
+        x, y = np.divmod(np.arange(q2), q)
+        labels = np.full(q2 * q2, q2 * q2, dtype=np.int64)
+        for t in so2_elements(m):
+            img = (t.a * x - t.b * y) % q * q + (t.b * x + t.a * y) % q
+            np.minimum(labels, (img[:, None] * q2 + img[None, :]).ravel(), out=labels)
+        _PAIR_LABELS[m] = labels
+    return _PAIR_LABELS[m]
+
+
+def _realized_orbits(m, E):
+    """Orbits touched by the realized pairs (x - y, y - z), by brute force:
+    (u, v) is realized when sum_y E(y) E(y + u) E(y - v) > 0, a correlation
+    over y taken by FFT, one row u0 of differences u at a time."""
+    q = m.q
+    ind = np.zeros((q, q))
+    for x, y in E:
+        ind[x, y] = 1
+    spectrum = np.conj(np.fft.fft2(ind))
+    shift = np.add.outer(np.arange(q), np.arange(q)) % q  # shift[u, y] = y + u
+    realized = np.empty((q, q, q * q), dtype=bool)
+    for u0 in range(q):
+        # both[u1, y0, y1] = E(y) E(y + u)
+        both = ind * ind[shift[u0][None, :, None], shift[:, None, :]]
+        corr = np.fft.ifft2(np.fft.fft2(both) * spectrum).real
+        realized[u0] = corr.reshape(q, q * q) > 0.5
+    return len(np.unique(_pair_labels(m)[realized.ravel()]))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.sampled_from([(M9, 6), (M25, 12), (M49, 10)]),
+    st.booleans(),
+    st.integers(0, 2**16),
+)
+def test_covering_certificate_matches_the_census(case, above, seed):
+    # n on either side of 2q**2 / 3; the census runs wherever n**3 allows,
+    # the FFT correlation everywhere
+    m, spread = case
+    edge = 2 * m.q**2 // 3 + 1  # the least n with 3n > 2q**2
+    n = edge + seed % spread if above else edge - 1 - seed % spread
+    E = list(random_subset(m, 2, n, seed=seed))
+    covered = realizes_every_pair(m, n)
+    assert covered == (n >= edge)
+    oracle = _realized_orbits(m, E)
+    if covered:
+        assert triangle_class_count(m, E) == orbit_pair_total(m) == oracle
+    if m != M49:
+        assert len(triangle_classes(m, E)) == triangle_class_count(m, E) == oracle
