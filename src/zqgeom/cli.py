@@ -7,6 +7,7 @@ for usage or configuration errors (argparse uses 2 on its own).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .configsets import PointSet
@@ -32,6 +33,9 @@ def _add_modulus_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--l", type=int, required=True, help="exponent, q = p**l")
 
 
+# built once per process: argparse spends about a millisecond per build on
+# formatters and message catalogues, and parse_args keeps no state in it
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zqgeom",

@@ -28,7 +28,7 @@ from .geometry import (
     valuation_table,
     vsub,
 )
-from .orthogroup import Rotation, _merge_counts
+from .orthogroup import Rotation, _merge_counts, _residues
 from .ring import Modulus
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
     "difference_stratum_census",
     "difference_stratum_counts",
     "distance_set",
+    "dot_product_count",
     "dot_product_counts",
     "dot_product_set",
     "moment_bound",
@@ -45,6 +46,7 @@ __all__ = [
     "rotation_correlation",
     "sumset",
     "sumset_cost",
+    "triangle_area_count",
     "triangle_area_set",
 ]
 
@@ -184,35 +186,6 @@ def distance_set(E: PointSet) -> set[int]:
     return {norm(E.m, vsub(E.m, x, y)) for x in E for y in E}
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct entries of a 1-D array."""
-    values = np.sort(values)
-    return values[np.r_[True, values[1:] != values[:-1]]] if len(values) else values
-
-
-def _residues(blocks: Iterable[np.ndarray], q: int, start: int = 0) -> np.ndarray:
-    """Sorted residues t >= start occurring in the blocks; stops once all of
-    them have.
-
-    Each block is reduced to its distinct values, and these are merged into
-    the running union once they are at least as many as it holds.  Memory
-    follows the values found, not q, and a merge never sorts more than
-    twice what the blocks since the last merge contributed.
-    """
-    found = np.empty(0, dtype=np.int64)
-    pending, held = [], 0
-    for block in blocks:
-        pending.append(_distinct(block.ravel()))
-        held += len(pending[-1])
-        if held >= len(found):
-            found = _distinct(np.concatenate([found, *pending]))
-            pending, held = [], 0
-            if len(found) - np.searchsorted(found, start) == q - start:
-                break
-    found = _distinct(np.concatenate([found, *pending]))
-    return found[np.searchsorted(found, start) :]
-
-
 def _tally(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct values over (values, weights) blocks, with summed weights.
 
@@ -229,16 +202,31 @@ def _tally(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray,
     return _merge_counts([(keys, counts), *pending])
 
 
+def _row_blocks(rows: int, width: int, q: int) -> Iterator[slice]:
+    """Slices covering range(rows), for rows of `width` values each.
+
+    The first block holds about q values, and each next one twice as many,
+    up to _CHUNK_BYTES of int64: a scan that saturates early stops after a
+    few small blocks, and one that does not pays about log2(cap / q) extra
+    blocks.
+    """
+    cap = max(1, _CHUNK_BYTES // (8 * max(1, width)))
+    step, s = min(cap, max(1, q // max(1, width))), 0
+    while s < rows:
+        yield slice(s, min(rows, s + step))
+        s, step = s + step, min(cap, 2 * step)
+
+
 def _dot_blocks(E: PointSet) -> Iterator[np.ndarray]:
-    """x.y mod q over all ordered pairs, one block of rows x at a time.
+    """x.y mod q over all ordered pairs, one block of rows x at a time
+    (see _row_blocks).
 
     The sum is reduced mod q after every coordinate, so no intermediate
     exceeds q**2 + q, which fits int64 for every q up to MAX_Q.
     """
     pts, q = E.as_array(), E.m.q
-    step = max(1, _CHUNK_BYTES // (8 * max(1, len(pts))))
-    for s in range(0, len(pts), step):
-        rows = pts[s : s + step]
+    for rs in _row_blocks(len(pts), len(pts), q):
+        rows = pts[rs]
         block = np.zeros((len(rows), len(pts)), dtype=np.int64)
         for k in range(E.d):
             block += rows[:, k, None] * pts[None, :, k]
@@ -247,16 +235,16 @@ def _dot_blocks(E: PointSet) -> Iterator[np.ndarray]:
 
 
 def _area_blocks(E: PointSet) -> Iterator[np.ndarray]:
-    """det(x - z, y - z) mod q over all triples, one block of (z, x) rows at a time.
+    """det(x - z, y - z) mod q over all triples, one block of (z, x) rows at
+    a time (see _row_blocks).
 
     With a = x - z, the determinant is a0*y1 - a1*y0 - (a0*z1 - a1*z0);
     every term is below q**2, so nothing overflows int64 for q up to MAX_Q.
     """
     n, q = len(E), E.m.q
     pts = E.as_array()
-    step = max(1, _CHUNK_BYTES // (8 * max(1, n)))
-    for s in range(0, n * n, step):
-        z, x = np.divmod(np.arange(s, min(n * n, s + step)), n)
+    for rs in _row_blocks(n * n, n, q):
+        z, x = np.divmod(np.arange(rs.start, rs.stop), n)
         a = (pts[x] - pts[z]) % q  # x - z, one row per (z, x)
         block = a[:, :1] * pts[None, :, 1]
         block -= a[:, 1:] * pts[None, :, 0]
@@ -380,9 +368,18 @@ def dot_product_set(E: PointSet) -> set[int]:
     most four blocks' worth alive at once.  Both stop once all q values
     have appeared.
     """
+    return set(_dot_values(E).tolist())
+
+
+def dot_product_count(E: PointSet) -> int:
+    """len(dot_product_set(E)), without building the Python set."""
+    return len(_dot_values(E))
+
+
+def _dot_values(E: PointSet) -> np.ndarray:
     if _is_product(E):
-        return set(_dot_sumset(E).tolist())
-    return set(_residues(_dot_blocks(E), E.m.q).tolist())
+        return _dot_sumset(E)
+    return _residues(_dot_blocks(E), E.m.q)
 
 
 def dot_product_counts(E: PointSet) -> Mapping[int, int]:
@@ -408,9 +405,18 @@ def triangle_area_set(E: PointSet) -> set[int]:
     each, with at most four blocks' worth alive at once; the scan stops
     once all q - 1 nonzero residues have appeared.
     """
+    return set(_area_values(E).tolist())
+
+
+def triangle_area_count(E: PointSet) -> int:
+    """len(triangle_area_set(E)), without building the Python set."""
+    return len(_area_values(E))
+
+
+def _area_values(E: PointSet) -> np.ndarray:
     if E.d != 2:
         raise DimensionMismatch("areas are a planar counter")
-    return set(_residues(_area_blocks(E), E.m.q, start=1).tolist())
+    return _residues(_area_blocks(E), E.m.q, start=1)
 
 
 def rotation_correlation(E: PointSet, theta: Rotation) -> dict[Vec, int]:

@@ -28,8 +28,8 @@ from .configsets import (
     PointSet,
     difference_stratum_census,
     difference_stratum_counts,
-    dot_product_set,
-    triangle_area_set,
+    dot_product_count,
+    triangle_area_count,
 )
 from .ring import Modulus, Polynomial, hensel_lift_root
 
@@ -472,16 +472,10 @@ def write_report(report: Report, path, fmt: str = "json") -> None:
 
 def _experiment_statistic(kind: str, m: Modulus, E: PointSet) -> int:
     if kind == "t2":
-        n = len(E)
-        if not orthogroup.realizes_every_pair(m, n) and n**3 > _OP_CAP:
-            raise ValueError(
-                f"t2 census over n = {n} points visits n^3 = {n**3} triples, "
-                f"over the {_OP_CAP}-operation cap"
-            )
-        return orthogroup.triangle_class_count(m, E.as_array())
+        return orthogroup.triangle_class_count(m, E.as_array(), op_cap=_OP_CAP)
     if kind == "v2":
-        return len(triangle_area_set(E))
-    return len(dot_product_set(E))
+        return triangle_area_count(E)
+    return dot_product_count(E)
 
 
 def run_theorem_experiment(cfg: ExperimentConfig) -> Report:

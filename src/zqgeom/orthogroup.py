@@ -33,9 +33,10 @@ Triangle = tuple[Vec2, Vec2, Vec2]
 
 # moduli whose group stays cached; a sweep over moduli keeps only the latest
 _GROUP_CACHE_SIZE = 8
-# bytes of one working block of the orbit minima and the triangle census;
-# also caps the dense (distinct differences)**2 count table, which at this
-# size still holds the full Z_27 grid's 729**2 pairs
+# bytes of one working block of the orbit minima, the triangle census and
+# the difference histogram; also caps the dense (distinct differences)**2
+# count table, which at this size still holds the full Z_27 grid's 729**2
+# pairs, and the byte table of the census over uncertified differences
 _CHUNK_BYTES = 1 << 23
 
 
@@ -164,11 +165,54 @@ def orbit_pair_total(m: Modulus) -> int:
 
     So T costs one pass over so2_table instead of a scan of the plane.
     """
+    per_k = _fix_depths(m)
+    return sum(count * m.p ** (4 * k) for k, count in enumerate(per_k)) // sum(per_k)
+
+
+def _fix_depths(m: Modulus) -> list[int]:
+    """per_k[k], the number of rotations (a, b) with min(v(a - 1), v(b)) = k,
+    for k = 0 .. l; such a rotation fixes p**(2k) plane points (see
+    orbit_pair_total)."""
     g, v = so2_table(m), valuation_table(m)
     k = np.minimum(v[(g[:, 0] - 1) % m.q], v[g[:, 1]])
-    per_k = np.bincount(k, minlength=m.l + 1).tolist()
-    total = sum(count * m.p ** (4 * i) for i, count in enumerate(per_k))
-    return total // len(g)
+    return np.bincount(k, minlength=m.l + 1).tolist()
+
+
+def _pair_orbits_by_depth(m: Modulus) -> list[int]:
+    """N[j], the number of SO_2-orbits of pairs (u, v) whose first entry
+    lies in the orbit of a difference u of depth j = min(v(u_0), v(u_1)),
+    for j = 0 .. l (j = l for u = 0).
+
+    Such orbits correspond to the orbits of Stab(u) on the v, so by
+    Burnside N = (1/|Stab u|) sum_{sigma in Stab u} |Fix sigma|.  Stab(u)
+    depends on j alone: it is the set of rotations with
+    min(v(a - 1), v(b)) >= l - j.  Write u = p**j w with w primitive and
+    r = l - j; theta fixes u exactly when (theta - I) w = 0 mod p**r.
+    Read vectors as Gaussian integers x + yi, so that theta is
+    multiplication by a + bi, of norm a**2 + b**2 = 1, and the condition
+    is (theta - 1) w = 0 in Z_{p**r}[i]:
+
+    - if w_0**2 + w_1**2 is a unit, w is invertible (its inverse is its
+      conjugate over its norm), so theta = 1 mod p**r.  This covers every
+      primitive w when p = 3 mod 4, as x**2 + y**2 = 0 mod p then forces
+      x = y = 0 mod p.
+    - otherwise p = 1 mod 4, and with iota**2 = -1 mod p**r (Hensel),
+      x + yi -> (x + iota y, x - iota y) is a ring isomorphism onto
+      Z_{p**r} x Z_{p**r} (2 and iota are units).  w maps to (alpha, beta)
+      with alpha or beta a unit, since alpha + beta = 2 w_0 and
+      alpha - beta = 2 iota w_1; theta maps to (s, 1/s).  Then
+      (s - 1) alpha = (1/s - 1) beta = 0 forces s = 1, so again
+      theta = 1 mod p**r.
+
+    Conversely theta = 1 mod p**r fixes u.  Both N and |Stab| are sums
+    over the per_k of _fix_depths, so the table costs one pass over the
+    group.
+    """
+    per_k, p, l = _fix_depths(m), m.p, m.l
+    return [
+        sum(per_k[k] * p ** (2 * k) for k in range(l - j, l + 1)) // sum(per_k[l - j :])
+        for j in range(l + 1)
+    ]
 
 
 def realizes_every_pair(m: Modulus, n: int) -> bool:
@@ -315,6 +359,38 @@ def _merge_counts(parts) -> tuple[np.ndarray, np.ndarray]:
     return keys[first], np.add.reduceat(counts, first)
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct entries of a 1-D array.
+
+    Sorting directly, as a bare np.unique would import numpy.ma on first use.
+    """
+    values = np.sort(values)
+    return values[np.r_[True, values[1:] != values[:-1]]] if len(values) else values
+
+
+def _residues(blocks: Iterable[np.ndarray], q: int, start: int = 0) -> np.ndarray:
+    """Sorted values start <= t < q occurring in the blocks, whose entries
+    all lie in range(q); stops once every such t has occurred.
+
+    Each block is reduced to its distinct values, and these are merged into
+    the running union once they are at least as many as it holds.  Memory
+    follows the values found, not q, and a merge never sorts more than
+    twice what the blocks since the last merge contributed.
+    """
+    found = np.empty(0, dtype=np.int64)
+    pending, held = [], 0
+    for block in blocks:
+        pending.append(_distinct(block.ravel()))
+        held += len(pending[-1])
+        if held >= len(found):
+            found = _distinct(np.concatenate([found, *pending]))
+            pending, held = [], 0
+            if len(found) - np.searchsorted(found, start) == q - start:
+                break
+    found = _distinct(np.concatenate([found, *pending]))
+    return found[np.searchsorted(found, start) :]
+
+
 def _planar(m: Modulus, points: Iterable[Vec2] | np.ndarray) -> np.ndarray:
     """The points as an (n, 2) int64 array reduced mod q."""
     if isinstance(points, np.ndarray):
@@ -372,15 +448,138 @@ def triangle_classes(m: Modulus, points: Iterable[Vec2]) -> dict[TriangleClass, 
     }
 
 
-def triangle_class_count(m: Modulus, points: Iterable[Vec2] | np.ndarray) -> int:
+def triangle_class_count(
+    m: Modulus, points: Iterable[Vec2] | np.ndarray, op_cap: int | None = None
+) -> int:
     """len(triangle_classes(m, points)), without building the classes.
 
-    Points may also come as an (n, 2) integer array.  When the distinct
-    points pass realizes_every_pair, the count is orbit_pair_total(m) and
-    no census runs.
+    Points may also come as an (n, 2) integer array; only the n distinct
+    points matter.  Three regimes, by n:
+
+    - 3n > 2q**2 (realizes_every_pair): the count is orbit_pair_total(m)
+      and no census runs.
+    - q**2 / 2 < n <= 2q**2 / 3: a difference u with
+      h[u] = |E ∩ (E - u)| > q**2 - n meets every E + v, so it realizes
+      (u, v) for every v, and so does every difference in its orbit.  The
+      histogram h (n**2 pairs) certifies such orbits, each worth
+      _pair_orbits_by_depth; only the realized differences of the other
+      orbits go to a census, of n * sum(h[u]) triples over those u.
+    - n <= q**2 / 2: no u can pass, as h[u] <= n, and the full census of
+      n**3 triples runs.
+
+    When op_cap is given, a histogram or census of more operations than
+    op_cap is refused with ValueError before it starts.
     """
     pts = _planar(m, points)
-    codes = np.sort(pts[:, 0] * m.q + pts[:, 1])
-    if realizes_every_pair(m, len(codes) - int(np.count_nonzero(codes[1:] == codes[:-1]))):
+    q = m.q
+    codes = _distinct(pts[:, 0] * q + pts[:, 1])
+    n = len(codes)
+    if realizes_every_pair(m, n):
         return orbit_pair_total(m)
-    return len(_class_census(m, pts)[2])
+    pts = np.stack([codes // q, codes % q], axis=1)
+    if 2 * n <= q * q:
+        _within(op_cap, n**3, f"t2 census over n = {n} points visits n^3 = {n**3} triples")
+        return len(_class_census(m, pts)[2])
+    _within(
+        op_cap, n * n, f"t2 difference histogram over n = {n} points visits n^2 = {n * n} pairs"
+    )
+    h = np.zeros(q * q, dtype=np.int64)
+    for block in _difference_blocks(pts, q):
+        h += np.bincount(block.ravel(), minlength=q * q)
+    certified, pending = _certify_orbits(m, h, n)
+    if len(pending) == 0:
+        return certified
+    ops = n * int(h[pending].sum())
+    _within(
+        op_cap, ops,
+        f"t2 census over n = {n} points visits {ops} triples on the {len(pending)} "
+        f"uncertified differences",
+    )
+    return certified + _pending_class_count(m, pts, pending)
+
+
+def _within(op_cap: int | None, ops: int, what: str) -> None:
+    if op_cap is not None and ops > op_cap:
+        raise ValueError(f"{what}, over the {op_cap}-operation cap")
+
+
+def _difference_blocks(pts: np.ndarray, q: int) -> Iterator[np.ndarray]:
+    """Codes of pts[i] - pts[j], one block of rows i at a time, each block
+    at most _CHUNK_BYTES once widened to int64.
+
+    Codes are held in the least unsigned dtype holding q**2: uint8 or
+    uint16 below q = 256, and uint32 below q = 2**16, past which no set in
+    the window of triangle_class_count (over q**2 / 2 points) can be
+    listed.  Each
+    coordinate x - y is reduced as in rotated_planes: s = x + (q - y) mod q
+    lies below 2q, so min(s, s - q) wraps around for s < q.
+    """
+    dt = np.min_scalar_type(q * q)
+    x, minus = pts.astype(dt), ((-pts) % q).astype(dt)
+    step = max(1, _CHUNK_BYTES // (8 * max(1, len(pts))))
+    for s in range(0, len(pts), step):
+        rows = x[s : s + step]
+        block = rows[:, None, 0] + minus[None, :, 0]
+        np.minimum(block, block - dt.type(q), out=block)
+        block *= dt.type(q)
+        low = rows[:, None, 1] + minus[None, :, 1]
+        block += np.minimum(low, low - dt.type(q))
+        yield block
+
+
+def _certify_orbits(m: Modulus, h: np.ndarray, n: int) -> tuple[int, np.ndarray]:
+    """(classes of the certified orbits, sorted codes of the realized
+    differences outside them), from the difference histogram h.
+
+    An orbit is certified when some member u has h[u] + n > q**2; it then
+    adds _pair_orbits_by_depth at the depth of its least member.
+    """
+    q, v = m.q, valuation_table(m)
+    realized = np.flatnonzero(h)
+    least = _orbit_min(so2_table(m), realized, q)[0]
+    certified = _distinct(least[h[realized] + n > q * q])
+    depth = np.minimum(v[certified // q], v[certified % q])
+    per_depth = np.bincount(depth, minlength=m.l + 1).tolist()
+    total = sum(c * N for c, N in zip(per_depth, _pair_orbits_by_depth(m)))
+    covered = np.zeros(q * q, dtype=bool)
+    covered[certified] = True
+    return total, realized[~covered[least]]
+
+
+def _pending_class_count(m: Modulus, pts: np.ndarray, pending: np.ndarray) -> int:
+    """Number of orbits of the pairs (x - y, y - z) over the triples whose
+    first difference is one of the sorted codes `pending`.
+
+    One pass over row blocks of codes(y - w), w in E, counts the pairs
+    (y - x, y - z) instead: a column w = x with a pending y - x gives one
+    first difference, and the whole row its second differences y - z,
+    keyed as rank(y - x) * q**2 + code(y - z).  The orbits number the
+    same, as (u, v) -> (-u, v) commutes with every rotation, and pending
+    is closed under negation, since -I is a rotation.  In the window where
+    this runs, q**2 < 2n, so the keys stay far inside int64.  The distinct
+    keys are marked in a byte table when it fits _CHUNK_BYTES, and merged
+    by sorting otherwise.
+    """
+    q2 = m.q**2
+    slot = np.full(q2, -1, dtype=np.int64)
+    slot[pending] = np.arange(len(pending))
+    step = max(1, _CHUNK_BYTES // (8 * len(pts)))
+
+    def key_blocks():
+        for block in _difference_blocks(pts, m.q):
+            rank = slot[block]
+            i, j = np.nonzero(rank >= 0)
+            ru = rank[i, j] * q2
+            for s in range(0, len(i), step):
+                yield ru[s : s + step, None] + block[i[s : s + step]]
+
+    space = len(pending) * q2
+    if space > _CHUNK_BYTES:
+        keys = _residues(key_blocks(), space)
+    else:  # one byte per key: mark the keys instead of sorting them
+        seen = np.zeros(space, dtype=bool)
+        for block in key_blocks():
+            seen[block] = True
+        keys = np.flatnonzero(seen)
+    u, v = _canonical_pairs(m, np.arange(q2), pending[keys // q2], keys % q2)
+    return len(_distinct(u * q2 + v))

@@ -272,3 +272,84 @@ def test_dotprod_cube_at_the_z243_threshold(tmp_path):
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[1].split(",")[:2] == ["0", str(169**3)]
+
+
+def test_t2_at_the_z121_threshold():
+    # 9495 points reach the t2 threshold at Z_121, below the covering size
+    # 2q**2/3 = 9760.7; every difference passes the per-difference certificate
+    res = run_cli_limited(
+        "experiment", "--kind", "t2", "--p", "11", "--l", "2",
+        "--set", "random:9495", "--seed", "7", "--format", "csv",
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[1].split(",")[:3] == ["0", "9495", "1625041"]
+
+
+def test_t2_at_the_z169_threshold_is_refused_before_counting():
+    # the difference histogram alone would visit n**2 = 3.1e8 pairs
+    n = 17519
+    res = run_cli_limited(
+        "experiment", "--kind", "t2", "--p", "13", "--l", "2", "--set", f"random:{n}",
+    )
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert f"n = {n}" in res.stderr and str(n * n) in res.stderr
+    assert str(harness._OP_CAP) in res.stderr
+
+
+def _in_process(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse exits 2 on usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_one_process_runs_commands_like_fresh_processes(capsys, tmp_path):
+    # the parser is built once per process; nothing may carry over between
+    # calls, so each call matches the same command run in a fresh process
+    experiment = ["experiment", "--kind", "v2", "--p", "3", "--l", "2",
+                  "--set", "random:12", "--trials", "2", "--seed", "4", "--format", "csv"]
+    calls = [
+        ["verify-lemmas", "--p", "3", "--l", "2", "--format", "csv"],
+        experiment,
+        ["gen-set", "--p", "3", "--l", "2", "--size", "5", "--seed", "2", "--out", "{out}"],
+        ["experiment", "--kind", "t2", "--p", "3", "--l", "1"],  # no --set: exit 2
+        experiment,
+    ]
+    codes = []
+    for argv in calls:
+        here, fresh = tmp_path / "here.txt", tmp_path / "fresh.txt"
+        code, out, err = _in_process(capsys, [a.format(out=here) for a in argv])
+        res = run_cli(*[a.format(out=fresh) for a in argv])
+        assert (code, out, err) == (res.returncode, res.stdout, res.stderr), argv
+        if "--out" in argv:
+            assert here.read_text() == fresh.read_text() != ""
+        codes.append(code)
+    assert codes[0] == codes[2] == 0 and codes[3] == 2
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_cli_paths_never_import_numpy_ma():
+    # a bare np.unique imports numpy.ma on first use, about 10 ms per process
+    script = (
+        "import contextlib, io, sys\n"
+        "from zqgeom import cli\n"
+        "runs = [\n"
+        "    ['experiment', '--kind', 't2', '--p', '11', '--l', '1', '--set', 'random:79'],\n"
+        "    ['experiment', '--kind', 't2', '--p', '13', '--l', '1', '--set', 'random:102'],\n"
+        "    ['experiment', '--kind', 't2', '--p', '3', '--l', '2', '--set', 'random:7'],\n"
+        "    ['experiment', '--kind', 't2', '--p', '3', '--l', '2', '--set', 'full'],\n"
+        "    ['experiment', '--kind', 'v2', '--p', '5', '--l', '2', '--set', 'random:280'],\n"
+        "    ['experiment', '--kind', 'dotprod', '--p', '7', '--l', '1', '--set', 'random:20'],\n"
+        "    ['verify-lemmas', '--p', '3', '--l', '3'],\n"
+        "]\n"
+        "for argv in runs:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) in (0, 1), argv\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"

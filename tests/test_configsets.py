@@ -15,12 +15,14 @@ from zqgeom.configsets import (
     difference_stratum_census,
     difference_stratum_counts,
     distance_set,
+    dot_product_count,
     dot_product_counts,
     dot_product_set,
     moment_bound,
     restricted_line_count,
     rotation_correlation,
     sumset,
+    triangle_area_count,
     triangle_area_set,
 )
 from zqgeom.geometry import (
@@ -411,6 +413,60 @@ def test_counters_over_tiny_chunks_stop_once_saturated(monkeypatch):
         E = random_subset(M9, 2, 5 + seed % 4, seed=seed)
         assert triangle_area_set(E) == _areas_brute(E)
         assert dot_product_set(E) == _dot_set_loop(E)
+
+
+_LARGEST = Modulus(2**31 - 1, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(_SMALL + [Modulus(11, 2), _LARGEST]),
+    st.sampled_from((1, 2, 3)),
+    st.lists(st.lists(st.integers(-(2**31), 2**31), min_size=3, max_size=3), max_size=10),
+    st.sampled_from([8, 64, 200, 1000]),
+)
+def test_scans_agree_over_doubling_and_tiny_blocks(m, d, rows, chunk):
+    # the default blocks double from about q values up to _CHUNK_BYTES; tiny
+    # caps cut every scan into blocks of one or a few rows
+    E = PointSet(m, d, tuple(r[:d] for r in rows))
+    dots = dot_product_set(E)
+    areas = triangle_area_set(E) if d == 2 else None
+    assert dot_product_count(E) == len(dots)
+    if d == 2:
+        assert triangle_area_count(E) == len(areas)
+        if m.q < 100:
+            assert areas == _areas_brute(E)
+    if m.q < 100:
+        assert dots == _dot_set_loop(E)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(configsets, "_CHUNK_BYTES", chunk)
+        assert dot_product_set(E) == dots
+        if d == 2:
+            assert triangle_area_set(E) == areas
+
+
+def test_row_blocks_start_near_q_values_and_double_to_the_cap(monkeypatch):
+    monkeypatch.setattr(configsets, "_CHUNK_BYTES", 8 * 10 * 100)  # 10 rows of 100
+    rows = [(s.start, s.stop) for s in configsets._row_blocks(50, 100, 250)]
+    assert rows == [(0, 2), (2, 6), (6, 14), (14, 24), (24, 34), (34, 44), (44, 50)]
+    # rows wider than q start at one row; a cap below one row still gives one
+    assert [s.stop - s.start for s in configsets._row_blocks(5, 100, 7)] == [1, 2, 2]
+    monkeypatch.setattr(configsets, "_CHUNK_BYTES", 8)
+    assert [s.stop for s in configsets._row_blocks(3, 100, 10**6)] == [1, 2, 3]
+
+
+def test_area_scan_at_the_z25_threshold_saturates_within_a_few_blocks(monkeypatch):
+    # 280 points reach the v2 threshold at Z_25; all 24 nonzero areas show up
+    # among the first few hundred determinants, long before one full block
+    areas = _counting(monkeypatch, "_area_blocks")
+    dots = _counting(monkeypatch, "_dot_blocks")
+    for seed in range(5):
+        areas.clear(), dots.clear()
+        E = random_subset(M25, 2, 280, seed=seed)
+        assert triangle_area_count(E) == 24
+        assert len(areas) <= 3 and sum(areas) <= 7 * 280
+        assert dot_product_count(E) == 25
+        assert len(dots) <= 3 and sum(dots) <= 7 * 280
 
 
 # -- rotation correlation and moment bound against the loops they replaced --

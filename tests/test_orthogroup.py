@@ -500,3 +500,152 @@ def test_covering_certificate_matches_the_census(case, above, seed):
         assert triangle_class_count(m, E) == orbit_pair_total(m) == oracle
     if m != M49:
         assert len(triangle_classes(m, E)) == triangle_class_count(m, E) == oracle
+
+
+# -- the per-difference certificate, q**2 / 2 < n <= 2q**2 / 3 -------------
+
+M11, M13 = Modulus(11, 1), Modulus(13, 1)
+
+
+def _difference_histogram_loop(m, E):
+    q = m.q
+    h = np.zeros(q * q, dtype=np.int64)
+    for x in E:
+        for y in E:
+            h[(x[0] - y[0]) % q * q + (x[1] - y[1]) % q] += 1
+    return h
+
+
+def _window_split(m, E):
+    """(certified total, pending codes, realized nonzero differences) of the
+    distinct points E, from the pair-loop histogram."""
+    h = _difference_histogram_loop(m, E)
+    total, pending = orthogroup._certify_orbits(m, h, len(E))
+    return total, pending, np.count_nonzero(h) - 1
+
+
+# (n, seed) per modulus where no nonzero orbit, some orbits, or every orbit
+# of realized differences is certified (u = 0 always is: h[0] = n > q**2 - n)
+_WINDOW_CASES = {
+    "none": [(M9, 41, 0), (M11, 61, 0), (M13, 85, 0), (M25, 313, 0), (M27, 365, 0)],
+    "some": [(M9, 49, 0), (M11, 72, 0), (M13, 102, 0), (M25, 376, 1), (M27, 443, 2)],
+    "all": [(M9, 51, 0), (M11, 75, 0), (M13, 104, 2), (M25, 388, 1), (M27, 451, 0)],
+}
+
+
+@pytest.mark.parametrize(
+    "m, n, seed, certified",
+    [(*case, kind) for kind, cases in _WINDOW_CASES.items() for case in cases],
+    ids=[f"z{m.q}-{n}-{kind}" for kind, cases in _WINDOW_CASES.items() for m, n, _ in cases],
+)
+def test_windowed_count_matches_the_census(m, n, seed, certified):
+    E = list(random_subset(m, 2, n, seed=seed))
+    assert m.q**2 < 2 * n and not realizes_every_pair(m, n)
+    _, pending, realized = _window_split(m, E)
+    assert {"none": len(pending) == realized, "all": len(pending) == 0,
+            "some": 0 < len(pending) < realized}[certified]
+    assert triangle_class_count(m, E) == len(triangle_classes(m, E))
+
+
+def test_certificate_needs_sizes_summing_past_the_plane():
+    # at h[u] + n = q**2, E ∩ (E - u) may be exactly the complement of some
+    # E + v, so (u, v) is not realized; here that leaves one pair orbit out
+    E = list(random_subset(M3, 2, 6, seed=4))
+    h = _difference_histogram_loop(M3, E)
+    assert (h + len(E) == 9).any()
+    assert triangle_class_count(M3, E) == len(triangle_classes(M3, E)) == 20
+    assert orbit_pair_total(M3) == 21
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from([M3, M9, M11, M13, M25, M27]),
+    st.integers(0, 10**6),
+    st.integers(0, 2**16),
+    st.sampled_from([None, 64, 4096]),
+)
+def test_windowed_count_matches_the_census_over_the_window(m, where, seed, chunk):
+    # tiny chunks split the histogram, the pair listing and the key blocks,
+    # and send the distinct keys through the sorting branch; only where the
+    # blocks stay few enough to be quick
+    q2 = m.q**2
+    lo, hi = q2 // 2 + 1, 2 * q2 // 3
+    E = list(random_subset(m, 2, lo + where % (hi - lo + 1), seed=seed))
+    want = len(triangle_classes(m, E))
+    if chunk is None or m.q > 13:
+        chunk = orthogroup._CHUNK_BYTES
+    with mock.patch.object(orthogroup, "_CHUNK_BYTES", chunk):
+        assert triangle_class_count(m, E) == want
+
+
+@pytest.mark.parametrize("m", [M9, M11, M25])
+def test_difference_blocks_match_the_pair_loop(m):
+    E = list(random_subset(m, 2, m.q**2 // 2 + 3, seed=5))
+    pts = np.array(E, dtype=np.int64)
+    h = np.zeros(m.q**2, dtype=np.int64)
+    with mock.patch.object(orthogroup, "_CHUNK_BYTES", 8 * 7 * len(pts)):  # 7 rows a block
+        blocks = list(orthogroup._difference_blocks(pts, m.q))
+    assert [len(b) for b in blocks[:-1]] == [7] * (len(blocks) - 1)
+    for block in blocks:
+        h += np.bincount(block.ravel(), minlength=m.q**2)
+    assert (h == _difference_histogram_loop(m, E)).all()
+
+
+def _orbit_reps(m):
+    """Least code of each SO_2-orbit of plane vectors."""
+    codes = np.arange(m.q**2)
+    return np.unique(orthogroup._orbit_min(orthogroup.so2_table(m), codes, m.q)[0])
+
+
+def _depth(m, code):
+    return min(m.valuation(code // m.q), m.valuation(code % m.q))
+
+
+@pytest.mark.parametrize("q", [7, 9, 11, 13, 25, 27, 49, 81, 121, 125, 169])
+def test_pair_orbits_by_depth_sum_to_the_orbit_total(q):
+    # every pair orbit has exactly one first-difference orbit
+    m = Modulus.from_q(q)
+    per_depth = orthogroup._pair_orbits_by_depth(m)
+    assert sum(per_depth[_depth(m, int(c))] for c in _orbit_reps(m)) == orbit_pair_total(m)
+
+
+@pytest.mark.parametrize("q", [5, 9, 13, 25, 27, 49])
+def test_stabilizers_and_pair_orbits_depend_on_depth_alone(q):
+    # Stab(u) = {theta : min(v(a - 1), v(b)) >= l - depth(u)} over the whole
+    # plane, and N = the number of Stab(u)-orbits on v, counted directly
+    m = Modulus.from_q(q)
+    per_k = orthogroup._fix_depths(m)
+    sizes = stabilizer_table(m)
+    per_depth = orthogroup._pair_orbits_by_depth(m)
+    codes = np.arange(q * q)
+    for x in range(q):
+        for y in range(q):
+            j = _depth(m, x * q + y)
+            assert sizes[x, y] == sum(per_k[m.l - j :])
+    for j in range(m.l + 1):
+        stab = orthogroup._fixing(m, m.p**j % q * q)
+        orbits = np.unique(orthogroup._orbit_min(stab, codes, q)[0])
+        assert len(stab) == sum(per_k[m.l - j :])
+        assert len(orbits) == per_depth[j]
+
+
+def test_t2_op_cap_refuses_each_stage_before_it_runs():
+    # below the window: the n**3 census
+    E = list(random_subset(M13, 2, 84, seed=0))
+    with pytest.raises(ValueError, match=f"n = 84 points visits n\\^3 = {84**3} triples"):
+        triangle_class_count(M13, E, op_cap=84**3 - 1)
+    assert triangle_class_count(M13, E, op_cap=84**3) == len(triangle_classes(M13, E))
+    # in the window: the n**2 histogram, then the census of the pending u
+    E = list(random_subset(M13, 2, 102, seed=0))
+    _, pending, _ = _window_split(M13, E)
+    ops = 102 * int(_difference_histogram_loop(M13, E)[pending].sum())
+    assert 102**2 < ops
+    with pytest.raises(ValueError, match=f"n\\^2 = {102**2} pairs, over the {102**2 - 1}-"):
+        triangle_class_count(M13, E, op_cap=102**2 - 1)
+    with pytest.raises(ValueError, match=f"{ops} triples on the {len(pending)} uncertified"):
+        triangle_class_count(M13, E, op_cap=ops - 1)
+    assert triangle_class_count(M13, E, op_cap=ops) == len(triangle_classes(M13, E))
+    # certified throughout, or covered: no census to refuse
+    E = list(random_subset(M13, 2, 104, seed=2))
+    assert triangle_class_count(M13, E, op_cap=104**2) == 2381
+    assert triangle_class_count(M13, itertools.product(range(13), repeat=2), op_cap=0) == 2381
