@@ -31,6 +31,7 @@ from .configsets import (
     dot_product_count,
     triangle_area_count,
 )
+from .orthogroup import _OP_CAP
 from .ring import Modulus, Polynomial, hensel_lift_root
 
 __all__ = [
@@ -67,7 +68,6 @@ CSV_HEADER = ("trial", "set_size", "statistic", "bound", "pass")
 # the suite refuses planes beyond this many points, and individual
 # checks whose scan would exceed the op budget report themselves skipped
 SUITE_PLANE_CAP = 10**6
-_OP_CAP = 2 * 10**8
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +472,7 @@ def write_report(report: Report, path, fmt: str = "json") -> None:
 
 def _experiment_statistic(kind: str, m: Modulus, E: PointSet) -> int:
     if kind == "t2":
-        return orthogroup.triangle_class_count(m, E.as_array(), op_cap=_OP_CAP)
+        return orthogroup.triangle_class_count(m, E.as_array())
     if kind == "v2":
         return triangle_area_count(E)
     return dot_product_count(E)

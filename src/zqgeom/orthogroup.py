@@ -36,8 +36,11 @@ _GROUP_CACHE_SIZE = 8
 # bytes of one working block of the orbit minima, the triangle census and
 # the difference histogram; also caps the dense (distinct differences)**2
 # count table, which at this size still holds the full Z_27 grid's 729**2
-# pairs, and the byte table of the census over uncertified differences
+# pairs
 _CHUNK_BYTES = 1 << 23
+# operations a t2 census or difference histogram may take; a larger one is
+# refused before it starts
+_OP_CAP = 2 * 10**8
 
 
 @dataclass(frozen=True)
@@ -448,9 +451,7 @@ def triangle_classes(m: Modulus, points: Iterable[Vec2]) -> dict[TriangleClass, 
     }
 
 
-def triangle_class_count(
-    m: Modulus, points: Iterable[Vec2] | np.ndarray, op_cap: int | None = None
-) -> int:
+def triangle_class_count(m: Modulus, points: Iterable[Vec2] | np.ndarray) -> int:
     """len(triangle_classes(m, points)), without building the classes.
 
     Points may also come as an (n, 2) integer array; only the n distinct
@@ -467,8 +468,8 @@ def triangle_class_count(
     - n <= q**2 / 2: no u can pass, as h[u] <= n, and the full census of
       n**3 triples runs.
 
-    When op_cap is given, a histogram or census of more operations than
-    op_cap is refused with ValueError before it starts.
+    A histogram or census of more than _OP_CAP operations is refused with
+    ValueError before it starts.
     """
     pts = _planar(m, points)
     q = m.q
@@ -478,11 +479,9 @@ def triangle_class_count(
         return orbit_pair_total(m)
     pts = np.stack([codes // q, codes % q], axis=1)
     if 2 * n <= q * q:
-        _within(op_cap, n**3, f"t2 census over n = {n} points visits n^3 = {n**3} triples")
+        _within(n**3, f"t2 census over n = {n} points visits n^3 = {n**3} triples")
         return len(_class_census(m, pts)[2])
-    _within(
-        op_cap, n * n, f"t2 difference histogram over n = {n} points visits n^2 = {n * n} pairs"
-    )
+    _within(n * n, f"t2 difference histogram over n = {n} points visits n^2 = {n * n} pairs")
     h = np.zeros(q * q, dtype=np.int64)
     for block in _difference_blocks(pts, q):
         h += np.bincount(block.ravel(), minlength=q * q)
@@ -491,39 +490,26 @@ def triangle_class_count(
         return certified
     ops = n * int(h[pending].sum())
     _within(
-        op_cap, ops,
+        ops,
         f"t2 census over n = {n} points visits {ops} triples on the {len(pending)} "
         f"uncertified differences",
     )
     return certified + _pending_class_count(m, pts, pending)
 
 
-def _within(op_cap: int | None, ops: int, what: str) -> None:
-    if op_cap is not None and ops > op_cap:
-        raise ValueError(f"{what}, over the {op_cap}-operation cap")
+def _within(ops: int, what: str) -> None:
+    if ops > _OP_CAP:
+        raise ValueError(f"{what}, over the {_OP_CAP}-operation cap")
 
 
 def _difference_blocks(pts: np.ndarray, q: int) -> Iterator[np.ndarray]:
     """Codes of pts[i] - pts[j], one block of rows i at a time, each block
-    at most _CHUNK_BYTES once widened to int64.
-
-    Codes are held in the least unsigned dtype holding q**2: uint8 or
-    uint16 below q = 256, and uint32 below q = 2**16, past which no set in
-    the window of triangle_class_count (over q**2 / 2 points) can be
-    listed.  Each
-    coordinate x - y is reduced as in rotated_planes: s = x + (q - y) mod q
-    lies below 2q, so min(s, s - q) wraps around for s < q.
-    """
-    dt = np.min_scalar_type(q * q)
-    x, minus = pts.astype(dt), ((-pts) % q).astype(dt)
+    at most _CHUNK_BYTES."""
+    x, y = pts[:, 0], pts[:, 1]
     step = max(1, _CHUNK_BYTES // (8 * max(1, len(pts))))
     for s in range(0, len(pts), step):
-        rows = x[s : s + step]
-        block = rows[:, None, 0] + minus[None, :, 0]
-        np.minimum(block, block - dt.type(q), out=block)
-        block *= dt.type(q)
-        low = rows[:, None, 1] + minus[None, :, 1]
-        block += np.minimum(low, low - dt.type(q))
+        block = (x[s : s + step, None] - x) % q * q
+        block += (y[s : s + step, None] - y) % q
         yield block
 
 
@@ -556,9 +542,7 @@ def _pending_class_count(m: Modulus, pts: np.ndarray, pending: np.ndarray) -> in
     keyed as rank(y - x) * q**2 + code(y - z).  The orbits number the
     same, as (u, v) -> (-u, v) commutes with every rotation, and pending
     is closed under negation, since -I is a rotation.  In the window where
-    this runs, q**2 < 2n, so the keys stay far inside int64.  The distinct
-    keys are marked in a byte table when it fits _CHUNK_BYTES, and merged
-    by sorting otherwise.
+    this runs, q**2 < 2n, so the keys stay far inside int64.
     """
     q2 = m.q**2
     slot = np.full(q2, -1, dtype=np.int64)
@@ -573,13 +557,6 @@ def _pending_class_count(m: Modulus, pts: np.ndarray, pending: np.ndarray) -> in
             for s in range(0, len(i), step):
                 yield ru[s : s + step, None] + block[i[s : s + step]]
 
-    space = len(pending) * q2
-    if space > _CHUNK_BYTES:
-        keys = _residues(key_blocks(), space)
-    else:  # one byte per key: mark the keys instead of sorting them
-        seen = np.zeros(space, dtype=bool)
-        for block in key_blocks():
-            seen[block] = True
-        keys = np.flatnonzero(seen)
+    keys = _residues(key_blocks(), len(pending) * q2)
     u, v = _canonical_pairs(m, np.arange(q2), pending[keys // q2], keys % q2)
     return len(_distinct(u * q2 + v))

@@ -337,6 +337,7 @@ def test_cli_paths_never_import_numpy_ma():
         "import contextlib, io, sys\n"
         "from zqgeom import cli\n"
         "runs = [\n"
+        "    ['experiment', '--kind', 't2', '--p', '7', '--l', '1', '--set', 'random:5'],\n"
         "    ['experiment', '--kind', 't2', '--p', '11', '--l', '1', '--set', 'random:79'],\n"
         "    ['experiment', '--kind', 't2', '--p', '13', '--l', '1', '--set', 'random:102'],\n"
         "    ['experiment', '--kind', 't2', '--p', '3', '--l', '2', '--set', 'random:7'],\n"

@@ -565,9 +565,8 @@ def test_certificate_needs_sizes_summing_past_the_plane():
     st.sampled_from([None, 64, 4096]),
 )
 def test_windowed_count_matches_the_census_over_the_window(m, where, seed, chunk):
-    # tiny chunks split the histogram, the pair listing and the key blocks,
-    # and send the distinct keys through the sorting branch; only where the
-    # blocks stay few enough to be quick
+    # tiny chunks split the histogram, the pair listing and the key blocks;
+    # only where the blocks stay few enough to be quick
     q2 = m.q**2
     lo, hi = q2 // 2 + 1, 2 * q2 // 3
     E = list(random_subset(m, 2, lo + where % (hi - lo + 1), seed=seed))
@@ -629,23 +628,27 @@ def test_stabilizers_and_pair_orbits_depend_on_depth_alone(q):
         assert len(orbits) == per_depth[j]
 
 
-def test_t2_op_cap_refuses_each_stage_before_it_runs():
+def test_t2_op_cap_refuses_each_stage_before_it_runs(monkeypatch):
+    def count_under(cap, E):
+        monkeypatch.setattr(orthogroup, "_OP_CAP", cap)
+        return triangle_class_count(M13, E)
+
     # below the window: the n**3 census
     E = list(random_subset(M13, 2, 84, seed=0))
     with pytest.raises(ValueError, match=f"n = 84 points visits n\\^3 = {84**3} triples"):
-        triangle_class_count(M13, E, op_cap=84**3 - 1)
-    assert triangle_class_count(M13, E, op_cap=84**3) == len(triangle_classes(M13, E))
+        count_under(84**3 - 1, E)
+    assert count_under(84**3, E) == len(triangle_classes(M13, E))
     # in the window: the n**2 histogram, then the census of the pending u
     E = list(random_subset(M13, 2, 102, seed=0))
     _, pending, _ = _window_split(M13, E)
     ops = 102 * int(_difference_histogram_loop(M13, E)[pending].sum())
     assert 102**2 < ops
     with pytest.raises(ValueError, match=f"n\\^2 = {102**2} pairs, over the {102**2 - 1}-"):
-        triangle_class_count(M13, E, op_cap=102**2 - 1)
+        count_under(102**2 - 1, E)
     with pytest.raises(ValueError, match=f"{ops} triples on the {len(pending)} uncertified"):
-        triangle_class_count(M13, E, op_cap=ops - 1)
-    assert triangle_class_count(M13, E, op_cap=ops) == len(triangle_classes(M13, E))
+        count_under(ops - 1, E)
+    assert count_under(ops, E) == len(triangle_classes(M13, E))
     # certified throughout, or covered: no census to refuse
     E = list(random_subset(M13, 2, 104, seed=2))
-    assert triangle_class_count(M13, E, op_cap=104**2) == 2381
-    assert triangle_class_count(M13, itertools.product(range(13), repeat=2), op_cap=0) == 2381
+    assert count_under(104**2, E) == 2381
+    assert count_under(0, itertools.product(range(13), repeat=2)) == 2381
