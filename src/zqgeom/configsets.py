@@ -383,19 +383,17 @@ def _dot_values(E: PointSet) -> np.ndarray:
 
 
 def dot_product_counts(E: PointSet) -> Mapping[int, int]:
-    """nu(t), the number of ordered pairs with x.y = t, densely over Z_q.
+    """nu(t), the number of ordered pairs with x.y = t, for every t in Z_q.
 
-    For a set built by PointSet.product, nu is the d-fold cyclic
-    convolution of the histogram of A.A, exact in int64 and held sparse,
-    so no length-q array is allocated; it is refused past SUMSET_BUDGET
-    or once |A|**(2d) reaches 2**63.
+    The table is held sparse, so no length-q array is allocated.  For a set
+    built by PointSet.product, nu is the d-fold cyclic convolution of the
+    histogram of A.A, exact in int64; it is refused past SUMSET_BUDGET or
+    once |A|**(2d) reaches 2**63.  Any other set is tallied over the row
+    blocks of its pair scan.
     """
     if _is_product(E):
         return _DotCounts(E.m.q, *_dot_convolution(E))
-    counts = np.zeros(E.m.q, dtype=np.int64)
-    for block in _dot_blocks(E):
-        counts += np.bincount(block.ravel(), minlength=E.m.q)
-    return dict(enumerate(counts.tolist()))
+    return _DotCounts(E.m.q, *_tally((b, np.ones_like(b)) for b in _dot_blocks(E)))
 
 
 def triangle_area_set(E: PointSet) -> set[int]:

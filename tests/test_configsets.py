@@ -629,6 +629,34 @@ def test_sumset_counts_read_like_a_dense_table():
         counts[m.q]
 
 
+def _nonzero_counts(counts):
+    """The t with nu(t) > 0 of a sparse dot-count table, without visiting Z_q."""
+    return dict(zip(counts._keys.tolist(), counts._counts.tolist()))
+
+
+@pytest.mark.parametrize(
+    "q,pts",
+    [
+        (1000003, ((1, 2), (3, -4), (500000, 7))),
+        (2**31 - 1, ((1, 2), (-1, 2**30), (2**31 - 2, 12345), (7, 7))),
+    ],
+)
+def test_general_set_counts_are_sparse(q, pts):
+    E = PointSet(Modulus(q, 1), 2, pts)
+    assert not configsets._is_product(E)
+    tracemalloc.start()
+    try:
+        counts = dot_product_counts(E)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < q  # a dense table would take 8 q bytes
+    want = _dot_counts_pair_loop(E)
+    assert _nonzero_counts(counts) == want
+    assert len(counts) == q and all(counts[t] == c for t, c in want.items())
+    assert counts[next(t for t in range(q) if t not in want)] == 0
+
+
 def test_sumset_path_refuses_past_its_budget():
     q = 3**9
     E = PointSet.product(Modulus.from_q(q), range(q), 2)

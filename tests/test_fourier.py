@@ -1,10 +1,14 @@
 """Transform identities on small grids: the FFT path against the literal
 double sum, round trips, Plancherel, and character sums."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from zqgeom import fourier
 from zqgeom.fourier import (
@@ -189,3 +193,140 @@ def test_fourier_caches_are_bounded():
     for fn in (fourier._roots_of_unity, fourier._point_gram):
         info = fn.cache_info()
         assert info.misses == 12 and info.currsize <= info.maxsize
+
+
+# --- immutable tables --------------------------------------------------------
+
+
+def test_tables_are_read_only():
+    f = GridFunction.indicator(M9, 2, [(1, 2)])
+    fhat = forward(f)
+    for table in (f, fhat, inverse(fhat), GridFunction(M3, 1, [1, 2, 3])):
+        with pytest.raises(ValueError):
+            table.values[0] = 7
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.values = np.zeros_like(table.values)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_the_callers_array_is_copied(dtype):
+    arr = np.arange(27, dtype=dtype).reshape(3, 3, 3) - 13
+    f = GridFunction(M3, 3, arr)
+    want, want_hat = f.values.copy(), forward_naive(f).values
+    arr[...] = 99
+    assert np.array_equal(f.values, want)
+    assert np.abs(forward(f).values - want_hat).max() < 1e-10
+
+
+def test_the_spectrum_is_computed_once(monkeypatch):
+    calls = []
+
+    def counted(name):
+        fft = getattr(np.fft, name)
+
+        def run(*args, **kwargs):
+            calls.append(name)
+            return fft(*args, **kwargs)
+
+        return run
+
+    for name in ("rfftn", "fftn"):
+        monkeypatch.setattr(np.fft, name, counted(name))
+    real_table = GridFunction.indicator(M27, 2, [(1, 2), (5, 0)])
+    complex_table = GridFunction(M9, 2, np.full(81, 1j))
+    for f, path in ((real_table, "rfftn"), (complex_table, "fftn")):
+        calls.clear()
+        assert forward(f) is forward(f)
+        assert calls == [path]
+        plancherel_gap(f)
+        assert calls == [path]
+
+
+# --- the real path against the oracles ---------------------------------------
+
+
+def _real_table(m, d, seed):
+    """Signed fractional values, so neither symmetry nor integrality helps."""
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(-3, 3, (m.q,) * d)
+    vals.flat[::5] = np.round(vals.flat[::5])
+    return GridFunction(m, d, vals)
+
+
+def _check_against_oracles(f):
+    """forward, inverse and plancherel_gap of f against the complex FFT
+    everywhere, and against the literal sums (all of them on grids of at
+    most 729 points, sampled coefficients above that)."""
+    q, d = f.m.q, f.d
+    fhat, scale = forward(f), 1 + np.abs(f.values).max()
+    back = inverse(fhat)
+    assert np.abs(fhat.values - np.fft.fftn(f.values, norm="forward")).max() < 1e-10 * scale
+    if q**d <= 729:
+        assert np.abs(fhat.values - forward_naive(f).values).max() < 1e-10 * scale
+        assert np.abs(back.values - inverse_naive(fhat).values).max() < 1e-10 * scale
+    else:
+        freqs = np.random.default_rng(q + d).integers(0, q, size=(4, d))
+        want = _literal_sum(f.values, q, freqs, -1) / q**d
+        assert np.abs(fhat.values[tuple(freqs.T)] - want).max() < 1e-10 * scale
+    assert np.abs(back.values - f.values).max() < 1e-10 * scale
+    energy = 1 + float(np.sum(np.abs(f.values) ** 2)) / q**d
+    assert plancherel_gap(f) < 1e-12 * energy
+
+
+@pytest.mark.parametrize("q,d", _GRIDS, ids=lambda v: str(v))
+def test_real_tables_take_the_half_size_path(q, d):
+    m = Modulus.from_q(q)
+    f = _real_table(m, d, seed=7 * q + d)
+    assert forward(f).hermitian
+    assert not forward(f).values.flags.writeable
+    _check_against_oracles(f)
+    back = inverse(forward(f))
+    assert not back.values.imag.any() and forward(back).hermitian
+    _check_against_oracles(back)
+
+
+@pytest.mark.parametrize("q,d", _GRIDS, ids=lambda v: str(v))
+def test_from_counts_and_complex_tables_match_the_oracles(q, d):
+    m = Modulus.from_q(q)
+    rng = np.random.default_rng(11 * q + d)
+    pts = rng.integers(-q, 2 * q, size=(min(40, q**d), d))
+    counts = {tuple(int(c) for c in x): float(rng.choice([-2.5, -1, 0.75, 3])) for x in pts}
+    g = GridFunction.from_counts(m, d, counts)
+    assert forward(g).hermitian
+    _check_against_oracles(g)
+    shape = (q,) * d
+    h = GridFunction(m, d, rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
+    assert not forward(h).hermitian
+    _check_against_oracles(h)
+
+
+def test_a_tiny_imaginary_part_takes_the_complex_path():
+    vals = _real_table(M27, 2, seed=3).values.copy()
+    vals[4, 20] += 1e-300j
+    f = GridFunction(M27, 2, vals)
+    assert not forward(f).hermitian
+    _check_against_oracles(f)
+    assert np.array_equal(forward(f).values, np.fft.fftn(f.values, norm="forward"))
+
+
+_SMALL_GRIDS = [(q, d) for q, d in _GRIDS if q**d <= 243]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_SMALL_GRIDS).flatmap(
+        lambda qd: st.tuples(
+            st.just(qd),
+            hnp.arrays(
+                np.float64,
+                (qd[0],) * qd[1],
+                elements=st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+            ),
+        )
+    )
+)
+def test_random_real_tables_match_the_oracles(case):
+    (q, d), vals = case
+    f = GridFunction(Modulus.from_q(q), d, vals)
+    assert forward(f).hermitian
+    _check_against_oracles(f)
