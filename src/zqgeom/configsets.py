@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import ItemsView, Iterable, Iterator, Mapping, ValuesView
 from fractions import Fraction
 
 import numpy as np
@@ -356,6 +356,31 @@ class _DotCounts(Mapping):
 
     def __len__(self) -> int:
         return self._q
+
+    def items(self) -> ItemsView:
+        return _DotItems(self)
+
+    def values(self) -> ValuesView:
+        return _DotValues(self)
+
+    def _walk(self) -> Iterator[tuple[int, int]]:
+        """(t, nu(t)) for t = 0..q-1, stepping through the sorted keys alongside."""
+        t = 0
+        for k, c in zip(self._keys.tolist(), self._counts.tolist()):
+            yield from zip(range(t, k), itertools.repeat(0))
+            yield k, c
+            t = k + 1
+        yield from zip(range(t, self._q), itertools.repeat(0))
+
+
+class _DotItems(ItemsView):
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return self._mapping._walk()
+
+
+class _DotValues(ValuesView):
+    def __iter__(self) -> Iterator[int]:
+        return (c for _, c in self._mapping._walk())
 
 
 def dot_product_set(E: PointSet) -> set[int]:

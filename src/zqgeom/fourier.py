@@ -187,14 +187,9 @@ def _energy(z: np.ndarray) -> float:
 def plancherel_gap(f: GridFunction) -> float:
     """|sum |fhat|^2 - q**-d sum |f|^2|; zero up to roundoff.
 
-    Uses f's kept spectrum.  A Hermitian one is summed over its rfftn half:
-    column 0 once, and every other column twice for its mirror image.
+    Uses f's kept spectrum, summed over all of it, so a wrong mirrored half
+    shows here too.
     """
-    fhat = forward(f)
-    if fhat.hermitian:
-        h = _half(f.m.q)
-        lhs = _energy(fhat.values[..., :1]) + 2 * _energy(fhat.values[..., 1:h])
-    else:
-        lhs = _energy(fhat.values)
+    lhs = _energy(forward(f).values)
     rhs = _energy(f.values) / f.m.q**f.d
     return abs(lhs - rhs)

@@ -629,6 +629,43 @@ def test_sumset_counts_read_like_a_dense_table():
         counts[m.q]
 
 
+@pytest.mark.parametrize(
+    "E",
+    [
+        PointSet(Modulus(5, 1), 2, ((0, 0), (1, 2), (4, 4))),
+        PointSet(Modulus(7, 1), 2, ((1, 3), (2, 6), (3, 2), (6, 6))),
+        PointSet.product(Modulus(3, 2), (1, 4), 2),
+        PointSet.product(Modulus(5, 1), (0, 2), 2),
+    ],
+    ids=["z5-gaps", "z7-no-zero", "z9-product", "z5-product"],
+)
+def test_dot_count_views_walk_z_q_in_order(E):
+    counts, q = dot_product_counts(E), E.m.q
+    want = [_dot_counts_pair_loop(E).get(t, 0) for t in range(q)]
+    assert list(counts.items()) == list(enumerate(want))
+    assert list(counts.values()) == want
+    assert list(counts.keys()) == list(range(q))
+    assert counts == dict(enumerate(want)) and dict(counts.items()) == dict(enumerate(want))
+
+
+def test_dot_count_views_do_not_search_per_key(monkeypatch):
+    q = 1000003
+    E = PointSet(Modulus(q, 1), 2, ((1, 2), (3, -4), (500000, 7)))
+    counts = dot_product_counts(E)
+    searches = []
+    search = np.searchsorted
+
+    def counted(*args, **kwargs):
+        searches.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counted)
+    assert sum(counts.values()) == 9
+    nonzero = {t: c for t, c in counts.items() if c}
+    assert nonzero == _dot_counts_pair_loop(E)
+    assert searches == []
+
+
 def _nonzero_counts(counts):
     """The t with nu(t) > 0 of a sparse dot-count table, without visiting Z_q."""
     return dict(zip(counts._keys.tolist(), counts._counts.tolist()))

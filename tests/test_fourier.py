@@ -242,6 +242,20 @@ def test_the_spectrum_is_computed_once(monkeypatch):
         assert calls == [path]
 
 
+def test_plancherel_gap_sums_the_mirrored_half(monkeypatch):
+    mirror = fourier._mirror
+
+    def doubled_tail(half, q):
+        out = mirror(half, q)
+        out[..., half.shape[-1] :] *= 2
+        return out
+
+    monkeypatch.setattr(fourier, "_mirror", doubled_tail)
+    f = GridFunction.indicator(M27, 2, [(1, 2), (5, 0), (7, 7)])
+    assert forward(f).hermitian
+    assert plancherel_gap(f) > 1e-3
+
+
 # --- the real path against the oracles ---------------------------------------
 
 
