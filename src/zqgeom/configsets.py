@@ -101,6 +101,14 @@ class PointSet:
         return ps
 
     @classmethod
+    def _from_sorted(cls, m: Modulus, d: int, rows: np.ndarray) -> "PointSet":
+        """The set of an (n, d) array of distinct residue rows in [0, q), in
+        lexicographic order; taken as given, with no reduction or sort."""
+        ps = cls.__new__(cls)
+        ps._fill(m, d, None, None, tuple(map(tuple, rows.tolist())))
+        return ps
+
+    @classmethod
     def product(cls, m: Modulus, base: Iterable[int], d: int) -> "PointSet":
         """The d-fold product A x ... x A of a subset A of Z_q."""
         _check_dimension(d)
@@ -115,7 +123,7 @@ class PointSet:
         return cls._lazy(m, d, tuple(range(m.q)), base=None)
 
     def _listable(self) -> None:
-        if len(self) > FULL_GRID_CAP:
+        if self.size > FULL_GRID_CAP:
             raise ValueError(
                 f"product A^{self.d} with |A| = {len(self._factor)} exceeds the "
                 f"{FULL_GRID_CAP}-point cap"
@@ -130,10 +138,15 @@ class PointSet:
             )
         return self._points
 
-    def __len__(self) -> int:
+    @property
+    def size(self) -> int:
+        """The exact number of points; len() fails once it passes sys.maxsize."""
         if self._factor is None:
             return len(self._points)
         return len(self._factor) ** self.d
+
+    def __len__(self) -> int:
+        return self.size
 
     def __iter__(self) -> Iterator[Vec]:
         return iter(self.points)
@@ -150,7 +163,7 @@ class PointSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointSet):
             return NotImplemented
-        if (self.m, self.d, self.base, len(self)) != (other.m, other.d, other.base, len(other)):
+        if (self.m, self.d, self.base, self.size) != (other.m, other.d, other.base, other.size):
             return False
         if self._factor is not None and other._factor is not None:
             return self._factor == other._factor
@@ -160,10 +173,10 @@ class PointSet:
         return all(v in lazy for v in listed._points)
 
     def __hash__(self) -> int:
-        return hash((self.m, self.d, self.base, len(self)))
+        return hash((self.m, self.d, self.base, self.size))
 
     def __repr__(self) -> str:
-        return f"PointSet(m={self.m!r}, d={self.d}, size={len(self)}, base={self.base!r})"
+        return f"PointSet(m={self.m!r}, d={self.d}, size={self.size}, base={self.base!r})"
 
     def as_array(self) -> np.ndarray:
         if self._points is None:

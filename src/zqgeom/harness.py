@@ -26,6 +26,7 @@ from . import geometry, orthogroup
 from .configsets import (
     FULL_GRID_CAP,
     PointSet,
+    _check_dimension,
     difference_stratum_census,
     difference_stratum_counts,
     dot_product_count,
@@ -75,6 +76,9 @@ SUITE_PLANE_CAP = 10**6
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+# uint64 scalars for the array mix, made once: numpy scalars cost a
+# constructor call each time they are built
+_U64 = {c: np.uint64(c) for c in (_GAMMA, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 27, 30, 31)}
 
 
 def _mix64(z: int) -> int:
@@ -83,6 +87,16 @@ def _mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
+
+
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """_mix64 over a uint64 array, in place; array arithmetic wraps mod 2**64."""
+    z ^= z >> _U64[30]
+    z *= _U64[0xBF58476D1CE4E5B9]
+    z ^= z >> _U64[27]
+    z *= _U64[0x94D049BB133111EB]
+    z ^= z >> _U64[31]
+    return z
 
 
 class SplitMix64:
@@ -111,37 +125,67 @@ def trial_rng(seed: int, trial: int) -> SplitMix64:
     return SplitMix64(_mix64(seed ^ _mix64(trial + 1)))
 
 
+def _draw_below(rng: SplitMix64, spans: np.ndarray) -> np.ndarray:
+    """[rng.below(s) for s in spans], drawn as whole vectors.
+
+    The t-th draw after state s is _mix64(s + t * gamma), so a run of draws
+    is one uint64 array expression.  below(s) rejects u >= 2**64 - r with
+    r = 2**64 mod s, that is it accepts u <= ~r; a rejected draw is skipped
+    and the spans after it move one place along the stream, so each pass
+    keeps the draws before the first rejection and starts over behind it.
+    The spans must be positive and below 2**64.
+    """
+    spans = np.asarray(spans, dtype=np.uint64)
+    accept_max = ~(-spans % spans)
+    out = np.empty_like(spans)
+    state, done = rng._state, 0
+    while done < len(spans):
+        u = np.arange(1, len(spans) - done + 1, dtype=np.uint64)
+        u *= _U64[_GAMMA]
+        u += np.uint64(state)
+        _mix64_array(u)
+        rejected = u > accept_max[done:]
+        kept = int(rejected.argmax()) if rejected.any() else len(u)
+        out[done : done + kept] = u[:kept]
+        used = kept + 1 if kept < len(u) else kept
+        state = (state + used * _GAMMA) & _MASK
+        done += kept
+    rng._state = state
+    return out % spans
+
+
 def _sample_indices(rng: SplitMix64, n: int, k: int) -> list[int]:
     """First k entries of a Fisher-Yates shuffle of range(n).
 
     Only displaced entries are stored, so the cost is O(k) whatever n is.
     """
+    draws = _draw_below(rng, np.arange(n, n - k, -1, dtype=np.uint64))
     moved: dict[int, int] = {}
     out = []
-    for i in range(k):
-        j = i + rng.below(n - i)
+    for i, r in enumerate(draws.tolist()):
+        j = i + r
         out.append(moved.get(j, j))
         moved[j] = moved.pop(i, i)
     return out
 
 
-def _unrank(index: int, q: int, d: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(d):
-        index, r = divmod(index, q)
-        out.append(r)
-    return tuple(reversed(out))
-
-
 def random_subset(m: Modulus, d: int, size: int, seed: int, trial: int = 0) -> PointSet:
-    """Uniform size-k subset of the grid, reproducible from (seed, trial)."""
+    """Uniform size-k subset of the grid, reproducible from (seed, trial).
+
+    The points are the first k entries of a Fisher-Yates shuffle of
+    range(q**d) under trial_rng(seed, trial), unranked big-endian, so the
+    sorted indices list the points in lexicographic order.
+    """
+    _check_dimension(d)
     total = m.q**d
     if total > FULL_GRID_CAP:
         raise ValueError(f"grid Z_{m.q}^{d} exceeds the {FULL_GRID_CAP}-point sampling cap")
     if not 0 <= size <= total:
         raise ValueError(f"subset size {size} does not fit in the {total}-point grid")
-    chosen = _sample_indices(trial_rng(seed, trial), total, size)
-    return PointSet(m, d, tuple(_unrank(i, m.q, d) for i in chosen))
+    chosen = np.array(_sample_indices(trial_rng(seed, trial), total, size), dtype=np.int64)
+    chosen.sort()
+    powers = m.q ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    return PointSet._from_sorted(m, d, chosen[:, None] // powers % m.q)
 
 
 # ---------------------------------------------------------------------------
@@ -493,13 +537,13 @@ def run_theorem_experiment(cfg: ExperimentConfig) -> Report:
     for trial in range(cfg.trials):
         E = generate_set(cfg, trial)
         stat = _experiment_statistic(cfg.kind, m, E)
-        meets = len(E) >= threshold
+        meets = E.size >= threshold
         if cfg.kind == "dotprod":
             meets = meets and E.base is not None
         records.append(
             TrialRecord(
                 trial=trial,
-                set_size=len(E),
+                set_size=E.size,
                 statistic=stat,
                 threshold=threshold,
                 meets_threshold=meets,

@@ -81,6 +81,8 @@ class Modulus:
         """Recover (p, l) from a prime power q."""
         if q < 3:
             raise ValueError(f"modulus {q} is not an odd prime power")
+        if q > MAX_Q:  # before trial division, which would run for sqrt(q) steps
+            raise ValueError(f"modulus {q} exceeds the 2**31 cap")
         p = 3
         while p * p <= q:
             if q % p == 0:

@@ -100,6 +100,19 @@ def test_product_source_beyond_the_point_cap_runs_as_a_sumset(tmp_path):
     assert res.stdout.splitlines()[1] == f"0,{9**12},9,4.5,true"
 
 
+def test_product_source_past_sys_maxsize_reports_its_exact_size(tmp_path):
+    # 3**40 >= 2**63, so len() of the set would overflow
+    base = tmp_path / "base.txt"
+    base.write_text("q=3 d=1\n0\n1\n2\n")
+    argv = ("experiment", "--kind", "dotprod", "--p", "3", "--l", "1", "--d", "40",
+            "--set", f"product:{base}")
+    csv = run_cli(*argv, "--format", "csv")
+    assert csv.returncode == 0, csv.stderr
+    assert csv.stdout.splitlines()[1] == "0,12157665459056928801,3,1.5,true"
+    (trial,) = json.loads(run_cli(*argv).stdout)["trials"]
+    assert trial["set_size"] == 3**40 and trial["statistic"] == 3
+
+
 def test_t2_census_past_the_op_cap_is_refused_before_counting():
     # 2000 points in Z_997^2 are far below the covering size, and 2000**3 > _OP_CAP
     start = time.perf_counter()

@@ -71,6 +71,22 @@ def test_product_and_full_grid():
         PointSet.full_grid(Modulus(7, 3), 4)
 
 
+def test_product_past_sys_maxsize_has_an_exact_size():
+    E = PointSet.product(M3, [2, 1, 0, 3], 40)
+    assert E.size == 3**40 >= 2**63
+    with pytest.raises(OverflowError):
+        len(E)
+    with pytest.raises(ValueError, match=f"{configsets.FULL_GRID_CAP}-point cap"):
+        E.points
+    with pytest.raises(ValueError, match=f"{configsets.FULL_GRID_CAP}-point cap"):
+        E.as_array()
+    assert repr(E) == f"PointSet(m={M3!r}, d=40, size={3**40}, base=(0, 1, 2))"
+    same = PointSet.product(M3, [0, 1, 2], 40)
+    assert E == same and hash(E) == hash(same)
+    assert E != PointSet.product(M3, [0, 1], 40) and E != PointSet.product(M3, [0, 1, 2], 39)
+    assert dot_product_count(E) == 3
+
+
 def test_distance_set_small():
     assert distance_set(PointSet.full_grid(M3, 2)) == {0, 1, 2}
     two = PointSet(M9, 2, ((0, 0), (1, 2)))

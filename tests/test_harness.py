@@ -1,14 +1,17 @@
 """Driver pieces: seeded sampling, set files, thresholds, and reports."""
 
+import hashlib
 import itertools
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zqgeom import geometry, orthogroup
-from zqgeom.configsets import PointSet
+from zqgeom.configsets import FULL_GRID_CAP, PointSet
 from zqgeom.harness import (
     CSV_HEADER,
     LEMMAS,
@@ -18,11 +21,13 @@ from zqgeom.harness import (
     _check_group_axioms,
     _check_line_census,
     _check_point_line_incidence,
+    _draw_below,
     _rotated_plane_checks,
     _row,
     _sample_indices,
     _stabilizer_bounds,
     conclusion_bound,
+    format_pointset,
     generate_set,
     meets_hypothesis,
     parse_pointset,
@@ -38,7 +43,7 @@ from zqgeom.harness import (
     write_report,
 )
 from zqgeom.orthogroup import so2_elements
-from zqgeom.ring import Modulus
+from zqgeom.ring import Modulus, is_prime
 
 M3 = Modulus(3, 1)
 M9 = Modulus(3, 2)
@@ -91,6 +96,115 @@ def test_sparse_sampler_matches_the_list_shuffle(n, k, seed):
         got = _sample_indices(trial_rng(seed, trial), n, k)
         assert got == _sample_indices_list(trial_rng(seed, trial), n, k)
         assert len(set(got)) == k and all(0 <= i < n for i in got)
+
+
+def _unrank(index, q, d):
+    # big-endian digits of index in base q, one point at a time
+    out = []
+    for _ in range(d):
+        index, r = divmod(index, q)
+        out.append(r)
+    return tuple(reversed(out))
+
+
+def _scalar_subset(m, d, k, seed, trial):
+    """The scalar sampler: below() per draw, the dense shuffle, a per-index
+    unrank; returns the sorted points and the generator state after it."""
+    rng = trial_rng(seed, trial)
+    chosen = _sample_indices_list(rng, m.q**d, k)
+    return tuple(sorted(_unrank(i, m.q, d) for i in chosen)), rng._state
+
+
+_GRIDS = [
+    (Modulus(p, l), d)
+    for p in range(3, 730, 2) if is_prime(p)
+    for l in range(1, 7) if p**l <= 729
+    for d in range(1, 5) if p ** (l * d) <= FULL_GRID_CAP
+]
+
+
+@st.composite
+def _draws(draw):
+    m, d = draw(st.sampled_from(_GRIDS))
+    k = draw(st.integers(0, min(m.q**d, 2000)))
+    return m, d, k, draw(st.integers(-(2**70), 2**70)), draw(st.integers(-5, 50))
+
+
+@settings(max_examples=120)
+@given(_draws())
+def test_random_subset_matches_the_scalar_sampler(case):
+    m, d, k, seed, trial = case
+    points, state = _scalar_subset(m, d, k, seed, trial)
+    assert random_subset(m, d, k, seed, trial).points == points
+    rng = trial_rng(seed, trial)
+    _sample_indices(rng, m.q**d, k)
+    assert rng._state == state
+
+
+@pytest.mark.parametrize(
+    "spans,draws_per_span",
+    [
+        # above 2**63 the rejection zone 2**64 - s is nearly half of all draws
+        ([2**63 + 300 - i for i in range(300)], 1.5),
+        ([2**64 - 1 - i for i in range(40)], 1),
+        ([1, 2**63, 3, 2**63 + 5, 2**32 + 1, 2**64 - 1, 7, 2**63 + 1], 1),
+        ([10**6 - i for i in range(50)], 1),
+    ],
+)
+def test_vector_draws_match_below_through_rejections(spans, draws_per_span):
+    calls = 0
+
+    class Counted(SplitMix64):
+        def next_u64(self):
+            nonlocal calls
+            calls += 1
+            return super().next_u64()
+
+    seeds = (0, 3, -(2**65))
+    for seed in seeds:
+        ref = Counted(seed)
+        want = [ref.below(n) for n in spans]
+        rng = SplitMix64(seed)
+        assert _draw_below(rng, np.array(spans, dtype=np.uint64)).tolist() == want
+        assert rng._state == ref._state
+    assert calls >= draws_per_span * len(seeds) * len(spans)
+
+
+def _unmix64(z):
+    # inverse of harness._mix64: each odd multiplier has an inverse mod
+    # 2**64, and y = x ^ (x >> k) gives back x by iterating x = y ^ (x >> k)
+    def unshift(y, k):
+        x = y
+        for _ in range(64 // k + 1):
+            x = y ^ (x >> k)
+        return x
+
+    z = unshift(z, 31) * pow(0x94D049BB133111EB, -1, 2**64) % 2**64
+    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64
+    return unshift(z, 30)
+
+
+@pytest.mark.parametrize("span", [3, 10**6 - 7, 2**63 + 5, 2**64 - 1])
+def test_vector_draws_match_below_at_the_rejection_edge(span):
+    # first draws of 2**64 - r - 1 (the largest accepted) and 2**64 - r
+    # (the smallest rejected), with r = 2**64 mod span
+    edge = 2**64 - 2**64 % span
+    for first in (edge - 1, edge):
+        seed = _unmix64(first) - 0x9E3779B97F4A7C15
+        assert SplitMix64(seed).next_u64() == first
+        ref = SplitMix64(seed)
+        want = [ref.below(span), ref.below(span)]
+        rng = SplitMix64(seed)
+        assert _draw_below(rng, np.array([span, span], dtype=np.uint64)).tolist() == want
+        assert rng._state == ref._state
+
+
+def test_random_subset_golden_digest():
+    # sha256 of the gen-set file text, pinned from the scalar sampler
+    text = format_pointset(random_subset(Modulus(3, 6), 2, 6000, seed=7))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5e6e169233696a21b2aa5eb2155846379969f9adccea2bd4a72017fdb6ca46f0"
+    )
 
 
 def test_random_subset_deterministic():

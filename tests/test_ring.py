@@ -46,6 +46,10 @@ def test_modulus_from_q():
     for bad in (1, 8, 12, 45):
         with pytest.raises(ValueError):
             Modulus.from_q(bad)
+    # refused by size, not after sqrt(q) trial divisions
+    for huge in (3**20, 10**18 + 3, 2**31 + 11):
+        with pytest.raises(ValueError, match="2\\*\\*31 cap"):
+            Modulus.from_q(huge)
 
 
 @pytest.mark.parametrize(
