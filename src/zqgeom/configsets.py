@@ -54,8 +54,6 @@ __all__ = [
 FULL_GRID_CAP = 10**6
 # operations the sumset path of a product set may spend (sumset_cost)
 SUMSET_BUDGET = 2 * 10**8
-# uint8 pair strata held at once by the difference census
-_CENSUS_CHUNK_BYTES = 1 << 20
 # bytes of one int64 block of areas or dot products; a scan keeps at most
 # four blocks' worth alive
 _CHUNK_BYTES = 1 << 22
@@ -533,23 +531,19 @@ def difference_stratum_counts(m: Modulus) -> tuple[list[int], int]:
 
 
 def difference_stratum_census(m: Modulus) -> list[int]:
-    """Literal pair enumeration behind the r_i formulas.
+    """Pair count behind the r_i formulas, from one coordinate histogram.
 
     Returns the count of ordered plane-point pairs whose difference lies
     in stratum i, for i = 0 .. l-1 (zero differences fall in stratum l
-    and are dropped).
+    and are dropped).  A difference's stratum is the lesser valuation of
+    its coordinates, so with S_i the number of the q**2 coordinate pairs
+    (x_c, y_c) with v(x_c - y_c) >= i, the census is S_i**2 - S_{i+1}**2.
     """
     q, l = m.q, m.l
     x = np.arange(q)
-    # dv[x_c * q + y_c] = v(x_c - y_c); the pair's stratum is the min over c
-    dv = valuation_table(m)[(x[:, None] - x[None, :]) % q].ravel()
-    counts = [0] * l
-    step = max(1, _CENSUS_CHUNK_BYTES // dv.size)
-    for s in range(0, dv.size, step):
-        strat = np.minimum(dv[s : s + step, None], dv[None, :])
-        for i in range(l):
-            counts[i] += int(np.count_nonzero(strat == i))
-    return counts
+    per_j = np.bincount(valuation_table(m)[(x[:, None] - x[None, :]) % q].ravel(), minlength=l + 1)
+    deeper = np.cumsum(per_j[::-1])[::-1].tolist() + [0]
+    return [deeper[i] ** 2 - deeper[i + 1] ** 2 for i in range(l)]
 
 
 def sumset(E: PointSet, line: Line) -> set[Vec]:

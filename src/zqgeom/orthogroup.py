@@ -9,17 +9,15 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from .geometry import DimensionMismatch, valuation_table, vsub
-from .ring import Modulus
+from .ring import Modulus, Polynomial, hensel_lift_root
 
 __all__ = [
     "Rotation",
     "TriangleClass",
     "canonical_pair",
     "congruence_witness",
-    "fixed_points",
     "orbit_pair_total",
     "realizes_every_pair",
-    "rotated_planes",
     "so2_elements",
     "so2_table",
     "stabilizer",
@@ -112,40 +110,43 @@ def stabilizer(m: Modulus, xi: Vec2) -> tuple[Rotation, ...]:
     return tuple(Rotation(a, b, m) for a, b in rows.tolist())
 
 
-def _plane_dtype(q: int) -> np.dtype:
-    return np.min_scalar_type(2 * q)
-
-
-def rotated_planes(m: Modulus) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """(i, rx, ry) for each row (a, b) of so2_table(m), in table order, where
-    (rx[x, y], ry[x, y]) = (a x - b y, b x + a y) mod q over the whole plane.
-
-    The images are q x q arrays of the smallest unsigned dtype holding 2q
-    (uint8 or uint16 for every plane the lemma suite accepts).  A sum
-    s < 2q of two residues is reduced as min(s, s - q): for s < q the
-    subtraction wraps around to above s.
-    """
-    q = m.q
-    dt = _plane_dtype(q)
-    x = np.arange(q, dtype=np.int64)
-    for i, (a, b) in enumerate(so2_table(m).tolist()):
-        ax, bx, mby = ((c * x % q).astype(dt) for c in (a, b, -b))
-        rx, ry = ax[:, None] + mby, bx[:, None] + ax
-        yield i, np.minimum(rx, rx - dt.type(q)), np.minimum(ry, ry - dt.type(q))
-
-
-def fixed_points(rx: np.ndarray, ry: np.ndarray) -> np.ndarray:
-    """Boolean q x q mask of the plane points a rotated plane leaves in place."""
-    x = np.arange(len(rx), dtype=rx.dtype)
-    return (rx == x[:, None]) & (ry == x)
-
-
 def stabilizer_table(m: Modulus) -> np.ndarray:
-    """counts[x, y] = len(stabilizer(m, (x, y))) over the whole plane at once."""
-    counts = np.zeros((m.q, m.q), dtype=np.int64)
-    for _, rx, ry in rotated_planes(m):
-        counts += fixed_points(rx, ry)
-    return counts
+    """counts[x, y] = len(stabilizer(m, (x, y))) over the whole plane at once.
+
+    Any row (a, b) fixes v exactly when ((a - 1) + b i)(x + y i) = 0 in
+    Z_q[i], a test on the _depths of the two factors (the Z_q[i] argument
+    of _pair_orbits_by_depth).  So the table is a cumulative histogram of
+    the rows' reach, l minus their depths, looked up at each plane depth.
+    """
+    g, l = so2_table(m), m.l
+    reach = l - _depths(m, g[:, 0] - 1, g[:, 1])
+    fixing = np.zeros((l + 1,) * len(reach), dtype=np.int64)
+    np.add.at(fixing, tuple(reach), 1)
+    for axis in range(len(reach)):
+        fixing = fixing.cumsum(axis)
+    x = np.arange(m.q, dtype=np.int64)
+    return fixing[tuple(_depths(m, x[:, None], x[None, :]))]
+
+
+@lru_cache(maxsize=_GROUP_CACHE_SIZE)
+def _iota(m: Modulus) -> int:
+    """A root of x**2 + 1 mod q for p = 1 mod 4, lifted from c**((p-1)/4), c a non-residue."""
+    p = m.p
+    root = next(t for t in (pow(c, (p - 1) // 4, p) for c in range(2, p)) if t * t % p == p - 1)
+    return hensel_lift_root(Polynomial((1, 0, 1)), root, m)
+
+
+def _depths(m: Modulus, re, im) -> np.ndarray:
+    """Depths of the Gaussian integers re + im i in Z_q[i], on a new leading
+    axis; a product of two vanishes iff their depths sum to at least l in
+    every component.  For p = 3 mod 4 the ring is local, with the one
+    depth min(v(re), v(im)); for p = 1 mod 4 it splits as Z_q x Z_q by
+    re + im i -> (re + iota im, re - iota im), one depth per factor.
+    """
+    q, v = m.q, valuation_table(m)
+    if m.p % 4 == 3:
+        return np.stack([np.minimum(v[re % q], v[im % q])])
+    return np.stack([v[(re + _iota(m) * im) % q], v[(re - _iota(m) * im) % q]])
 
 
 def orbit_pair_total(m: Modulus) -> int:
@@ -279,9 +280,10 @@ def _orbit_min(rot: np.ndarray, codes: np.ndarray, q: int) -> tuple[np.ndarray, 
 
 
 def _fixing(m: Modulus, code: int) -> np.ndarray:
-    """Rows (a, b) of so2_table(m) whose rotation fixes the vector code."""
+    """Rows of so2_table(m) fixing the vector code, by the depth test of stabilizer_table."""
     g = so2_table(m)
-    return g[_turn(g[:, 0], g[:, 1], code, m.q) == code]
+    fixed = _depths(m, g[:, 0] - 1, g[:, 1]) + _depths(m, code // m.q, code % m.q)[:, None]
+    return g[(fixed >= m.l).all(axis=0)]
 
 
 def _canonical_pairs(
@@ -294,15 +296,16 @@ def _canonical_pairs(
     from its orbit alone, found once per distinct code; the rotations
     attaining it form theta*Stab(u), and Stab(u) = Stab(theta u) as the
     group is abelian, so v is turned by theta and then minimized over
-    that stabilizer only.
+    that stabilizer only, which depends on the depths of u alone.
     """
     q = m.q
     g = so2_table(m)
     least, theta = _orbit_min(g, codes, q)
     u, t = least[ru], theta[ru]
     v = _turn(g[t, 0], g[t, 1], codes[rv], q)
-    order = np.argsort(u, kind="stable")
-    heads = np.flatnonzero(np.r_[True, u[order][1:] != u[order][:-1]])
+    depth = _depths(m, u // q, u % q)
+    order = np.lexsort(depth)
+    heads = np.flatnonzero(np.r_[True, (np.diff(depth[:, order]) != 0).any(axis=0)])
     for lo, hi in zip(heads, np.r_[heads[1:], len(u)]):
         idx = order[lo:hi]
         v[idx] = _orbit_min(_fixing(m, int(u[order[lo]])), v[idx], q)[0]

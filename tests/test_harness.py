@@ -21,6 +21,7 @@ from zqgeom.harness import (
     _check_group_axioms,
     _check_line_census,
     _check_point_line_incidence,
+    _csv_num,
     _draw_below,
     _rotated_plane_checks,
     _row,
@@ -411,6 +412,25 @@ def test_experiment_csv_golden_header():
     assert first[4] in ("true", "false")
 
 
+def test_csv_bound_keeps_every_digit_of_the_json_bound():
+    # the t2 bound at Z_127 is 1024192, which a 6-digit format rounds to 1.02419e+06
+    cfg = ExperimentConfig(
+        p=127, l=1, kind="t2", source=SetSource.parse("random:3"), trials=1, seed=0
+    )
+    rep = run_theorem_experiment(cfg)
+    row = report_to_csv(rep).splitlines()[1].split(",")
+    assert row[3] == "1024192"
+    assert json.loads(report_to_json(rep))["trials"][0]["bound"] == 1024192.0
+
+
+@pytest.mark.parametrize(
+    "x, text", [(1024192.0, "1024192"), (24.5, "24.5"), (1 / 3, "0.3333333333333333"),
+                (2.0**70, "1.1805916207174113e+21"), (0.0, "0")],
+)
+def test_csv_floats_read_back_exactly(x, text):
+    assert _csv_num(x) == text and float(text) == x
+
+
 def test_lemma_suite_q9_all_pass():
     rep = run_lemma_suite(M9)
     assert rep.kind == "lemmas"
@@ -452,6 +472,20 @@ def test_incidence_check_runs_beyond_the_old_scan_budget():
     assert not check.skipped
     assert check.passed and check.statistic == 0
     assert check.universe == 587**2 - 1
+
+
+def test_rotated_plane_checks_run_beyond_the_old_scan_budget():
+    # 729**2 points times 972 rotations exceeded the op budget of the plane scans
+    m = Modulus(3, 6)
+    norm, nonzero, zero = _rotated_plane_checks(m)
+    assert not any(c.skipped for c in (norm, nonzero, zero))
+    assert norm.passed and norm.statistic == 0 and norm.universe == 729**2 * 972
+    per_k = orthogroup._fix_depths(m)
+    # a vector of depth j has a zero norm iff 2j >= 6, and is fixed by the
+    # rows of depth >= 6 - j: the largest stabilizers sit at j = 2 and j = 5
+    assert (nonzero.statistic, nonzero.witness) == (sum(per_k[4:]), "xi=(0,9)")
+    assert (zero.statistic, zero.witness) == (sum(per_k[1:]), "xi=(0,243)")
+    assert nonzero.passed and zero.passed and zero.statistic == zero.bound == 3**5
 
 
 def _incidence_scan_oracle(m):
@@ -717,6 +751,51 @@ def test_group_axioms_report_missing_rotations_like_the_loop(corrupt_group, m, s
     assert fails > 0 and " o " in witness
     assert (check.statistic, check.witness) == (fails, witness)
     assert _stabilizer_rows(m) == _stabilizer_rows_loop(m)
+
+
+@st.composite
+def _table_rows(draw, m):
+    """A row (a, b) for a group table: any pair, a true rotation, or
+    (a - 1) + b i built from chosen depths, directly or, for p = 1 mod 4,
+    through the split coordinates (a - 1) + b i -> ((a - 1) +- iota b)."""
+    q, p = m.q, m.p
+    kind = draw(st.sampled_from(["any", "rotation", "scaled", "split"]))
+    x, y = draw(st.integers(0, q - 1)), draw(st.integers(0, q - 1))
+    if kind == "any":
+        return x, y
+    if kind == "rotation":
+        return tuple(draw(st.sampled_from(orthogroup.so2_table(m).tolist())))
+    s, t = draw(st.integers(0, m.l)), draw(st.integers(0, m.l))
+    re, im = p**s * x % q, p**t * y % q
+    if kind == "split" and p % 4 == 1:
+        iota = next(i for i in range(q) if (i * i + 1) % q == 0)
+        half = pow(2, -1, q)
+        re, im = (re + im) * half % q, (re - im) * half * pow(iota, -1, q) % q
+    return (re + 1) % q, im
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_depth_counts_match_the_loops_on_any_table(data):
+    # every count must hold for an arbitrary table, not only for the group
+    m = data.draw(st.sampled_from([M9, M25, M27, Modulus(7, 2), Modulus(13, 2)]), label="m")
+    rows = data.draw(st.lists(_table_rows(m), max_size=8), label="rows")
+    table = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    real = orthogroup.so2_table
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orthogroup, "so2_table", lambda mod: table if mod == m else real(mod))
+        orthogroup.so2_elements.cache_clear()
+        try:
+            assert np.array_equal(orthogroup.stabilizer_table(m), _stabilizer_table_loop(m))
+            check = _rotated_plane_checks(m)[0]
+            assert (check.statistic, check.witness) == _norm_invariance_loop(m)
+            assert check.universe == m.q**2 * len(rows)
+            assert _stabilizer_rows(m) == _stabilizer_rows_loop(m)
+            v = data.draw(st.tuples(st.integers(0, m.q - 1), st.integers(0, m.q - 1)), label="v")
+            keys = [t.key() for t in orthogroup.stabilizer(m, v)]
+            assert keys == [t.key() for t in so2_elements(m) if t.apply(v) == v]
+        finally:
+            orthogroup.so2_elements.cache_clear()
 
 
 def _duplicate(lines, k):

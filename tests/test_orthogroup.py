@@ -16,10 +16,8 @@ from zqgeom.orthogroup import (
     TriangleClass,
     canonical_pair,
     congruence_witness,
-    fixed_points,
     orbit_pair_total,
     realizes_every_pair,
-    rotated_planes,
     so2_elements,
     stabilizer,
     stabilizer_table,
@@ -354,20 +352,7 @@ def test_group_caches_are_bounded():
     assert canonical_pair.cache_info().currsize == 0
 
 
-# -- the rotated-plane scan against Rotation.apply --------------------------
-
-
-@pytest.mark.parametrize("m", [M3, M9, M25], ids=str)
-def test_rotated_planes_match_apply(m):
-    group = so2_elements(m)
-    grid = list(itertools.product(range(m.q), repeat=2))
-    seen = 0
-    for i, rx, ry in rotated_planes(m):
-        assert rx.shape == ry.shape == (m.q, m.q)
-        for v in grid:
-            assert (int(rx[v]), int(ry[v])) == group[i].apply(v)
-        seen += 1
-    assert seen == len(group)
+# -- the stabilizer table against a scan of the group ----------------------
 
 
 def _stabilizer_scan(m, xi):
@@ -421,10 +406,12 @@ def test_orbit_pair_total_matches_the_fixed_point_scan(q):
     # |Fix theta| counted on each rotated plane, against p**(2 min(v(a-1), v(b)))
     m = Modulus.from_q(q)
     group = so2_elements(m)
+    x = np.arange(q, dtype=np.int64)
+    X, Y = x[:, None], x[None, :]
     squares = 0
-    for i, rx, ry in rotated_planes(m):
-        fixed = int(fixed_points(rx, ry).sum())
-        a, b = group[i].key()
+    for t in group:
+        a, b = t.key()
+        fixed = int((((a * X - b * Y) % q == X) & ((b * X + a * Y) % q == Y)).sum())
         assert fixed == m.p ** (2 * min(m.valuation(a - 1), m.valuation(b)))
         squares += fixed * fixed
     assert squares % len(group) == 0
