@@ -184,7 +184,7 @@ class PointSet:
         return np.array(self._points, dtype=np.int64).reshape(len(self), self.d)
 
     def indicator(self) -> GridFunction:
-        return GridFunction.indicator(self.m, self.d, self.points)
+        return GridFunction.indicator(self.m, self.d, self.as_array())
 
 
 def _check_dimension(d: int) -> None:

@@ -3,15 +3,15 @@
 The forward transform averages against the additive characters,
 fhat(m) = q**-d * sum_x chi(-x.m) f(x) with chi(z) = exp(2 pi i z / q),
 and inversion carries no normalization factor.  The default path is
-numpy's FFT over every axis; the literal quadratic sum is kept as the
-oracle, and the two must agree to within 1e-10.
+numpy's FFT over every axis; the literal quadratic sum, run in kernel row
+blocks of about 1 MiB, is the oracle, and the two agree to within 1e-10.
 
 Tables are immutable: the constructor copies the caller's values into a
-read-only array, so a GridFunction keeps its spectrum after the first
-forward and plancherel_gap reuses it.  A table with no nonzero imaginary
-part is transformed once, by a half-size real FFT; the other half of its
-spectrum follows from fhat(-m) = conj fhat(m), and inverse runs the real
-inverse FFT on the same half.  Any other table takes the complex FFT.
+read-only array, float64 if they are real and complex128 otherwise, and
+forward keeps the spectrum for plancherel_gap.  A table with no nonzero
+imaginary part takes a half-size real FFT into the front of its spectrum,
+whose tail is filled in place from fhat(-m) = conj fhat(m); inverse gives
+the float64 real inverse FFT of that half.  Other tables take the complex FFT.
 """
 
 from __future__ import annotations
@@ -38,24 +38,27 @@ __all__ = [
 
 @lru_cache(maxsize=8)
 def _roots_of_unity(q: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(q) / q)
-
-
-@lru_cache(maxsize=8)
-def _point_gram(q: int, d: int) -> np.ndarray:
-    """x.m mod q for every pair of grid points, in row-major point order."""
-    coords = np.indices((q,) * d).reshape(d, -1).T
-    return (coords @ coords.T) % q
+    roots = np.exp(2j * np.pi * np.arange(q) / q)
+    roots.flags.writeable = False
+    return roots
 
 
 def _grid_index(m: Modulus, d: int, points) -> tuple[np.ndarray, ...]:
-    """Per-axis int64 indices, mod q, of points with exactly d integer coordinates."""
-    coords = np.asarray(list(points))
-    if len(coords) == 0:
-        coords = np.empty((0, d), dtype=np.int64)
-    if coords.ndim != 2 or coords.shape[1] != d or coords.dtype.kind not in "iu":
-        raise ValueError(f"need integer {d}-dimensional points, got {coords.dtype} {coords.shape}")
-    return tuple((coords.astype(np.int64) % m.q).T)
+    """Per-axis int64 indices, mod q, of an (n, d) integer array or iterable of d-tuples."""
+    if not isinstance(points, np.ndarray):
+        points = np.asarray(list(points) or np.empty((0, d), np.int64))
+    if points.ndim != 2 or points.shape[1] != d or points.dtype.kind not in "iu":
+        raise ValueError(f"need integer {d}-dimensional points, got {points.dtype} {points.shape}")
+    return tuple((points.astype(np.int64) % m.q).T)
+
+
+def _float_or_complex(values) -> np.ndarray:
+    """A fresh float64 copy of real values, complex128 if any value is complex."""
+    vals = np.asarray(values)
+    try:
+        return np.array(vals, dtype=complex if vals.dtype.kind == "c" else float)
+    except TypeError:  # an object array holding a complex value
+        return np.array(vals, dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,18 +68,16 @@ class _Table:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        shape = (self.m.q,) * self.d
-        vals = np.array(self.values, dtype=complex)
-        if vals.shape != shape:
-            if vals.size != self.m.q**self.d:
-                raise ValueError(f"need {self.m.q**self.d} values, got {vals.size}")
-            vals = vals.reshape(shape)
+        vals = _float_or_complex(self.values)
+        if vals.size != self.m.q**self.d:
+            raise ValueError(f"need {self.m.q**self.d} values, got {vals.size}")
+        vals = vals.reshape((self.m.q,) * self.d)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     @classmethod
     def _adopt(cls, m: Modulus, d: int, vals: np.ndarray, **fields):
-        """A table around a fresh complex array of shape (q,)*d, without the copy."""
+        """A table around a fresh array of shape (q,)*d, without the copy."""
         vals.flags.writeable = False
         table = object.__new__(cls)
         for name, value in dict(m=m, d=d, values=vals, **fields).items():
@@ -88,25 +89,28 @@ class _Table:
 
 
 class GridFunction(_Table):
-    """A complex-valued table on all of Z_q^d."""
+    """A table on all of Z_q^d: float64 when its values are real, else complex128."""
 
     @classmethod
     def indicator(cls, m: Modulus, d: int, points: Iterable) -> "GridFunction":
-        vals = np.zeros((m.q,) * d, dtype=complex)
+        vals = np.zeros((m.q,) * d)
         vals[_grid_index(m, d, points)] = 1.0
         return cls._adopt(m, d, vals)
 
     @classmethod
     def from_counts(cls, m: Modulus, d: int, table: Mapping) -> "GridFunction":
-        vals = np.zeros((m.q,) * d, dtype=complex)
-        vals[_grid_index(m, d, table.keys())] = np.array(list(table.values()), dtype=complex)
+        counts = _float_or_complex(list(table.values()))
+        vals = np.zeros((m.q,) * d, dtype=counts.dtype)
+        vals[_grid_index(m, d, table.keys())] = counts
         return cls._adopt(m, d, vals)
 
     @cached_property
     def _spectrum(self) -> "SpectrumTable":
-        axes = tuple(range(self.d))
-        if self.d and not self.values.imag.any():
-            vals = _mirror(np.fft.rfftn(self.values.real, axes=axes, norm="forward"), self.m.q)
+        axes, q = tuple(range(self.d)), self.m.q
+        if self.d and not (self.values.dtype.kind == "c" and self.values.imag.any()):
+            vals = np.empty(self.values.shape, dtype=complex)
+            np.fft.rfftn(self.values.real, axes=axes, norm="forward", out=vals[..., : _half(q)])
+            _mirror(vals, q)
             return SpectrumTable._adopt(self.m, self.d, vals, hermitian=True)
         vals = np.fft.fftn(self.values, axes=axes, norm="forward")
         return SpectrumTable._adopt(self.m, self.d, vals)
@@ -114,11 +118,8 @@ class GridFunction(_Table):
 
 @dataclass(frozen=True, eq=False)
 class SpectrumTable(_Table):
-    """Fourier coefficients indexed by frequency vectors in Z_q^d.
-
-    hermitian marks the spectrum of a real table, fhat(-m) = conj fhat(m);
-    only forward sets it.
-    """
+    """Fourier coefficients indexed by frequency vectors in Z_q^d; hermitian
+    marks the spectrum of a real table, fhat(-m) = conj fhat(m), set only by forward."""
 
     hermitian: bool = field(default=False, init=False)
 
@@ -128,22 +129,17 @@ def _half(q: int) -> int:
     return q // 2 + 1
 
 
-def _mirror(half: np.ndarray, q: int) -> np.ndarray:
-    """The full spectrum of a real table from its rfftn half.
-
-    Column k >= q//2 + 1 is the conjugate of column q - k at the negated
-    leading index.  Negation fixes index 0 of each leading axis and runs
-    1..q-1 backwards, so one strided slice per corner of the leading axes
-    (index 0 or the rest) fills the tail.
-    """
-    h = half.shape[-1]
-    out = np.empty(half.shape[:-1] + (q,), dtype=complex)
-    out[..., :h] = half
-    for corner in itertools.product((False, True), repeat=half.ndim - 1):
+def _mirror(full: np.ndarray, q: int) -> None:
+    """Fill, in place, the tail of a real table's spectrum from the rfftn half
+    in its first q//2 + 1 columns: tail column k is the conjugate of column
+    q - k at the negated leading index.  Negation fixes index 0 of each
+    leading axis and runs 1..q-1 backwards, so one strided slice per corner
+    of the leading axes (index 0 or the rest) fills the tail."""
+    h = _half(q)
+    for corner in itertools.product((False, True), repeat=full.ndim - 1):
         dst = tuple(slice(1, None) if c else slice(0, 1) for c in corner)
         src = tuple(slice(None, 0, -1) if c else slice(0, 1) for c in corner)
-        np.conjugate(half[src + (slice(h - 1, 0, -1),)], out=out[dst + (slice(h, None),)])
-    return out
+        np.conjugate(full[src + (slice(h - 1, 0, -1),)], out=full[dst + (slice(h, None),)])
 
 
 def forward(f: GridFunction) -> SpectrumTable:
@@ -155,12 +151,20 @@ def forward(f: GridFunction) -> SpectrumTable:
     return f._spectrum
 
 
+def _literal_sum(t: _Table, roots: np.ndarray) -> np.ndarray:
+    """sum_x roots[x.m mod q] t(x) at every m, over kernel row blocks of about 1 MiB."""
+    coords = np.indices(t.values.shape).reshape(t.d, -1).T
+    out = np.empty(t.values.shape, dtype=complex)
+    rows, step = out.reshape(-1), max(1, (1 << 20) // (16 * len(coords)))
+    for s in range(0, len(coords), step):
+        rows[s : s + step] = roots[(coords[s : s + step] @ coords.T) % t.m.q] @ t.values.reshape(-1)
+    return out
+
+
 def forward_naive(f: GridFunction) -> SpectrumTable:
     """Literal double sum over all frequency/point pairs (the oracle)."""
-    q, d = f.m.q, f.d
-    kernel = _roots_of_unity(q)[(-_point_gram(q, d)) % q]
-    out = kernel @ f.values.reshape(-1) / q**d
-    return SpectrumTable(f.m, f.d, out)
+    out = _literal_sum(f, _roots_of_unity(f.m.q).conj()) / f.m.q**f.d
+    return SpectrumTable._adopt(f.m, f.d, out)
 
 
 def inverse(fhat: SpectrumTable) -> GridFunction:
@@ -169,19 +173,12 @@ def inverse(fhat: SpectrumTable) -> GridFunction:
     if fhat.hermitian:
         half = fhat.values[..., : _half(fhat.m.q)]
         vals = np.fft.irfftn(half, s=fhat.values.shape, axes=axes, norm="forward")
-        return GridFunction._adopt(fhat.m, fhat.d, vals.astype(complex))
+        return GridFunction._adopt(fhat.m, fhat.d, vals)
     return GridFunction._adopt(fhat.m, fhat.d, np.fft.ifftn(fhat.values, axes=axes, norm="forward"))
 
 
 def inverse_naive(fhat: SpectrumTable) -> GridFunction:
-    q, d = fhat.m.q, fhat.d
-    kernel = _roots_of_unity(q)[_point_gram(q, d)]
-    return GridFunction(fhat.m, fhat.d, kernel @ fhat.values.reshape(-1))
-
-
-def _energy(z: np.ndarray) -> float:
-    """sum |z|^2."""
-    return float(np.vdot(z, z).real)
+    return GridFunction._adopt(fhat.m, fhat.d, _literal_sum(fhat, _roots_of_unity(fhat.m.q)))
 
 
 def plancherel_gap(f: GridFunction) -> float:
@@ -190,6 +187,7 @@ def plancherel_gap(f: GridFunction) -> float:
     Uses f's kept spectrum, summed over all of it, so a wrong mirrored half
     shows here too.
     """
-    lhs = _energy(forward(f).values)
-    rhs = _energy(f.values) / f.m.q**f.d
-    return abs(lhs - rhs)
+    fhat = forward(f).values
+    lhs = np.vdot(fhat, fhat).real
+    rhs = np.vdot(f.values, f.values).real / f.m.q**f.d
+    return float(abs(lhs - rhs))

@@ -733,9 +733,13 @@ def _sphere_checks(m: Modulus) -> list[Outcome]:
     ]
 
 
+@functools.lru_cache(maxsize=1)  # a suite runs every check on one modulus before the next
 def _norm_table(m: Modulus) -> np.ndarray:
+    """Read-only int64 table of x**2 + y**2 mod q over the plane, shared by the checks."""
     x = np.arange(m.q, dtype=np.int64)
-    return (x[:, None] ** 2 + x[None, :] ** 2) % m.q
+    table = (x[:, None] ** 2 + x[None, :] ** 2) % m.q
+    table.flags.writeable = False
+    return table
 
 
 @_lemma_check

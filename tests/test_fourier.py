@@ -3,6 +3,8 @@ double sum, round trips, Plancherel, and character sums."""
 
 import dataclasses
 import itertools
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -158,7 +160,7 @@ def _literal_sum(values, q, freqs, sign):
     return values.reshape(-1) @ chi
 
 
-# the naive transforms hold a q**(2d) kernel, so they run where q**d <= 729;
+# the naive transforms take q**(2d) steps, so they run where q**d <= 729;
 # above that, sampled coefficients are checked against the defining sum
 _GRIDS = [(q, d) for q in (3, 5, 9, 25, 27) for d in (1, 2, 3, 4)]
 
@@ -184,15 +186,42 @@ def test_fast_transforms_match_the_literal_sums(q, d):
 
 
 def test_fourier_caches_are_bounded():
-    for fn in (fourier._roots_of_unity, fourier._point_gram):
-        fn.cache_clear()
-        assert fn.cache_info().maxsize is not None
+    fn = fourier._roots_of_unity
+    fn.cache_clear()
+    assert fn.cache_info().maxsize is not None
     for q in (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29):
         f = GridFunction.indicator(Modulus.from_q(q), 1, [(1,)])
         inverse_naive(forward_naive(f))
-    for fn in (fourier._roots_of_unity, fourier._point_gram):
-        info = fn.cache_info()
-        assert info.misses == 12 and info.currsize <= info.maxsize
+    info = fn.cache_info()
+    assert info.misses == 12 and info.currsize <= info.maxsize
+
+
+def test_cached_roots_of_unity_are_read_only():
+    roots = fourier._roots_of_unity(9)
+    with pytest.raises(ValueError):
+        roots[1] = 0
+    assert fourier._roots_of_unity(9) is roots and roots[1] == np.exp(2j * np.pi / 9)
+
+
+def test_array_points_give_the_same_tables_as_tuples():
+    rng = np.random.default_rng(3)
+    for d in (1, 2, 3):
+        arr = rng.integers(-20, 40, size=(30, d))
+        tuples = [tuple(int(c) for c in x) for x in arr]
+        assert np.array_equal(
+            GridFunction.indicator(M9, d, arr).values, GridFunction.indicator(M9, d, tuples).values
+        )
+        assert np.array_equal(
+            GridFunction.indicator(M9, d, (arr % 9).astype(np.uint16)).values,
+            GridFunction.indicator(M9, d, iter(tuples)).values,
+        )
+    E = random_subset(M27, 2, 40, seed=2)
+    assert np.array_equal(E.indicator().values, GridFunction.indicator(M27, 2, E.points).values)
+    for bad in (np.ones((3, 3), dtype=np.int64), np.ones(3, dtype=np.int64), np.ones((3, 2)),
+                np.array([(1, 2), (3,)], dtype=object), np.empty((0, 3), dtype=np.int64)):
+        with pytest.raises(ValueError):
+            GridFunction.indicator(M9, 2, bad)
+    assert not GridFunction.indicator(M9, 2, np.empty((0, 2), dtype=np.int64)).values.any()
 
 
 # --- immutable tables --------------------------------------------------------
@@ -245,15 +274,64 @@ def test_the_spectrum_is_computed_once(monkeypatch):
 def test_plancherel_gap_sums_the_mirrored_half(monkeypatch):
     mirror = fourier._mirror
 
-    def doubled_tail(half, q):
-        out = mirror(half, q)
-        out[..., half.shape[-1] :] *= 2
-        return out
+    def doubled_tail(full, q):
+        mirror(full, q)
+        full[..., q // 2 + 1 :] *= 2
 
     monkeypatch.setattr(fourier, "_mirror", doubled_tail)
     f = GridFunction.indicator(M27, 2, [(1, 2), (5, 0), (7, 7)])
     assert forward(f).hermitian
     assert plancherel_gap(f) > 1e-3
+
+
+# --- storage width -----------------------------------------------------------
+
+
+def test_real_values_are_stored_as_float64():
+    f = GridFunction.indicator(M27, 2, [(1, 2), (5, 0)])
+    assert f.values.dtype == np.float64
+    assert inverse(forward(f)).values.dtype == np.float64
+    counts = GridFunction.from_counts(M3, 1, {(0,): 2, (2,): -5})
+    assert counts.values.dtype == np.float64 and counts.values.tolist() == [2, 0, -5]
+    mixed = GridFunction.from_counts(M3, 1, {(0,): Fraction(1, 2), (1,): True, (2,): 2.5})
+    assert mixed.values.dtype == np.float64 and mixed.values.tolist() == [0.5, 1, 2.5]
+    for real in ([True, False, True], [1, 2, 3], np.arange(3, dtype=np.int8), [0.5, 1, 2],
+                 np.arange(3, dtype=np.float32), [Fraction(1, 3), 1, 2]):
+        assert GridFunction(M3, 1, real).values.dtype == np.float64
+    for cplx in ([1j, 0, 0], np.zeros(3, dtype=complex), [Fraction(1, 2), 1j, 0]):
+        assert GridFunction(M3, 1, cplx).values.dtype == np.complex128
+    for table in ({(0,): 1j}, {(0,): Fraction(1, 2), (1,): 2 + 0j}):
+        assert GridFunction.from_counts(M3, 1, table).values.dtype == np.complex128
+    # a complex table with no imaginary part stays complex, yet takes the real path
+    z = GridFunction(M27, 2, f.values.astype(complex))
+    assert z.values.dtype == np.complex128 and forward(z).hermitian
+    assert inverse(forward(z)).values.dtype == np.float64
+
+
+def _peak_bytes(run) -> int:
+    """Peak traced allocation while run() executes, above what was live before."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_real_transforms_stay_within_two_and_a_half_spectra():
+    m = Modulus(3, 5)
+    f = GridFunction.indicator(m, 2, random_subset(m, 2, 3000, seed=1).points)
+    # the kept complex spectrum is one 16 q**d table; the rest is transient
+    assert _peak_bytes(lambda: inverse(forward(f))) <= 2.5 * 16 * m.q**2
+
+
+def test_naive_transforms_run_in_row_blocks():
+    f = GridFunction.indicator(M27, 2, random_subset(M27, 2, 200, seed=1).points)
+    fourier._roots_of_unity(27)
+    # a whole q**(2d) kernel would be 729**2 * 16 B = 8.5 MB
+    assert _peak_bytes(lambda: forward_naive(f)) < 4 * 2**20
+    fhat = forward_naive(f)
+    assert _peak_bytes(lambda: inverse_naive(fhat)) < 4 * 2**20
 
 
 # --- the real path against the oracles ---------------------------------------
@@ -315,7 +393,7 @@ def test_from_counts_and_complex_tables_match_the_oracles(q, d):
 
 
 def test_a_tiny_imaginary_part_takes_the_complex_path():
-    vals = _real_table(M27, 2, seed=3).values.copy()
+    vals = _real_table(M27, 2, seed=3).values.astype(complex)
     vals[4, 20] += 1e-300j
     f = GridFunction(M27, 2, vals)
     assert not forward(f).hermitian
@@ -344,3 +422,31 @@ def test_random_real_tables_match_the_oracles(case):
     f = GridFunction(Modulus.from_q(q), d, vals)
     assert forward(f).hermitian
     _check_against_oracles(f)
+
+
+_REAL_GRIDS = [(3, 1), (27, 1), (81, 1), (3, 2), (9, 2), (25, 2), (3, 3), (5, 3), (9, 3), (3, 4),
+               (5, 4)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(_REAL_GRIDS).flatmap(
+        lambda qd: st.tuples(
+            st.just(qd),
+            hnp.arrays(
+                np.float64,
+                (qd[0],) * qd[1],
+                elements=st.floats(-10, 10, allow_nan=False, allow_subnormal=False),
+            ),
+        )
+    )
+)
+def test_real_storage_matches_the_complex_fft(case):
+    (q, d), vals = case
+    f = GridFunction(Modulus.from_q(q), d, vals)
+    want = np.fft.fftn(vals.astype(complex), norm="forward")
+    assert f.values.dtype == np.float64
+    assert np.abs(forward(f).values - want).max() < 1e-10
+    back = inverse(forward(f))
+    assert back.values.dtype == np.float64
+    assert np.abs(back.values - np.fft.ifftn(want, norm="forward")).max() < 1e-10

@@ -23,6 +23,7 @@ from zqgeom.harness import (
     _check_point_line_incidence,
     _csv_num,
     _draw_below,
+    _norm_table,
     _rotated_plane_checks,
     _row,
     _sample_indices,
@@ -447,6 +448,18 @@ def test_lemma_suite_q9_all_pass():
     assert by_name["stabilizer_bound_nonzero_norm"].statistic == 1
     assert by_name["difference_weighted_bound"].statistic == 1944
     assert by_name["sphere_matches_group"].passed
+
+
+def test_lemma_suite_builds_its_norm_table_once():
+    _norm_table.cache_clear()
+    run_lemma_suite(M9)
+    info = _norm_table.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    table = _norm_table(M9)
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    x, y = np.indices((9, 9))
+    assert np.array_equal(table, (x * x + y * y) % 9)
 
 
 def test_lemma_suite_skips_zero_norm_cases_for_p_1_mod_4():
