@@ -14,12 +14,10 @@ from .configsets import PointSet
 from .harness import (
     EXPERIMENT_KINDS,
     ExperimentConfig,
-    Report,
     SetSource,
+    _decimal,
     format_pointset,
     random_subset,
-    report_to_csv,
-    report_to_json,
     run_lemma_suite,
     run_theorem_experiment,
     write_pointset_file,
@@ -28,9 +26,17 @@ from .harness import (
 from .ring import Modulus
 
 
+def _integer(text: str) -> int:
+    """argparse type for integer options, as strict as the set-file parser."""
+    try:
+        return _decimal(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_modulus_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--p", type=int, required=True, help="odd prime base")
-    sub.add_argument("--l", type=int, required=True, help="exponent, q = p**l")
+    sub.add_argument("--p", type=_integer, required=True, help="odd prime base")
+    sub.add_argument("--l", type=_integer, required=True, help="exponent, q = p**l")
 
 
 # built once per process: argparse spends about a millisecond per build on
@@ -51,37 +57,29 @@ def _build_parser() -> argparse.ArgumentParser:
     exp = commands.add_parser("experiment", help="run a theorem-conclusion experiment")
     exp.add_argument("--kind", choices=EXPERIMENT_KINDS, required=True)
     _add_modulus_args(exp)
-    exp.add_argument("--d", type=int, default=2, help="ambient dimension (dotprod only)")
+    exp.add_argument("--d", type=_integer, default=2, help="ambient dimension (dotprod only)")
     exp.add_argument(
         "--set",
         dest="set_source",
         required=True,
         help="point-set source: random:N, product:FILE, file:PATH, or full",
     )
-    exp.add_argument("--trials", type=int, default=1)
-    exp.add_argument("--seed", type=int, default=0)
+    exp.add_argument("--trials", type=_integer, default=1)
+    exp.add_argument("--seed", type=_integer, default=0)
     exp.add_argument("--out", help="write the report here instead of stdout")
     exp.add_argument("--format", choices=("json", "csv"), default="json")
 
     gen = commands.add_parser("gen-set", help="emit a point-set file")
     _add_modulus_args(gen)
-    gen.add_argument("--d", type=int, default=2)
+    gen.add_argument("--d", type=_integer, default=2)
     pick = gen.add_mutually_exclusive_group(required=True)
-    pick.add_argument("--size", type=int, help="random subset of this size")
+    pick.add_argument("--size", type=_integer, help="random subset of this size")
     pick.add_argument("--full", action="store_true", help="the whole grid")
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--trial", type=int, default=0)
+    gen.add_argument("--seed", type=_integer, default=0)
+    gen.add_argument("--trial", type=_integer, default=0)
     gen.add_argument("--out", help="write the set here instead of stdout")
 
     return parser
-
-
-def _emit_report(report: Report, out: str | None, fmt: str) -> None:
-    if out is None:
-        text = report_to_json(report) if fmt == "json" else report_to_csv(report)
-        sys.stdout.write(text)
-    else:
-        write_report(report, out, fmt)
 
 
 def main(argv=None) -> int:
@@ -89,7 +87,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify-lemmas":
             report = run_lemma_suite(Modulus(args.p, args.l))
-            _emit_report(report, args.out, args.format)
+            write_report(report, args.out, args.format)
             return 0 if report.all_passed else 1
 
         if args.command == "experiment":
@@ -103,7 +101,7 @@ def main(argv=None) -> int:
                 seed=args.seed,
             )
             report = run_theorem_experiment(cfg)
-            _emit_report(report, args.out, args.format)
+            write_report(report, args.out, args.format)
             return 0 if report.all_passed else 1
 
         m = Modulus(args.p, args.l)

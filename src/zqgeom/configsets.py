@@ -28,13 +28,13 @@ from .geometry import (
     valuation_table,
     vsub,
 )
-from .orthogroup import Rotation, _merge_counts, _residues
+from . import orthogroup
+from .orthogroup import Rotation
 from .ring import Modulus
 
 __all__ = [
     "FULL_GRID_CAP",
     "PointSet",
-    "SUMSET_BUDGET",
     "difference_stratum_census",
     "difference_stratum_counts",
     "distance_set",
@@ -52,8 +52,6 @@ __all__ = [
 
 # ceiling on materialized grids and sampling universes
 FULL_GRID_CAP = 10**6
-# operations the sumset path of a product set may spend (sumset_cost)
-SUMSET_BUDGET = 2 * 10**8
 # bytes of one int64 block of areas or dot products; a scan keeps at most
 # four blocks' worth alive
 _CHUNK_BYTES = 1 << 22
@@ -116,7 +114,8 @@ class PointSet:
     @classmethod
     def full_grid(cls, m: Modulus, d: int) -> "PointSet":
         _check_dimension(d)
-        if m.q**d > FULL_GRID_CAP:
+        # q >= 3, so d >= 20 passes the cap before q**d is formed
+        if d >= FULL_GRID_CAP.bit_length() or m.q**d > FULL_GRID_CAP:
             raise ValueError(f"grid Z_{m.q}^{d} exceeds the {FULL_GRID_CAP}-point cap")
         return cls._lazy(m, d, tuple(range(m.q)), base=None)
 
@@ -197,22 +196,6 @@ def distance_set(E: PointSet) -> set[int]:
     return {norm(E.m, vsub(E.m, x, y)) for x in E for y in E}
 
 
-def _tally(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct values over (values, weights) blocks, with summed weights.
-
-    Blocks are reduced and merged into the running tally as in _residues.
-    """
-    keys = counts = np.empty(0, dtype=np.int64)
-    pending, held = [], 0
-    for values, weights in blocks:
-        pending.append(_merge_counts([(values.ravel(), weights.ravel())]))
-        held += len(pending[-1][0])
-        if held >= len(keys):
-            keys, counts = _merge_counts([(keys, counts), *pending])
-            pending, held = [], 0
-    return _merge_counts([(keys, counts), *pending])
-
-
 def _row_blocks(rows: int, width: int, q: int) -> Iterator[slice]:
     """Slices covering range(rows), for rows of `width` values each.
 
@@ -271,7 +254,7 @@ def sumset_cost(q: int, a: int, d: int) -> int:
     a a' = a' a.  S_(k+1) = S_k + A.A then costs |S_k| * |A.A| sums, where
     S_k, the k-fold sumset of A.A, is at most all of Z_q and at most the
     number of k-element multisets of A.A.  The arrays held are bounded by
-    the same terms.  The sum stops growing once it passes SUMSET_BUDGET.
+    the same terms.  The sum stops growing once it passes orthogroup._OP_CAP.
     """
     pp = min(q, a * (a + 1) // 2)
     total = a * a
@@ -280,7 +263,7 @@ def sumset_cost(q: int, a: int, d: int) -> int:
         if size == q or pp <= 1:  # no further growth
             return total + size * pp * (d - k)
         total += size * pp
-        if total > SUMSET_BUDGET:
+        if total > orthogroup._OP_CAP:
             break
     return total
 
@@ -293,11 +276,9 @@ def _sumset_base(E: PointSet, counted: bool) -> np.ndarray:
     """E's factor A as int64, once the sumset path is within its budget."""
     a, d = len(E.base), E.d
     cost = sumset_cost(E.m.q, a, d)
-    if cost > SUMSET_BUDGET:
-        raise ValueError(
-            f"dot products of A^{d} with |A| = {a} may take {cost} sumset operations, "
-            f"over the {SUMSET_BUDGET}-operation cap"
-        )
+    orthogroup._within(
+        cost, f"dot products of A^{d} with |A| = {a} may take {cost} sumset operations"
+    )
     if counted and a ** (2 * d) >= 2**63:
         raise ValueError(
             f"pair counts of A^{d} with |A| = {a} reach {a}^{2 * d} >= 2^63, past the int64 cap"
@@ -316,7 +297,7 @@ def _pair_blocks(x: np.ndarray, y: np.ndarray, q: int, op) -> Iterator[tuple[int
 
 def _convolve(x, cx, y, cy, q: int, op) -> tuple[np.ndarray, np.ndarray]:
     """Distinct op(x_i, y_j) mod q, each with the sum of its weights cx_i * cy_j."""
-    return _tally(
+    return orthogroup._tally(
         (block, cx[s : s + len(block), None] * cy[None, :])
         for s, block in _pair_blocks(x, y, q, op)
     )
@@ -325,12 +306,12 @@ def _convolve(x, cx, y, cy, q: int, op) -> tuple[np.ndarray, np.ndarray]:
 def _dot_sumset(E: PointSet) -> np.ndarray:
     """The d-fold sumset of A.A, sorted; stops once it is all of Z_q."""
     q, a = E.m.q, _sumset_base(E, counted=False)
-    prods = _residues((b for _, b in _pair_blocks(a, a, q, np.multiply)), q)
+    prods = orthogroup._residues((b for _, b in _pair_blocks(a, a, q, np.multiply)), q)
     found = prods
     for _ in range(E.d - 1):
         if len(found) == q:
             break
-        found = _residues((b for _, b in _pair_blocks(found, prods, q, np.add)), q)
+        found = orthogroup._residues((b for _, b in _pair_blocks(found, prods, q, np.add)), q)
     return found
 
 
@@ -399,7 +380,7 @@ def dot_product_set(E: PointSet) -> set[int]:
 
     For a set built by PointSet.product these are the d-fold sumset of
     A.A = {a a' : a, a' in A} in Z_q, found without listing A^d and refused
-    past SUMSET_BUDGET operations (see sumset_cost).  Any other set is
+    past orthogroup._OP_CAP operations (see sumset_cost).  Any other set is
     scanned in row blocks of at most _CHUNK_BYTES of int64 each, with at
     most four blocks' worth alive at once.  Both stop once all q values
     have appeared.
@@ -415,7 +396,7 @@ def dot_product_count(E: PointSet) -> int:
 def _dot_values(E: PointSet) -> np.ndarray:
     if _is_product(E):
         return _dot_sumset(E)
-    return _residues(_dot_blocks(E), E.m.q)
+    return orthogroup._residues(_dot_blocks(E), E.m.q)
 
 
 def dot_product_counts(E: PointSet) -> Mapping[int, int]:
@@ -423,13 +404,13 @@ def dot_product_counts(E: PointSet) -> Mapping[int, int]:
 
     The table is held sparse, so no length-q array is allocated.  For a set
     built by PointSet.product, nu is the d-fold cyclic convolution of the
-    histogram of A.A, exact in int64; it is refused past SUMSET_BUDGET or
+    histogram of A.A, exact in int64; it is refused past orthogroup._OP_CAP or
     once |A|**(2d) reaches 2**63.  Any other set is tallied over the row
     blocks of its pair scan.
     """
     if _is_product(E):
         return _DotCounts(E.m.q, *_dot_convolution(E))
-    return _DotCounts(E.m.q, *_tally((b, np.ones_like(b)) for b in _dot_blocks(E)))
+    return _DotCounts(E.m.q, *orthogroup._tally((b, np.ones_like(b)) for b in _dot_blocks(E)))
 
 
 def triangle_area_set(E: PointSet) -> set[int]:
@@ -450,7 +431,7 @@ def triangle_area_count(E: PointSet) -> int:
 def _area_values(E: PointSet) -> np.ndarray:
     if E.d != 2:
         raise DimensionMismatch("areas are a planar counter")
-    return _residues(_area_blocks(E), E.m.q, start=1)
+    return orthogroup._residues(_area_blocks(E), E.m.q, start=1)
 
 
 def rotation_correlation(E: PointSet, theta: Rotation) -> dict[Vec, int]:

@@ -12,10 +12,11 @@ from __future__ import annotations
 import functools
 import operator
 import re
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, log10
 from pathlib import Path
 from statistics import fmean
 from typing import Callable, NamedTuple
@@ -177,7 +178,8 @@ def random_subset(m: Modulus, d: int, size: int, seed: int, trial: int = 0) -> P
     sorted indices list the points in lexicographic order.
     """
     _check_dimension(d)
-    total = m.q**d
+    # q >= 3, so d >= 20 passes the cap before q**d is formed
+    total = m.q**d if d < FULL_GRID_CAP.bit_length() else FULL_GRID_CAP + 1
     if total > FULL_GRID_CAP:
         raise ValueError(f"grid Z_{m.q}^{d} exceeds the {FULL_GRID_CAP}-point sampling cap")
     if not 0 <= size <= total:
@@ -200,11 +202,11 @@ def format_pointset(ps: PointSet) -> str:
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
-def _decimal(token: str, lineno: int) -> int:
-    """int() restricted to plain ASCII decimals: no '_' separators, no other digits."""
-    token = token.strip()
+def _decimal(token: str, where: str = "") -> int:
+    """int() restricted to plain ASCII decimals: no '_' separators, no other
+    digits, no surrounding whitespace."""
     if not _DECIMAL.fullmatch(token):
-        raise ValueError(f"line {lineno}: {token!r} is not a decimal integer")
+        raise ValueError(f"{where}{token!r} is not a decimal integer")
     return int(token)
 
 
@@ -217,6 +219,7 @@ def parse_pointset(text: str) -> PointSet:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"line {lineno}: "
         if header is None:
             fields = {}
             for token in line.split():
@@ -228,9 +231,9 @@ def parse_pointset(text: str) -> PointSet:
                 fields[key] = val
             if set(fields) != {"q", "d"}:
                 raise ValueError(f"line {lineno}: header must set exactly q and d")
-            header = (_decimal(fields["q"], lineno), _decimal(fields["d"], lineno))
+            header = (_decimal(fields["q"], where), _decimal(fields["d"], where))
             continue
-        rows.append(tuple(_decimal(tok, lineno) for tok in line.split(",")))
+        rows.append(tuple(_decimal(tok.strip(), where) for tok in line.split(",")))
     if header is None:
         raise ValueError("missing 'q=<q> d=<d>' header line")
     q, d = header
@@ -273,7 +276,7 @@ class SetSource:
         mode, sep, arg = text.partition(":")
         if sep and mode == "random":
             try:
-                return cls("random", size=int(arg))
+                return cls("random", size=_decimal(arg))
             except ValueError:
                 raise ValueError(f"bad random size in set source {text!r}") from None
         if sep and arg and mode in ("product", "file"):
@@ -305,8 +308,7 @@ class ExperimentConfig:
             raise ValueError(f"kind must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
         if self.trials < 1:
             raise ValueError(f"need at least one trial, got {self.trials}")
-        if self.d < 1:
-            raise ValueError(f"dimension must be at least 1, got {self.d}")
+        _check_dimension(self.d)
         if self.kind in ("t2", "v2") and self.d != 2:
             raise ValueError(f"kind {self.kind} is planar; got d={self.d}")
         Modulus(self.p, self.l)  # validates p and l eagerly
@@ -342,7 +344,9 @@ def generate_set(cfg: ExperimentConfig, trial: int) -> PointSet:
     if src.mode == "product":
         if ps.d != 1:
             raise ValueError(f"product source needs a 1-dimensional base file, got d={ps.d}")
-        return PointSet.product(m, (pt[0] for pt in ps), cfg.d)
+        E = PointSet.product(m, (pt[0] for pt in ps), cfg.d)
+        _within_digits(f"the size of A^d with |A| = {len(E.base)}", cfg.d, len(E.base), cfg.d)
+        return E
     if ps.d != cfg.d:
         raise ValueError(f"set file has d={ps.d}, config has d={cfg.d}")
     return ps
@@ -371,10 +375,25 @@ def size_threshold(kind: str, m: Modulus, d: int = 2) -> int:
     if kind == "v2":
         return isqrt(p ** (4 * l - 1)) + 1  # strict inequality
     if kind == "dotprod":
-        target = p ** (d * (2 * l - 1) + 1)
+        exponent = d * (2 * l - 1) + 1
+        _within_digits("the dotprod size threshold", d, p, Fraction(exponent, 2))
+        target = p**exponent
         r = isqrt(target)
         return r if r * r == target else r + 1
     raise ValueError(f"unknown kind {kind!r}")
+
+
+def _within_digits(what: str, d: int, base: int, exponent) -> None:
+    """Refuse `what`, about base**exponent at dimension d, when its digit
+    count, exponent * log10(base) + 1, would pass the limit on integer
+    strings (the default one when the limit is off); the power itself is
+    never formed."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    # base >= 2 gives log10(base) > 1/4, so a larger exponent passes the limit
+    if base > 1 and (exponent > 4 * limit or exponent * log10(base) >= limit - 1e-6):
+        raise ValueError(
+            f"{what} at d = {d} passes {limit} decimal digits, the integer-string limit"
+        )
 
 
 def meets_hypothesis(kind: str, m: Modulus, d: int, size: int) -> bool:
@@ -502,14 +521,18 @@ def report_to_csv(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(report: Report, path, fmt: str = "json") -> None:
+def write_report(report: Report, path=None, fmt: str = "json") -> None:
+    """Write the report as JSON or CSV text to path, or to stdout when path is None."""
     if fmt == "json":
         text = report_to_json(report)
     elif fmt == "csv":
         text = report_to_csv(report)
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-    Path(path).write_text(text)
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text)
 
 
 # ---------------------------------------------------------------------------

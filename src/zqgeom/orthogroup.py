@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -271,6 +271,9 @@ def _orbit_min(rot: np.ndarray, codes: np.ndarray, q: int) -> tuple[np.ndarray, 
     """Least image of each vector code under the rotations `rot`, and the row
     of `rot` attaining it."""
     best, arg = np.empty_like(codes), np.empty_like(codes)
+    # _turn's terms stay below 2q**2, so under q = 32768 int32 halves the bytes
+    small = np.int32 if 2 * q * q < 2**31 else np.int64
+    rot, codes = rot.astype(small), codes.astype(small)
     step = max(1, _CHUNK_BYTES // (8 * len(rot)))
     for s in range(0, len(codes), step):
         img = _turn(rot[:, :1], rot[:, 1:], codes[None, s : s + step], q)
@@ -287,13 +290,13 @@ def _fixing(m: Modulus, code: int) -> np.ndarray:
 
 
 def _canonical_pairs(
-    m: Modulus, codes: np.ndarray, ru: np.ndarray, rv: np.ndarray
+    m: Modulus, codes: np.ndarray, ru: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """canonical_pair of each pair (codes[ru], codes[rv]) of vector codes, as
-    the codes of the least image pair.
+    """canonical_pair of each pair (codes[ru], v) of vector codes, as the
+    codes of the least image pair.
 
     Codes order like the tuples they encode.  The least image of u comes
-    from its orbit alone, found once per distinct code; the rotations
+    from its orbit alone, found once per entry of codes; the rotations
     attaining it form theta*Stab(u), and Stab(u) = Stab(theta u) as the
     group is abelian, so v is turned by theta and then minimized over
     that stabilizer only, which depends on the depths of u alone.
@@ -302,67 +305,47 @@ def _canonical_pairs(
     g = so2_table(m)
     least, theta = _orbit_min(g, codes, q)
     u, t = least[ru], theta[ru]
-    v = _turn(g[t, 0], g[t, 1], codes[rv], q)
+    v = _turn(g[t, 0], g[t, 1], v, q)
     depth = _depths(m, u // q, u % q)
     order = np.lexsort(depth)
-    heads = np.flatnonzero(np.r_[True, (np.diff(depth[:, order]) != 0).any(axis=0)])
+    heads = np.flatnonzero(np.diff(depth[:, order], prepend=-1).any(axis=0))
     for lo, hi in zip(heads, np.r_[heads[1:], len(u)]):
         idx = order[lo:hi]
         v[idx] = _orbit_min(_fixing(m, int(u[order[lo]])), v[idx], q)[0]
     return u, v
 
 
-def _tally(rank: np.ndarray, size: int) -> np.ndarray:
+def _row_counts(rank: np.ndarray, size: int) -> np.ndarray:
     """out[i, r] = number of entries equal to r in row i, as float64."""
     k = len(rank)
     flat = (np.arange(k)[:, None] * size + rank).ravel()
     return np.bincount(flat, minlength=k * size).reshape(k, size).astype(np.float64)
 
 
-def _pair_census(rank: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct keys rank[x, y] * size + rank[y, z] over all (x, y, z), with counts.
-
-    When the size**2 key space fits the chunk budget, the counts are the
-    matrix product sum_y #{x : rank[x, y] = r} * #{z : rank[y, z] = s},
-    exact in float64 while n**3 < 2**53.  Otherwise each chunk of middle
-    vertices is reduced by sorting, and the reduced chunks are merged into
-    the running union once they outgrow both the budget and the union
-    itself, so merging costs O(log) passes over the output.
-    """
-    n = len(rank)
-    if 8 * size * size <= _CHUNK_BYTES:
-        table = np.zeros((size, size))
-        step = max(1, _CHUNK_BYTES // (8 * max(n, size)))
-        for y0 in range(0, n, step):
-            ys = slice(y0, y0 + step)
-            table += _tally(rank[:, ys].T, size).T @ _tally(rank[ys, :], size)
-        keys = np.flatnonzero(table)
-        return keys, table.ravel()[keys].astype(np.int64)
-    keys = counts = np.empty(0, dtype=np.int64)
-    pending: list[tuple[np.ndarray, np.ndarray]] = []
-    held = 0
-    step = max(1, _CHUNK_BYTES // (8 * n * n))
-    for y0 in range(0, n, step):
-        ys = slice(y0, y0 + step)
-        block = rank[:, ys].T[:, :, None] * size + rank[ys, :][:, None, :]
-        pending.append(np.unique(block, return_counts=True))
-        held += 16 * len(pending[-1][0])
-        if held > max(_CHUNK_BYTES, 16 * len(keys)):
-            keys, counts = _merge_counts([(keys, counts), *pending])
-            pending, held = [], 0
-    return _merge_counts([(keys, counts), *pending])
-
-
 def _merge_counts(parts) -> tuple[np.ndarray, np.ndarray]:
     """Sum the counts of equal keys across (keys, counts) parts."""
     keys = np.concatenate([k for k, _ in parts])
     counts = np.concatenate([c for _, c in parts])
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys)
     keys, counts = keys[order], counts[order]
-    if len(keys) == 0:
-        return keys, counts
-    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    first = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
     return keys[first], np.add.reduceat(counts, first)
+
+
+def _tally(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values over (values, weights) blocks, with summed weights.
+
+    Blocks are reduced and merged into the running tally as in _residues.
+    """
+    keys = counts = np.empty(0, dtype=np.int64)
+    pending, held = [], 0
+    for values, weights in blocks:
+        pending.append(_merge_counts([(values.ravel(), weights.ravel())]))
+        held += len(pending[-1][0])
+        if held >= len(keys):
+            keys, counts = _merge_counts([(keys, counts), *pending])
+            pending, held = [], 0
+    return _merge_counts([(keys, counts), *pending])
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -393,7 +376,7 @@ def _residues(blocks: Iterable[np.ndarray], q: int, start: int = 0) -> np.ndarra
             pending, held = [], 0
             if len(found) - np.searchsorted(found, start) == q - start:
                 break
-    found = _distinct(np.concatenate([found, *pending]))
+    found = _distinct(np.concatenate([found, *pending])) if pending else found
     return found[np.searchsorted(found, start) :]
 
 
@@ -410,29 +393,67 @@ def _planar(m: Modulus, points: Iterable[Vec2] | np.ndarray) -> np.ndarray:
     return pts % m.q
 
 
-def _class_census(m: Modulus, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Codes of the canonical pairs (u, v) of triangle_classes, and their counts.
+def _class_census(
+    m: Modulus, pts: np.ndarray, first: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Codes of the canonical pairs (u, v) of triangle_classes, and their
+    counts; given `first`, sorted codes closed under negation, only over
+    the triples whose first difference u = x - y lies in it.
 
-    Differences are ranked among the distinct differences of the set, so
-    each realized pair is counted once over a key space of at most
-    min(n**2, q**2)**2; only the distinct pairs are then canonicalized,
-    each by a minimum over the cached group table.
+    Row y of _difference_blocks lists y - w over w in E, so one row gives
+    a = y - x and b = y - z for every x and z, and (-a, b) is the pair
+    (x - y, y - z); -I is a rotation, so a lies in `first` exactly when u
+    does.  Differences are ranked among the distinct differences of the
+    set, so each realized pair is counted once over a key space of at most
+    min(n**2, q**2)**2.  When that space fits the chunk budget, the counts
+    are the matrix product sum_y #{x : rank(y - x) = r} * #{z : rank(y - z) = s},
+    exact in float64 while n**3 < 2**53; otherwise each block's keys are
+    tallied.  Only the distinct pairs are then canonicalized, each by a
+    minimum over the cached group table.
     """
-    q = m.q
-    if len(pts) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty
-    diff = (pts[:, None, :] - pts[None, :, :]) % q  # diff[i, j] = x_i - x_j
-    codes, rank = np.unique(diff[..., 0] * q + diff[..., 1], return_inverse=True)
+    q, n = m.q, len(pts)
+    blocks = partial(_difference_blocks, pts, q)
+    if 8 * n * n <= _CHUNK_BYTES:  # one block: make it once for both passes
+        blocks = partial(iter, list(blocks()))
+    codes = _residues(blocks(), q * q)
     size = len(codes)
-    ranked, counts = _pair_census(rank.reshape(len(pts), len(pts)), size)
-    u, v = _canonical_pairs(m, codes, ranked // size, ranked % size)
+    lead = np.ones(size, dtype=bool) if first is None else np.isin(codes, first)
+    rank = partial(np.searchsorted, codes)
+    if q * q <= n * n:  # tabulated, when the table is no larger than the differences
+        rank = rank(np.arange(q * q)).__getitem__
+    if 8 * size * size <= _CHUNK_BYTES:
+        table = np.zeros((size, size))
+        step = max(1, _CHUNK_BYTES // (8 * max(1, n, size)))
+        for block in blocks():
+            ranks = rank(block)
+            for s in range(0, len(ranks), step):
+                counts = _row_counts(ranks[s : s + step], size)
+                table += (counts * lead).T @ counts
+        keys = np.flatnonzero(table)
+        counts = table.ravel()[keys].astype(np.int64)
+    else:
+        keys, counts = _tally(_pair_keys(blocks(), rank, lead, size))
+    u, v = _canonical_pairs(m, _turn(-1, 0, codes, q), keys // size, codes[keys % size])
     # rank the canonical codes too, so a pair key stays below size**2 (a code
     # pair packed as u * q**2 + v would need q**4 to fit in int64)
     cu, ru = np.unique(u, return_inverse=True)
     cv, rv = np.unique(v, return_inverse=True)
     keys, counts = _merge_counts([(ru * len(cv) + rv, counts)])
     return cu[keys // len(cv)], cv[keys % len(cv)], counts
+
+
+def _pair_keys(blocks, rank, lead: np.ndarray, size: int):
+    """(keys rank(y - x) * size + rank(y - z), unit weights) over the rows y
+    of each block and the x with lead[rank(y - x)], in blocks of at most
+    _CHUNK_BYTES of int64."""
+    for block in blocks:
+        step = max(1, _CHUNK_BYTES // (8 * block.shape[1]))
+        ranks = rank(block)
+        i, j = np.nonzero(lead[ranks])
+        head = ranks[i, j] * size
+        for s in range(0, len(i), step):
+            keys = head[s : s + step, None] + ranks[i[s : s + step]]
+            yield keys, np.ones_like(keys)
 
 
 def triangle_classes(m: Modulus, points: Iterable[Vec2]) -> dict[TriangleClass, int]:
@@ -497,7 +518,7 @@ def triangle_class_count(m: Modulus, points: Iterable[Vec2] | np.ndarray) -> int
         f"t2 census over n = {n} points visits {ops} triples on the {len(pending)} "
         f"uncertified differences",
     )
-    return certified + _pending_class_count(m, pts, pending)
+    return certified + len(_class_census(m, pts, pending)[2])
 
 
 def _within(ops: int, what: str) -> None:
@@ -530,36 +551,4 @@ def _certify_orbits(m: Modulus, h: np.ndarray, n: int) -> tuple[int, np.ndarray]
     depth = np.minimum(v[certified // q], v[certified % q])
     per_depth = np.bincount(depth, minlength=m.l + 1).tolist()
     total = sum(c * N for c, N in zip(per_depth, _pair_orbits_by_depth(m)))
-    covered = np.zeros(q * q, dtype=bool)
-    covered[certified] = True
-    return total, realized[~covered[least]]
-
-
-def _pending_class_count(m: Modulus, pts: np.ndarray, pending: np.ndarray) -> int:
-    """Number of orbits of the pairs (x - y, y - z) over the triples whose
-    first difference is one of the sorted codes `pending`.
-
-    One pass over row blocks of codes(y - w), w in E, counts the pairs
-    (y - x, y - z) instead: a column w = x with a pending y - x gives one
-    first difference, and the whole row its second differences y - z,
-    keyed as rank(y - x) * q**2 + code(y - z).  The orbits number the
-    same, as (u, v) -> (-u, v) commutes with every rotation, and pending
-    is closed under negation, since -I is a rotation.  In the window where
-    this runs, q**2 < 2n, so the keys stay far inside int64.
-    """
-    q2 = m.q**2
-    slot = np.full(q2, -1, dtype=np.int64)
-    slot[pending] = np.arange(len(pending))
-    step = max(1, _CHUNK_BYTES // (8 * len(pts)))
-
-    def key_blocks():
-        for block in _difference_blocks(pts, m.q):
-            rank = slot[block]
-            i, j = np.nonzero(rank >= 0)
-            ru = rank[i, j] * q2
-            for s in range(0, len(i), step):
-                yield ru[s : s + step, None] + block[i[s : s + step]]
-
-    keys = _residues(key_blocks(), len(pending) * q2)
-    u, v = _canonical_pairs(m, np.arange(q2), pending[keys // q2], keys % q2)
-    return len(_distinct(u * q2 + v))
+    return total, realized[~np.isin(least, certified)]

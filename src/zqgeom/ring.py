@@ -69,12 +69,14 @@ class Modulus:
     def __post_init__(self) -> None:
         if self.l < 1:
             raise ValueError(f"exponent must be at least 1, got {self.l}")
-        if self.p < 3 or self.p % 2 == 0 or not is_prime(self.p):
+        if self.p < 3 or self.p % 2 == 0:
             raise ValueError(f"base must be an odd prime, got {self.p}")
-        q = self.p**self.l
-        if q > MAX_Q:
+        # as p >= 3, l >= 32 alone passes the cap; both before trial division
+        if self.p > MAX_Q or self.l >= MAX_Q.bit_length() or self.p**self.l > MAX_Q:
             raise ValueError(f"q = {self.p}**{self.l} exceeds the 2**31 cap")
-        object.__setattr__(self, "q", q)
+        if not is_prime(self.p):
+            raise ValueError(f"base must be an odd prime, got {self.p}")
+        object.__setattr__(self, "q", self.p**self.l)
 
     @classmethod
     def from_q(cls, q: int) -> "Modulus":

@@ -63,6 +63,7 @@ def test_experiment_t2_full_csv_golden():
         ("experiment", "--kind", "bogus", "--p", "3", "--l", "1", "--set", "full"),
         ("experiment", "--kind", "t2", "--p", "3", "--l", "2", "--set", "random:99999"),
         ("experiment", "--kind", "t2", "--p", "3", "--l", "1", "--set", "nope:1"),
+        ("experiment", "--kind", "t2", "--p", "3", "--l", "1", "--set", "random:1_0"),
         ("verify-lemmas", "--p", "4", "--l", "1"),
         ("verify-lemmas", "--p", "1009", "--l", "1"),
         ("gen-set", "--p", "3", "--l", "1", "--d", "2", "--size", "10", "--full"),
@@ -126,6 +127,77 @@ def test_t2_census_past_the_op_cap_is_refused_before_counting():
     assert "Traceback" not in res.stderr
     assert "n = 2000" in res.stderr and str(2000**3) in res.stderr
     assert str(harness._OP_CAP) in res.stderr
+
+
+_HUGE_P = str(2**61 - 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-lemmas", "--p", _HUGE_P, "--l", "1"],
+        ["experiment", "--kind", "t2", "--p", _HUGE_P, "--l", "1", "--set", "random:5"],
+        ["gen-set", "--p", _HUGE_P, "--l", "1", "--size", "3"],
+        ["verify-lemmas", "--p", "3", "--l", "100000000"],
+        ["experiment", "--kind", "dotprod", "--p", "3", "--l", "2", "--d", "3000000",
+         "--set", "full"],
+        ["experiment", "--kind", "dotprod", "--p", "3", "--l", "1", "--d", "100000000",
+         "--set", "random:5"],
+        ["gen-set", "--p", "3", "--l", "1", "--d", "100000000", "--full"],
+        ["gen-set", "--p", "3", "--l", "1", "--d", "100000000", "--size", "5"],
+    ],
+    ids=["lemmas-p", "experiment-p", "gen-set-p", "lemmas-l", "dotprod-threshold-d",
+         "random-d", "gen-set-full-d", "gen-set-size-d"],
+)
+def test_out_of_range_p_l_and_d_are_refused_at_once(capsys, argv):
+    # each was refused only after a trial division to sqrt(p), a power p**l
+    # or q**d, or an exact root with millions of digits
+    start = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("cap" in err or "digits" in err)
+
+
+@pytest.mark.parametrize(
+    "residues, p, l, d, code",
+    [((1, 2), 3, 2, 6000, 0), ((1, 2), 3, 2, 6100, 2),
+     (range(11), 11, 1, 4000, 0), (range(11), 11, 1, 5000, 2)],
+    ids=["threshold-below", "threshold-past", "size-below", "size-past"],
+)
+def test_product_runs_past_the_integer_string_limit_exit_2(capsys, tmp_path, residues, p, l,
+                                                           d, code):
+    # at Z_9, d = 6100 puts the threshold 3**(9151/2) past 4300 digits; at
+    # Z_11 with all of Z_11 as A, d = 5000 does so for the set size 11**5000
+    base = tmp_path / "base.txt"
+    base.write_text(f"q={p**l} d=1\n" + "".join(f"{c}\n" for c in residues))
+    argv = ["experiment", "--kind", "dotprod", "--p", str(p), "--l", str(l), "--d", str(d),
+            "--set", f"product:{base}"]
+    assert cli.main(argv) == code
+    if code == 2:
+        err = capsys.readouterr().err
+        assert f"d = {d}" in err and f"{sys.get_int_max_str_digits()} decimal digits" in err
+
+
+_INTEGER_OPTIONS = [
+    ("experiment", opt) for opt in ("--p", "--l", "--d", "--trials", "--seed")
+] + [("gen-set", opt) for opt in ("--p", "--l", "--d", "--size", "--seed", "--trial")]
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0661\u0662", " 7", "7 "])
+@pytest.mark.parametrize("command, option", _INTEGER_OPTIONS)
+def test_integer_options_refuse_what_set_files_refuse(capsys, command, option, token):
+    args = {"--p": "3", "--l": "1", "--d": "2", option: token}
+    if command == "experiment":
+        argv = ["experiment", "--kind", "dotprod", "--set", "random:3"]
+    else:
+        argv = ["gen-set"] + ([] if option == "--size" else ["--size", "3"])
+    for key, value in args.items():
+        argv += [key, value]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"{token!r} is not a decimal integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

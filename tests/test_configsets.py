@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zqgeom import configsets
+from zqgeom import configsets, orthogroup
 from zqgeom.configsets import (
     PointSet,
     difference_stratum_census,
@@ -713,7 +713,7 @@ def test_general_set_counts_are_sparse(q, pts):
 def test_sumset_path_refuses_past_its_budget():
     q = 3**9
     E = PointSet.product(Modulus.from_q(q), range(q), 2)
-    assert configsets.sumset_cost(q, q, 2) > configsets.SUMSET_BUDGET
+    assert configsets.sumset_cost(q, q, 2) > orthogroup._OP_CAP
     with pytest.raises(ValueError, match="cap"):
         dot_product_set(E)
     with pytest.raises(ValueError, match="cap"):
@@ -732,7 +732,7 @@ def test_sumset_cost_counts_each_step():
     assert configsets.sumset_cost(27, 3, 4) == 9 + 6 * 6 + 21 * 6 + 27 * 6
     assert configsets.sumset_cost(27, 0, 5) == 0
     assert configsets.sumset_cost(27, 1, 10**12) == 1 + (10**12 - 1)
-    assert configsets.sumset_cost(2**31 - 1, 2, 10**12) > configsets.SUMSET_BUDGET
+    assert configsets.sumset_cost(2**31 - 1, 2, 10**12) > orthogroup._OP_CAP
 
 
 @settings(max_examples=60, deadline=None)

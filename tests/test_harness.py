@@ -268,7 +268,9 @@ def test_set_source_parse():
     assert SetSource.parse("product:a.txt") == SetSource("product", path="a.txt")
     assert SetSource.parse("file:b.txt") == SetSource("file", path="b.txt")
     assert SetSource.parse("random:47").spec_string() == "random:47"
-    for bad in ("random", "random:x", "product:", "nope:1", ""):
+    # sizes are plain ASCII decimals, as in set files
+    for bad in ("random", "random:x", "product:", "nope:1", "", "random:1_0",
+                "random:\u0661\u0662", "random: 7 ", "random:7\n"):
         with pytest.raises(ValueError):
             SetSource.parse(bad)
 

@@ -305,7 +305,7 @@ def test_triangle_class_grouping_beyond_int64_code_pairs(monkeypatch):
     # whose codes near q**2 would wrap if packed as u * q**2 + v
     m = Modulus(3, 10)
     monkeypatch.setattr(
-        orthogroup, "_canonical_pairs", lambda m, codes, ru, rv: (codes[ru], codes[rv])
+        orthogroup, "_canonical_pairs", lambda m, codes, ru, v: (codes[ru], v)
     )
     pts = [(0, 0), (1, 1), (59048, 3), (5, 59040), (1, 1)]
     raw = {}
@@ -384,7 +384,7 @@ def test_stabilizer_table_counts_the_stabilizer(m):
 )
 def test_triangle_class_count_matches_the_census(m, pts, repeats, chunk_bytes):
     # 64-byte chunks send every set with 3 or more distinct differences
-    # through the sorted branch of _pair_census
+    # through the sorted kernel of _class_census
     pts = pts + pts[:repeats]
     chunk = orthogroup._CHUNK_BYTES if chunk_bytes is None else chunk_bytes
     with mock.patch.object(orthogroup, "_CHUNK_BYTES", chunk):
@@ -532,6 +532,35 @@ def test_windowed_count_matches_the_census(m, n, seed, certified):
     assert {"none": len(pending) == realized, "all": len(pending) == 0,
             "some": 0 < len(pending) < realized}[certified]
     assert triangle_class_count(m, E) == len(triangle_classes(m, E))
+
+
+@pytest.mark.parametrize(
+    "m, n, seed", [case for case in _WINDOW_CASES["some"] if case[0].q <= 13], ids=str
+)
+def test_restricted_census_matches_the_filtered_triple_loop(m, n, seed):
+    # the census of the triples whose first difference x - y is uncertified,
+    # against the triple loop filtered the same way; the default chunk takes
+    # the dense kernel, 64-byte chunks the sorted one over many blocks
+    E = list(random_subset(m, 2, n, seed=seed))
+    _, pending, _ = _window_split(m, E)
+    first = {divmod(c, m.q) for c in pending.tolist()}
+    raw = {}
+    for x in E:
+        for y in E:
+            u = vsub(m, x, y)
+            if u in first:
+                for z in E:
+                    key = (u, vsub(m, y, z))
+                    raw[key] = raw.get(key, 0) + 1
+    want = {}
+    for key, count in raw.items():
+        label = canonical_pair(m, *key)
+        want[label] = want.get(label, 0) + count
+    for chunk in (orthogroup._CHUNK_BYTES, 64):
+        with mock.patch.object(orthogroup, "_CHUNK_BYTES", chunk):
+            u, v, counts = orthogroup._class_census(m, np.array(E, dtype=np.int64), pending)
+        got = zip(u.tolist(), v.tolist(), counts.tolist())
+        assert {TriangleClass(divmod(a, m.q), divmod(b, m.q)): c for a, b, c in got} == want
 
 
 def test_certificate_needs_sizes_summing_past_the_plane():

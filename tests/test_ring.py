@@ -1,6 +1,8 @@
 """Residue arithmetic: canonical reduction, valuations, unit inversion,
 and Hensel lifting checked against exhaustive root search."""
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -37,6 +39,12 @@ def test_modulus_rejects_oversized_power():
     # 3**21 > 2**31
     with pytest.raises(ValueError):
         Modulus(3, 21)
+    # refused by size, before trial division of p (sqrt(p) steps) or the power
+    for p, l in ((2**61 - 1, 1), (2**31 + 11, 1), (3, 10**8), (3, 10**18), (10**40 + 1, 2)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="2\\*\\*31 cap"):
+            Modulus(p, l)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_modulus_from_q():
