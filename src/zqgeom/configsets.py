@@ -196,19 +196,28 @@ def distance_set(E: PointSet) -> set[int]:
     return {norm(E.m, vsub(E.m, x, y)) for x in E for y in E}
 
 
-def _row_blocks(rows: int, width: int, q: int) -> Iterator[slice]:
+def _row_blocks(rows: int, width: int, q: int, scan: str = "pair") -> Iterator[slice]:
     """Slices covering range(rows), for rows of `width` values each.
 
     The first block holds about q values, and each next one twice as many,
     up to _CHUNK_BYTES of int64: a scan that saturates early stops after a
     few small blocks, and one that does not pays about log2(cap / q) extra
-    blocks.
+    blocks.  Each block's values are charged against orthogroup._OP_CAP
+    before it is handed out, so a scan that has not saturated by then is
+    refused with ValueError naming the operations spent, the next block
+    and the cap.
     """
     cap = max(1, _CHUNK_BYTES // (8 * max(1, width)))
     step, s = min(cap, max(1, q // max(1, width))), 0
     while s < rows:
-        yield slice(s, min(rows, s + step))
-        s, step = s + step, min(cap, 2 * step)
+        stop = min(rows, s + step)
+        orthogroup._within(
+            stop * width,
+            f"the {scan} scan has spent {s * width} operations, and its next block of "
+            f"{stop - s} x {width} values would bring it to {stop * width}",
+        )
+        yield slice(s, stop)
+        s, step = stop, min(cap, 2 * step)
 
 
 def _dot_blocks(E: PointSet) -> Iterator[np.ndarray]:
@@ -219,7 +228,7 @@ def _dot_blocks(E: PointSet) -> Iterator[np.ndarray]:
     exceeds q**2 + q, which fits int64 for every q up to MAX_Q.
     """
     pts, q = E.as_array(), E.m.q
-    for rs in _row_blocks(len(pts), len(pts), q):
+    for rs in _row_blocks(len(pts), len(pts), q, "dot product"):
         rows = pts[rs]
         block = np.zeros((len(rows), len(pts)), dtype=np.int64)
         for k in range(E.d):
@@ -237,7 +246,7 @@ def _area_blocks(E: PointSet) -> Iterator[np.ndarray]:
     """
     n, q = len(E), E.m.q
     pts = E.as_array()
-    for rs in _row_blocks(n * n, n, q):
+    for rs in _row_blocks(n * n, n, q, "triangle area"):
         z, x = np.divmod(np.arange(rs.start, rs.stop), n)
         a = (pts[x] - pts[z]) % q  # x - z, one row per (z, x)
         block = a[:, :1] * pts[None, :, 1]

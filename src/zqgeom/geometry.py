@@ -44,9 +44,14 @@ Vec = tuple[int, ...]
 
 # bytes of one block of the sphere scan's norm table
 _CHUNK_BYTES = 1 << 23
-# strata whose line census stays cached: the four moduli of Z_81, Z_121,
-# Z_125 and Z_243 together have 14
+# strata whose coordinates, line census and line point rows stay cached:
+# the four moduli of Z_81, Z_121, Z_125 and Z_243 together have 14
 _LINE_CACHE_STRATA = 16
+
+
+def _int_dtype(bound: int) -> type:
+    """int32 when every value of an array lies below `bound`, at most 2**31, else int64."""
+    return np.int32 if bound <= 2**31 else np.int64
 
 
 class DimensionMismatch(ValueError):
@@ -136,16 +141,21 @@ def stratum_size(m: Modulus, n: int) -> int:
     return m.p ** (2 * (m.l - n)) - m.p ** (2 * (m.l - n - 1))
 
 
+@lru_cache(maxsize=_LINE_CACHE_STRATA)
 def stratum_coords(m: Modulus, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Coordinates (a, b) with stratum_points(m, n) = p**n * (a, b), in the
-    same order, as two int64 arrays of |Lambda_n| entries: a, b < p**(l-n)
-    and at least one of them a unit."""
+    same order, as two read-only int64 arrays of |Lambda_n| entries:
+    a, b < p**(l-n) and at least one of them a unit.
+
+    They are the nonzero cells of the w x w mask of pairs with a unit
+    entry, w = p**(l-n), listed row-major, that is in (a, b) order.
+    """
     if not 0 <= n <= m.l - 1:
         raise ValueError(f"stratum index must lie in [0, {m.l - 1}], got {n}")
-    w = m.p ** (m.l - n)
-    a, b = np.divmod(np.arange(w * w, dtype=np.int64), w)
-    keep = (a % m.p != 0) | (b % m.p != 0)
-    return a[keep], b[keep]
+    unit = np.arange(m.p ** (m.l - n)) % m.p != 0
+    a, b = np.nonzero(unit[:, None] | unit[None, :])
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
 
 
 def stratum_points(m: Modulus, n: int) -> tuple[Vec, ...]:
@@ -223,14 +233,18 @@ def spanned_line(m: Modulus, v: Vec) -> Line:
 
 def _spanned_generators(m: Modulus, n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Code g0 * q + g1 of spanned_line(m, p**n * (a, b)).generator for each
-    stratum-n vector given by its coordinates (a, b) from stratum_coords."""
-    p, w = m.p, m.p ** (m.l - n)
-    inv = np.array([pow(u, -1, w) if u % p else 0 for u in range(w)], dtype=np.int64)
-    unit = a % p != 0
-    g0 = np.where(unit, 1, a * inv[b] % w)
-    g1 = np.where(unit, b * inv[a] % w, 1)
-    pn = p**n
-    return pn * g0 * m.q + pn * g1
+    stratum-n vector given by its coordinates (a, b) from stratum_coords.
+
+    Scaling by the inverse of the unit coordinate leaves the other one as
+    c = (b / a or a / b) mod w, from a product below w**2.
+    """
+    p, w, pn = m.p, m.p ** (m.l - n), m.p**n
+    small = _int_dtype(w * w)
+    inv = np.array([pow(u, -1, w) if u % p else 0 for u in range(w)], dtype=small)
+    unit = inv[a] != 0
+    c = np.where(unit, b, a).astype(small) * inv[np.where(unit, a, b)] % w
+    c = pn * c.astype(np.int64)
+    return np.where(unit, pn * m.q + c, c * m.q + pn)
 
 
 @lru_cache(maxsize=_LINE_CACHE_STRATA)
@@ -255,17 +269,28 @@ def lines_through(m: Modulus, v: Vec) -> tuple[Line, ...]:
     return tuple(line for line in lines_in_stratum(m, 0) if v in line)
 
 
-def line_point_codes(lines, q: int) -> np.ndarray:
+@lru_cache(maxsize=_LINE_CACHE_STRATA)
+def line_point_codes(lines: tuple[Line, ...], q: int) -> np.ndarray:
     """Points t * g (t < len(line)) of each line, as a row of distinct codes
-    x * q + y in increasing order padded with q * q; equal sets give equal rows."""
+    x * q + y in increasing order padded with q * q; equal sets give equal rows.
+
+    The read-only table is cached on the lines themselves, so the line
+    census check and incidence_census share one build per census, and a
+    different tuple of lines (a faulty census, say) gets its own table.
+    Products stay below q * q, and codes at most q * q.
+    """
+    small = _int_dtype(q * q + 1)
     sizes = np.array([len(line) for line in lines])
-    gens = np.array([line.generator for line in lines], dtype=np.int64)
-    t = np.arange(sizes.max())
+    gens = np.array([line.generator for line in lines], dtype=small)
+    t = np.arange(sizes.max(), dtype=small)
     rows = t * gens[:, :1] % q * q + t * gens[:, 1:] % q
     rows[t >= sizes[:, None]] = q * q
     rows.sort(axis=1)
-    rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = q * q
-    rows.sort(axis=1)
+    repeated = rows[:, 1:] == rows[:, :-1]
+    if repeated.any():  # a point listed twice: pad it out and sort again
+        rows[:, 1:][repeated] = q * q
+        rows.sort(axis=1)
+    rows.flags.writeable = False
     return rows
 
 

@@ -723,8 +723,9 @@ def _check_line_census(m: Modulus) -> Outcome:
         if len(short):
             fails += len(short)
             witness = witness or f"short line {lines[short[0]].generator}"
-        rows = rows[np.lexsort(rows.T[::-1])]
-        if (rows[1:] == rows[:-1]).all(axis=1).any():
+        # equal point sets give equal rows, and equal rows equal bytes
+        keys = np.sort(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel())
+        if (keys[1:] == keys[:-1]).any():
             fails += 1
             witness = witness or f"duplicate point sets, n={n}"
     return Outcome(universe, fails, 0, witness)
@@ -771,25 +772,20 @@ def _check_group_axioms(m: Modulus) -> Outcome | str:
     k, q = len(g), m.q
     if k**2 > _OP_CAP:
         return "pair products exceed the op budget"
-    keys = np.sort(g[:, 0] * q + g[:, 1])
-
-    def absent(a, b) -> np.ndarray:
-        code = a * q + b
-        return keys[np.searchsorted(keys, code).clip(max=k - 1)] != code
+    member = np.zeros(q * q, dtype=bool)
+    member[g[:, 0] * q + g[:, 1]] = True
 
     def key(row) -> tuple[int, int]:
         return tuple(g[row].tolist())
 
     a, b = g[:, 0], g[:, 1]
-    ib = -b % q
-    bad = absent(a, ib) | ((a * a - b * ib) % q != 1) | ((b * a + a * ib) % q != 0)
+    inverse = a * q + -b % q
+    # t o t^-1 turns the code of t^-1 by t; the identity (1, 0) has code q
+    bad = ~member[inverse] | (orthogroup._turn(a, b, inverse, q) != q)
     fails = int(bad.sum())
     witness = f"inverse of {key(bad.argmax())}" if fails else ""
-    # compose row blocks of t against every u, t * u = (ta ua - tb ub, tb ua + ta ub)
-    step = max(1, orthogroup._CHUNK_BYTES // (8 * k))
-    for s in range(0, k, step):
-        ta, tb = a[s : s + step, None], b[s : s + step, None]
-        bad = absent((ta * a - tb * b) % q, (tb * a + ta * b) % q)
+    for s, block in _compositions(g, q):
+        bad = ~member[block]
         n_bad = int(bad.sum())
         if n_bad:
             fails += n_bad
@@ -797,6 +793,17 @@ def _check_group_axioms(m: Modulus) -> Outcome | str:
                 i, j = np.argwhere(bad)[0]
                 witness = f"{key(s + i)} o {key(j)}"
     return Outcome(k**2, fails, 0, witness)
+
+
+def _compositions(g: np.ndarray, q: int):
+    """(s, codes of t o u) for each row block t = g[s : s + step] against every
+    u in g, each block at most _CHUNK_BYTES.  Composing t o u turns the
+    code of u by t, in int32 wherever _turn's terms, below 2q**2, fit it."""
+    small = geometry._int_dtype(2 * q * q)
+    rows, codes = g.astype(small), (g[:, 0] * q + g[:, 1]).astype(small)
+    step = max(1, orthogroup._CHUNK_BYTES // (np.dtype(small).itemsize * len(g)))
+    for s in range(0, len(g), step):
+        yield s, orthogroup._turn(rows[s : s + step, :1], rows[s : s + step, 1:], codes, q)
 
 
 @_lemma_check

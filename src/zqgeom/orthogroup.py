@@ -8,7 +8,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import DimensionMismatch, valuation_table, vsub
+from .geometry import DimensionMismatch, _int_dtype, valuation_table, vsub
 from .ring import Modulus, Polynomial, hensel_lift_root
 
 __all__ = [
@@ -39,6 +39,11 @@ _CHUNK_BYTES = 1 << 23
 # operations a t2 census or difference histogram may take; a larger one is
 # refused before it starts
 _OP_CAP = 2 * 10**8
+# bytes the sorted t2 census may hold, and its bytes per distinct pair key:
+# the int64 key and count, the merge's sorted copies and the canonical pair
+# arrays peak at about 105 B a key (tracemalloc, sparse sets in Z_727)
+_CENSUS_BYTES = 1 << 30
+_KEY_BYTES = 128
 
 
 @dataclass(frozen=True)
@@ -272,7 +277,7 @@ def _orbit_min(rot: np.ndarray, codes: np.ndarray, q: int) -> tuple[np.ndarray, 
     of `rot` attaining it."""
     best, arg = np.empty_like(codes), np.empty_like(codes)
     # _turn's terms stay below 2q**2, so under q = 32768 int32 halves the bytes
-    small = np.int32 if 2 * q * q < 2**31 else np.int64
+    small = _int_dtype(2 * q * q)
     rot, codes = rot.astype(small), codes.astype(small)
     step = max(1, _CHUNK_BYTES // (8 * len(rot)))
     for s in range(0, len(codes), step):
@@ -432,6 +437,14 @@ def _class_census(
         keys = np.flatnonzero(table)
         counts = table.ravel()[keys].astype(np.int64)
     else:
+        # distinct keys number at most the triples and at most the pairs of a
+        # first difference with any difference
+        held = _KEY_BYTES * min(n**3, int(lead.sum()) * size)
+        if held > _CENSUS_BYTES:
+            raise ValueError(
+                f"t2 census over n = {n} points with {size} distinct differences may hold "
+                f"{held} bytes of pair keys, over the {_CENSUS_BYTES}-byte budget"
+            )
         keys, counts = _tally(_pair_keys(blocks(), rank, lead, size))
     u, v = _canonical_pairs(m, _turn(-1, 0, codes, q), keys // size, codes[keys % size])
     # rank the canonical codes too, so a pair key stays below size**2 (a code

@@ -273,7 +273,7 @@ GOLDEN = Path(__file__).parent / "golden"
 _WALL = re.compile(r'"wall_time_s": [0-9.e+-]+')
 
 
-@pytest.mark.parametrize("q", [27, 81, 121, 125, 243])
+@pytest.mark.parametrize("q", [27, 81, 121, 125, 243, 625, 729])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_verify_lemmas_matches_the_golden_reports(capsys, q, fmt):
     m = Modulus.from_q(q)
@@ -380,6 +380,34 @@ def test_t2_at_the_z169_threshold_is_refused_before_counting():
     assert "Traceback" not in res.stderr
     assert f"n = {n}" in res.stderr and str(n * n) in res.stderr
     assert str(harness._OP_CAP) in res.stderr
+
+
+def test_v2_on_a_strip_stops_at_the_op_cap(tmp_path):
+    # every area of Z_169 x 13 Z_169 is a multiple of 13, so the scan never
+    # saturates; its n**3 = 1.06e10 values are cut off at the cap
+    strip = tmp_path / "strip.txt"
+    rows = (f"{x},{13 * y}\n" for x in range(169) for y in range(13))
+    strip.write_text("q=169 d=2\n" + "".join(rows))
+    start = time.perf_counter()
+    res = run_cli_limited(
+        "experiment", "--kind", "v2", "--p", "13", "--l", "2", "--set", f"file:{strip}",
+    )
+    assert time.perf_counter() - start < 30
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert re.search(r"the triangle area scan has spent \d+ operations, and its next block of "
+                     r"\d+ x 2197 values", res.stderr)
+    assert str(harness._OP_CAP) in res.stderr
+
+
+def test_t2_census_past_its_byte_budget_is_refused_before_counting():
+    # 584 points pass the n**3 cap, but their sparse pair keys would not fit memory
+    res = run_cli_limited(
+        "experiment", "--kind", "t2", "--p", "727", "--l", "1", "--set", "random:584",
+    )
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "n = 584" in res.stderr and f"over the {2**30}-byte budget" in res.stderr
 
 
 def _in_process(capsys, argv):

@@ -471,6 +471,40 @@ def test_row_blocks_start_near_q_values_and_double_to_the_cap(monkeypatch):
     assert [s.stop for s in configsets._row_blocks(3, 100, 10**6)] == [1, 2, 3]
 
 
+def test_pair_scans_charge_each_block_to_the_op_cap(monkeypatch):
+    # every area of the strip Z_25 x 5 Z_25 is a multiple of 5, so its scan
+    # never saturates and runs all 125**3 values unless the cap stops it
+    strip = PointSet(M25, 2, tuple((x, 5 * y) for x in range(25) for y in range(5)))
+    assert triangle_area_count(strip) == 4
+    blocks = list(configsets._row_blocks(125 * 125, 125, 25))
+    spent = blocks[-1].start * 125
+    monkeypatch.setattr(orthogroup, "_OP_CAP", 125**3 - 1)
+    with pytest.raises(ValueError) as info:
+        triangle_area_count(strip)
+    last = blocks[-1].stop - blocks[-1].start
+    assert str(info.value) == (
+        f"the triangle area scan has spent {spent} operations, and its next block of "
+        f"{last} x 125 values would bring it to {125**3}, over the {125**3 - 1}-operation cap"
+    )
+    # dot products of p Z_q^2 are multiples of p**2: 25 * 25 pairs, never saturated
+    deep = PointSet(M25, 2, tuple((5 * x, 5 * y) for x in range(5) for y in range(5)))
+    monkeypatch.setattr(orthogroup, "_OP_CAP", 25 * 25)
+    assert dot_product_count(deep) == 1
+    monkeypatch.setattr(orthogroup, "_OP_CAP", 25 * 25 - 1)
+    with pytest.raises(ValueError, match="the dot product scan has spent .*-operation cap"):
+        dot_product_count(deep)
+    with pytest.raises(ValueError, match="the dot product scan has spent"):
+        dot_product_counts(deep)
+
+
+def test_saturating_scans_stay_far_inside_the_op_cap(monkeypatch):
+    # 280 points saturate the Z_25 areas and 16 points the Z_9 dot products
+    # after their first blocks, whatever the full scans would cost
+    monkeypatch.setattr(orthogroup, "_OP_CAP", 10**6)
+    assert triangle_area_count(random_subset(M25, 2, 280, 1)) == 24
+    assert dot_product_count(random_subset(M9, 2, 40, 1)) == 9
+
+
 def test_area_scan_at_the_z25_threshold_saturates_within_a_few_blocks(monkeypatch):
     # 280 points reach the v2 threshold at Z_25; all 24 nonzero areas show up
     # among the first few hundred determinants, long before one full block

@@ -3,8 +3,9 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zqgeom import geometry
@@ -20,6 +21,7 @@ from zqgeom.geometry import (
     norm,
     spanned_line,
     sphere_points,
+    stratum_coords,
     stratum_of,
     stratum_points,
     stratum_size,
@@ -27,7 +29,7 @@ from zqgeom.geometry import (
     vadd,
     vsub,
 )
-from zqgeom.ring import Modulus
+from zqgeom.ring import Modulus, is_prime
 
 M3 = Modulus(3, 1)
 M9 = Modulus(3, 2)
@@ -225,6 +227,42 @@ def _sphere_scan(m, d):
     for v in itertools.product(range(m.q), repeat=d):
         spheres[norm(m, v)].append(v)
     return [tuple(pts) for pts in spheres]
+
+
+# every odd prime power up to 625, each with all of its strata
+_MODULI_TO_625 = [
+    Modulus(p, l) for p in range(3, 626, 2) if is_prime(p) for l in range(1, 7) if p**l <= 625
+]
+
+
+def _stratum_coords_divmod(m, n):
+    # the enumeration the mask replaced: every (a, b) < w in row-major order
+    w = m.p ** (m.l - n)
+    a, b = np.divmod(np.arange(w * w, dtype=np.int64), w)
+    keep = (a % m.p != 0) | (b % m.p != 0)
+    return a[keep], b[keep]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_MODULI_TO_625))
+def test_stratum_coords_match_the_divmod_enumeration(m):
+    for n in range(m.l):
+        a, b = stratum_coords(m, n)
+        want_a, want_b = _stratum_coords_divmod(m, n)
+        assert a.dtype == b.dtype == np.int64
+        assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
+        # the arrays are shared through the cache, so they refuse writes
+        assert not a.flags.writeable and not b.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1
+        assert stratum_coords(m, n)[0] is a
+
+
+def test_moduli_to_625_cover_every_odd_prime_power():
+    qs = sorted(m.q for m in _MODULI_TO_625)
+    assert qs[:8] == [3, 5, 7, 9, 11, 13, 17, 19] and qs[-1] == 625
+    assert {25, 27, 81, 121, 125, 243, 343, 361, 529, 625} <= set(qs)
+    assert 15 not in qs and 45 not in qs
 
 
 @pytest.mark.parametrize("m", _DIFFERENTIAL, ids=str)

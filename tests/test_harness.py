@@ -21,6 +21,7 @@ from zqgeom.harness import (
     _check_group_axioms,
     _check_line_census,
     _check_point_line_incidence,
+    _compositions,
     _csv_num,
     _draw_below,
     _norm_table,
@@ -841,3 +842,42 @@ def test_line_census_check_reports_a_faulty_census_like_the_loop(monkeypatch, m,
     fails, witness, universe = _line_census_loop(m)
     assert fails > 0 and not check.passed
     assert (check.statistic, check.witness, check.universe) == (fails, witness, universe)
+
+
+def test_line_tables_are_cached_per_census_not_per_modulus(monkeypatch):
+    # clean runs fill the row tables of Z_27 and Z_9 first; a faulty census
+    # of the same moduli must get tables of its own
+    assert _check_line_census(M27).passed
+    clean = geometry.incidence_census(M9)
+    census = geometry.lines_in_stratum
+
+    def faulty(mod, n):
+        lines = census(mod, n)
+        return _duplicate(lines, 3) if n == 0 else lines
+
+    monkeypatch.setattr(geometry, "lines_in_stratum", faulty)
+    check = _check_line_census(M27)
+    fails, witness, universe = _line_census_loop(M27)
+    assert fails > 0 and not check.passed
+    assert (check.statistic, check.witness, check.universe) == (fails, witness, universe)
+    hits = geometry.incidence_census(M9)
+    want = np.zeros((M9.q, M9.q), dtype=np.int64)
+    for line in faulty(M9, 0):
+        for point in set(line.points()):
+            want[point] += 1
+    assert np.array_equal(hits, want) and not np.array_equal(hits, clean)
+
+
+@pytest.mark.parametrize("m, rows", [(Modulus(3, 6), 100), (Modulus(31, 2), 333)], ids=str)
+def test_group_products_in_int32_match_int64(monkeypatch, m, rows):
+    # every t o u of the group, in blocks of `rows` rotations t, against
+    # (ta ua - tb ub, tb ua + ta ub) in int64
+    g, q = orthogroup.so2_table(m), m.q
+    monkeypatch.setattr(orthogroup, "_CHUNK_BYTES", 4 * len(g) * rows)
+    blocks = list(_compositions(g, q))
+    assert [s for s, _ in blocks] == list(range(0, len(g), rows))
+    got = np.concatenate([block for _, block in blocks])
+    assert got.dtype == np.int32
+    ta, tb, ua, ub = g[:, :1], g[:, 1:], g[:, 0], g[:, 1]
+    want = (ta * ua - tb * ub) % q * q + (tb * ua + ta * ub) % q
+    assert np.array_equal(got, want)

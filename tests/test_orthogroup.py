@@ -1,6 +1,7 @@
 """Rotation group structure, stabilizers, and triangle congruence."""
 
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -668,3 +669,53 @@ def test_t2_op_cap_refuses_each_stage_before_it_runs(monkeypatch):
     E = list(random_subset(M13, 2, 104, seed=2))
     assert count_under(104**2, E) == 2381
     assert count_under(0, itertools.product(range(13), repeat=2)) == 2381
+
+
+def test_sorted_census_refuses_past_its_byte_budget_before_any_tally(monkeypatch):
+    # 584 random points of Z_727^2 pass the n**3 cap (584**3 < 2e8), but
+    # their distinct pair keys would take tens of GB; the refusal comes
+    # once the distinct differences are known, before _tally runs
+    m = Modulus(727, 1)
+    pts = random_subset(m, 2, 584, seed=0).as_array()
+    assert 584**3 <= orthogroup._OP_CAP
+
+    def no_tally(blocks):
+        raise AssertionError("the census tallied before its byte check")
+
+    monkeypatch.setattr(orthogroup, "_tally", no_tally)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"n = 584 points .* over the {2**30}-byte budget"):
+            triangle_class_count(m, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+def test_census_byte_budget_is_min_of_triples_and_key_pairs(monkeypatch):
+    # 40 sparse points: more than 1024 distinct differences, so the sorted
+    # kernel runs, and n**3 = 64000 triples bound its keys
+    m, q = Modulus(727, 1), 727
+    E = random_subset(m, 2, 40, seed=3).as_array()
+    held = orthogroup._KEY_BYTES * 40**3
+    monkeypatch.setattr(orthogroup, "_CENSUS_BYTES", held - 1)
+    with pytest.raises(ValueError, match=f"may hold {held} bytes of pair keys"):
+        triangle_classes(m, E)
+    monkeypatch.setattr(orthogroup, "_CENSUS_BYTES", held)
+    assert triangle_class_count(m, E) == len(triangle_classes(m, E))
+    # restricted to the first differences +-d, the keys are at most
+    # 2 * (distinct differences), far below n**3
+    d = (E[0] - E[1]) % q
+    first = np.sort([d[0] * q + d[1], (-d[0] % q) * q + (-d[1] % q)])
+    diffs = [int((x - y) % q @ [q, 1]) for x in E for y in E]
+    size = len(set(diffs))
+    assert size > 1024 and 2 * size < 40**3
+    held = orthogroup._KEY_BYTES * 2 * size
+    monkeypatch.setattr(orthogroup, "_CENSUS_BYTES", held - 1)
+    with pytest.raises(ValueError, match=f"with {size} distinct differences may hold {held} "):
+        orthogroup._class_census(m, E, first)
+    monkeypatch.setattr(orthogroup, "_CENSUS_BYTES", held)
+    counts = orthogroup._class_census(m, E, first)[2]
+    # every triple whose first difference is +-d, with any of the 40 z
+    assert counts.sum() == 40 * sum(c in first for c in diffs)
