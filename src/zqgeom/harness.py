@@ -10,6 +10,7 @@ reproduces the same point set on any platform and Python build.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import re
 import sys
@@ -67,8 +68,8 @@ SCHEMA_VERSION = 1
 EXPERIMENT_KINDS = ("t2", "v2", "dotprod")
 CSV_HEADER = ("trial", "set_size", "statistic", "bound", "pass")
 
-# the suite refuses planes beyond this many points, and individual
-# checks whose scan would exceed the op budget report themselves skipped
+# the suite refuses planes beyond this many points, and skips the rows
+# whose scan would exceed the op budget
 SUITE_PLANE_CAP = 10**6
 
 
@@ -597,9 +598,9 @@ def run_theorem_experiment(cfg: ExperimentConfig) -> Report:
 # ---------------------------------------------------------------------------
 # the lemma suite
 #
-# A lemma is one LEMMAS row (name, comparison, statement) plus the check
-# it names.  A check returns an Outcome, or a skip note, for each row it
-# decides, and _lemma_check turns those into LemmaCheck rows.
+# A lemma is one LEMMAS row: name, comparison, check, statement and skip.
+# A check only measures: it returns an Outcome, or one per row when one
+# measurement decides several adjacent rows.  _lemma_rows builds the rows.
 
 
 class Outcome(NamedTuple):
@@ -614,39 +615,30 @@ class Outcome(NamedTuple):
 class Lemma(NamedTuple):
     name: str
     cmp: str  # "le", "ge", or "eq"
-    check: Callable[[Modulus], LemmaCheck | list[LemmaCheck]]
+    check: Callable[[Modulus], Outcome | list[Outcome]]
     statement: str
+    # the row's note on a modulus where a precondition fails or the scan
+    # would pass the op budget, and "" where it runs
+    skip: Callable[[Modulus], str] = lambda m: ""
 
 
-def _row(index: int, lemma: Lemma, result: Outcome | str) -> LemmaCheck:
-    if isinstance(result, str):
-        return LemmaCheck(index, lemma.name, lemma.statement, 0, 0, 0, "eq", "",
-                          skipped=True, note=result)
-    universe, statistic, bound, witness = result
-    return LemmaCheck(index, lemma.name, lemma.statement, universe, statistic, bound,
-                      lemma.cmp, witness)
+def _lemma_rows(m: Modulus, rows: list[tuple[int, Lemma]]) -> list[LemmaCheck]:
+    """LemmaCheck rows for adjacent LEMMAS rows (index, lemma) sharing one check.
+
+    The skips are read first, and the check runs once, only if a row runs.
+    A skipped row records 0 eq 0, so it passes as statistic <cmp> bound."""
+    notes = [lemma.skip(m) for _, lemma in rows]
+    found = [None] * len(rows) if all(notes) else rows[0][1].check(m)
+    outcomes = found if isinstance(found, list) else [found]
+    return [
+        LemmaCheck(i, lemma.name, lemma.statement, 0, 0, 0, "eq", "", skipped=True, note=note)
+        if note
+        else LemmaCheck(i, lemma.name, lemma.statement, o.universe, o.statistic, o.bound,
+                        lemma.cmp, o.witness)
+        for (i, lemma), note, o in zip(rows, notes, outcomes, strict=True)
+    ]
 
 
-def _lemma_check(scan):
-    """The check of the LEMMAS rows that name it, built on scan(m).
-
-    scan returns an Outcome or a skip note for a single row, or a list of
-    them, one per row, when one scan decides several adjacent rows.  A
-    skipped row records 0 eq 0, so every row passes as statistic <cmp> bound.
-    """
-
-    @functools.wraps(scan)
-    def check(m: Modulus) -> LemmaCheck | list[LemmaCheck]:
-        found = scan(m)
-        lemmas = [(i, lemma) for i, lemma in enumerate(LEMMAS) if lemma.check is check]
-        results = found if isinstance(found, list) else [found]
-        rows = [_row(i, lemma, r) for (i, lemma), r in zip(lemmas, results, strict=True)]
-        return rows if isinstance(found, list) else rows[0]
-
-    return check
-
-
-@_lemma_check
 def _check_unit_decomposition(m: Modulus) -> Outcome:
     fails, witness = 0, ""
     for x in range(1, m.q):
@@ -658,7 +650,6 @@ def _check_unit_decomposition(m: Modulus) -> Outcome:
     return Outcome(m.q - 1, fails, 0, witness)
 
 
-@_lemma_check
 def _check_inverse_involution(m: Modulus) -> Outcome:
     fails, witness, units = 0, "", m.units()
     for x in units:
@@ -669,11 +660,8 @@ def _check_inverse_involution(m: Modulus) -> Outcome:
     return Outcome(len(units), fails, 0, witness)
 
 
-@_lemma_check
-def _check_hensel_quadratics(m: Modulus) -> Outcome | str:
+def _check_hensel_quadratics(m: Modulus) -> Outcome:
     p, q = m.p, m.q
-    if p * p * q > _OP_CAP:
-        return "quadratic sweep exceeds the op budget"
     fails, witness, tested = 0, "", 0
     xs = np.arange(q, dtype=np.int64)
     for b in range(p):
@@ -691,7 +679,6 @@ def _check_hensel_quadratics(m: Modulus) -> Outcome | str:
     return Outcome(tested, fails, 0, witness)
 
 
-@_lemma_check
 def _check_stratum_sizes(m: Modulus) -> Outcome:
     fails, witness, total = 0, "", 0
     for n in range(m.l):
@@ -706,7 +693,6 @@ def _check_stratum_sizes(m: Modulus) -> Outcome:
     return Outcome(m.q**2 - 1, fails, 0, witness)
 
 
-@_lemma_check
 def _check_line_census(m: Modulus) -> Outcome:
     fails, witness, universe = 0, "", 0
     for n in range(m.l):
@@ -731,11 +717,7 @@ def _check_line_census(m: Modulus) -> Outcome:
     return Outcome(universe, fails, 0, witness)
 
 
-@_lemma_check
-def _check_point_line_incidence(m: Modulus) -> Outcome | str:
-    # the census touches each point of the |L_0| = q + q/p full-length lines once
-    if (m.q + m.q // m.p) * m.q > _OP_CAP:
-        return "incidence census exceeds the op budget"
+def _check_point_line_incidence(m: Modulus) -> Outcome:
     hits = geometry.incidence_census(m)
     bad = hits != m.p ** geometry.stratum_table(m).astype(np.int64)
     bad[0, 0] = False
@@ -746,7 +728,6 @@ def _check_point_line_incidence(m: Modulus) -> Outcome | str:
     return Outcome(m.q**2 - 1, fails, 0, witness)
 
 
-@_lemma_check
 def _sphere_checks(m: Modulus) -> list[Outcome]:
     s1 = len(geometry.sphere_points(m, 1, 2))
     group = len(orthogroup.so2_table(m))
@@ -766,12 +747,9 @@ def _norm_table(m: Modulus) -> np.ndarray:
     return table
 
 
-@_lemma_check
-def _check_group_axioms(m: Modulus) -> Outcome | str:
+def _check_group_axioms(m: Modulus) -> Outcome:
     g = orthogroup.so2_table(m)
     k, q = len(g), m.q
-    if k**2 > _OP_CAP:
-        return "pair products exceed the op budget"
     member = np.zeros(q * q, dtype=bool)
     member[g[:, 0] * q + g[:, 1]] = True
 
@@ -806,8 +784,7 @@ def _compositions(g: np.ndarray, q: int):
         yield s, orthogroup._turn(rows[s : s + step, :1], rows[s : s + step, 1:], codes, q)
 
 
-@_lemma_check
-def _rotated_plane_checks(m: Modulus) -> list[Outcome | str]:
+def _rotated_plane_checks(m: Modulus) -> list[Outcome]:
     """Norm invariance and both stabilizer bounds, from valuation histograms.
 
     Any row (a, b) scales norms, N(theta v) = (a**2 + b**2) N(v), so
@@ -830,13 +807,14 @@ def _rotated_plane_checks(m: Modulus) -> list[Outcome | str]:
     return [Outcome(q**2 * len(g), fails, 0, witness), *_stabilizer_bounds(m, counts)]
 
 
-def _stabilizer_bounds(m: Modulus, counts: np.ndarray) -> list[Outcome | str]:
+def _stabilizer_bounds(m: Modulus, counts: np.ndarray) -> list[Outcome]:
     """The largest stabilizer off and on the zero-norm cone, from the table
-    counts[x, y] = |Stab((x, y))|."""
+    counts[x, y] = |Stab((x, y))|.  Both are measured for every p; when
+    p = 1 mod 4 the zero-norm row's skip drops the second."""
     bound = m.p ** (m.l - 1)
-    norms = _norm_table(m)
-    nonzero = np.ones_like(norms, dtype=bool)
-    nonzero[0, 0] = False
+    off_cone = _norm_table(m) != 0
+    on_cone = ~off_cone
+    on_cone[0, 0] = False
 
     def extremum(mask: np.ndarray) -> Outcome:
         masked = np.where(mask, counts, -1)
@@ -846,16 +824,10 @@ def _stabilizer_bounds(m: Modulus, counts: np.ndarray) -> list[Outcome | str]:
         i, j = map(int, np.argwhere(masked == best)[0])
         return Outcome(int(mask.sum()), best, bound, f"xi=({i},{j})")
 
-    if m.p % 4 != 3:
-        return [extremum(nonzero & (norms != 0)),
-                "bound needs p = 3 mod 4; zero-norm stabilizers can be large otherwise"]
-    return [extremum(nonzero & (norms != 0)), extremum(nonzero & (norms == 0))]
+    return [extremum(off_cone), extremum(on_cone)]
 
 
-@_lemma_check
-def _check_zero_norm_structure(m: Modulus) -> Outcome | str:
-    if m.p % 4 != 3:
-        return "characterization needs p = 3 mod 4"
+def _check_zero_norm_structure(m: Modulus) -> Outcome:
     zero_norm = _norm_table(m) == 0
     deep = 2 * geometry.stratum_table(m) >= m.l
     zero_norm[0, 0] = deep[0, 0] = False
@@ -867,16 +839,20 @@ def _check_zero_norm_structure(m: Modulus) -> Outcome | str:
     return Outcome(m.q**2 - 1, fails, 0, witness)
 
 
-@_lemma_check
-def _difference_checks(m: Modulus) -> list[Outcome | str]:
+def _check_difference_bound(m: Modulus) -> Outcome:
     _, r = difference_stratum_counts(m)
-    weighted = Outcome(m.q**4, r, 2 * m.p ** (4 * m.l - 1), f"r={r}")
+    return Outcome(m.q**4, r, 2 * m.p ** (4 * m.l - 1), f"r={r}")
+
+
+def _census_skip(m: Modulus) -> str:
     if m.l == 1:
-        return [weighted, "no strata above 0 when l = 1"]
-    # the census counts q**2 coordinate pairs; the q**4 budget stays so that
-    # reports keep this row skipped from Z_121 on, as the golden reports pin
-    if m.q**4 > _OP_CAP:
-        return [weighted, "pair enumeration exceeds the op budget"]
+        return "no strata above 0 when l = 1"
+    # the census counts q**2 coordinate pairs; the q**4 budget stays only
+    # because the benchmark's lemma golden pins this row skipped from Z_121 on
+    return "pair enumeration exceeds the op budget" if m.q**4 > _OP_CAP else ""
+
+
+def _check_difference_census(m: Modulus) -> Outcome:
     census = difference_stratum_census(m)
     fails, witness = 0, ""
     for i in range(m.l):
@@ -884,7 +860,7 @@ def _difference_checks(m: Modulus) -> list[Outcome | str]:
         if census[i] != expected:
             fails += 1
             witness = witness or f"i={i}, census={census[i]}, formula={expected}"
-    return [weighted, Outcome(m.q**4, fails, 0, witness)]
+    return Outcome(m.q**4, fails, 0, witness)
 
 
 # the suite in report order; rows that share a check are adjacent
@@ -894,7 +870,9 @@ LEMMAS = (
     Lemma("unit_inverse_involution", "eq", _check_inverse_involution,
           "x * x^-1 = 1 and (x^-1)^-1 = x for every unit x"),
     Lemma("hensel_quadratic_lifts", "eq", _check_hensel_quadratics,
-          "each simple root mod p of x^2 + b x + c lifts to exactly one root mod q"),
+          "each simple root mod p of x^2 + b x + c lifts to exactly one root mod q",
+          # the sweep tries q candidate roots for each of the p**2 quadratics
+          lambda m: "quadratic sweep exceeds the op budget" if m.p**2 * m.q > _OP_CAP else ""),
     Lemma("stratum_partition_sizes", "eq", _check_stratum_sizes,
           "the strata partition the punctured plane with |Lambda_n| = p^(2(l-n)) - p^(2(l-n-1))"),
     Lemma("line_census_sizes", "eq", _check_line_census,
@@ -911,13 +889,16 @@ LEMMAS = (
     Lemma("stabilizer_bound_nonzero_norm", "le", _rotated_plane_checks,
           "max |Stab(xi)| over xi with ||xi|| != 0 is <= p^(l-1)"),
     Lemma("stabilizer_bound_zero_norm", "le", _rotated_plane_checks,
-          "max |Stab(xi)| over nonzero xi with ||xi|| = 0 is <= p^(l-1)"),
+          "max |Stab(xi)| over nonzero xi with ||xi|| = 0 is <= p^(l-1)",
+          lambda m: "" if m.p % 4 == 3
+          else "bound needs p = 3 mod 4; zero-norm stabilizers can be large otherwise"),
     Lemma("zero_norm_stratum_form", "eq", _check_zero_norm_structure,
-          "for p = 3 mod 4, nonzero xi has ||xi|| = 0 iff its stratum m satisfies 2m >= l"),
-    Lemma("difference_weighted_bound", "le", _difference_checks,
+          "for p = 3 mod 4, nonzero xi has ||xi|| = 0 iff its stratum m satisfies 2m >= l",
+          lambda m: "" if m.p % 4 == 3 else "characterization needs p = 3 mod 4"),
+    Lemma("difference_weighted_bound", "le", _check_difference_bound,
           "r = sum_i r_i p^i over i = 1..l-1 is <= 2 p^(4l-1)"),
-    Lemma("difference_census_match", "eq", _difference_checks,
-          "pair census of difference strata matches r_i = q^2 |Lambda_i|"),
+    Lemma("difference_census_match", "eq", _check_difference_census,
+          "pair census of difference strata matches r_i = q^2 |Lambda_i|", _census_skip),
 )
 
 
@@ -926,19 +907,17 @@ def run_lemma_suite(m: Modulus) -> Report:
 
     Each check names the claim it verifies in its statement string and
     records the exhausted universe, the extremal or mismatch statistic,
-    and a witness.  Checks whose preconditions fail (p = 1 mod 4 cases)
-    or whose scans exceed the op budget report themselves skipped.
+    and a witness.  Rows whose preconditions fail (p = 1 mod 4 cases) or
+    whose scans would pass the op budget declare a skip note, and their
+    checks do not run for them.
     """
     t0 = time.perf_counter()
     if m.q**2 > SUITE_PLANE_CAP:
         raise ValueError(
             f"plane over {m} has {m.q**2} points, beyond the exhaustive cap {SUITE_PLANE_CAP}"
         )
-    checks: list[LemmaCheck] = []
-    for i, lemma in enumerate(LEMMAS):
-        if i == len(checks):  # a shared check has filled its later rows already
-            found = lemma.check(m)
-            checks.extend(found if isinstance(found, list) else [found])
+    groups = itertools.groupby(enumerate(LEMMAS), key=lambda row: row[1].check)
+    checks = [row for _, rows in groups for row in _lemma_rows(m, list(rows))]
     aggregate = {
         "passed": sum(1 for c in checks if c.passed and not c.skipped),
         "failed": sum(1 for c in checks if not c.passed),

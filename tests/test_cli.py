@@ -273,7 +273,7 @@ GOLDEN = Path(__file__).parent / "golden"
 _WALL = re.compile(r'"wall_time_s": [0-9.e+-]+')
 
 
-@pytest.mark.parametrize("q", [27, 81, 121, 125, 243, 625, 729])
+@pytest.mark.parametrize("q", [27, 81, 121, 125, 243, 587, 593, 625, 729])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_verify_lemmas_matches_the_golden_reports(capsys, q, fmt):
     m = Modulus.from_q(q)

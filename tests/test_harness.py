@@ -1,32 +1,39 @@
 """Driver pieces: seeded sampling, set files, thresholds, and reports."""
 
+import collections
 import hashlib
 import itertools
 import json
 from fractions import Fraction
+from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zqgeom import geometry, orthogroup
+from zqgeom import geometry, harness, orthogroup
 from zqgeom.configsets import FULL_GRID_CAP, PointSet
 from zqgeom.harness import (
     CSV_HEADER,
     LEMMAS,
+    SUITE_PLANE_CAP,
     ExperimentConfig,
+    Lemma,
     SetSource,
     SplitMix64,
+    _check_difference_census,
     _check_group_axioms,
+    _check_hensel_quadratics,
     _check_line_census,
     _check_point_line_incidence,
     _compositions,
     _csv_num,
     _draw_below,
+    _lemma_rows,
     _norm_table,
     _rotated_plane_checks,
-    _row,
     _sample_indices,
     _stabilizer_bounds,
     conclusion_bound,
@@ -45,7 +52,7 @@ from zqgeom.harness import (
     write_pointset_file,
     write_report,
 )
-from zqgeom.orthogroup import so2_elements
+from zqgeom.orthogroup import _OP_CAP, so2_elements
 from zqgeom.ring import Modulus, is_prime
 
 M3 = Modulus(3, 1)
@@ -435,6 +442,11 @@ def test_csv_floats_read_back_exactly(x, text):
     assert _csv_num(x) == text and float(text) == x
 
 
+def _rows(m, check):
+    # the rows the suite's row builder makes for one check
+    return _lemma_rows(m, [(i, lemma) for i, lemma in enumerate(LEMMAS) if lemma.check is check])
+
+
 def test_lemma_suite_q9_all_pass():
     rep = run_lemma_suite(M9)
     assert rep.kind == "lemmas"
@@ -482,9 +494,78 @@ def test_lemma_suite_skips_census_at_prime_modulus():
     assert rep.all_passed
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _counted_checks(monkeypatch):
+    """Swap every LEMMAS check for a wrapper that counts its calls, keyed by
+    the original check; rows that share a check share one wrapper."""
+    calls = collections.Counter()
+
+    def counted(check):
+        def run(m):
+            calls[check] += 1
+            return check(m)
+
+        return run
+
+    wrapped = {lemma.check: counted(lemma.check) for lemma in LEMMAS}
+    rows = tuple(lemma._replace(check=wrapped[lemma.check]) for lemma in LEMMAS)
+    monkeypatch.setattr(harness, "LEMMAS", rows)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "q", [3, 5, 7, 9, 13, 25, 27, 81, 121, 125, 243, 587, 593], ids=lambda q: f"Z_{q}"
+)
+def test_each_check_runs_once_and_only_for_rows_that_run(monkeypatch, q):
+    m = Modulus.from_q(q)
+    calls = _counted_checks(monkeypatch)
+    rep = run_lemma_suite(m)
+    assert [c.name for c in rep.checks] == [lemma.name for lemma in LEMMAS]
+    assert max(calls.values()) == 1
+    running = {lemma.check for lemma, row in zip(LEMMAS, rep.checks) if not row.skipped}
+    assert set(calls) == running
+    if q in (587, 593):
+        assert _check_hensel_quadratics not in calls
+    if q in (121, 125, 243) or m.l == 1:
+        assert _check_difference_census not in calls
+
+
+def test_every_declared_skip_is_pinned_by_a_golden_report():
+    default = Lemma._field_defaults["skip"]
+    declared = {lemma.name for lemma in LEMMAS if lemma.skip is not default}
+    assert declared == {"hensel_quadratic_lifts", "stabilizer_bound_zero_norm",
+                        "zero_norm_stratum_form", "difference_census_match"}
+    skipped = set()
+    for path in sorted(GOLDEN.glob("lemmas_z*.json")):
+        report = json.loads(path.read_text())
+        m = Modulus(report["config"]["p"], report["config"]["l"])
+        for row in report["checks"]:
+            # each golden note is the one its row declares on that modulus
+            assert row["note"] == LEMMAS[row["index"]].skip(m)
+            if row["skipped"]:
+                skipped.add(row["name"])
+    assert skipped == declared
+
+
+def test_plane_cap_bounds_the_incidence_and_group_scans():
+    # the suite refuses q**2 > SUITE_PLANE_CAP before any check runs, so over
+    # every modulus it takes the incidence census (|L_0| * q line points) and
+    # the group products (|SO_2|**2 pairs) stay about 200 times inside _OP_CAP
+    moduli = [Modulus(p, l) for p in range(3, isqrt(SUITE_PLANE_CAP) + 1) if is_prime(p)
+              for l in range(1, 20) if p ** (2 * l) <= SUITE_PLANE_CAP]
+    assert max(m.q for m in moduli) == 997
+    incidence = {m.q: (m.q + m.q // m.p) * m.q for m in moduli}
+    pairs = {m.q: len(orthogroup.so2_table(m)) ** 2 for m in moduli}
+    assert max(incidence.values()) == incidence[997] == 995_006
+    assert max(pairs.values()) == pairs[997] == 992_016
+    assert 200 * max(incidence[997], pairs[997]) < _OP_CAP
+
+
 def test_incidence_check_runs_beyond_the_old_scan_budget():
     # 587**2 points times 588 lines exceeded the op budget of a per-vector scan
-    check = _check_point_line_incidence(Modulus(587, 1))
+    (check,) = _rows(Modulus(587, 1), _check_point_line_incidence)
     assert not check.skipped
     assert check.passed and check.statistic == 0
     assert check.universe == 587**2 - 1
@@ -493,7 +574,7 @@ def test_incidence_check_runs_beyond_the_old_scan_budget():
 def test_rotated_plane_checks_run_beyond_the_old_scan_budget():
     # 729**2 points times 972 rotations exceeded the op budget of the plane scans
     m = Modulus(3, 6)
-    norm, nonzero, zero = _rotated_plane_checks(m)
+    norm, nonzero, zero = _rows(m, _rotated_plane_checks)
     assert not any(c.skipped for c in (norm, nonzero, zero))
     assert norm.passed and norm.statistic == 0 and norm.universe == 729**2 * 972
     per_k = orthogroup._fix_depths(m)
@@ -527,7 +608,7 @@ def test_incidence_check_reports_a_dropped_line_like_the_scan(monkeypatch, m, dr
         return lines[:dropped] + lines[dropped + 1 :] if n == 0 else lines
 
     monkeypatch.setattr(geometry, "lines_in_stratum", faulty)
-    check = _check_point_line_incidence(m)
+    (check,) = _rows(m, _check_point_line_incidence)
     fails, witness = _incidence_scan_oracle(m)
     assert fails > 0
     assert not check.passed and not check.skipped
@@ -675,23 +756,24 @@ def _line_census_loop(m):
 
 def _stabilizer_rows(m):
     # the rotated-plane pass decides the norm row, then the two stabilizer rows
-    return [c.to_dict() for c in _rotated_plane_checks(m)[1:]]
+    return [c.to_dict() for c in _rows(m, _rotated_plane_checks)[1:]]
 
 
 def _stabilizer_rows_loop(m):
     # the same rows fed by the per-rotation table
-    rows = [i for i, lemma in enumerate(LEMMAS) if lemma.name.startswith("stabilizer_bound")]
     outcomes = _stabilizer_bounds(m, _stabilizer_table_loop(m))
-    return [_row(i, LEMMAS[i], o).to_dict() for i, o in zip(rows, outcomes, strict=True)]
+    rows = [(i, lemma._replace(check=lambda mod: outcomes)) for i, lemma in enumerate(LEMMAS)
+            if lemma.name.startswith("stabilizer_bound")]
+    return [c.to_dict() for c in _lemma_rows(m, rows)]
 
 
 @pytest.mark.parametrize("m", _DIFFERENTIAL, ids=str)
 def test_lemma_checks_match_their_loops(m):
-    check = _check_group_axioms(m)
+    check = _rows(m, _check_group_axioms)[0]
     assert (check.statistic, check.witness) == _group_axioms_loop(m) == (0, "")
-    check = _rotated_plane_checks(m)[0]
+    check = _rows(m, _rotated_plane_checks)[0]
     assert (check.statistic, check.witness) == _norm_invariance_loop(m) == (0, "")
-    check = _check_line_census(m)
+    check = _rows(m, _check_line_census)[0]
     assert (check.statistic, check.witness, check.universe) == _line_census_loop(m)
     assert np.array_equal(orthogroup.stabilizer_table(m), _stabilizer_table_loop(m))
     assert _stabilizer_rows(m) == _stabilizer_rows_loop(m)
@@ -734,11 +816,11 @@ def corrupt_group(monkeypatch):
 def test_group_checks_report_a_corrupted_rotation_like_the_loops(corrupt_group, m, swaps):
     clean = orthogroup.stabilizer_table(m)
     corrupt_group(m, swaps)
-    check = _check_group_axioms(m)
+    check = _rows(m, _check_group_axioms)[0]
     fails, witness = _group_axioms_loop(m)
     assert fails > 0 and not check.passed
     assert (check.statistic, check.witness) == (fails, witness)
-    check = _rotated_plane_checks(m)[0]
+    check = _rows(m, _rotated_plane_checks)[0]
     fails, witness = _norm_invariance_loop(m)
     assert fails > 0 and not check.passed
     assert (check.statistic, check.witness) == (fails, witness)
@@ -762,7 +844,7 @@ def test_group_axioms_report_missing_rotations_like_the_loop(corrupt_group, m, s
     # the dropped rotations are each other's inverses (-I is its own), so
     # every inverse check passes and only products fall outside the table
     corrupt_group(m, swaps)
-    check = _check_group_axioms(m)
+    check = _rows(m, _check_group_axioms)[0]
     fails, witness = _group_axioms_loop(m)
     assert fails > 0 and " o " in witness
     assert (check.statistic, check.witness) == (fails, witness)
@@ -803,7 +885,7 @@ def test_depth_counts_match_the_loops_on_any_table(data):
         orthogroup.so2_elements.cache_clear()
         try:
             assert np.array_equal(orthogroup.stabilizer_table(m), _stabilizer_table_loop(m))
-            check = _rotated_plane_checks(m)[0]
+            check = _rows(m, _rotated_plane_checks)[0]
             assert (check.statistic, check.witness) == _norm_invariance_loop(m)
             assert check.universe == m.q**2 * len(rows)
             assert _stabilizer_rows(m) == _stabilizer_rows_loop(m)
@@ -838,7 +920,7 @@ def test_line_census_check_reports_a_faulty_census_like_the_loop(monkeypatch, m,
         return faults[n](mod, lines) if n in faults else lines
 
     monkeypatch.setattr(geometry, "lines_in_stratum", faulty)
-    check = _check_line_census(m)
+    check = _rows(m, _check_line_census)[0]
     fails, witness, universe = _line_census_loop(m)
     assert fails > 0 and not check.passed
     assert (check.statistic, check.witness, check.universe) == (fails, witness, universe)
@@ -847,7 +929,7 @@ def test_line_census_check_reports_a_faulty_census_like_the_loop(monkeypatch, m,
 def test_line_tables_are_cached_per_census_not_per_modulus(monkeypatch):
     # clean runs fill the row tables of Z_27 and Z_9 first; a faulty census
     # of the same moduli must get tables of its own
-    assert _check_line_census(M27).passed
+    assert _rows(M27, _check_line_census)[0].passed
     clean = geometry.incidence_census(M9)
     census = geometry.lines_in_stratum
 
@@ -856,7 +938,7 @@ def test_line_tables_are_cached_per_census_not_per_modulus(monkeypatch):
         return _duplicate(lines, 3) if n == 0 else lines
 
     monkeypatch.setattr(geometry, "lines_in_stratum", faulty)
-    check = _check_line_census(M27)
+    check = _rows(M27, _check_line_census)[0]
     fails, witness, universe = _line_census_loop(M27)
     assert fails > 0 and not check.passed
     assert (check.statistic, check.witness, check.universe) == (fails, witness, universe)
