@@ -54,6 +54,15 @@ def _int_dtype(bound: int) -> type:
     return np.int32 if bound <= 2**31 else np.int64
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct entries of a 1-D array, without np.unique's first-use
+    import of numpy.ma."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 class DimensionMismatch(ValueError):
     """Vector arguments live in different (or unsupported) dimensions."""
 
@@ -254,9 +263,7 @@ def lines_in_stratum(m: Modulus, n: int) -> tuple[Line, ...]:
     Every stratum vector is normalized to its canonical generator, as
     spanned_line does, and only the distinct generators become lines.
     """
-    # sort and keep run heads; np.unique would import numpy.ma on first use
-    codes = np.sort(_spanned_generators(m, n, *stratum_coords(m, n)))
-    codes = codes[np.r_[True, codes[1:] != codes[:-1]]]
+    codes = _distinct(_spanned_generators(m, n, *stratum_coords(m, n)))
     g0, g1 = np.divmod(codes, m.q)
     return tuple(Line(m, gen, n) for gen in zip(g0.tolist(), g1.tolist()))
 

@@ -1,14 +1,16 @@
-"""The rotation group SO_2(Z_q), stabilizers, and triangle congruence."""
+"""The rotation group SO_2(Z_q), stabilizers, and triangle congruence; the t2
+count (triangle_class_count) takes a covering certificate, orbit cover or census."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import DimensionMismatch, _int_dtype, valuation_table, vsub
+from .geometry import DimensionMismatch, _distinct, _int_dtype, valuation_table, vsub
 from .ring import Modulus, Polynomial, hensel_lift_root
 
 __all__ = [
@@ -31,13 +33,11 @@ Triangle = tuple[Vec2, Vec2, Vec2]
 
 # moduli whose group stays cached; a sweep over moduli keeps only the latest
 _GROUP_CACHE_SIZE = 8
-# bytes of one working block of the orbit minima, the triangle census and
-# the difference histogram; also caps the dense (distinct differences)**2
-# count table, which at this size still holds the full Z_27 grid's 729**2
-# pairs
+# bytes of a working block of the orbit minima or the triangle census, and
+# of _residues' seen table; also caps the dense (distinct differences)**2
+# count table, which at this size holds the full Z_27 grid's 729**2 pairs
 _CHUNK_BYTES = 1 << 23
-# operations a t2 census or difference histogram may take; a larger one is
-# refused before it starts
+# operations a t2 census or orbit cover may take before it is refused
 _OP_CAP = 2 * 10**8
 # bytes the sorted t2 census may hold, and its bytes per distinct pair key:
 # the int64 key and count, the merge's sorted copies and the canonical pair
@@ -74,7 +74,6 @@ class Rotation:
     def inverse(self) -> "Rotation":
         return Rotation(self.a, (-self.b) % self.m.q, self.m)
 
-    # for these matrices the transpose is the inverse
     transpose = inverse
 
     def key(self) -> Vec2:
@@ -294,9 +293,7 @@ def _fixing(m: Modulus, code: int) -> np.ndarray:
     return g[(fixed >= m.l).all(axis=0)]
 
 
-def _canonical_pairs(
-    m: Modulus, codes: np.ndarray, ru: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _canonical_pairs(m: Modulus, codes: np.ndarray, ru: np.ndarray, v: np.ndarray) -> tuple:
     """canonical_pair of each pair (codes[ru], v) of vector codes, as the
     codes of the least image pair.
 
@@ -306,8 +303,7 @@ def _canonical_pairs(
     group is abelian, so v is turned by theta and then minimized over
     that stabilizer only, which depends on the depths of u alone.
     """
-    q = m.q
-    g = so2_table(m)
+    q, g = m.q, so2_table(m)
     least, theta = _orbit_min(g, codes, q)
     u, t = least[ru], theta[ru]
     v = _turn(g[t, 0], g[t, 1], v, q)
@@ -329,19 +325,17 @@ def _row_counts(rank: np.ndarray, size: int) -> np.ndarray:
 
 def _merge_counts(parts) -> tuple[np.ndarray, np.ndarray]:
     """Sum the counts of equal keys across (keys, counts) parts."""
-    keys = np.concatenate([k for k, _ in parts])
-    counts = np.concatenate([c for _, c in parts])
+    keys, counts = (np.concatenate(arrays) for arrays in zip(*parts))
     order = np.argsort(keys)
     keys, counts = keys[order], counts[order]
     first = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
     return keys[first], np.add.reduceat(counts, first)
 
 
-def _tally(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct values over (values, weights) blocks, with summed weights.
-
-    Blocks are reduced and merged into the running tally as in _residues.
-    """
+def _tally(blocks: Iterable[tuple[np.ndarray, np.ndarray]], full: int = -1) -> tuple:
+    """Sorted distinct values over (values, weights) blocks, with summed
+    weights, stopping once `full` have occurred.  Pending blocks join the
+    tally once they hold as many values, so a merge sorts at most twice those."""
     keys = counts = np.empty(0, dtype=np.int64)
     pending, held = [], 0
     for values, weights in blocks:
@@ -350,47 +344,30 @@ def _tally(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray,
         if held >= len(keys):
             keys, counts = _merge_counts([(keys, counts), *pending])
             pending, held = [], 0
+            if len(keys) == full:
+                break
     return _merge_counts([(keys, counts), *pending])
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct entries of a 1-D array.
-
-    Sorting directly, as a bare np.unique would import numpy.ma on first use.
-    """
-    values = np.sort(values)
-    return values[np.r_[True, values[1:] != values[:-1]]] if len(values) else values
-
-
 def _residues(blocks: Iterable[np.ndarray], q: int, start: int = 0) -> np.ndarray:
-    """Sorted values start <= t < q occurring in the blocks, whose entries
-    all lie in range(q); stops once every such t has occurred.
-
-    Each block is reduced to its distinct values, and these are merged into
-    the running union once they are at least as many as it holds.  Memory
-    follows the values found, not q, and a merge never sorts more than
-    twice what the blocks since the last merge contributed.
-    """
-    found = np.empty(0, dtype=np.int64)
-    pending, held = [], 0
-    for block in blocks:
-        pending.append(_distinct(block.ravel()))
-        held += len(pending[-1])
-        if held >= len(found):
-            found = _distinct(np.concatenate([found, *pending]))
-            pending, held = [], 0
-            if len(found) - np.searchsorted(found, start) == q - start:
+    """Sorted values start <= t < q occurring in the blocks (entries in
+    range(q)), stopping once all have occurred: marked in a q-entry table up
+    to q = _CHUNK_BYTES, else tallied, so memory follows the values found."""
+    if q <= _CHUNK_BYTES:
+        seen = np.zeros(q, dtype=bool)
+        for block in blocks:
+            seen[block.ravel()] = True
+            if seen[start:].all():
                 break
-    found = _distinct(np.concatenate([found, *pending])) if pending else found
-    return found[np.searchsorted(found, start) :]
+        return np.flatnonzero(seen[start:]) + start
+    kept = (b[b >= start] for b in blocks)
+    return _tally(((b, np.ones_like(b)) for b in kept), q - start)[0]
 
 
 def _planar(m: Modulus, points: Iterable[Vec2] | np.ndarray) -> np.ndarray:
     """The points as an (n, 2) int64 array reduced mod q."""
-    if isinstance(points, np.ndarray):
-        pts = points.astype(np.int64)
-    else:
-        pts = np.array([tuple(v) for v in points], dtype=np.int64)
+    listed = points if isinstance(points, np.ndarray) else [tuple(v) for v in points]
+    pts = np.array(listed, dtype=np.int64)
     if len(pts) == 0:
         return np.empty((0, 2), dtype=np.int64)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -398,23 +375,18 @@ def _planar(m: Modulus, points: Iterable[Vec2] | np.ndarray) -> np.ndarray:
     return pts % m.q
 
 
-def _class_census(
-    m: Modulus, pts: np.ndarray, first: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Codes of the canonical pairs (u, v) of triangle_classes, and their
-    counts; given `first`, sorted codes closed under negation, only over
-    the triples whose first difference u = x - y lies in it.
+def _class_census(m: Modulus, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Codes of the canonical pairs (u, v) of triangle_classes, and their counts.
 
     Row y of _difference_blocks lists y - w over w in E, so one row gives
     a = y - x and b = y - z for every x and z, and (-a, b) is the pair
-    (x - y, y - z); -I is a rotation, so a lies in `first` exactly when u
-    does.  Differences are ranked among the distinct differences of the
-    set, so each realized pair is counted once over a key space of at most
-    min(n**2, q**2)**2.  When that space fits the chunk budget, the counts
-    are the matrix product sum_y #{x : rank(y - x) = r} * #{z : rank(y - z) = s},
-    exact in float64 while n**3 < 2**53; otherwise each block's keys are
-    tallied.  Only the distinct pairs are then canonicalized, each by a
-    minimum over the cached group table.
+    (x - y, y - z).  Differences are ranked among the distinct differences
+    of the set, so each realized pair is counted once over a key space of
+    at most min(n**2, q**2)**2.  When that space fits the chunk budget, the
+    counts are the matrix product sum_y #{x : rank(y - x) = r} *
+    #{z : rank(y - z) = s}, exact in float64 while n**3 < 2**53; otherwise
+    each block's keys are tallied.  Only the distinct pairs are then
+    canonicalized, each by a minimum over the cached group table.
     """
     q, n = m.q, len(pts)
     blocks = partial(_difference_blocks, pts, q)
@@ -422,7 +394,6 @@ def _class_census(
         blocks = partial(iter, list(blocks()))
     codes = _residues(blocks(), q * q)
     size = len(codes)
-    lead = np.ones(size, dtype=bool) if first is None else np.isin(codes, first)
     rank = partial(np.searchsorted, codes)
     if q * q <= n * n:  # tabulated, when the table is no larger than the differences
         rank = rank(np.arange(q * q)).__getitem__
@@ -433,19 +404,20 @@ def _class_census(
             ranks = rank(block)
             for s in range(0, len(ranks), step):
                 counts = _row_counts(ranks[s : s + step], size)
-                table += (counts * lead).T @ counts
+                table += counts.T @ counts
         keys = np.flatnonzero(table)
         counts = table.ravel()[keys].astype(np.int64)
     else:
-        # distinct keys number at most the triples and at most the pairs of a
-        # first difference with any difference
-        held = _KEY_BYTES * min(n**3, int(lead.sum()) * size)
+        # the keys number at most the triples and the pairs of differences
+        held = _KEY_BYTES * min(n**3, size * size)
         if held > _CENSUS_BYTES:
             raise ValueError(
                 f"t2 census over n = {n} points with {size} distinct differences may hold "
                 f"{held} bytes of pair keys, over the {_CENSUS_BYTES}-byte budget"
             )
-        keys, counts = _tally(_pair_keys(blocks(), rank, lead, size))
+        # row y gives the keys rank(y - x) * size + rank(y - z) over every x, z
+        pairs = (row[:, None] * size + row for block in blocks() for row in rank(block))
+        keys, counts = _tally((k, np.ones_like(k)) for k in pairs)
     u, v = _canonical_pairs(m, _turn(-1, 0, codes, q), keys // size, codes[keys % size])
     # rank the canonical codes too, so a pair key stays below size**2 (a code
     # pair packed as u * q**2 + v would need q**4 to fit in int64)
@@ -453,20 +425,6 @@ def _class_census(
     cv, rv = np.unique(v, return_inverse=True)
     keys, counts = _merge_counts([(ru * len(cv) + rv, counts)])
     return cu[keys // len(cv)], cv[keys % len(cv)], counts
-
-
-def _pair_keys(blocks, rank, lead: np.ndarray, size: int):
-    """(keys rank(y - x) * size + rank(y - z), unit weights) over the rows y
-    of each block and the x with lead[rank(y - x)], in blocks of at most
-    _CHUNK_BYTES of int64."""
-    for block in blocks:
-        step = max(1, _CHUNK_BYTES // (8 * block.shape[1]))
-        ranks = rank(block)
-        i, j = np.nonzero(lead[ranks])
-        head = ranks[i, j] * size
-        for s in range(0, len(i), step):
-            keys = head[s : s + step, None] + ranks[i[s : s + step]]
-            yield keys, np.ones_like(keys)
 
 
 def triangle_classes(m: Modulus, points: Iterable[Vec2]) -> dict[TriangleClass, int]:
@@ -477,15 +435,9 @@ def triangle_classes(m: Modulus, points: Iterable[Vec2]) -> dict[TriangleClass, 
     Duplicate points count as separate vertices, and the multiplicities
     sum to n**3 over the n**3 ordered triples.
     """
-    q = m.q
     u, v, counts = _class_census(m, _planar(m, points))
-    return {
-        TriangleClass((a, b), (c, d)): n
-        for a, b, c, d, n in zip(
-            (u // q).tolist(), (u % q).tolist(), (v // q).tolist(), (v % q).tolist(),
-            counts.tolist(),
-        )
-    }
+    pairs = zip(u.tolist(), v.tolist(), counts.tolist())
+    return {TriangleClass(divmod(a, m.q), divmod(b, m.q)): c for a, b, c in pairs}
 
 
 def triangle_class_count(m: Modulus, points: Iterable[Vec2] | np.ndarray) -> int:
@@ -494,44 +446,26 @@ def triangle_class_count(m: Modulus, points: Iterable[Vec2] | np.ndarray) -> int
     Points may also come as an (n, 2) integer array; only the n distinct
     points matter.  Three regimes, by n:
 
-    - 3n > 2q**2 (realizes_every_pair): the count is orbit_pair_total(m)
-      and no census runs.
-    - q**2 / 2 < n <= 2q**2 / 3: a difference u with
-      h[u] = |E ∩ (E - u)| > q**2 - n meets every E + v, so it realizes
-      (u, v) for every v, and so does every difference in its orbit.  The
-      histogram h (n**2 pairs) certifies such orbits, each worth
-      _pair_orbits_by_depth; only the realized differences of the other
-      orbits go to a census, of n * sum(h[u]) triples over those u.
-    - n <= q**2 / 2: no u can pass, as h[u] <= n, and the full census of
-      n**3 triples runs.
-
-    A histogram or census of more than _OP_CAP operations is refused with
-    ValueError before it starts.
+    - 3n > 2q**2 (realizes_every_pair): the count is orbit_pair_total(m).
+    - n**3 >= q**4 ln(q**2), where a random set's n**2 / q**2 shifts per
+      first difference reach the q**2 ln(q**2) / n a cover needs: the orbit
+      cover, within min(_OP_CAP, n**3) operations; past them the census
+      runs if n**3 <= _OP_CAP, and a ValueError refuses the count if not.
+    - otherwise the census, of n**3 triples, refused past _OP_CAP.
     """
-    pts = _planar(m, points)
-    q = m.q
+    pts, q = _planar(m, points), m.q
     codes = _distinct(pts[:, 0] * q + pts[:, 1])
     n = len(codes)
     if realizes_every_pair(m, n):
         return orbit_pair_total(m)
-    pts = np.stack([codes // q, codes % q], axis=1)
-    if 2 * n <= q * q:
-        _within(n**3, f"t2 census over n = {n} points visits n^3 = {n**3} triples")
-        return len(_class_census(m, pts)[2])
-    _within(n * n, f"t2 difference histogram over n = {n} points visits n^2 = {n * n} pairs")
-    h = np.zeros(q * q, dtype=np.int64)
-    for block in _difference_blocks(pts, q):
-        h += np.bincount(block.ravel(), minlength=q * q)
-    certified, pending = _certify_orbits(m, h, n)
-    if len(pending) == 0:
-        return certified
-    ops = n * int(h[pending].sum())
-    _within(
-        ops,
-        f"t2 census over n = {n} points visits {ops} triples on the {len(pending)} "
-        f"uncertified differences",
-    )
-    return certified + len(_class_census(m, pts, pending)[2])
+    if n**3 >= q**4 * math.log(q * q):
+        try:
+            return _cover_count(m, codes, min(_OP_CAP, n**3))
+        except _OverBudget:
+            if n**3 > _OP_CAP:
+                raise
+    _within(n**3, f"t2 census over n = {n} points visits n^3 = {n**3} triples")
+    return len(_class_census(m, np.stack([codes // q, codes % q], axis=1))[2])
 
 
 def _within(ops: int, what: str) -> None:
@@ -550,18 +484,76 @@ def _difference_blocks(pts: np.ndarray, q: int) -> Iterator[np.ndarray]:
         yield block
 
 
-def _certify_orbits(m: Modulus, h: np.ndarray, n: int) -> tuple[int, np.ndarray]:
-    """(classes of the certified orbits, sorted codes of the realized
-    differences outside them), from the difference histogram h.
+class _OverBudget(ValueError):
+    """The next step of the t2 orbit cover would pass its operation budget."""
 
-    An orbit is certified when some member u has h[u] + n > q**2; it then
-    adds _pair_orbits_by_depth at the depth of its least member.
+
+def _cover_count(m: Modulus, codes: np.ndarray, budget: int) -> int:
+    """triangle_class_count of the points with these distinct codes, one
+    orbit of first differences at a time, within `budget` operations.
+
+    With C the complement of E, no y in A_w = E ∩ (E - w) realizes (w, v)
+    for v in ∩_{y in A_w} (y - C).  A scan of the plane (|SO_2| q**2
+    operations) gives the least member u of each orbit.  U starts as the
+    plane; each member w = theta u (u first, one theta each) cuts it by
+    theta^-1 (y - C) over y in A_w until U is empty, and the orbit adds
+    _pair_orbits_by_depth at its depth; |A_w| + n > q**2 does so at once,
+    as A_w meets every E + v.  The thetas carrying u to w form a coset of
+    Stab(u), so once every member has cut, the missed pair orbits are the
+    Stab(u)-orbits wholly in U.  Sets are ints, cell (i, j) at bit
+    2q i + j, so a window at (r, c) of a 2q x 2q tiling of theta^-1 (-C)
+    is the tiling shifted right by 2q r + c; each costs q**2 operations.
     """
-    q, v = m.q, valuation_table(m)
-    realized = np.flatnonzero(h)
-    least = _orbit_min(so2_table(m), realized, q)[0]
-    certified = _distinct(least[h[realized] + n > q * q])
-    depth = np.minimum(v[certified // q], v[certified % q])
-    per_depth = np.bincount(depth, minlength=m.l + 1).tolist()
-    total = sum(c * N for c, N in zip(per_depth, _pair_orbits_by_depth(m)))
-    return total, realized[~np.isin(least, certified)]
+    q, n, q2, spent = m.q, len(codes), m.q**2, 0
+
+    def charge(cost: int) -> None:
+        nonlocal spent
+        if spent + cost > budget:
+            raise _OverBudget(f"t2 orbit cover over n = {n} points: {spent} operations spent, "
+                              f"and {cost} more would pass the {budget}-operation budget")
+        spent += cost
+
+    def bits(cells: np.ndarray) -> int:  # bit k is the k-th cell, row-major
+        return int.from_bytes(np.packbits(cells, axis=None, bitorder="little").tobytes(), "little")
+
+    g, plane = so2_table(m), np.arange(q2)
+    charge(len(g) * q2)  # the orbit scan
+    ind = (np.bincount(codes, minlength=q2) > 0).reshape(q, q)
+    wrap, flip = np.arange(2 * q) % q, -np.arange(2 * q) % q
+    hole, inner = ~ind[flip][:, flip], wrap == np.arange(2 * q)  # hole[w]: -w is in C
+    box, tiled, holes = bits(inner[:, None] & inner), bits(ind[wrap][:, wrap]), bits(hole)
+
+    def cut(U: int, a: int, b: int, w: int) -> int:
+        """U cut by theta^-1 (y - C) over y in A_w, theta = (a, b); 0 once
+        every pair orbit on w is realized."""
+        charge(q2)
+        hit = box & tiled & tiled >> (w // q * 2 * q + w % q)
+        if hit.bit_count() + n > q2:
+            return 0
+        tiles = holes
+        if (a, b) != (1, 0):
+            charge(q2)
+            tiles = bits(hole[:q, :q].ravel()[_turn(a, b, plane, q)].reshape(q, q)[wrap][:, wrap])
+        while hit and U:
+            charge(q2)
+            i, j = divmod((hit & -hit).bit_length() - 1, 2 * q)  # y; its window is at -theta^-1 y
+            hit &= hit - 1
+            U &= tiles >> (-(a * i + b * j) % q * 2 * q + (b * i - a * j) % q)
+        return U
+
+    total, per_depth, v = 0, _pair_orbits_by_depth(m), valuation_table(m)
+    for u in _distinct(_orbit_min(g, plane, q)[0]).tolist():
+        total += per_depth[min(v[u // q], v[u % q])]
+        U = cut(box, 1, 0, u)
+        if U:
+            members, rows = np.unique(_turn(g[:, 0], g[:, 1], u, q), return_index=True)
+            for (a, b), w in zip(g[rows].tolist(), members.tolist()):
+                U = cut(U, a, b, w) if U and w != u else U
+        if U:
+            raw = np.frombuffer(U.to_bytes(q2 // 4 + 1, "little"), dtype=np.uint8)
+            inside = np.unpackbits(raw, count=2 * q2, bitorder="little").reshape(q, 2 * q)[:, :q]
+            stab, left = _fixing(m, u), np.flatnonzero(inside)
+            charge(len(stab) * len(left))
+            least = _distinct(_orbit_min(stab, left, q)[0])
+            total -= int(inside.ravel()[_turn(stab[:, :1], stab[:, 1:], least, q)].all(0).sum())
+    return total

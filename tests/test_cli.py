@@ -359,26 +359,49 @@ def test_dotprod_cube_at_the_z243_threshold(tmp_path):
     assert res.stdout.splitlines()[1].split(",")[:2] == ["0", str(169**3)]
 
 
-def test_t2_at_the_z121_threshold():
-    # 9495 points reach the t2 threshold at Z_121, below the covering size
-    # 2q**2/3 = 9760.7; every difference passes the per-difference certificate
-    res = run_cli_limited(
-        "experiment", "--kind", "t2", "--p", "11", "--l", "2",
-        "--set", "random:9495", "--seed", "7", "--format", "csv",
+def _t2_limited(p, l, n):
+    return run_cli_limited(
+        "experiment", "--kind", "t2", "--p", str(p), "--l", str(l),
+        "--set", f"random:{n}", "--seed", "7", "--format", "csv",
     )
+
+
+# below the covering size 2q**2/3 and far past the n**3 census, these run
+# the orbit cover; every pair orbit is realized, so each count is T(q)
+
+def test_t2_at_the_z121_threshold():
+    res = _t2_limited(11, 2, 9495)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[1].split(",")[:3] == ["0", "9495", "1625041"]
 
 
-def test_t2_at_the_z169_threshold_is_refused_before_counting():
-    # the difference histogram alone would visit n**2 = 3.1e8 pairs
-    n = 17519
-    res = run_cli_limited(
-        "experiment", "--kind", "t2", "--p", "13", "--l", "2", "--set", f"random:{n}",
-    )
+def test_t2_at_the_z169_threshold():
+    res = _t2_limited(13, 2, 17519)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[1].split(",")[:3] == ["0", "17519", "5231241"]
+
+
+def test_t2_at_the_z101_threshold():
+    res = _t2_limited(101, 1, 3160)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[1].split(",")[:3] == ["0", "3160", "1040605"]
+
+
+def test_t2_at_the_z289_threshold_stops_at_the_op_cap():
+    # the cover's slices would touch about 4.1e8 cells here
+    res = _t2_limited(17, 2, 46848)
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
-    assert f"n = {n}" in res.stderr and str(n * n) in res.stderr
+    assert ("t2 orbit cover over n = 46848 points: 199949274 operations spent, and 83521 more "
+            f"would pass the {harness._OP_CAP}-operation budget") in res.stderr
+
+
+def test_t2_at_the_z841_threshold_is_refused_before_counting():
+    # the orbit scan alone would turn |SO_2| q**2 = 812 * 841**2 vectors
+    res = _t2_limited(29, 2, 332022)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "n = 332022 points: 0 operations spent, and 574312172 more would pass" in res.stderr
     assert str(harness._OP_CAP) in res.stderr
 
 

@@ -1,7 +1,10 @@
 """Rotation group structure, stabilizers, and triangle congruence."""
 
 import itertools
+import math
+import re
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -343,6 +346,32 @@ def test_triangle_classes_tiny_chunks(monkeypatch, chunk_bytes):
         orthogroup.so2_elements.cache_clear()
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 300),
+    st.integers(0, 3),
+    st.lists(st.lists(st.integers(0, 10**6), max_size=40), max_size=6),
+)
+def test_residue_table_matches_the_sorted_merge(q, start, values):
+    # a 1-byte chunk sends every q through the tally that serves q > 2**23
+    blocks = [np.array(b, dtype=np.int64).reshape(-1, 1) % q for b in values]
+    start = min(start, q - 1)
+    want = sorted({v % q for b in values for v in b if v % q >= start})
+    assert orthogroup._residues(iter(blocks), q, start).tolist() == want
+    with mock.patch.object(orthogroup, "_CHUNK_BYTES", 1):
+        assert orthogroup._residues(iter(blocks), q, start).tolist() == want
+
+
+def test_residues_stop_once_every_value_has_occurred():
+    def blocks():
+        yield np.array([[3, 1], [6, 2], [5, 4]])  # every 1 <= t < 7
+        raise AssertionError("read a block past saturation")
+
+    for chunk in (orthogroup._CHUNK_BYTES, 1):
+        with mock.patch.object(orthogroup, "_CHUNK_BYTES", chunk):
+            assert orthogroup._residues(blocks(), 7, start=1).tolist() == [1, 2, 3, 4, 5, 6]
+
+
 def test_group_caches_are_bounded():
     for fn in (orthogroup.so2_table, so2_elements):
         assert fn.cache_info().maxsize is not None
@@ -490,7 +519,7 @@ def test_covering_certificate_matches_the_census(case, above, seed):
         assert len(triangle_classes(m, E)) == triangle_class_count(m, E) == oracle
 
 
-# -- the per-difference certificate, q**2 / 2 < n <= 2q**2 / 3 -------------
+# -- the orbit cover, below the covering size -------------------------------
 
 M11, M13 = Modulus(11, 1), Modulus(13, 1)
 
@@ -504,16 +533,25 @@ def _difference_histogram_loop(m, E):
     return h
 
 
-def _window_split(m, E):
-    """(certified total, pending codes, realized nonzero differences) of the
-    distinct points E, from the pair-loop histogram."""
+def _certified_orbits(m, E):
+    """(orbits of the nonzero realized differences, how many of them have a
+    member u with h[u] + n > q**2), from the pair-loop histogram."""
     h = _difference_histogram_loop(m, E)
-    total, pending = orthogroup._certify_orbits(m, h, len(E))
-    return total, pending, np.count_nonzero(h) - 1
+    realized = np.flatnonzero(h)[1:]  # u = 0 always passes: h[0] = n > q**2 - n
+    least = orthogroup._orbit_min(orthogroup.so2_table(m), realized, m.q)[0]
+    certified = np.unique(least[h[realized] + len(E) > m.q**2])
+    return len(np.unique(least)), len(certified)
+
+
+def _cover(m, E, budget=None):
+    """_cover_count of the distinct points E, within the op cap by default."""
+    codes = np.unique([x * m.q + y for x, y in E])
+    return orthogroup._cover_count(m, codes, orthogroup._OP_CAP if budget is None else budget)
 
 
 # (n, seed) per modulus where no nonzero orbit, some orbits, or every orbit
-# of realized differences is certified (u = 0 always is: h[0] = n > q**2 - n)
+# of realized differences has a member passing the certificate; the old
+# per-difference window counted these, and the orbit cover counts them now
 _WINDOW_CASES = {
     "none": [(M9, 41, 0), (M11, 61, 0), (M13, 85, 0), (M25, 313, 0), (M27, 365, 0)],
     "some": [(M9, 49, 0), (M11, 72, 0), (M13, 102, 0), (M25, 376, 1), (M27, 443, 2)],
@@ -529,39 +567,11 @@ _WINDOW_CASES = {
 def test_windowed_count_matches_the_census(m, n, seed, certified):
     E = list(random_subset(m, 2, n, seed=seed))
     assert m.q**2 < 2 * n and not realizes_every_pair(m, n)
-    _, pending, realized = _window_split(m, E)
-    assert {"none": len(pending) == realized, "all": len(pending) == 0,
-            "some": 0 < len(pending) < realized}[certified]
-    assert triangle_class_count(m, E) == len(triangle_classes(m, E))
-
-
-@pytest.mark.parametrize(
-    "m, n, seed", [case for case in _WINDOW_CASES["some"] if case[0].q <= 13], ids=str
-)
-def test_restricted_census_matches_the_filtered_triple_loop(m, n, seed):
-    # the census of the triples whose first difference x - y is uncertified,
-    # against the triple loop filtered the same way; the default chunk takes
-    # the dense kernel, 64-byte chunks the sorted one over many blocks
-    E = list(random_subset(m, 2, n, seed=seed))
-    _, pending, _ = _window_split(m, E)
-    first = {divmod(c, m.q) for c in pending.tolist()}
-    raw = {}
-    for x in E:
-        for y in E:
-            u = vsub(m, x, y)
-            if u in first:
-                for z in E:
-                    key = (u, vsub(m, y, z))
-                    raw[key] = raw.get(key, 0) + 1
-    want = {}
-    for key, count in raw.items():
-        label = canonical_pair(m, *key)
-        want[label] = want.get(label, 0) + count
-    for chunk in (orthogroup._CHUNK_BYTES, 64):
-        with mock.patch.object(orthogroup, "_CHUNK_BYTES", chunk):
-            u, v, counts = orthogroup._class_census(m, np.array(E, dtype=np.int64), pending)
-        got = zip(u.tolist(), v.tolist(), counts.tolist())
-        assert {TriangleClass(divmod(a, m.q), divmod(b, m.q)): c for a, b, c in got} == want
+    assert n**3 >= m.q**4 * math.log(m.q**2)  # the cover's regime
+    orbits, passed = _certified_orbits(m, E)
+    assert {"none": passed == 0, "all": passed == orbits, "some": 0 < passed < orbits}[certified]
+    want = len(triangle_classes(m, E))
+    assert triangle_class_count(m, E) == _cover(m, E) == want
 
 
 def test_certificate_needs_sizes_summing_past_the_plane():
@@ -582,8 +592,9 @@ def test_certificate_needs_sizes_summing_past_the_plane():
     st.sampled_from([None, 64, 4096]),
 )
 def test_windowed_count_matches_the_census_over_the_window(m, where, seed, chunk):
-    # tiny chunks split the histogram, the pair listing and the key blocks;
-    # only where the blocks stay few enough to be quick
+    # between half the plane and the covering size, where the per-difference
+    # window ran; tiny chunks split the orbit scans of the cover and of the
+    # census, only where the blocks stay few enough to be quick
     q2 = m.q**2
     lo, hi = q2 // 2 + 1, 2 * q2 // 3
     E = list(random_subset(m, 2, lo + where % (hi - lo + 1), seed=seed))
@@ -592,6 +603,94 @@ def test_windowed_count_matches_the_census_over_the_window(m, where, seed, chunk
         chunk = orthogroup._CHUNK_BYTES
     with mock.patch.object(orthogroup, "_CHUNK_BYTES", chunk):
         assert triangle_class_count(m, E) == want
+
+
+_PRIME_POWERS = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_PRIME_POWERS), st.integers(0, 2**32), st.integers(0, 2**16))
+def test_orbit_cover_matches_the_census(q, where, seed):
+    # the cover called directly, whatever regime triangle_class_count picks,
+    # from one point to the whole plane
+    m = Modulus.from_q(q)
+    E = list(random_subset(m, 2, 1 + where % q**2, seed=seed))
+    assert _cover(m, E) == len(triangle_classes(m, E))
+
+
+def _strip(m):
+    return [(x, m.p * y) for x in range(m.q) for y in range(m.q // m.p)]
+
+
+def _ball(m):
+    return [(1 + m.p * x, 2 + m.p * y) for x in range(m.q // m.p) for y in range(m.q // m.p)]
+
+
+def _pencil(m, directions):
+    return list({(t * a % m.q, t * b % m.q) for a, b in directions for t in range(m.q)})
+
+
+def _axis_and_point(m):
+    return [(x, 0) for x in range(m.q)] + [(1, 1)]
+
+
+# structured sets leave pair orbits unrealized, so they run the cover's
+# fallback over every member of an orbit, and its stabilizer count at depth > 0
+_STRUCTURED = {
+    "strip": (_strip, {9: 129, 25: 1657, 27: 3477}),
+    "ball": (_ball, {9: 21, 25: 157, 27: 561}),
+    "axes": (partial(_pencil, directions=[(1, 0), (0, 1)]), {9: 497, 25: 14161, 27: 13268}),
+    "pencil3": (partial(_pencil, directions=[(1, 0), (0, 1), (1, 1)]),
+                {9: 561, 25: 19111, 27: 15141}),
+    "axis+1": (_axis_and_point, {9: 236, 25: 2080, 27: 2294}),
+}
+
+
+@pytest.mark.parametrize("q", [9, 25, 27])
+@pytest.mark.parametrize("family", list(_STRUCTURED))
+def test_orbit_cover_matches_the_census_on_structured_sets(q, family):
+    m = Modulus.from_q(q)
+    build, counts = _STRUCTURED[family]
+    E = build(m)
+    assert _cover(m, E) == len(triangle_classes(m, E)) == counts[q]
+
+
+def test_structured_sets_reach_the_fallback_at_every_depth(monkeypatch):
+    # the depths of the orbits whose fallback ends with the stabilizer count
+    depths = set()
+    real = orthogroup._fixing
+
+    def fixing(m, code):
+        depths.add(min(m.valuation(code // m.q), m.valuation(code % m.q)))
+        return real(m, code)
+
+    monkeypatch.setattr(orthogroup, "_fixing", fixing)
+    for q in (9, 25, 27):
+        for build, _ in _STRUCTURED.values():
+            _cover(Modulus.from_q(q), build(Modulus.from_q(q)))
+    assert 0 in depths and max(depths) > 0
+
+
+def test_cover_past_its_budget_hands_off_to_the_census(monkeypatch):
+    # the Z_27 strip, with the cover's budget cut to its orbit scan and one
+    # slice: the census counts it instead
+    E = _strip(M27)
+    cover, census = orthogroup._cover_count, orthogroup._class_census
+    budgets, censuses = [], []
+    scan = len(orthogroup.so2_table(M27)) * 27**2
+
+    def low(m, codes, budget):
+        budgets.append(budget)
+        return cover(m, codes, scan + 27**2)
+
+    def counted(m, pts):
+        censuses.append(len(pts))
+        return census(m, pts)
+
+    monkeypatch.setattr(orthogroup, "_cover_count", low)
+    monkeypatch.setattr(orthogroup, "_class_census", counted)
+    assert triangle_class_count(M27, E) == 3477
+    assert budgets == [243**3] and censuses == [243]
 
 
 @pytest.mark.parametrize("m", [M9, M11, M25])
@@ -646,28 +745,45 @@ def test_stabilizers_and_pair_orbits_depend_on_depth_alone(q):
 
 
 def test_t2_op_cap_refuses_each_stage_before_it_runs(monkeypatch):
-    def count_under(cap, E):
+    def count_under(cap, E, m=M13):
         monkeypatch.setattr(orthogroup, "_OP_CAP", cap)
-        return triangle_class_count(M13, E)
+        return triangle_class_count(m, E)
 
-    # below the window: the n**3 census
-    E = list(random_subset(M13, 2, 84, seed=0))
-    with pytest.raises(ValueError, match=f"n = 84 points visits n\\^3 = {84**3} triples"):
-        count_under(84**3 - 1, E)
-    assert count_under(84**3, E) == len(triangle_classes(M13, E))
-    # in the window: the n**2 histogram, then the census of the pending u
+    # below the cover's regime, 50**3 < 13**4 ln(13**2): the n**3 census
+    E = list(random_subset(M13, 2, 50, seed=0))
+    assert 50**3 < 13**4 * math.log(13**2)
+    with pytest.raises(ValueError, match=f"n = 50 points visits n\\^3 = {50**3} triples, over the "
+                                         f"{50**3 - 1}-operation cap"):
+        count_under(50**3 - 1, E)
+    assert count_under(50**3, E) == len(triangle_classes(M13, E))
+    # in it: first the orbit scan of |SO_2| q**2 = 12 * 169 vectors, then
+    # q**2 = 169 per slice
     E = list(random_subset(M13, 2, 102, seed=0))
-    _, pending, _ = _window_split(M13, E)
-    ops = 102 * int(_difference_histogram_loop(M13, E)[pending].sum())
-    assert 102**2 < ops
-    with pytest.raises(ValueError, match=f"n\\^2 = {102**2} pairs, over the {102**2 - 1}-"):
-        count_under(102**2 - 1, E)
-    with pytest.raises(ValueError, match=f"{ops} triples on the {len(pending)} uncertified"):
-        count_under(ops - 1, E)
-    assert count_under(ops, E) == len(triangle_classes(M13, E))
-    # certified throughout, or covered: no census to refuse
+    scan = 12 * 169
+    with pytest.raises(ValueError, match=f"n = 102 points: 0 operations spent, and {scan} more "
+                                         f"would pass the {scan - 1}-operation budget"):
+        count_under(scan - 1, E)
+    with pytest.raises(ValueError, match=f": {scan + 3 * 169} operations spent, and 169 more "
+                                         f"would pass the {scan + 3 * 169 + 5}-operation budget"):
+        count_under(scan + 3 * 169 + 5, E)
+    assert count_under(102**3, E) == len(triangle_classes(M13, E))
+    # the Z_27 strip's cover passes n**3: within the cap it hands off to the
+    # census, past it the cover is refused where it stopped
+    E, n3 = _strip(M27), 243**3
+    assert count_under(n3, E, M27) == 3477
+    with pytest.raises(ValueError) as refused:
+        count_under(n3 - 1, E, M27)
+    spent, step = re.fullmatch(
+        f"t2 orbit cover over n = 243 points: (\\d+) operations spent, and (\\d+) more would "
+        f"pass the {n3 - 1}-operation budget", str(refused.value)
+    ).groups()
+    assert int(spent) <= n3 - 1 < int(spent) + int(step)
+    # the scan and 83 slices count this set, far inside n**3; a covered set
+    # needs neither
     E = list(random_subset(M13, 2, 104, seed=2))
-    assert count_under(104**2, E) == 2381
+    assert count_under(scan + 83 * 169, E) == 2381
+    with pytest.raises(ValueError, match=f": {scan + 82 * 169} operations spent"):
+        count_under(scan + 83 * 169 - 1, E)
     assert count_under(0, itertools.product(range(13), repeat=2)) == 2381
 
 
@@ -704,18 +820,15 @@ def test_census_byte_budget_is_min_of_triples_and_key_pairs(monkeypatch):
         triangle_classes(m, E)
     monkeypatch.setattr(orthogroup, "_CENSUS_BYTES", held)
     assert triangle_class_count(m, E) == len(triangle_classes(m, E))
-    # restricted to the first differences +-d, the keys are at most
-    # 2 * (distinct differences), far below n**3
-    d = (E[0] - E[1]) % q
-    first = np.sort([d[0] * q + d[1], (-d[0] % q) * q + (-d[1] % q)])
-    diffs = [int((x - y) % q @ [q, 1]) for x in E for y in E]
-    size = len(set(diffs))
-    assert size > 1024 and 2 * size < 40**3
-    held = orthogroup._KEY_BYTES * 2 * size
+    # 130 points of Z_37: at most 37**2 = 1369 distinct differences, whose
+    # pairs bound the keys below n**3
+    m = Modulus(37, 1)
+    E = random_subset(m, 2, 130, seed=3).as_array()
+    size = len({int((x - y) % 37 @ [37, 1]) for x in E for y in E})
+    assert size > 1024 and size**2 < 130**3
+    held = orthogroup._KEY_BYTES * size**2
     monkeypatch.setattr(orthogroup, "_CENSUS_BYTES", held - 1)
     with pytest.raises(ValueError, match=f"with {size} distinct differences may hold {held} "):
-        orthogroup._class_census(m, E, first)
+        orthogroup._class_census(m, E)
     monkeypatch.setattr(orthogroup, "_CENSUS_BYTES", held)
-    counts = orthogroup._class_census(m, E, first)[2]
-    # every triple whose first difference is +-d, with any of the 40 z
-    assert counts.sum() == 40 * sum(c in first for c in diffs)
+    assert orthogroup._class_census(m, E)[2].sum() == 130**3
