@@ -74,6 +74,7 @@ class Rotation:
     def inverse(self) -> "Rotation":
         return Rotation(self.a, (-self.b) % self.m.q, self.m)
 
+    # for these matrices the transpose is the inverse
     transpose = inverse
 
     def key(self) -> Vec2:
@@ -293,7 +294,9 @@ def _fixing(m: Modulus, code: int) -> np.ndarray:
     return g[(fixed >= m.l).all(axis=0)]
 
 
-def _canonical_pairs(m: Modulus, codes: np.ndarray, ru: np.ndarray, v: np.ndarray) -> tuple:
+def _canonical_pairs(
+    m: Modulus, codes: np.ndarray, ru: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """canonical_pair of each pair (codes[ru], v) of vector codes, as the
     codes of the least image pair.
 
@@ -303,7 +306,8 @@ def _canonical_pairs(m: Modulus, codes: np.ndarray, ru: np.ndarray, v: np.ndarra
     group is abelian, so v is turned by theta and then minimized over
     that stabilizer only, which depends on the depths of u alone.
     """
-    q, g = m.q, so2_table(m)
+    q = m.q
+    g = so2_table(m)
     least, theta = _orbit_min(g, codes, q)
     u, t = least[ru], theta[ru]
     v = _turn(g[t, 0], g[t, 1], v, q)
@@ -325,17 +329,25 @@ def _row_counts(rank: np.ndarray, size: int) -> np.ndarray:
 
 def _merge_counts(parts) -> tuple[np.ndarray, np.ndarray]:
     """Sum the counts of equal keys across (keys, counts) parts."""
-    keys, counts = (np.concatenate(arrays) for arrays in zip(*parts))
+    keys = np.concatenate([k for k, _ in parts])
+    counts = np.concatenate([c for _, c in parts])
     order = np.argsort(keys)
     keys, counts = keys[order], counts[order]
     first = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
     return keys[first], np.add.reduceat(counts, first)
 
 
-def _tally(blocks: Iterable[tuple[np.ndarray, np.ndarray]], full: int = -1) -> tuple:
+def _tally(
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]], full: int = -1
+) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct values over (values, weights) blocks, with summed
-    weights, stopping once `full` have occurred.  Pending blocks join the
-    tally once they hold as many values, so a merge sorts at most twice those."""
+    weights, stopping once `full` distinct values have occurred.
+
+    Each block is reduced to its distinct values, and these are merged into
+    the running tally once they are at least as many as it holds, so a
+    merge never sorts more than twice what the blocks since the last merge
+    contributed.
+    """
     keys = counts = np.empty(0, dtype=np.int64)
     pending, held = [], 0
     for values, weights in blocks:
@@ -350,9 +362,12 @@ def _tally(blocks: Iterable[tuple[np.ndarray, np.ndarray]], full: int = -1) -> t
 
 
 def _residues(blocks: Iterable[np.ndarray], q: int, start: int = 0) -> np.ndarray:
-    """Sorted values start <= t < q occurring in the blocks (entries in
-    range(q)), stopping once all have occurred: marked in a q-entry table up
-    to q = _CHUNK_BYTES, else tallied, so memory follows the values found."""
+    """Sorted values start <= t < q occurring in the blocks, whose entries
+    all lie in range(q); stops once every such t has occurred.
+
+    Up to q = _CHUNK_BYTES the values are marked in a q-entry table; above
+    it they are tallied, so memory follows the values found, not q.
+    """
     if q <= _CHUNK_BYTES:
         seen = np.zeros(q, dtype=bool)
         for block in blocks:
@@ -366,8 +381,10 @@ def _residues(blocks: Iterable[np.ndarray], q: int, start: int = 0) -> np.ndarra
 
 def _planar(m: Modulus, points: Iterable[Vec2] | np.ndarray) -> np.ndarray:
     """The points as an (n, 2) int64 array reduced mod q."""
-    listed = points if isinstance(points, np.ndarray) else [tuple(v) for v in points]
-    pts = np.array(listed, dtype=np.int64)
+    if isinstance(points, np.ndarray):
+        pts = points.astype(np.int64)
+    else:
+        pts = np.array([tuple(v) for v in points], dtype=np.int64)
     if len(pts) == 0:
         return np.empty((0, 2), dtype=np.int64)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -415,8 +432,15 @@ def _class_census(m: Modulus, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
                 f"t2 census over n = {n} points with {size} distinct differences may hold "
                 f"{held} bytes of pair keys, over the {_CENSUS_BYTES}-byte budget"
             )
-        # row y gives the keys rank(y - x) * size + rank(y - z) over every x, z
-        pairs = (row[:, None] * size + row for block in blocks() for row in rank(block))
+        # row y gives the keys rank(y - x) * size + rank(y - z) over every x
+        # and z, in pieces of at most _CHUNK_BYTES
+        step = max(1, _CHUNK_BYTES // (8 * n))
+        pairs = (
+            row[s : s + step, None] * size + row
+            for block in blocks()
+            for row in rank(block)
+            for s in range(0, n, step)
+        )
         keys, counts = _tally((k, np.ones_like(k)) for k in pairs)
     u, v = _canonical_pairs(m, _turn(-1, 0, codes, q), keys // size, codes[keys % size])
     # rank the canonical codes too, so a pair key stays below size**2 (a code
@@ -435,9 +459,15 @@ def triangle_classes(m: Modulus, points: Iterable[Vec2]) -> dict[TriangleClass, 
     Duplicate points count as separate vertices, and the multiplicities
     sum to n**3 over the n**3 ordered triples.
     """
+    q = m.q
     u, v, counts = _class_census(m, _planar(m, points))
-    pairs = zip(u.tolist(), v.tolist(), counts.tolist())
-    return {TriangleClass(divmod(a, m.q), divmod(b, m.q)): c for a, b, c in pairs}
+    return {
+        TriangleClass((a, b), (c, d)): n
+        for a, b, c, d, n in zip(
+            (u // q).tolist(), (u % q).tolist(), (v // q).tolist(), (v % q).tolist(),
+            counts.tolist(),
+        )
+    }
 
 
 def triangle_class_count(m: Modulus, points: Iterable[Vec2] | np.ndarray) -> int:
@@ -449,11 +479,14 @@ def triangle_class_count(m: Modulus, points: Iterable[Vec2] | np.ndarray) -> int
     - 3n > 2q**2 (realizes_every_pair): the count is orbit_pair_total(m).
     - n**3 >= q**4 ln(q**2), where a random set's n**2 / q**2 shifts per
       first difference reach the q**2 ln(q**2) / n a cover needs: the orbit
-      cover, within min(_OP_CAP, n**3) operations; past them the census
+      cover, which settles every orbit with a member w of
+      |E ∩ (E - w)| + n > q**2 before it cuts any window, within
+      min(_OP_CAP, n**3) operations; past them the census
       runs if n**3 <= _OP_CAP, and a ValueError refuses the count if not.
     - otherwise the census, of n**3 triples, refused past _OP_CAP.
     """
-    pts, q = _planar(m, points), m.q
+    pts = _planar(m, points)
+    q = m.q
     codes = _distinct(pts[:, 0] * q + pts[:, 1])
     n = len(codes)
     if realizes_every_pair(m, n):
@@ -494,15 +527,18 @@ def _cover_count(m: Modulus, codes: np.ndarray, budget: int) -> int:
 
     With C the complement of E, no y in A_w = E ∩ (E - w) realizes (w, v)
     for v in ∩_{y in A_w} (y - C).  A scan of the plane (|SO_2| q**2
-    operations) gives the least member u of each orbit.  U starts as the
-    plane; each member w = theta u (u first, one theta each) cuts it by
+    operations) gives the least member u of each orbit, and one transform
+    of E's indicator (4 q**3) gives every |A_w|.  An orbit adds
+    _pair_orbits_by_depth at its depth at once when a member has
+    |A_w| + n > q**2, as A_w then meets every E + v, and nothing when no
+    member is a difference.  Otherwise U starts as the plane; each member
+    w = theta u with A_w nonempty (u first, one theta each) cuts it by
     theta^-1 (y - C) over y in A_w until U is empty, and the orbit adds
-    _pair_orbits_by_depth at its depth; |A_w| + n > q**2 does so at once,
-    as A_w meets every E + v.  The thetas carrying u to w form a coset of
-    Stab(u), so once every member has cut, the missed pair orbits are the
-    Stab(u)-orbits wholly in U.  Sets are ints, cell (i, j) at bit
-    2q i + j, so a window at (r, c) of a 2q x 2q tiling of theta^-1 (-C)
-    is the tiling shifted right by 2q r + c; each costs q**2 operations.
+    N[depth].  The thetas carrying u to w form a coset of Stab(u), so once
+    every member has cut, the missed pair orbits are the Stab(u)-orbits
+    wholly in U.  Sets are ints, cell (i, j) at bit 2q i + j, so a window
+    at (r, c) of a 2q x 2q tiling of theta^-1 (-C) is the tiling shifted
+    right by 2q r + c; each costs q**2 operations.
     """
     q, n, q2, spent = m.q, len(codes), m.q**2, 0
 
@@ -518,18 +554,26 @@ def _cover_count(m: Modulus, codes: np.ndarray, budget: int) -> int:
 
     g, plane = so2_table(m), np.arange(q2)
     charge(len(g) * q2)  # the orbit scan
+    least = _orbit_min(g, plane, q)[0]
+    charge(4 * q**3)  # the transform, four products of q x q matrices
     ind = (np.bincount(codes, minlength=q2) > 0).reshape(q, q)
+    # |A_w| = sum_x ind[x] ind[x + w] for every w, by the 2-D DFT as products
+    # with the DFT matrix: numpy.fft's first import alone outlasts them at
+    # small q, and their float64 error stays far below 0.5
+    dft = np.exp(-2j * np.pi / q * (np.outer(plane[:q], plane[:q]) % q))
+    spectrum = dft @ ind @ dft
+    power = dft.conj() @ (spectrum * spectrum.conj()) @ dft.conj()
+    sizes = np.rint(power.real / q2).astype(np.int64).ravel()
+    largest = np.zeros(q2, dtype=np.int64)  # at u, the largest |A_w| over u's orbit
+    np.maximum.at(largest, least, sizes)
     wrap, flip = np.arange(2 * q) % q, -np.arange(2 * q) % q
     hole, inner = ~ind[flip][:, flip], wrap == np.arange(2 * q)  # hole[w]: -w is in C
     box, tiled, holes = bits(inner[:, None] & inner), bits(ind[wrap][:, wrap]), bits(hole)
 
     def cut(U: int, a: int, b: int, w: int) -> int:
-        """U cut by theta^-1 (y - C) over y in A_w, theta = (a, b); 0 once
-        every pair orbit on w is realized."""
+        """U cut by theta^-1 (y - C) over y in A_w, theta = (a, b)."""
         charge(q2)
         hit = box & tiled & tiled >> (w // q * 2 * q + w % q)
-        if hit.bit_count() + n > q2:
-            return 0
         tiles = holes
         if (a, b) != (1, 0):
             charge(q2)
@@ -542,18 +586,21 @@ def _cover_count(m: Modulus, codes: np.ndarray, budget: int) -> int:
         return U
 
     total, per_depth, v = 0, _pair_orbits_by_depth(m), valuation_table(m)
-    for u in _distinct(_orbit_min(g, plane, q)[0]).tolist():
+    reps = _distinct(least)
+    for u in reps[largest[reps] > 0].tolist():
         total += per_depth[min(v[u // q], v[u % q])]
-        U = cut(box, 1, 0, u)
+        if largest[u] + n > q2:
+            continue
+        U = cut(box, 1, 0, u) if sizes[u] else box
         if U:
             members, rows = np.unique(_turn(g[:, 0], g[:, 1], u, q), return_index=True)
             for (a, b), w in zip(g[rows].tolist(), members.tolist()):
-                U = cut(U, a, b, w) if U and w != u else U
+                U = cut(U, a, b, w) if U and sizes[w] and w != u else U
         if U:
             raw = np.frombuffer(U.to_bytes(q2 // 4 + 1, "little"), dtype=np.uint8)
             inside = np.unpackbits(raw, count=2 * q2, bitorder="little").reshape(q, 2 * q)[:, :q]
             stab, left = _fixing(m, u), np.flatnonzero(inside)
             charge(len(stab) * len(left))
-            least = _distinct(_orbit_min(stab, left, q)[0])
-            total -= int(inside.ravel()[_turn(stab[:, :1], stab[:, 1:], least, q)].all(0).sum())
+            heads = _distinct(_orbit_min(stab, left, q)[0])
+            total -= int(inside.ravel()[_turn(stab[:, :1], stab[:, 1:], heads, q)].all(0).sum())
     return total

@@ -387,6 +387,21 @@ def test_t2_at_the_z101_threshold():
     assert res.stdout.splitlines()[1].split(",")[:3] == ["0", "3160", "1040605"]
 
 
+def test_t2_on_a_z103_band_counts_every_orbit_by_its_certificate(tmp_path):
+    # Z_103 x {0..66}: the least member (0, t) of an orbit fails the
+    # certificate for t > 30, but some member of every orbit passes it;
+    # slicing with the least members first would pass the op cap
+    band = tmp_path / "band.txt"
+    rows = (f"{x},{y}\n" for x in range(103) for y in range(67))
+    band.write_text("q=103 d=2\n" + "".join(rows))
+    res = run_cli_limited(
+        "experiment", "--kind", "t2", "--p", "103", "--l", "1", "--set", f"file:{band}",
+        "--format", "csv",
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[1].split(",")[:3] == ["0", "6901", "1082221"]
+
+
 def test_t2_at_the_z289_threshold_stops_at_the_op_cap():
     # the cover's slices would touch about 4.1e8 cells here
     res = _t2_limited(17, 2, 46848)

@@ -671,17 +671,28 @@ def test_structured_sets_reach_the_fallback_at_every_depth(monkeypatch):
     assert 0 in depths and max(depths) > 0
 
 
+def test_certified_orbits_take_no_slice():
+    # in Z_103 x {0..66} the least member (0, t) of an orbit fails the
+    # certificate for t > 30, but every orbit has a member (x, y) with
+    # |y| <= 7 that passes, so the scan and the transform count the set
+    m, n = Modulus(103, 1), 103 * 67
+    E = [(x, y) for x in range(103) for y in range(67)]
+    assert 103 * (67 - 31) + n <= 103**2 < 103 * (67 - 30) + n
+    budget = len(orthogroup.so2_table(m)) * 103**2 + 4 * 103**3
+    assert _cover(m, E, budget) == 1082221
+
+
 def test_cover_past_its_budget_hands_off_to_the_census(monkeypatch):
-    # the Z_27 strip, with the cover's budget cut to its orbit scan and one
-    # slice: the census counts it instead
+    # the Z_27 strip, with the cover's budget cut to its orbit scan, its
+    # transform and one slice: the census counts it instead
     E = _strip(M27)
     cover, census = orthogroup._cover_count, orthogroup._class_census
     budgets, censuses = [], []
-    scan = len(orthogroup.so2_table(M27)) * 27**2
+    scan, transform = len(orthogroup.so2_table(M27)) * 27**2, 4 * 27**3
 
     def low(m, codes, budget):
         budgets.append(budget)
-        return cover(m, codes, scan + 27**2)
+        return cover(m, codes, scan + transform + 27**2)
 
     def counted(m, pts):
         censuses.append(len(pts))
@@ -756,16 +767,21 @@ def test_t2_op_cap_refuses_each_stage_before_it_runs(monkeypatch):
                                          f"{50**3 - 1}-operation cap"):
         count_under(50**3 - 1, E)
     assert count_under(50**3, E) == len(triangle_classes(M13, E))
-    # in it: first the orbit scan of |SO_2| q**2 = 12 * 169 vectors, then
-    # q**2 = 169 per slice
+    # in it: first the orbit scan of |SO_2| q**2 = 12 * 169 vectors, then the
+    # transform, 4 q**3, then q**2 = 169 per slice
     E = list(random_subset(M13, 2, 102, seed=0))
-    scan = 12 * 169
+    scan, transform = 12 * 169, 4 * 13**3
     with pytest.raises(ValueError, match=f"n = 102 points: 0 operations spent, and {scan} more "
                                          f"would pass the {scan - 1}-operation budget"):
         count_under(scan - 1, E)
-    with pytest.raises(ValueError, match=f": {scan + 3 * 169} operations spent, and 169 more "
-                                         f"would pass the {scan + 3 * 169 + 5}-operation budget"):
-        count_under(scan + 3 * 169 + 5, E)
+    with pytest.raises(ValueError, match=f"n = 102 points: {scan} operations spent, and "
+                                         f"{transform} more would pass the "
+                                         f"{scan + transform - 1}-operation budget"):
+        count_under(scan + transform - 1, E)
+    spent = scan + transform + 3 * 169
+    with pytest.raises(ValueError, match=f": {spent} operations spent, and 169 more "
+                                         f"would pass the {spent + 5}-operation budget"):
+        count_under(spent + 5, E)
     assert count_under(102**3, E) == len(triangle_classes(M13, E))
     # the Z_27 strip's cover passes n**3: within the cap it hands off to the
     # census, past it the cover is refused where it stopped
@@ -778,12 +794,12 @@ def test_t2_op_cap_refuses_each_stage_before_it_runs(monkeypatch):
         f"pass the {n3 - 1}-operation budget", str(refused.value)
     ).groups()
     assert int(spent) <= n3 - 1 < int(spent) + int(step)
-    # the scan and 83 slices count this set, far inside n**3; a covered set
-    # needs neither
+    # every orbit of this set has a member passing the certificate, so the
+    # scan and the transform count it without a slice
     E = list(random_subset(M13, 2, 104, seed=2))
-    assert count_under(scan + 83 * 169, E) == 2381
-    with pytest.raises(ValueError, match=f": {scan + 82 * 169} operations spent"):
-        count_under(scan + 83 * 169 - 1, E)
+    assert count_under(scan + transform, E) == 2381
+    with pytest.raises(ValueError, match=f": {scan} operations spent, and {transform} more"):
+        count_under(scan + transform - 1, E)
     assert count_under(0, itertools.product(range(13), repeat=2)) == 2381
 
 
