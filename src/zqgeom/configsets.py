@@ -11,7 +11,6 @@ cross-check identities, never to produce a count.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from collections.abc import ItemsView, Iterable, Iterator, Mapping, ValuesView
 from fractions import Fraction
@@ -45,7 +44,6 @@ __all__ = [
     "restricted_line_count",
     "rotation_correlation",
     "sumset",
-    "sumset_cost",
     "triangle_area_count",
     "triangle_area_set",
 ]
@@ -202,20 +200,16 @@ def _row_blocks(rows: int, width: int, q: int, scan: str = "pair") -> Iterator[s
     The first block holds about q values, and each next one twice as many,
     up to _CHUNK_BYTES of int64: a scan that saturates early stops after a
     few small blocks, and one that does not pays about log2(cap / q) extra
-    blocks.  Each block's values are charged against orthogroup._OP_CAP
-    before it is handed out, so a scan that has not saturated by then is
-    refused with ValueError naming the operations spent, the next block
-    and the cap.
+    blocks.  Each block's values are charged to an orthogroup._Meter before
+    it is handed out, so a scan that has not saturated within
+    orthogroup._OP_CAP values is refused with a ValueError.
     """
     cap = max(1, _CHUNK_BYTES // (8 * max(1, width)))
     step, s = min(cap, max(1, q // max(1, width))), 0
+    meter = orthogroup._Meter(f"the {scan} scan")
     while s < rows:
         stop = min(rows, s + step)
-        orthogroup._within(
-            stop * width,
-            f"the {scan} scan has spent {s * width} operations, and its next block of "
-            f"{stop - s} x {width} values would bring it to {stop * width}",
-        )
+        meter.charge((stop - s) * width)
         yield slice(s, stop)
         s, step = stop, min(cap, 2 * step)
 
@@ -256,82 +250,71 @@ def _area_blocks(E: PointSet) -> Iterator[np.ndarray]:
         yield block
 
 
-def sumset_cost(q: int, a: int, d: int) -> int:
-    """Bound on the operations of the sumset path over A^d with |A| = a.
-
-    The a**2 products give A.A, of at most min(q, a(a + 1)/2) values as
-    a a' = a' a.  S_(k+1) = S_k + A.A then costs |S_k| * |A.A| sums, where
-    S_k, the k-fold sumset of A.A, is at most all of Z_q and at most the
-    number of k-element multisets of A.A.  The arrays held are bounded by
-    the same terms.  The sum stops growing once it passes orthogroup._OP_CAP.
-    """
-    pp = min(q, a * (a + 1) // 2)
-    total = a * a
-    for k in range(1, d):
-        size = min(q, math.comb(pp + k - 1, k))
-        if size == q or pp <= 1:  # no further growth
-            return total + size * pp * (d - k)
-        total += size * pp
-        if total > orthogroup._OP_CAP:
-            break
-    return total
-
-
 def _is_product(E: PointSet) -> bool:
     return E.base is not None and E._factor is not None
 
 
-def _sumset_base(E: PointSet, counted: bool) -> np.ndarray:
-    """E's factor A as int64, once the sumset path is within its budget."""
-    a, d = len(E.base), E.d
-    cost = sumset_cost(E.m.q, a, d)
-    orthogroup._within(
-        cost, f"dot products of A^{d} with |A| = {a} may take {cost} sumset operations"
-    )
-    if counted and a ** (2 * d) >= 2**63:
-        raise ValueError(
-            f"pair counts of A^{d} with |A| = {a} reach {a}^{2 * d} >= 2^63, past the int64 cap"
-        )
-    return np.array(E.base, dtype=np.int64)
+def _sumset_meter(E: PointSet) -> orthogroup._Meter:
+    return orthogroup._Meter(f"dot products of A^{E.d} with |A| = {len(E.base)}")
 
 
-def _pair_blocks(x: np.ndarray, y: np.ndarray, q: int, op) -> Iterator[tuple[int, np.ndarray]]:
-    """(s, op(x[s : s + k, None], y) mod q) over row blocks of x, each at
-    most _CHUNK_BYTES of int64; op is np.multiply or np.add, so every
-    entry stays below q**2 before it is reduced."""
+def _pair_blocks(x, y, q: int, op, meter) -> Iterator[tuple[int, np.ndarray]]:
+    """(s, op(x[s : s + k, None], y) mod q) over row blocks of x of at most
+    _CHUNK_BYTES of int64, once the meter is charged len(x) len(y); op is
+    np.multiply or np.add, so every entry stays below q**2 until reduced."""
+    meter.charge(len(x) * len(y))
     step = max(1, _CHUNK_BYTES // (8 * max(1, len(y))))
     for s in range(0, len(x), step):
         yield s, op(x[s : s + step, None], y[None, :]) % q
 
 
-def _convolve(x, cx, y, cy, q: int, op) -> tuple[np.ndarray, np.ndarray]:
+def _convolve(x, cx, y, cy, q: int, op, meter) -> tuple[np.ndarray, np.ndarray]:
     """Distinct op(x_i, y_j) mod q, each with the sum of its weights cx_i * cy_j."""
     return orthogroup._tally(
         (block, cx[s : s + len(block), None] * cy[None, :])
-        for s, block in _pair_blocks(x, y, q, op)
+        for s, block in _pair_blocks(x, y, q, op, meter)
     )
 
 
 def _dot_sumset(E: PointSet) -> np.ndarray:
-    """The d-fold sumset of A.A, sorted; stops once it is all of Z_q."""
-    q, a = E.m.q, _sumset_base(E, counted=False)
-    prods = orthogroup._residues((b for _, b in _pair_blocks(a, a, q, np.multiply)), q)
+    """S_d, the d-fold sumset of A.A, sorted, in at most q steps whatever d is.
+
+    S_(k+1) = S_k + A.A holds S_k + p for each p in A.A, so once the two are
+    the same size S_(k+1) = S_k + p, then S_(k+2) = S_k + A.A + p = S_(k+1) + p,
+    and each later step shifts by p.  Until then |S_k| grows.
+    """
+    q, d, a, meter = E.m.q, E.d, np.array(E.base, dtype=np.int64), _sumset_meter(E)
+    prods = orthogroup._residues((b for _, b in _pair_blocks(a, a, q, np.multiply, meter)), q)
     found = prods
-    for _ in range(E.d - 1):
+    for k in range(1, d):
         if len(found) == q:
             break
-        found = orthogroup._residues((b for _, b in _pair_blocks(found, prods, q, np.add)), q)
+        sums = _pair_blocks(found, prods, q, np.add, meter)
+        grown = orthogroup._residues((b for _, b in sums), q)
+        if len(grown) == len(found):  # prods[:1] is p, or empty when A.A is
+            return np.sort((grown + (d - k - 1) % q * prods[:1]) % q)
+        found = grown
     return found
 
 
 def _dot_convolution(E: PointSet) -> tuple[np.ndarray, np.ndarray]:
     """The d-fold cyclic convolution of the A.A histogram, as sorted t and nu(t) > 0."""
-    q, a = E.m.q, _sumset_base(E, counted=True)
-    ones = np.ones(len(a), dtype=np.int64)
-    prods = _convolve(a, ones, a, ones, q, np.multiply)
+    q, d, size = E.m.q, E.d, len(E.base)
+    if size <= 1:  # empty, or the one pair (a, ..., a).(a, ..., a) = d a**2
+        keys = [d % q * E.base[0] ** 2 % q] if size else []
+        return np.array(keys, dtype=np.int64), np.ones(size, dtype=np.int64)
+    # |A| >= 2 and d >= 32 give |A|**(2d) >= 2**64, so the power is formed only below
+    if d >= 32 or size ** (2 * d) >= 2**63:
+        raise ValueError(
+            f"pair counts of A^{d} with |A| = {size} reach {size}^{2 * d} >= 2^63, "
+            "past the int64 cap"
+        )
+    a, ones = np.array(E.base, dtype=np.int64), np.ones(size, dtype=np.int64)
+    meter = _sumset_meter(E)
+    prods = _convolve(a, ones, a, ones, q, np.multiply, meter)
     keys, counts = prods
-    for _ in range(E.d - 1):
-        keys, counts = _convolve(keys, counts, *prods, q, np.add)
+    for _ in range(d - 1):
+        keys, counts = _convolve(keys, counts, *prods, q, np.add, meter)
     return keys, counts
 
 
@@ -389,7 +372,7 @@ def dot_product_set(E: PointSet) -> set[int]:
 
     For a set built by PointSet.product these are the d-fold sumset of
     A.A = {a a' : a, a' in A} in Z_q, found without listing A^d and refused
-    past orthogroup._OP_CAP operations (see sumset_cost).  Any other set is
+    past orthogroup._OP_CAP operations (see _dot_sumset).  Any other set is
     scanned in row blocks of at most _CHUNK_BYTES of int64 each, with at
     most four blocks' worth alive at once.  Both stop once all q values
     have appeared.

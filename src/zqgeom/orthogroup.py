@@ -37,13 +37,31 @@ _GROUP_CACHE_SIZE = 8
 # of _residues' seen table; also caps the dense (distinct differences)**2
 # count table, which at this size holds the full Z_27 grid's 729**2 pairs
 _CHUNK_BYTES = 1 << 23
-# operations a t2 census or orbit cover may take before it is refused
+# operations a scan, sumset, t2 census or orbit cover may take before it is refused
 _OP_CAP = 2 * 10**8
 # bytes the sorted t2 census may hold, and its bytes per distinct pair key:
 # the int64 key and count, the merge's sorted copies and the canonical pair
 # arrays peak at about 105 B a key (tracemalloc, sparse sets in Z_727)
 _CENSUS_BYTES = 1 << 30
 _KEY_BYTES = 128
+
+
+class _OverBudget(ValueError):
+    """The next step of a metered computation would pass its operation budget."""
+
+
+class _Meter:
+    """Operations one computation spent, each step charged before it runs."""
+
+    def __init__(self, what: str, budget: Optional[int] = None) -> None:
+        self.what, self.spent = what, 0
+        self.budget = _OP_CAP if budget is None else budget  # _OP_CAP as it is now
+
+    def charge(self, cost: int) -> None:
+        if self.spent + cost > self.budget:
+            raise _OverBudget(f"{self.what}: {self.spent} operations spent, and {cost} more "
+                              f"would pass the {self.budget}-operation budget")
+        self.spent += cost
 
 
 @dataclass(frozen=True)
@@ -497,13 +515,8 @@ def triangle_class_count(m: Modulus, points: Iterable[Vec2] | np.ndarray) -> int
         except _OverBudget:
             if n**3 > _OP_CAP:
                 raise
-    _within(n**3, f"t2 census over n = {n} points visits n^3 = {n**3} triples")
+    _Meter(f"t2 census over n = {n} points").charge(n**3)
     return len(_class_census(m, np.stack([codes // q, codes % q], axis=1))[2])
-
-
-def _within(ops: int, what: str) -> None:
-    if ops > _OP_CAP:
-        raise ValueError(f"{what}, over the {_OP_CAP}-operation cap")
 
 
 def _difference_blocks(pts: np.ndarray, q: int) -> Iterator[np.ndarray]:
@@ -515,10 +528,6 @@ def _difference_blocks(pts: np.ndarray, q: int) -> Iterator[np.ndarray]:
         block = (x[s : s + step, None] - x) % q * q
         block += (y[s : s + step, None] - y) % q
         yield block
-
-
-class _OverBudget(ValueError):
-    """The next step of the t2 orbit cover would pass its operation budget."""
 
 
 def _cover_count(m: Modulus, codes: np.ndarray, budget: int) -> int:
@@ -540,27 +549,21 @@ def _cover_count(m: Modulus, codes: np.ndarray, budget: int) -> int:
     at (r, c) of a 2q x 2q tiling of theta^-1 (-C) is the tiling shifted
     right by 2q r + c; each costs q**2 operations.
     """
-    q, n, q2, spent = m.q, len(codes), m.q**2, 0
-
-    def charge(cost: int) -> None:
-        nonlocal spent
-        if spent + cost > budget:
-            raise _OverBudget(f"t2 orbit cover over n = {n} points: {spent} operations spent, "
-                              f"and {cost} more would pass the {budget}-operation budget")
-        spent += cost
+    q, n, q2 = m.q, len(codes), m.q**2
+    meter = _Meter(f"t2 orbit cover over n = {n} points", budget)
 
     def bits(cells: np.ndarray) -> int:  # bit k is the k-th cell, row-major
         return int.from_bytes(np.packbits(cells, axis=None, bitorder="little").tobytes(), "little")
 
     g, plane = so2_table(m), np.arange(q2)
-    charge(len(g) * q2)  # the orbit scan
-    least = _orbit_min(g, plane, q)[0]
-    charge(4 * q**3)  # the transform, four products of q x q matrices
+    # charged on every call, cached or not, so no refusal depends on earlier calls
+    meter.charge(len(g) * q2)
+    meter.charge(4 * q**3)  # four products of q x q matrices
+    least, reps, gains, dft = _cover_tables(m)
     ind = (np.bincount(codes, minlength=q2) > 0).reshape(q, q)
     # |A_w| = sum_x ind[x] ind[x + w] for every w, by the 2-D DFT as products
     # with the DFT matrix: numpy.fft's first import alone outlasts them at
     # small q, and their float64 error stays far below 0.5
-    dft = np.exp(-2j * np.pi / q * (np.outer(plane[:q], plane[:q]) % q))
     spectrum = dft @ ind @ dft
     power = dft.conj() @ (spectrum * spectrum.conj()) @ dft.conj()
     sizes = np.rint(power.real / q2).astype(np.int64).ravel()
@@ -572,25 +575,22 @@ def _cover_count(m: Modulus, codes: np.ndarray, budget: int) -> int:
 
     def cut(U: int, a: int, b: int, w: int) -> int:
         """U cut by theta^-1 (y - C) over y in A_w, theta = (a, b)."""
-        charge(q2)
+        meter.charge(q2)
         hit = box & tiled & tiled >> (w // q * 2 * q + w % q)
         tiles = holes
         if (a, b) != (1, 0):
-            charge(q2)
+            meter.charge(q2)
             tiles = bits(hole[:q, :q].ravel()[_turn(a, b, plane, q)].reshape(q, q)[wrap][:, wrap])
         while hit and U:
-            charge(q2)
+            meter.charge(q2)
             i, j = divmod((hit & -hit).bit_length() - 1, 2 * q)  # y; its window is at -theta^-1 y
             hit &= hit - 1
             U &= tiles >> (-(a * i + b * j) % q * 2 * q + (b * i - a * j) % q)
         return U
 
-    total, per_depth, v = 0, _pair_orbits_by_depth(m), valuation_table(m)
-    reps = _distinct(least)
-    for u in reps[largest[reps] > 0].tolist():
-        total += per_depth[min(v[u // q], v[u % q])]
-        if largest[u] + n > q2:
-            continue
+    seen = largest[reps] > 0
+    total = int(gains[seen].sum())
+    for u in reps[seen & (largest[reps] + n <= q2)].tolist():
         U = cut(box, 1, 0, u) if sizes[u] else box
         if U:
             members, rows = np.unique(_turn(g[:, 0], g[:, 1], u, q), return_index=True)
@@ -600,7 +600,22 @@ def _cover_count(m: Modulus, codes: np.ndarray, budget: int) -> int:
             raw = np.frombuffer(U.to_bytes(q2 // 4 + 1, "little"), dtype=np.uint8)
             inside = np.unpackbits(raw, count=2 * q2, bitorder="little").reshape(q, 2 * q)[:, :q]
             stab, left = _fixing(m, u), np.flatnonzero(inside)
-            charge(len(stab) * len(left))
+            meter.charge(len(stab) * len(left))
             heads = _distinct(_orbit_min(stab, left, q)[0])
             total -= int(inside.ravel()[_turn(stab[:, :1], stab[:, 1:], heads, q)].all(0).sum())
     return total
+
+
+@lru_cache(maxsize=_GROUP_CACHE_SIZE)
+def _cover_tables(m: Modulus) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """_cover_count's read-only tables at m: each plane code's least orbit
+    member, the distinct least members u, _pair_orbits_by_depth at the
+    depth of each u, and the q x q DFT matrix."""
+    q, v = m.q, valuation_table(m)
+    least = _orbit_min(so2_table(m), np.arange(q * q), q)[0]
+    reps = _distinct(least)
+    gains = np.array(_pair_orbits_by_depth(m))[np.minimum(v[reps // q], v[reps % q])]
+    dft = np.exp(-2j * np.pi / q * (np.outer(np.arange(q), np.arange(q)) % q))
+    for table in (least, reps, gains, dft):
+        table.flags.writeable = False
+    return least, reps, gains, dft

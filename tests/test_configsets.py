@@ -1,6 +1,8 @@
 """Configuration counters checked against small brute-force oracles."""
 
 import itertools
+import re
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -471,10 +473,16 @@ def test_row_blocks_start_near_q_values_and_double_to_the_cap(monkeypatch):
     assert [s.stop for s in configsets._row_blocks(3, 100, 10**6)] == [1, 2, 3]
 
 
+# every area of the strip Z_25 x 5 Z_25 is a multiple of 5, and every dot
+# product of p Z_q^2 a multiple of p**2, so neither scan ever saturates
+_STRIP25 = PointSet(M25, 2, tuple((x, 5 * y) for x in range(25) for y in range(5)))
+_DEEP25 = PointSet(M25, 2, tuple((5 * x, 5 * y) for x in range(5) for y in range(5)))
+_A5 = PointSet.product(Modulus(2**31 - 1, 1), (1, 2, 3), 5)
+
+
 def test_pair_scans_charge_each_block_to_the_op_cap(monkeypatch):
-    # every area of the strip Z_25 x 5 Z_25 is a multiple of 5, so its scan
-    # never saturates and runs all 125**3 values unless the cap stops it
-    strip = PointSet(M25, 2, tuple((x, 5 * y) for x in range(25) for y in range(5)))
+    # the strip's scan runs all 125**3 values unless the cap stops it
+    strip = _STRIP25
     assert triangle_area_count(strip) == 4
     blocks = list(configsets._row_blocks(125 * 125, 125, 25))
     spent = blocks[-1].start * 125
@@ -483,17 +491,18 @@ def test_pair_scans_charge_each_block_to_the_op_cap(monkeypatch):
         triangle_area_count(strip)
     last = blocks[-1].stop - blocks[-1].start
     assert str(info.value) == (
-        f"the triangle area scan has spent {spent} operations, and its next block of "
-        f"{last} x 125 values would bring it to {125**3}, over the {125**3 - 1}-operation cap"
+        f"the triangle area scan: {spent} operations spent, and {last * 125} more would pass "
+        f"the {125**3 - 1}-operation budget"
     )
-    # dot products of p Z_q^2 are multiples of p**2: 25 * 25 pairs, never saturated
-    deep = PointSet(M25, 2, tuple((5 * x, 5 * y) for x in range(5) for y in range(5)))
+    # the deep set's 25 * 25 pairs, never saturated
+    deep = _DEEP25
     monkeypatch.setattr(orthogroup, "_OP_CAP", 25 * 25)
     assert dot_product_count(deep) == 1
     monkeypatch.setattr(orthogroup, "_OP_CAP", 25 * 25 - 1)
-    with pytest.raises(ValueError, match="the dot product scan has spent .*-operation cap"):
+    with pytest.raises(ValueError, match="the dot product scan: .* more would pass the "
+                                         f"{25 * 25 - 1}-operation budget"):
         dot_product_count(deep)
-    with pytest.raises(ValueError, match="the dot product scan has spent"):
+    with pytest.raises(ValueError, match="the dot product scan: "):
         dot_product_counts(deep)
 
 
@@ -503,6 +512,41 @@ def test_saturating_scans_stay_far_inside_the_op_cap(monkeypatch):
     monkeypatch.setattr(orthogroup, "_OP_CAP", 10**6)
     assert triangle_area_count(random_subset(M25, 2, 280, 1)) == 24
     assert dot_product_count(random_subset(M9, 2, 40, 1)) == 9
+
+
+def _t2_of_random(n):
+    m = Modulus(13, 1)
+    return lambda: orthogroup.triangle_class_count(m, random_subset(m, 2, n, seed=0).as_array())
+
+
+# (what the refusal names, the cap, the run); each cap stops its run partway,
+# or for the census at its one up-front charge of n**3
+_REFUSALS = {
+    "area scan": ("the triangle area scan", 10**5, lambda: triangle_area_count(_STRIP25)),
+    "dot scan": ("the dot product scan", 25 * 25 - 1, lambda: dot_product_count(_DEEP25)),
+    # |A|**2 = 9, then |S_1| |A.A| = 6 * 6, then 14 * 6 passes the cap
+    "sumset step": ("dot products of A^5 with |A| = 3", 100, lambda: dot_product_set(_A5)),
+    "convolution step": ("dot products of A^5 with |A| = 3", 100,
+                         lambda: dot_product_counts(_A5)),
+    "t2 census": ("t2 census over n = 50 points", 50**3 - 1, _t2_of_random(50)),
+    # at Z_13 the cover is charged the orbit scan |SO_2| q**2 = 12 * 169 and
+    # the transform 4 q**3, then q**2 a window; 102 random points need windows
+    "t2 cover": ("t2 orbit cover over n = 102 points", 12 * 169 + 4 * 13**3 + 3 * 169 + 5,
+                 _t2_of_random(102)),
+}
+
+
+@pytest.mark.parametrize("path", list(_REFUSALS))
+def test_each_refusal_names_spent_next_and_budget(monkeypatch, path):
+    what, cap, run = _REFUSALS[path]
+    monkeypatch.setattr(orthogroup, "_OP_CAP", cap)
+    with pytest.raises(ValueError) as info:
+        run()
+    spent, step, budget = map(int, re.fullmatch(
+        f"{re.escape(what)}: (\\d+) operations spent, and (\\d+) more would pass the "
+        "(\\d+)-operation budget", str(info.value)).groups())
+    assert budget == cap and spent <= budget < spent + step
+    assert (spent == 0) == (path == "t2 census")
 
 
 def test_area_scan_at_the_z25_threshold_saturates_within_a_few_blocks(monkeypatch):
@@ -647,25 +691,53 @@ def _dot_counts_pair_loop(E):
     return counts
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
     st.sampled_from(_PRODUCT_CASES),
-    st.integers(1, 6),
+    st.integers(1, 40),
     st.lists(st.integers(-(2**31), 2**31), max_size=12),
+    st.sampled_from(["any", "one", "deep", "deep and 1"]),
 )
-def test_sumset_path_matches_the_scan_and_the_pair_loop(case, d, base):
+def test_sumset_path_matches_the_scan_and_the_pair_loop(case, d, raw, shape):
     m, most = case
+    # products of multiples of p**ceil(l/2) vanish, so A.A takes few values
+    # and the sumset stops growing long before d
+    deep = [m.p ** -(-m.l // 2) * c for c in raw]
+    base = {"any": raw, "one": raw[:1], "deep": deep, "deep and 1": [1, *deep]}[shape]
     E = PointSet.product(m, base[:most], d)
-    assume(len(E) <= 10**6)
-    got_set, got = dot_product_set(E), configsets._dot_convolution(E)
-    assert got_set == set(got[0].tolist())
-    assert got[1].min(initial=1) > 0 and int(got[1].sum()) == len(E) ** 2
-    if len(E) <= 3000 and m.q < 2**20:
+    # near 2**31 the sums of a general A rarely coincide, so S_d is not small
+    assume(shape != "any" or E.size <= 10**6 or m.q < 2**20)
+    got_set = dot_product_set(E)
+    size = len(E.base)
+    if size >= 2 and size ** (2 * d) >= 2**63:
+        with pytest.raises(ValueError, match="2\\^63"):
+            dot_product_counts(E)
+    else:
+        got = configsets._dot_convolution(E)
+        assert got_set == set(got[0].tolist())
+        assert got[1].min(initial=1) > 0 and int(got[1].sum()) == E.size**2
+    if E.size <= 3000 and m.q < 2**20:
         twin = _listed_twin(E)
         assert got_set == dot_product_set(twin)
         assert dot_product_counts(E) == dot_product_counts(twin)
-    if len(E) <= 300:
-        assert dict(zip(got[0].tolist(), got[1].tolist())) == _dot_counts_pair_loop(E)
+    if E.size <= 300:
+        want = _dot_counts_pair_loop(E)
+        assert dict(zip(got[0].tolist(), got[1].tolist())) == want and got_set == set(want)
+
+
+@pytest.mark.parametrize("base, want", [((), set()), ((2,), {4}), ((1, 2), set(range(9)))])
+def test_sumset_path_at_a_huge_dimension_stops_once_it_stops_growing(base, want):
+    # S_d is found in at most q steps, whatever d is: each step before the
+    # sumset stops growing adds a residue, and each one after it is a shift
+    E = PointSet.product(M9, base, 10**12)
+    start = time.perf_counter()
+    assert dot_product_set(E) == want
+    assert time.perf_counter() - start < 0.5
+    if len(base) >= 2:
+        with pytest.raises(ValueError, match="2\\^63"):
+            dot_product_counts(E)
+    else:  # (a, ..., a).(a, ..., a) = d a**2, and 10**12 = 1 mod 9
+        assert _nonzero_counts(dot_product_counts(E)) == {t: 1 for t in want}
 
 
 def test_sumset_counts_read_like_a_dense_table():
@@ -747,26 +819,17 @@ def test_general_set_counts_are_sparse(q, pts):
 def test_sumset_path_refuses_past_its_budget():
     q = 3**9
     E = PointSet.product(Modulus.from_q(q), range(q), 2)
-    assert configsets.sumset_cost(q, q, 2) > orthogroup._OP_CAP
-    with pytest.raises(ValueError, match="cap"):
+    refusal = (f"dot products of A\\^2 with \\|A\\| = {q}: 0 operations spent, and {q * q} "
+               f"more would pass the {orthogroup._OP_CAP}-operation budget")
+    with pytest.raises(ValueError, match=refusal):
         dot_product_set(E)
-    with pytest.raises(ValueError, match="cap"):
+    with pytest.raises(ValueError, match=refusal):
         dot_product_counts(E)
     # |A|**(2d) = 9**30 overflows int64, so only the set is exact
     wide = PointSet.product(M9, range(9), 15)
     assert dot_product_set(wide) == set(range(9))
     with pytest.raises(ValueError, match="2\\^63"):
         dot_product_counts(wide)
-
-
-def test_sumset_cost_counts_each_step():
-    # |A| = 3: 9 products take at most 6 values; |S_k| is at most the number
-    # of k-element multisets of them (6, 21, 56, ...) and at most q
-    assert configsets.sumset_cost(10**6, 3, 3) == 9 + 6 * 6 + 21 * 6
-    assert configsets.sumset_cost(27, 3, 4) == 9 + 6 * 6 + 21 * 6 + 27 * 6
-    assert configsets.sumset_cost(27, 0, 5) == 0
-    assert configsets.sumset_cost(27, 1, 10**12) == 1 + (10**12 - 1)
-    assert configsets.sumset_cost(2**31 - 1, 2, 10**12) > orthogroup._OP_CAP
 
 
 @settings(max_examples=60, deadline=None)

@@ -682,6 +682,19 @@ def test_certified_orbits_take_no_slice():
     assert _cover(m, E, budget) == 1082221
 
 
+def test_cover_tables_are_built_once_and_charged_on_every_call():
+    # the second count reads the cached scan and transform matrix, but is
+    # charged for them as the first was, so a budget below the scan still
+    # refuses it before anything runs
+    E, scan = list(random_subset(M13, 2, 102, seed=0)), 12 * 169
+    orthogroup._cover_tables.cache_clear()
+    assert _cover(M13, E) == _cover(M13, E) == len(triangle_classes(M13, E))
+    assert orthogroup._cover_tables.cache_info().misses == 1
+    assert not any(t.flags.writeable for t in orthogroup._cover_tables(M13))
+    with pytest.raises(ValueError, match=f": 0 operations spent, and {scan} more"):
+        _cover(M13, E, scan - 1)
+
+
 def test_cover_past_its_budget_hands_off_to_the_census(monkeypatch):
     # the Z_27 strip, with the cover's budget cut to its orbit scan, its
     # transform and one slice: the census counts it instead
@@ -763,8 +776,9 @@ def test_t2_op_cap_refuses_each_stage_before_it_runs(monkeypatch):
     # below the cover's regime, 50**3 < 13**4 ln(13**2): the n**3 census
     E = list(random_subset(M13, 2, 50, seed=0))
     assert 50**3 < 13**4 * math.log(13**2)
-    with pytest.raises(ValueError, match=f"n = 50 points visits n\\^3 = {50**3} triples, over the "
-                                         f"{50**3 - 1}-operation cap"):
+    with pytest.raises(ValueError, match=f"t2 census over n = 50 points: 0 operations spent, "
+                                         f"and {50**3} more would pass the {50**3 - 1}-operation "
+                                         "budget"):
         count_under(50**3 - 1, E)
     assert count_under(50**3, E) == len(triangle_classes(M13, E))
     # in it: first the orbit scan of |SO_2| q**2 = 12 * 169 vectors, then the
