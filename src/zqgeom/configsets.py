@@ -53,6 +53,8 @@ FULL_GRID_CAP = 10**6
 # bytes of one int64 block of areas or dot products; a scan keeps at most
 # four blocks' worth alive
 _CHUNK_BYTES = 1 << 22
+# values in the first block of an area or dot scan, at least
+_FIRST_BLOCK = 1 << 12
 
 
 class PointSet:
@@ -197,15 +199,17 @@ def distance_set(E: PointSet) -> set[int]:
 def _row_blocks(rows: int, width: int, q: int, scan: str = "pair") -> Iterator[slice]:
     """Slices covering range(rows), for rows of `width` values each.
 
-    The first block holds about q values, and each next one twice as many,
-    up to _CHUNK_BYTES of int64: a scan that saturates early stops after a
-    few small blocks, and one that does not pays about log2(cap / q) extra
-    blocks.  Each block's values are charged to an orthogroup._Meter before
-    it is handed out, so a scan that has not saturated within
+    The first block holds about max(q, _FIRST_BLOCK) values, and each next
+    one twice as many, up to _CHUNK_BYTES of int64: a scan that saturates
+    early stops after a few small blocks, and one that does not pays about
+    log2(cap / q) extra blocks.  Below 2**12 values numpy's per-call
+    overhead outweighs a block's arithmetic, so small q starts there.
+    Each block's values are charged to an orthogroup._Meter before it is
+    handed out, so a scan that has not saturated within
     orthogroup._OP_CAP values is refused with a ValueError.
     """
     cap = max(1, _CHUNK_BYTES // (8 * max(1, width)))
-    step, s = min(cap, max(1, q // max(1, width))), 0
+    step, s = min(cap, max(1, max(q, _FIRST_BLOCK) // max(1, width))), 0
     meter = orthogroup._Meter(f"the {scan} scan")
     while s < rows:
         stop = min(rows, s + step)

@@ -55,11 +55,11 @@ def _int_dtype(bound: int) -> type:
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct entries of a 1-D array, without np.unique's first-use
-    import of numpy.ma."""
+    """Sorted distinct entries of a 1-D array, records too, without
+    np.unique's first-use import of numpy.ma."""
     values = np.sort(values)
     keep = np.ones(len(values), dtype=bool)
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    keep[1:] = values[1:] != values[:-1]  # np.not_equal has no loop for records
     return values[keep]
 
 

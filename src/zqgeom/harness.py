@@ -15,7 +15,7 @@ import operator
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt, log10
 from pathlib import Path
@@ -428,7 +428,8 @@ class TrialRecord:
     ratio: float | None = None
 
     def to_dict(self) -> dict:
-        out = asdict(self)
+        # every field is a scalar, so a shallow copy is a full copy
+        out = dict(vars(self))
         out["pass"] = out.pop("passed")
         if self.ratio is None:
             del out["ratio"]
@@ -456,7 +457,7 @@ class LemmaCheck:
         self.passed = _COMPARE[self.cmp](self.statistic, self.bound)
 
     def to_dict(self) -> dict:
-        out = asdict(self)
+        out = dict(vars(self))  # scalar fields, as in TrialRecord.to_dict
         out["pass"] = out.pop("passed")
         return out
 

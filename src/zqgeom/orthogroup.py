@@ -1,5 +1,6 @@
 """The rotation group SO_2(Z_q), stabilizers, and triangle congruence; the t2
-count (triangle_class_count) takes a covering certificate, orbit cover or census."""
+count (triangle_class_count) takes a covering certificate, orbit cover or a
+count of closed-form orbit keys."""
 
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ __all__ = [
     "canonical_pair",
     "congruence_witness",
     "orbit_pair_total",
+    "pair_orbit_keys",
     "realizes_every_pair",
     "so2_elements",
     "so2_table",
@@ -33,17 +35,23 @@ Triangle = tuple[Vec2, Vec2, Vec2]
 
 # moduli whose group stays cached; a sweep over moduli keeps only the latest
 _GROUP_CACHE_SIZE = 8
-# bytes of a working block of the orbit minima or the triangle census, and
-# of _residues' seen table; also caps the dense (distinct differences)**2
-# count table, which at this size holds the full Z_27 grid's 729**2 pairs
+# bytes of a working block of the orbit minima, the orbit keys or the
+# triangle census, and of _residues' seen table; also caps the dense
+# (distinct differences)**2 count table, which at this size holds the full
+# Z_27 grid's 729**2 pairs
 _CHUNK_BYTES = 1 << 23
 # operations a scan, sumset, t2 census or orbit cover may take before it is refused
 _OP_CAP = 2 * 10**8
-# bytes the sorted t2 census may hold, and its bytes per distinct pair key:
-# the int64 key and count, the merge's sorted copies and the canonical pair
-# arrays peak at about 105 B a key (tracemalloc, sparse sets in Z_727)
+# bytes the t2 key count or the sorted census may hold, and the census's bytes
+# per distinct pair key: the int64 key and count, the merge's sorted copies
+# and the canonical pair arrays peak at about 105 B a key (tracemalloc,
+# sparse sets in Z_727)
 _CENSUS_BYTES = 1 << 30
 _KEY_BYTES = 128
+# bytes the t2 key count may hold per orbit key: the held and pending keys,
+# a merge's sorted copy, mask and result peak at about 25 B a key, plus a
+# few blocks (tracemalloc, 150 to 322 sparse points in Z_625, Z_727, Z_729)
+_ORBIT_KEY_BYTES = 32
 
 
 class _OverBudget(ValueError):
@@ -284,6 +292,109 @@ def canonical_pair(m: Modulus, u: Vec2, v: Vec2) -> TriangleClass:
     return TriangleClass(*best)
 
 
+# a pair key past int64: tag * q + a and b * q + c, which sort like the packed key
+_WIDE_KEY = np.dtype([("hi", np.int64), ("lo", np.int64)])
+
+
+def pair_orbit_keys(m: Modulus, u, v) -> np.ndarray:
+    """One key per pair (u, v) of plane vectors, given as integer arrays of
+    shape (..., 2) that broadcast together; two pairs get equal keys exactly
+    when they lie in one SO_2 orbit.
+
+    Read u and v as Gaussian integers z and w of Z_r[i], r = q at first.  A
+    rotation theta = a + bi has norm N(theta) = a**2 + b**2 = 1 and acts by
+    multiplication.  The key is a tag and three entries of Z_r:
+
+    1. N(z) = u.u is a unit mod p: (N(z), u.v, det(u, v)), which is N(z) and
+       conj(z) w = u.v + det(u, v) i.  Both are invariant, and if two pairs
+       share them, theta = z'/z has norm N(z')/N(z) = 1, carries z to z',
+       and carries w to conj(z) w / conj(z') = w / conj(theta) = theta w.
+    2. otherwise, N(w) is a unit: the same with u and v swapped, that is
+       (N(w), u.v, det(u, v)), as det(v, u) = -det(u, v).
+    3. otherwise p = 1 mod 4, since for p = 3 mod 4, N(z) = 0 mod p forces
+       z = 0 mod p.  With iota**2 = -1 mod r (_iota, by Hensel), x + yi ->
+       (x + iota y, x - iota y) = (alpha, beta) is a ring isomorphism
+       Z_r[i] -> Z_r x Z_r, as 2 and iota are units, and theta maps to
+       (s, 1/s), s running over all of Z_r^*.  The first unit t among
+       alpha(z), beta(z), alpha(w), beta(w) is turned to 1 (s = 1/t on an
+       alpha, s = t on a beta), and the key is its position and the other
+       three entries after that turn; equal keys give equal turned tuples,
+       so the pairs share an orbit.
+    4. otherwise none of the four is a unit, and as alpha + beta = 2x and
+       alpha - beta = 2 iota y, u = v = 0 mod p: the pair is p times a pair
+       (u', v') read mod r/p.  (pu, pv) = theta (pu', pv') mod p**i exactly
+       when (u, v) = theta (u', v') mod p**(i - 1), and SO_2(Z_{p**i}) maps
+       onto SO_2(Z_{p**(i - 1)}): p is odd, so a**2 + b**2 = 1 lifts by
+       Hensel in whichever of a, b is a unit.  So the orbits of such pairs
+       are those of the quotients, and the key is theirs, one level down.
+       Every other pair has a unit coordinate by level l - 1, where r = p;
+       (0, 0) alone has none, and its orbit is itself.
+
+    Every condition above is an orbit invariant, so the tag 6 j + branch at
+    level j, r = q / p**j (branch 0, 1, or 2 + the position of t), keeps the
+    branches apart, and (0, 0) takes the tag 6 l, with a = b = c = 0.  No
+    group table is built.  Keys are int64, ((tag q + a) q + b) q + c, while
+    the key space (6 l + 1) q**3 fits int64 (q up to about 10**6 at l = 1);
+    past it each key is a _WIDE_KEY record (tag q + a, b q + c), which
+    sorts and compares in the same order.
+    """
+    q, p, l = m.q, m.p, m.l
+    u, v = np.asarray(u, dtype=np.int64) % q, np.asarray(v, dtype=np.int64) % q
+    coords = (u[..., 0], u[..., 1], v[..., 0], v[..., 1])
+    head, b, c = _level_keys(m, q, *coords)
+    deep = np.flatnonzero(head < 0)
+    for j in range(1, l):
+        if not len(deep):
+            break
+        sub = _level_keys(m, q // p**j, *(np.broadcast_to(x, head.shape).flat[deep] // p**j
+                                           for x in coords))
+        for full, part in zip((head, b, c), sub):
+            full.flat[deep] = part
+        head.flat[deep] += 6 * j * q
+        deep = deep[sub[0] < 0]
+    if (6 * l + 1) * q**3 <= 2**63:
+        return (head * q + b) * q + c
+    keys = np.empty(head.shape, dtype=_WIDE_KEY)
+    keys["hi"], keys["lo"] = head, b * q + c
+    return keys
+
+
+def _level_keys(m: Modulus, r: int, x0, x1, y0, y1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(tag q + a, b, c) of pair_orbit_keys' branches 1 to 3 for the pairs
+    ((x0, x1), (y0, y1)) read mod r, arrays that broadcast together; the
+    whole key of (0, 0), and head -1 where branch 4 applies."""
+    q, p = m.q, m.p
+    # every product stays below r**2 <= 2**62, and a sum of two below 2**63
+    nu, nv = (x0 * x0 + x1 * x1) % r, (y0 * y0 + y1 * y1) % r
+    head = np.where(nu % p != 0, nu, np.where(nv % p != 0, q + nv, -1))
+    b, c = (x0 * y0 + x1 * y1) % r, (x0 * y1 - x1 * y0) % r
+    rest = np.flatnonzero(head < 0)
+    if not len(rest):
+        return head, b, c
+    s0, s1, z0, z1 = (np.broadcast_to(x, head.shape).flat[rest] for x in (x0, x1, y0, y1))
+    zero = (s0 | s1 | z0 | z1) == 0
+    head.flat[rest[zero]] = 6 * m.l * q  # b = c = 0 there already
+    if p % 4 == 3 or zero.all():
+        return head, b, c
+    split, s0, s1, z0, z1 = rest[~zero], s0[~zero], s1[~zero], z0[~zero], z1[~zero]
+    iota = _iota(m) % r
+    parts = np.stack([s0 + iota * s1, s0 - iota * s1, z0 + iota * z1, z0 - iota * z1]) % r
+    unit = parts % p != 0
+    at = unit.argmax(axis=0)
+    lead = parts[at, np.arange(len(split))]
+    inv = np.ones_like(lead)  # lead**(phi(r) - 1) = 1 / lead mod r
+    for bit in bin((r // p) * (p - 1) - 1)[2:]:
+        inv = inv * inv % r
+        inv = inv * lead % r if bit == "1" else inv
+    on_alpha = at % 2 == 0
+    scale = np.stack([np.where(on_alpha, inv, lead), np.where(on_alpha, lead, inv)] * 2)
+    others = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])[at].T
+    a3, b3, c3 = np.take_along_axis(parts * scale % r, others, axis=0)
+    head.flat[split] = np.where(unit.any(axis=0), (2 + at) * q + a3, -1)
+    b.flat[split], c.flat[split] = b3, c3
+    return head, b, c
+
+
 def _turn(a, b, codes, q: int) -> np.ndarray:
     """Code c0*q + c1 of the image of each vector code under [[a, -b], [b, a]]."""
     c0, c1 = codes // q, codes % q
@@ -499,9 +610,11 @@ def triangle_class_count(m: Modulus, points: Iterable[Vec2] | np.ndarray) -> int
       first difference reach the q**2 ln(q**2) / n a cover needs: the orbit
       cover, which settles every orbit with a member w of
       |E ∩ (E - w)| + n > q**2 before it cuts any window, within
-      min(_OP_CAP, n**3) operations; past them the census
+      min(_OP_CAP, n**3) operations; past them the key count
       runs if n**3 <= _OP_CAP, and a ValueError refuses the count if not.
-    - otherwise the census, of n**3 triples, refused past _OP_CAP.
+    - otherwise the key count: the distinct pair_orbit_keys of the n**3
+      triples, refused past _OP_CAP, or before any key is formed when
+      _ORBIT_KEY_BYTES per key it may hold passes _CENSUS_BYTES.
     """
     pts = _planar(m, points)
     q = m.q
@@ -516,7 +629,41 @@ def triangle_class_count(m: Modulus, points: Iterable[Vec2] | np.ndarray) -> int
             if n**3 > _OP_CAP:
                 raise
     _Meter(f"t2 census over n = {n} points").charge(n**3)
-    return len(_class_census(m, np.stack([codes // q, codes % q], axis=1))[2])
+    # the keys number at most the triples and the key space
+    held = _ORBIT_KEY_BYTES * min(n**3, (6 * m.l + 1) * q**3)
+    if held > _CENSUS_BYTES:
+        raise ValueError(f"t2 census over n = {n} points may hold {held} bytes of orbit keys, "
+                         f"over the {_CENSUS_BYTES}-byte budget")
+    return _key_count(m, np.stack([codes // q, codes % q], axis=1))
+
+
+def _key_count(m: Modulus, pts: np.ndarray) -> int:
+    """The number of distinct pair_orbit_keys of (x - y, y - z) over the
+    ordered triples of the distinct points pts, one block of middle vertices
+    y at a time, each block's keys at most _CHUNK_BYTES of int64."""
+    q, n = m.q, len(pts)
+    step = max(1, _CHUNK_BYTES // (8 * max(1, n * n)))
+
+    def blocks() -> Iterator[np.ndarray]:
+        for s in range(0, n, step):
+            d = pts[None, :] - pts[s : s + step, None]  # d[y, x] = x - y
+            yield pair_orbit_keys(m, d[:, :, None], -d[:, None, :]).ravel()
+
+    return len(_union(blocks()))
+
+
+def _union(parts: Iterable[np.ndarray]) -> np.ndarray:
+    """Sorted distinct keys over the parts, which are merged into the running
+    union once they hold as many keys as it does."""
+    held, pending, size = [], [], 0
+    for part in parts:
+        pending.append(part)
+        size += len(part)
+        if size >= sum(map(len, held)):
+            held, pending, size = [_distinct(np.concatenate(held + pending))], [], 0
+    if pending:
+        held = [_distinct(np.concatenate(held + pending))]
+    return held[0] if held else np.empty(0, dtype=np.int64)
 
 
 def _difference_blocks(pts: np.ndarray, q: int) -> Iterator[np.ndarray]:

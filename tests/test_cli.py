@@ -449,6 +449,22 @@ def test_t2_census_past_its_byte_budget_is_refused_before_counting():
     assert "n = 584" in res.stderr and f"over the {2**30}-byte budget" in res.stderr
 
 
+@pytest.mark.parametrize("p", [2147483647, 2147483629], ids=["3-mod-4", "1-mod-4"])
+def test_t2_at_the_largest_primes_counts_without_a_group_table(tmp_path, p):
+    # a group table at either prime would take 16 GiB; the keys need none.
+    # The three side norms differ and are units: 1 class of x = y = z, 9 of
+    # two equal vertices and 6 orderings of the triangle.  Three points miss
+    # the theorem's bound, so the run exits 1, with the count and no traceback
+    path = tmp_path / "three.txt"
+    path.write_text(f"q={p} d=2\n1,2\n5,9\n100,7\n")
+    res = run_cli_limited(
+        "experiment", "--kind", "t2", "--p", str(p), "--l", "1", "--set", f"file:{path}",
+        "--format", "csv",
+    )
+    assert res.returncode == 1 and res.stderr == ""
+    assert res.stdout.splitlines()[1].split(",")[:3] == ["0", "3", "16"]
+
+
 def _in_process(capsys, argv):
     try:
         code = cli.main(argv)

@@ -464,11 +464,16 @@ def test_scans_agree_over_doubling_and_tiny_blocks(m, d, rows, chunk):
 
 
 def test_row_blocks_start_near_q_values_and_double_to_the_cap(monkeypatch):
-    monkeypatch.setattr(configsets, "_CHUNK_BYTES", 8 * 10 * 100)  # 10 rows of 100
-    rows = [(s.start, s.stop) for s in configsets._row_blocks(50, 100, 250)]
-    assert rows == [(0, 2), (2, 6), (6, 14), (14, 24), (24, 34), (34, 44), (44, 50)]
-    # rows wider than q start at one row; a cap below one row still gives one
-    assert [s.stop - s.start for s in configsets._row_blocks(5, 100, 7)] == [1, 2, 2]
+    monkeypatch.setattr(configsets, "_CHUNK_BYTES", 8 * 20 * 1000)  # 20 rows of 1000
+    # below q = 2**12 the first block holds 2**12 values, 4 rows of 1000
+    rows = [(s.start, s.stop) for s in configsets._row_blocks(60, 1000, 250)]
+    assert rows == [(0, 4), (4, 12), (12, 28), (28, 48), (48, 60)]
+    # above it, about q values: 10 rows of 1000 at q = 10**4
+    rows = [(s.start, s.stop) for s in configsets._row_blocks(60, 1000, 10**4)]
+    assert rows == [(0, 10), (10, 30), (30, 50), (50, 60)]
+    # rows wider than the first block start at one row; a cap below one row
+    # still gives one
+    assert [s.stop - s.start for s in configsets._row_blocks(5, 5000, 7)] == [1, 2, 2]
     monkeypatch.setattr(configsets, "_CHUNK_BYTES", 8)
     assert [s.stop for s in configsets._row_blocks(3, 100, 10**6)] == [1, 2, 3]
 
@@ -477,6 +482,8 @@ def test_row_blocks_start_near_q_values_and_double_to_the_cap(monkeypatch):
 # product of p Z_q^2 a multiple of p**2, so neither scan ever saturates
 _STRIP25 = PointSet(M25, 2, tuple((x, 5 * y) for x in range(25) for y in range(5)))
 _DEEP25 = PointSet(M25, 2, tuple((5 * x, 5 * y) for x in range(5) for y in range(5)))
+# 625 points, whose 625**2 dot products take several blocks
+_DEEP125 = PointSet(Modulus(5, 3), 2, tuple((5 * x, 5 * y) for x in range(25) for y in range(25)))
 _A5 = PointSet.product(Modulus(2**31 - 1, 1), (1, 2, 3), 5)
 
 
@@ -523,7 +530,7 @@ def _t2_of_random(n):
 # or for the census at its one up-front charge of n**3
 _REFUSALS = {
     "area scan": ("the triangle area scan", 10**5, lambda: triangle_area_count(_STRIP25)),
-    "dot scan": ("the dot product scan", 25 * 25 - 1, lambda: dot_product_count(_DEEP25)),
+    "dot scan": ("the dot product scan", 625**2 - 1, lambda: dot_product_count(_DEEP125)),
     # |A|**2 = 9, then |S_1| |A.A| = 6 * 6, then 14 * 6 passes the cap
     "sumset step": ("dot products of A^5 with |A| = 3", 100, lambda: dot_product_set(_A5)),
     "convolution step": ("dot products of A^5 with |A| = 3", 100,
@@ -551,16 +558,17 @@ def test_each_refusal_names_spent_next_and_budget(monkeypatch, path):
 
 def test_area_scan_at_the_z25_threshold_saturates_within_a_few_blocks(monkeypatch):
     # 280 points reach the v2 threshold at Z_25; all 24 nonzero areas show up
-    # among the first few hundred determinants, long before one full block
+    # among the first few hundred determinants, inside the first block of
+    # 2**12 // 280 = 14 rows
     areas = _counting(monkeypatch, "_area_blocks")
     dots = _counting(monkeypatch, "_dot_blocks")
     for seed in range(5):
         areas.clear(), dots.clear()
         E = random_subset(M25, 2, 280, seed=seed)
         assert triangle_area_count(E) == 24
-        assert len(areas) <= 3 and sum(areas) <= 7 * 280
+        assert areas == [14 * 280]
         assert dot_product_count(E) == 25
-        assert len(dots) <= 3 and sum(dots) <= 7 * 280
+        assert dots == [14 * 280]
 
 
 # -- rotation correlation and moment bound against the loops they replaced --

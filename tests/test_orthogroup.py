@@ -428,6 +428,163 @@ def test_triangle_class_count_of_the_full_grid():
         triangle_class_count(M9, [(1, 2, 3)])
 
 
+# -- closed-form orbit keys --------------------------------------------------
+
+
+def _pair_space(m):
+    """Codes ru, rv and vectors u, v of every pair of plane vectors, u major."""
+    codes = np.arange(m.q**2)
+    ru, rv = np.repeat(codes, m.q**2), np.tile(codes, m.q**2)
+    return ru, rv, np.stack(np.divmod(ru, m.q), axis=1), np.stack(np.divmod(rv, m.q), axis=1)
+
+
+def _same_partition(a, b):
+    _, ia = np.unique(a, return_inverse=True)
+    _, ib = np.unique(b, return_inverse=True)
+    return len(np.unique(ia * (ib.max() + 1) + ib)) == ia.max() + 1 == ib.max() + 1
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
+def test_pair_orbit_keys_partition_the_pair_space_like_canonical_pairs(q):
+    m = Modulus.from_q(q)
+    ru, rv, u, v = _pair_space(m)
+    keys = orthogroup.pair_orbit_keys(m, u, v)
+    cu, cv = orthogroup._canonical_pairs(m, np.arange(q * q), ru, rv)
+    assert _same_partition(keys, cu * q**2 + cv)
+    # the vectors broadcast: every first difference against every second
+    grid = u[:: q * q]
+    assert (orthogroup.pair_orbit_keys(m, grid[:, None], grid[None, :]).ravel() == keys).all()
+
+
+@pytest.mark.parametrize("q", [17, 19, 25, 27])
+def test_pair_orbit_keys_count_every_orbit(q):
+    m = Modulus.from_q(q)
+    _, _, u, v = _pair_space(m)
+    assert len(np.unique(orthogroup.pair_orbit_keys(m, u, v))) == orbit_pair_total(m)
+
+
+def _cayley(q, t):
+    """The rotation ((1 - t**2) / (1 + t**2), 2t / (1 + t**2)) mod q."""
+    inv = pow(1 + t * t, -1, q)
+    return (1 - t * t) * inv % q, 2 * t * inv % q
+
+
+@pytest.mark.parametrize("p, l", [(2**31 - 1, 1), (2147483629, 1), (3, 19), (5, 13), (1009, 2)])
+def test_pair_orbit_keys_past_int64_are_records_that_rotations_keep(p, l):
+    # the key space (6 l + 1) q**3 passes 2**63, so the keys are records;
+    # deep pairs reach branch 4, and for p = 1 mod 4 isotropic ones branch 3
+    m = Modulus(p, l)
+    q = m.q
+    assert (6 * l + 1) * q**3 > 2**63
+    rng = np.random.default_rng(p)
+    u, v = rng.integers(0, q, size=(300, 2)), rng.integers(0, q, size=(300, 2))
+    u[:100] = u[:100] * p ** (l // 2) % q
+    v[:100] = v[:100] * p ** (l // 2) % q
+    u[:10] = v[:10] = 0
+    if p % 4 == 1:
+        t, iota = rng.integers(0, q, size=(2, 100)), orthogroup._iota(m)
+        u[100:200] = np.stack([iota * t[0] % q, t[0]], axis=1)
+        v[100:150] = np.stack([-iota * t[1][:50] % q, t[1][:50]], axis=1)
+    keys = orthogroup.pair_orbit_keys(m, u, v)
+    assert keys.dtype == orthogroup._WIDE_KEY
+    for t in (1, 2, 3, 5):
+        if (1 + t * t) % p == 0:
+            continue
+        a, b = _cayley(q, t)
+
+        def turn(w):
+            return np.stack([(a * w[:, 0] - b * w[:, 1]) % q, (b * w[:, 0] + a * w[:, 1]) % q], 1)
+
+        assert (orthogroup.pair_orbit_keys(m, turn(u), turn(v)) == keys).all()
+    # these first differences u = p**k w, w of unit norm or isotropic, are
+    # fixed by no rotation that moves a p**k v, so distinct v mod q / p**k
+    # give distinct keys
+    k = l // 2
+    w = np.unique(rng.integers(0, q // p**k, size=(100, 2)), axis=0)
+    cases = [((1, 0), w), ((p**k, 0), p**k * w)]
+    if p % 4 == 1:
+        cases.append(((orthogroup._iota(m), 1), w))
+    for first, second in cases:
+        keys = orthogroup.pair_orbit_keys(m, np.array(first), second)
+        assert len(orthogroup._distinct(keys)) == len(w)
+
+
+def _special_set(m, family, seed):
+    """An (n, 2) array of one family: empty, one point, a random part of the
+    strip Z_q x pZ_q, or points near the isotropic lines x = +-iota y for
+    p = 1 mod 4 (deep points pZ_q**2 for p = 3 mod 4), plus random points."""
+    rng = np.random.default_rng(seed)
+    q, p, n = m.q, m.p, int(rng.integers(2, 40))
+    if family == "empty":
+        return np.empty((0, 2), dtype=np.int64)
+    if family == "point":
+        return rng.integers(0, q, size=(1, 2))
+    if family == "strip":
+        return np.stack([rng.integers(0, q, n), p * rng.integers(0, q // p, n)], axis=1)
+    t = rng.integers(0, q, size=(2, n))
+    if family == "isotropic" and p % 4 == 1:
+        pts = np.stack([orthogroup._iota(m) * t[0] * rng.choice([1, -1], n), t[0]], axis=1)
+    else:
+        pts = p * t.T
+    pts[: n // 5] = rng.integers(0, q, size=(n // 5, 2))  # a few off the lines
+    return (pts + rng.integers(0, q, 2)) % q
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([M3, Modulus(5, 1), M9, Modulus(13, 1), M25, M27, M49, Modulus(5, 3)]),
+    st.sampled_from(["empty", "point", "strip", "isotropic", "deep"]),
+    st.integers(0, 2**32),
+)
+def test_triangle_class_count_matches_the_census_on_special_sets(m, family, seed):
+    E = _special_set(m, family, seed)
+    assert triangle_class_count(m, E) == len(triangle_classes(m, E))
+
+
+@settings(max_examples=2, deadline=None)
+@given(st.sampled_from([625, 727, 729]), st.integers(60, 150), st.integers(0, 2**16))
+def test_triangle_class_count_matches_the_census_on_sparse_sets(q, n, seed):
+    # the census's own count, without the class dict of triangle_classes;
+    # two examples, as the census takes about 3.5 s at n = 150
+    m = Modulus.from_q(q)
+    E = random_subset(m, 2, n, seed=seed).as_array()
+    assert triangle_class_count(m, E) == len(orthogroup._class_census(m, E)[2])
+
+
+def test_key_count_scans_no_group(monkeypatch):
+    # the census regime finds every class from its key alone: no group
+    # table, orbit minimum or canonical pair is ever made
+    cases = [
+        (M27, _strip(M27)[::7]),
+        (M25, _special_set(M25, "isotropic", 1)),
+        (Modulus(5, 3), _special_set(Modulus(5, 3), "deep", 2)),
+        (Modulus(727, 1), random_subset(Modulus(727, 1), 2, 40, seed=1).as_array()),
+    ]
+    want = [len(triangle_classes(m, E)) for m, E in cases]
+
+    def refuse(*args):
+        raise AssertionError("the key count scanned the group")
+
+    for name in ("so2_table", "_orbit_min", "_canonical_pairs"):
+        monkeypatch.setattr(orthogroup, name, refuse)
+    assert [triangle_class_count(m, E) for m, E in cases] == want
+
+
+def test_key_count_byte_budget_is_min_of_triples_and_key_space(monkeypatch):
+    # 12 points of Z_5: below the cover's rule, and their 1728 triples pass
+    # the key space of 7 * 5**3 = 875 keys, which bounds the bytes instead
+    m = Modulus(5, 1)
+    E = random_subset(m, 2, 12, seed=0).as_array()
+    assert 12**3 < 5**4 * math.log(25) and 12**3 > 875
+    held = orthogroup._ORBIT_KEY_BYTES * 875
+    monkeypatch.setattr(orthogroup, "_CENSUS_BYTES", held - 1)
+    with pytest.raises(ValueError, match=f"n = 12 points may hold {held} bytes of orbit keys, "
+                                         f"over the {held - 1}-byte budget"):
+        triangle_class_count(m, E)
+    monkeypatch.setattr(orthogroup, "_CENSUS_BYTES", held)
+    assert triangle_class_count(m, E) == len(triangle_classes(m, E))
+
+
 # -- the Burnside orbit total and the covering certificate ------------------
 
 
@@ -697,9 +854,9 @@ def test_cover_tables_are_built_once_and_charged_on_every_call():
 
 def test_cover_past_its_budget_hands_off_to_the_census(monkeypatch):
     # the Z_27 strip, with the cover's budget cut to its orbit scan, its
-    # transform and one slice: the census counts it instead
+    # transform and one slice: the key count counts it instead
     E = _strip(M27)
-    cover, census = orthogroup._cover_count, orthogroup._class_census
+    cover, census = orthogroup._cover_count, orthogroup._key_count
     budgets, censuses = [], []
     scan, transform = len(orthogroup.so2_table(M27)) * 27**2, 4 * 27**3
 
@@ -712,7 +869,7 @@ def test_cover_past_its_budget_hands_off_to_the_census(monkeypatch):
         return census(m, pts)
 
     monkeypatch.setattr(orthogroup, "_cover_count", low)
-    monkeypatch.setattr(orthogroup, "_class_census", counted)
+    monkeypatch.setattr(orthogroup, "_key_count", counted)
     assert triangle_class_count(M27, E) == 3477
     assert budgets == [243**3] and censuses == [243]
 
@@ -819,16 +976,16 @@ def test_t2_op_cap_refuses_each_stage_before_it_runs(monkeypatch):
 
 def test_sorted_census_refuses_past_its_byte_budget_before_any_tally(monkeypatch):
     # 584 random points of Z_727^2 pass the n**3 cap (584**3 < 2e8), but
-    # their distinct pair keys would take tens of GB; the refusal comes
-    # once the distinct differences are known, before _tally runs
+    # their orbit keys would take gigabytes; the refusal comes before any
+    # key is formed
     m = Modulus(727, 1)
     pts = random_subset(m, 2, 584, seed=0).as_array()
     assert 584**3 <= orthogroup._OP_CAP
 
-    def no_tally(blocks):
-        raise AssertionError("the census tallied before its byte check")
+    def no_keys(m, u, v):
+        raise AssertionError("the census formed keys before its byte check")
 
-    monkeypatch.setattr(orthogroup, "_tally", no_tally)
+    monkeypatch.setattr(orthogroup, "pair_orbit_keys", no_keys)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=f"n = 584 points .* over the {2**30}-byte budget"):
