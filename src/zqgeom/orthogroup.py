@@ -48,9 +48,12 @@ _OP_CAP = 2 * 10**8
 # sparse sets in Z_727)
 _CENSUS_BYTES = 1 << 30
 _KEY_BYTES = 128
-# bytes the t2 key count may hold per orbit key: the held and pending keys,
-# a merge's sorted copy, mask and result peak at about 25 B a key, plus a
-# few blocks (tracemalloc, 150 to 322 sparse points in Z_625, Z_727, Z_729)
+# bytes the t2 key count may hold per distinct int64 orbit key, twice that per
+# _WIDE_KEY record: a merge holds the union, as many pending keys and their
+# concatenation, at most 32 B a key, plus a few blocks.  Random sparse sets,
+# whose keys are nearly all distinct, peak at about 17 B a triple with int64
+# keys (150 to 322 points in Z_727) and 34 B with records (150 and 250 points
+# at q = 2**31 - 1), by tracemalloc
 _ORBIT_KEY_BYTES = 32
 
 
@@ -352,11 +355,16 @@ def pair_orbit_keys(m: Modulus, u, v) -> np.ndarray:
             full.flat[deep] = part
         head.flat[deep] += 6 * j * q
         deep = deep[sub[0] < 0]
-    if (6 * l + 1) * q**3 <= 2**63:
+    if _key_dtype(m) == np.int64:
         return (head * q + b) * q + c
     keys = np.empty(head.shape, dtype=_WIDE_KEY)
     keys["hi"], keys["lo"] = head, b * q + c
     return keys
+
+
+def _key_dtype(m: Modulus) -> np.dtype:
+    """int64 while pair_orbit_keys' key space (6 l + 1) q**3 fits it, else _WIDE_KEY."""
+    return np.dtype(np.int64) if (6 * m.l + 1) * m.q**3 <= 2**63 else _WIDE_KEY
 
 
 def _level_keys(m: Modulus, r: int, x0, x1, y0, y1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -504,8 +512,7 @@ def _residues(blocks: Iterable[np.ndarray], q: int, start: int = 0) -> np.ndarra
             if seen[start:].all():
                 break
         return np.flatnonzero(seen[start:]) + start
-    kept = (b[b >= start] for b in blocks)
-    return _tally(((b, np.ones_like(b)) for b in kept), q - start)[0]
+    return _union((b[b >= start] for b in blocks), q - start)
 
 
 def _planar(m: Modulus, points: Iterable[Vec2] | np.ndarray) -> np.ndarray:
@@ -522,7 +529,25 @@ def _planar(m: Modulus, points: Iterable[Vec2] | np.ndarray) -> np.ndarray:
 
 
 def _class_census(m: Modulus, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Codes of the canonical pairs (u, v) of triangle_classes, and their counts.
+    """Codes of the canonical pairs (u, v) of triangle_classes, and their
+    counts: the realized pairs of _pair_census, each canonicalized by a
+    minimum over the cached group table."""
+    q = m.q
+    codes, keys, counts = _pair_census(m, pts)
+    size = len(codes)
+    u, v = _canonical_pairs(m, _turn(-1, 0, codes, q), keys // size, codes[keys % size])
+    # rank the canonical codes too, so a pair key stays below size**2 (a code
+    # pair packed as u * q**2 + v would need q**4 to fit in int64)
+    cu, ru = np.unique(u, return_inverse=True)
+    cv, rv = np.unique(v, return_inverse=True)
+    keys, counts = _merge_counts([(ru * len(cv) + rv, counts)])
+    return cu[keys // len(cv)], cv[keys % len(cv)], counts
+
+
+def _pair_census(m: Modulus, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted codes of the distinct differences of pts, and the keys
+    rank(y - x) * size + rank(y - z) of the realized pairs with their counts
+    over the ordered triples (x, y, z); the pair is (x - y, y - z).
 
     Row y of _difference_blocks lists y - w over w in E, so one row gives
     a = y - x and b = y - z for every x and z, and (-a, b) is the pair
@@ -531,8 +556,7 @@ def _class_census(m: Modulus, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     at most min(n**2, q**2)**2.  When that space fits the chunk budget, the
     counts are the matrix product sum_y #{x : rank(y - x) = r} *
     #{z : rank(y - z) = s}, exact in float64 while n**3 < 2**53; otherwise
-    each block's keys are tallied.  Only the distinct pairs are then
-    canonicalized, each by a minimum over the cached group table.
+    each block's keys are tallied.
     """
     q, n = m.q, len(pts)
     blocks = partial(_difference_blocks, pts, q)
@@ -571,13 +595,7 @@ def _class_census(m: Modulus, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
             for s in range(0, n, step)
         )
         keys, counts = _tally((k, np.ones_like(k)) for k in pairs)
-    u, v = _canonical_pairs(m, _turn(-1, 0, codes, q), keys // size, codes[keys % size])
-    # rank the canonical codes too, so a pair key stays below size**2 (a code
-    # pair packed as u * q**2 + v would need q**4 to fit in int64)
-    cu, ru = np.unique(u, return_inverse=True)
-    cv, rv = np.unique(v, return_inverse=True)
-    keys, counts = _merge_counts([(ru * len(cv) + rv, counts)])
-    return cu[keys // len(cv)], cv[keys % len(cv)], counts
+    return codes, keys, counts
 
 
 def triangle_classes(m: Modulus, points: Iterable[Vec2]) -> dict[TriangleClass, int]:
@@ -614,7 +632,8 @@ def triangle_class_count(m: Modulus, points: Iterable[Vec2] | np.ndarray) -> int
       runs if n**3 <= _OP_CAP, and a ValueError refuses the count if not.
     - otherwise the key count: the distinct pair_orbit_keys of the n**3
       triples, refused past _OP_CAP, or before any key is formed when
-      _ORBIT_KEY_BYTES per key it may hold passes _CENSUS_BYTES.
+      _ORBIT_KEY_BYTES per int64 key it may hold (twice that per _WIDE_KEY)
+      passes _CENSUS_BYTES (_key_count).
     """
     pts = _planar(m, points)
     q = m.q
@@ -629,20 +648,37 @@ def triangle_class_count(m: Modulus, points: Iterable[Vec2] | np.ndarray) -> int
             if n**3 > _OP_CAP:
                 raise
     _Meter(f"t2 census over n = {n} points").charge(n**3)
-    # the keys number at most the triples and the key space
-    held = _ORBIT_KEY_BYTES * min(n**3, (6 * m.l + 1) * q**3)
-    if held > _CENSUS_BYTES:
-        raise ValueError(f"t2 census over n = {n} points may hold {held} bytes of orbit keys, "
-                         f"over the {_CENSUS_BYTES}-byte budget")
     return _key_count(m, np.stack([codes // q, codes % q], axis=1))
 
 
 def _key_count(m: Modulus, pts: np.ndarray) -> int:
     """The number of distinct pair_orbit_keys of (x - y, y - z) over the
-    ordered triples of the distinct points pts, one block of middle vertices
-    y at a time, each block's keys at most _CHUNK_BYTES of int64."""
+    ordered triples of the n distinct points pts.
+
+    The keys number at most n**3, the key space and size**2, size the
+    number of distinct differences, which takes n**2 steps to count and is
+    counted once the triples pass one block.  The least bound, times the
+    bytes per key, is checked against _CENSUS_BYTES before any key is
+    formed.  With size**2 within _pair_census's dense table, that table
+    (n size**2 flops) finds the realized pairs and each is keyed once;
+    otherwise every triple is keyed, one block of middle vertices y at a
+    time, each block's keys at most _CHUNK_BYTES.
+    """
     q, n = m.q, len(pts)
-    step = max(1, _CHUNK_BYTES // (8 * max(1, n * n)))
+    per_key = _ORBIT_KEY_BYTES * _key_dtype(m).itemsize // 8
+    held = per_key * min(n**3, (6 * m.l + 1) * q**3)
+    size = None
+    if held > _CENSUS_BYTES or 8 * n**3 > _CHUNK_BYTES:
+        size = len(_residues(_difference_blocks(pts, q), q * q))
+        held = min(held, per_key * size * size)
+    if held > _CENSUS_BYTES:
+        raise ValueError(f"t2 census over n = {n} points may hold {held} bytes of orbit keys, "
+                         f"over the {_CENSUS_BYTES}-byte budget")
+    if size is not None and 8 * size * size <= _CHUNK_BYTES:
+        diffs, keys, _ = _pair_census(m, pts)
+        u, v = (np.stack([c // q, c % q], axis=-1) for c in (diffs[keys // size], diffs[keys % size]))
+        return len(_distinct(pair_orbit_keys(m, -u, v)))
+    step = max(1, _CHUNK_BYTES // (_key_dtype(m).itemsize * max(1, n * n)))
 
     def blocks() -> Iterator[np.ndarray]:
         for s in range(0, n, step):
@@ -652,18 +688,39 @@ def _key_count(m: Modulus, pts: np.ndarray) -> int:
     return len(_union(blocks()))
 
 
-def _union(parts: Iterable[np.ndarray]) -> np.ndarray:
-    """Sorted distinct keys over the parts, which are merged into the running
-    union once they hold as many keys as it does."""
-    held, pending, size = [], [], 0
+def _union(parts: Iterable[np.ndarray], full: int = -1) -> np.ndarray:
+    """Sorted distinct values over the parts, stopping once `full` distinct
+    values have occurred.
+
+    Parts are merged into the running union, the first entry of `pending`,
+    once they hold as many values as it does, so a merge never sorts more
+    than twice what the parts since the last merge contributed.  A merge
+    holds the union, the parts and their concatenation, which it then sorts
+    in place: at most about 32 bytes per distinct int64 value, plus a part.
+    """
+    pending, held, size = [], 0, 0
     for part in parts:
-        pending.append(part)
-        size += len(part)
-        if size >= sum(map(len, held)):
-            held, pending, size = [_distinct(np.concatenate(held + pending))], [], 0
-    if pending:
-        held = [_distinct(np.concatenate(held + pending))]
-    return held[0] if held else np.empty(0, dtype=np.int64)
+        pending.append(part.ravel())
+        size += len(pending[-1])
+        if size >= held:
+            pending = [_merged(pending)]
+            held, size = len(pending[0]), 0
+            if held == full:
+                break
+    if not pending:
+        return np.empty(0, dtype=np.int64)
+    return pending[0] if len(pending) == 1 else _merged(pending)
+
+
+def _merged(arrays: list[np.ndarray]) -> np.ndarray:
+    """Sorted distinct values of the arrays, emptying the list, so that the
+    arrays are freed before the concatenation is sorted in place."""
+    values = np.concatenate(arrays)
+    arrays.clear()
+    values.sort()
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
 
 
 def _difference_blocks(pts: np.ndarray, q: int) -> Iterator[np.ndarray]:

@@ -559,6 +559,7 @@ def test_key_count_scans_no_group(monkeypatch):
         (M25, _special_set(M25, "isotropic", 1)),
         (Modulus(5, 3), _special_set(Modulus(5, 3), "deep", 2)),
         (Modulus(727, 1), random_subset(Modulus(727, 1), 2, 40, seed=1).as_array()),
+        (Modulus(727, 1), _line(120)),  # past one block, with the dense pair table
     ]
     want = [len(triangle_classes(m, E)) for m, E in cases]
 
@@ -570,19 +571,74 @@ def test_key_count_scans_no_group(monkeypatch):
     assert [triangle_class_count(m, E) for m, E in cases] == want
 
 
-def test_key_count_byte_budget_is_min_of_triples_and_key_space(monkeypatch):
-    # 12 points of Z_5: below the cover's rule, and their 1728 triples pass
-    # the key space of 7 * 5**3 = 875 keys, which bounds the bytes instead
-    m = Modulus(5, 1)
-    E = random_subset(m, 2, 12, seed=0).as_array()
-    assert 12**3 < 5**4 * math.log(25) and 12**3 > 875
-    held = orthogroup._ORBIT_KEY_BYTES * 875
+def _line(n):
+    return np.stack([np.arange(n), np.zeros(n, dtype=np.int64)], axis=1)
+
+
+@pytest.mark.parametrize(
+    "m, E, per_key, bound",
+    [
+        # 40 sparse points: their 64000 triples are fewer than the key space
+        # and the pairs of their distinct differences
+        (Modulus(727, 1), random_subset(Modulus(727, 1), 2, 40, seed=3).as_array(), 32, 40**3),
+        # 30 points of Z_11: 27000 triples, about 121**2 difference pairs, and
+        # a key space of 7 * 11**3 = 9317
+        (Modulus(11, 1), random_subset(Modulus(11, 1), 2, 30, seed=0).as_array(), 32, 7 * 11**3),
+        # 60 points on a line of Z_727: 119 distinct differences
+        (Modulus(727, 1), _line(60), 32, 119**2),
+        # three points at q = 2**31 - 1: every key is a two-field record
+        (Modulus(2**31 - 1, 1), np.array([(1, 2), (5, 9), (100, 7)]), 64, 27),
+    ],
+    ids=["triples", "key-space", "difference-pairs", "records"],
+)
+def test_key_count_byte_budget_is_the_least_key_bound(monkeypatch, m, E, per_key, bound):
+    # below the cover's rule, the keys number at most the triples, the key
+    # space and the pairs of distinct differences; records cost twice the bytes
+    n = len(E)
+    assert n**3 < m.q**4 * math.log(m.q**2) and not realizes_every_pair(m, n)
+    held = per_key * bound
+    assert orthogroup._ORBIT_KEY_BYTES * orthogroup._key_dtype(m).itemsize // 8 == per_key
+    want = 16 if n == 3 else len(triangle_classes(m, E))  # 1 + 9 + 6, as in test_cli
     monkeypatch.setattr(orthogroup, "_CENSUS_BYTES", held - 1)
-    with pytest.raises(ValueError, match=f"n = 12 points may hold {held} bytes of orbit keys, "
+    with pytest.raises(ValueError, match=f"n = {n} points may hold {held} bytes of orbit keys, "
                                          f"over the {held - 1}-byte budget"):
         triangle_class_count(m, E)
     monkeypatch.setattr(orthogroup, "_CENSUS_BYTES", held)
-    assert triangle_class_count(m, E) == len(triangle_classes(m, E))
+    assert triangle_class_count(m, E) == want
+
+
+@pytest.mark.parametrize(
+    "m, E, want",
+    [
+        # 500 points: 1.25e8 triples, but 727 distinct differences, so the
+        # dense pair table finds the realized pairs
+        (Modulus(727, 1), _line(500), None),
+        # 323 points: 1521 distinct differences, so every triple is keyed;
+        # the count is len(triangle_classes), which takes about 6 s here
+        (Modulus(13, 2), np.array([(i, j) for i in range(19) for j in range(17)]), 238826),
+    ],
+    ids=["line-z727", "box-z169"],
+)
+def test_key_count_admits_sets_with_few_differences_past_n3_bytes(monkeypatch, m, E, want):
+    # 32 bytes per triple would pass the 1 GiB budget, but the keys number
+    # at most the pairs of distinct differences
+    n = len(E)
+    assert orthogroup._ORBIT_KEY_BYTES * n**3 > orthogroup._CENSUS_BYTES
+    assert n**3 <= orthogroup._OP_CAP and n**3 < m.q**4 * math.log(m.q**2)
+    want = len(triangle_classes(m, E)) if want is None else want
+    keyed, keys = [], orthogroup.pair_orbit_keys
+
+    def counted(m, u, v):
+        out = keys(m, u, v)
+        keyed.append(out.size)
+        return out
+
+    monkeypatch.setattr(orthogroup, "pair_orbit_keys", counted)
+    assert triangle_class_count(m, E) == want
+    # with at most 1024 differences the dense pair table keys each realized
+    # pair once, not every triple
+    size = len(orthogroup._residues(orthogroup._difference_blocks(E, m.q), m.q**2))
+    assert sum(keyed) <= size**2 if size <= 1024 else sum(keyed) == n**3
 
 
 # -- the Burnside orbit total and the covering certificate ------------------
