@@ -60,11 +60,14 @@ _FIRST_BLOCK = 1 << 12
 class PointSet:
     """A deduplicated, lexicographically sorted subset of Z_q^d.
 
-    `base` records the one-dimensional factor when the set was built as
-    a d-fold product A x ... x A; counters that only make sense for
-    product sets require it.  Sets from `product` and `full_grid` keep
+    The points are held as one read-only (n, d) int64 array in
+    lexicographic order, which as_array() returns and every counter reads;
+    .points, iteration and membership make Python tuples from it when
+    asked.  `base` records the one-dimensional factor when the set was
+    built as a d-fold product A x ... x A; counters that only make sense
+    for product sets require it.  Sets from `product` and `full_grid` keep
     only their factor and d: size and membership come from the factor,
-    and the points are listed on first use, which is refused past
+    and the array is filled on first use, which is refused past
     FULL_GRID_CAP.  Instances are immutable.
     """
 
@@ -81,27 +84,24 @@ class PointSet:
                 raise DimensionMismatch(f"point {pt} is not {d}-dimensional")
         if base is not None:
             base = tuple(sorted({c % q for c in base}))
-        self._fill(m, d, base, None, tuple(pts))
+        self._fill(m, d, base, None, np.array(pts, dtype=np.int64).reshape(len(pts), d))
 
-    def _fill(self, m, d, base, factor, points) -> None:
-        for name, value in zip(self.__slots__, (m, d, base, factor, points, None)):
+    def _fill(self, m, d, base, factor, rows) -> None:
+        if rows is not None:
+            rows.flags.writeable = False
+        for name, value in zip(self.__slots__, (m, d, base, factor, rows, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"PointSet is immutable; cannot set {name}")
 
     @classmethod
-    def _lazy(cls, m: Modulus, d: int, factor: tuple[int, ...], base) -> "PointSet":
+    def _made(cls, m: Modulus, d: int, *, rows=None, factor=None, base=None) -> "PointSet":
+        """A set built by the library, taken as given with no reduction or sort:
+        either `rows`, an (n, d) int64 array of distinct residue rows in
+        [0, q) in lexicographic order, or the sorted `factor` of a product."""
         ps = cls.__new__(cls)
-        ps._fill(m, d, base, factor, None)
-        return ps
-
-    @classmethod
-    def _from_sorted(cls, m: Modulus, d: int, rows: np.ndarray) -> "PointSet":
-        """The set of an (n, d) array of distinct residue rows in [0, q), in
-        lexicographic order; taken as given, with no reduction or sort."""
-        ps = cls.__new__(cls)
-        ps._fill(m, d, None, None, tuple(map(tuple, rows.tolist())))
+        ps._fill(m, d, base, factor, rows)
         return ps
 
     @classmethod
@@ -109,7 +109,7 @@ class PointSet:
         """The d-fold product A x ... x A of a subset A of Z_q."""
         _check_dimension(d)
         a = tuple(sorted({c % m.q for c in base}))
-        return cls._lazy(m, d, a, base=a)
+        return cls._made(m, d, factor=a, base=a)
 
     @classmethod
     def full_grid(cls, m: Modulus, d: int) -> "PointSet":
@@ -117,23 +117,12 @@ class PointSet:
         # q >= 3, so d >= 20 passes the cap before q**d is formed
         if d >= FULL_GRID_CAP.bit_length() or m.q**d > FULL_GRID_CAP:
             raise ValueError(f"grid Z_{m.q}^{d} exceeds the {FULL_GRID_CAP}-point cap")
-        return cls._lazy(m, d, tuple(range(m.q)), base=None)
-
-    def _listable(self) -> None:
-        if self.size > FULL_GRID_CAP:
-            raise ValueError(
-                f"product A^{self.d} with |A| = {len(self._factor)} exceeds the "
-                f"{FULL_GRID_CAP}-point cap"
-            )
+        return cls._made(m, d, factor=tuple(range(m.q)))
 
     @property
     def points(self) -> tuple[Vec, ...]:
-        if self._points is None:
-            self._listable()
-            object.__setattr__(
-                self, "_points", tuple(itertools.product(self._factor, repeat=self.d))
-            )
-        return self._points
+        """The points as tuples, made from as_array() on every call."""
+        return tuple(map(tuple, self.as_array().tolist()))
 
     @property
     def size(self) -> int:
@@ -146,12 +135,12 @@ class PointSet:
         return self.size
 
     def __iter__(self) -> Iterator[Vec]:
-        return iter(self.points)
+        return map(tuple, self.as_array().tolist())
 
     def __contains__(self, v) -> bool:
         v = tuple(v)
         if self._index is None:
-            members = self._points if self._factor is None else self._factor
+            members = self if self._factor is None else self._factor
             object.__setattr__(self, "_index", frozenset(members))
         if self._factor is None:
             return v in self._index
@@ -165,9 +154,9 @@ class PointSet:
         if self._factor is not None and other._factor is not None:
             return self._factor == other._factor
         if self._factor is None and other._factor is None:
-            return self._points == other._points
+            return np.array_equal(self._points, other._points)
         listed, lazy = (self, other) if self._factor is None else (other, self)
-        return all(v in lazy for v in listed._points)
+        return all(v in lazy for v in listed)
 
     def __hash__(self) -> int:
         return hash((self.m, self.d, self.base, self.size))
@@ -176,11 +165,19 @@ class PointSet:
         return f"PointSet(m={self.m!r}, d={self.d}, size={self.size}, base={self.base!r})"
 
     def as_array(self) -> np.ndarray:
+        """The points as a read-only (n, d) int64 array in lexicographic order,
+        the same array on every call; a product's is filled on the first."""
         if self._points is None:
-            self._listable()
+            if self.size > FULL_GRID_CAP:
+                raise ValueError(
+                    f"product A^{self.d} with |A| = {len(self._factor)} exceeds the "
+                    f"{FULL_GRID_CAP}-point cap"
+                )
             factor = np.array(self._factor, dtype=np.int64)
-            return factor[np.indices((len(factor),) * self.d).reshape(self.d, -1).T]
-        return np.array(self._points, dtype=np.int64).reshape(len(self), self.d)
+            rows = factor[np.indices((len(factor),) * self.d).reshape(self.d, -1).T]
+            rows.flags.writeable = False
+            object.__setattr__(self, "_points", rows)
+        return self._points
 
     def indicator(self) -> GridFunction:
         return GridFunction.indicator(self.m, self.d, self.as_array())

@@ -474,11 +474,8 @@ def _merge_counts(parts) -> tuple[np.ndarray, np.ndarray]:
     return keys[first], np.add.reduceat(counts, first)
 
 
-def _tally(
-    blocks: Iterable[tuple[np.ndarray, np.ndarray]], full: int = -1
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct values over (values, weights) blocks, with summed
-    weights, stopping once `full` distinct values have occurred.
+def _tally(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values over (values, weights) blocks, with summed weights.
 
     Each block is reduced to its distinct values, and these are merged into
     the running tally once they are at least as many as it holds, so a
@@ -493,8 +490,6 @@ def _tally(
         if held >= len(keys):
             keys, counts = _merge_counts([(keys, counts), *pending])
             pending, held = [], 0
-            if len(keys) == full:
-                break
     return _merge_counts([(keys, counts), *pending])
 
 

@@ -250,6 +250,43 @@ def test_gen_set_full_writes_whole_grid(tmp_path):
     assert len(out.read_text().strip().splitlines()) == 10
 
 
+@pytest.mark.parametrize(
+    "kind, source, builds",
+    [("t2", "file", 1), ("v2", "product", 1), ("t2", "full", 1), ("v2", "random:30", 3)],
+)
+def test_fixed_set_sources_are_built_and_counted_once_per_run(
+    capsys, monkeypatch, tmp_path, kind, source, builds
+):
+    (tmp_path / "file").write_text(
+        harness.format_pointset(harness.random_subset(Modulus(7, 1), 2, 30, seed=1))
+    )
+    (tmp_path / "product").write_text("q=7 d=1\n0\n2\n3\n5\n")
+    calls = {"set": 0, "statistic": 0}
+
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return call
+
+    monkeypatch.setattr(harness, "generate_set", counted("set", harness.generate_set))
+    monkeypatch.setattr(
+        harness, "_experiment_statistic", counted("statistic", harness._experiment_statistic)
+    )
+    if source in ("file", "product"):
+        source = f"{source}:{tmp_path / source}"
+    code, out, _ = _in_process(capsys, [
+        "experiment", "--kind", kind, "--p", "7", "--l", "1", "--set", source,
+        "--trials", "3", "--format", "csv",
+    ])
+    rows = [line.split(",", 1)[1] for line in out.splitlines()[1:]]
+    assert code in (0, 1) and len(rows) == 3
+    assert calls == {"set": builds, "statistic": builds}
+    if builds == 1:
+        assert rows[0] == rows[1] == rows[2]
+
+
 def _without_wall_time(text):
     return "\n".join(ln for ln in text.splitlines() if "wall_time_s" not in ln)
 

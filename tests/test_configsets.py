@@ -879,6 +879,25 @@ def test_lazy_full_grid_matches_its_listed_twin(m, d):
     assert np.array_equal(grid.as_array(), twin.as_array())
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PointSet(M9, 2, ((1, 2), (0, 5), (1, 2), (8, 0))),
+        lambda: random_subset(M9, 2, 12, seed=4),
+        lambda: PointSet.product(M9, (4, 0, 7), 3),
+    ],
+    ids=["listed", "sampled", "product"],
+)
+def test_as_array_is_one_shared_read_only_array(make):
+    E = make()
+    rows = E.as_array()
+    assert rows is E.as_array() and rows.dtype == np.int64 and rows.shape == (len(E), E.d)
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 1
+    assert E.points == tuple(map(tuple, rows.tolist())) == tuple(sorted(E.points))
+
+
 def test_product_past_the_point_cap_lists_nothing_until_asked():
     E = PointSet.product(M27, range(27), 6)
     assert len(E) == 27**6 and (1, 2, 3, 4, 5, 6) in E

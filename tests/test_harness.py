@@ -411,6 +411,29 @@ def test_experiment_dotprod_product_set(tmp_path):
     assert rep.aggregate["min_ratio"] == rec.ratio
 
 
+def test_sampled_sets_reach_every_counter_without_a_tuple(monkeypatch):
+    made = []
+
+    def collect(cfg, trial):
+        made.append(generate_set(cfg, trial))
+        return made[-1]
+
+    def no_tuples(self, *args):
+        raise AssertionError("a point was made into a tuple")
+
+    monkeypatch.setattr(harness, "generate_set", collect)
+    monkeypatch.setattr(PointSet, "points", property(no_tuples))
+    for name in ("__iter__", "__contains__"):
+        monkeypatch.setattr(PointSet, name, no_tuples)
+    # at Z_11, 79 points take the t2 orbit cover and 20 the key count
+    for kind, d, size in (("t2", 2, 79), ("t2", 2, 20), ("v2", 2, 30), ("dotprod", 3, 30)):
+        source = SetSource("random", size=size)
+        cfg = ExperimentConfig(p=11, l=1, kind=kind, source=source, d=d, trials=2, seed=3)
+        assert len(run_theorem_experiment(cfg).trials) == 2
+    assert len(made) == 8
+    assert all(type(E._points) is np.ndarray and E._index is None for E in made)
+
+
 def test_experiment_csv_golden_header():
     cfg = ExperimentConfig(
         p=3, l=2, kind="v2", source=SetSource.parse("random:10"), trials=2, seed=3
