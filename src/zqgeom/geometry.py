@@ -24,6 +24,7 @@ __all__ = [
     "det2",
     "dot",
     "incidence_census",
+    "line_generators",
     "line_point_codes",
     "lines_in_stratum",
     "lines_through",
@@ -52,15 +53,6 @@ _LINE_CACHE_STRATA = 16
 def _int_dtype(bound: int) -> type:
     """int32 when every value of an array lies below `bound`, at most 2**31, else int64."""
     return np.int32 if bound <= 2**31 else np.int64
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct entries of a 1-D array, records too, without
-    np.unique's first-use import of numpy.ma."""
-    values = np.sort(values)
-    keep = np.ones(len(values), dtype=bool)
-    keep[1:] = values[1:] != values[:-1]  # np.not_equal has no loop for records
-    return values[keep]
 
 
 class DimensionMismatch(ValueError):
@@ -257,14 +249,25 @@ def _spanned_generators(m: Modulus, n: int, a: np.ndarray, b: np.ndarray) -> np.
 
 
 @lru_cache(maxsize=_LINE_CACHE_STRATA)
-def lines_in_stratum(m: Modulus, n: int) -> tuple[Line, ...]:
-    """All distinct lines spanned by stratum-n vectors, sorted by generator.
+def line_generators(m: Modulus, n: int) -> np.ndarray:
+    """Codes g0 * q + g1 of the generators of all distinct lines spanned by
+    stratum-n vectors, increasing, as a read-only int64 array.
 
     Every stratum vector is normalized to its canonical generator, as
-    spanned_line does, and only the distinct generators become lines.
+    spanned_line does, and marked in a q**2 bitmap, whose marked cells are
+    the distinct codes in order.
     """
-    codes = _distinct(_spanned_generators(m, n, *stratum_coords(m, n)))
-    g0, g1 = np.divmod(codes, m.q)
+    seen = np.zeros(m.q * m.q, dtype=bool)
+    seen[_spanned_generators(m, n, *stratum_coords(m, n))] = True
+    codes = np.flatnonzero(seen)
+    codes.flags.writeable = False
+    return codes
+
+
+@lru_cache(maxsize=_LINE_CACHE_STRATA)
+def lines_in_stratum(m: Modulus, n: int) -> tuple[Line, ...]:
+    """All distinct lines spanned by stratum-n vectors, sorted by generator."""
+    g0, g1 = np.divmod(line_generators(m, n), m.q)
     return tuple(Line(m, gen, n) for gen in zip(g0.tolist(), g1.tolist()))
 
 
@@ -276,22 +279,26 @@ def lines_through(m: Modulus, v: Vec) -> tuple[Line, ...]:
     return tuple(line for line in lines_in_stratum(m, 0) if v in line)
 
 
-@lru_cache(maxsize=_LINE_CACHE_STRATA)
-def line_point_codes(lines: tuple[Line, ...], q: int) -> np.ndarray:
-    """Points t * g (t < len(line)) of each line, as a row of distinct codes
-    x * q + y in increasing order padded with q * q; equal sets give equal rows.
+def line_point_codes(m: Modulus, n: int, generators: np.ndarray) -> np.ndarray:
+    """Points t * g (t < p**(l-n)) of the stratum-n line of each generator
+    code g0 * q + g1, as a row of distinct codes x * q + y in increasing
+    order padded with q * q; equal sets give equal rows.
 
-    The read-only table is cached on the lines themselves, so the line
-    census check and incidence_census share one build per census, and a
-    different tuple of lines (a faulty census, say) gets its own table.
-    Products stay below q * q, and codes at most q * q.
+    The read-only table is cached on the codes' bytes, so the line census
+    check and incidence_census share one build per census, and other codes
+    (a faulty census, say) get their own table.
     """
+    return _point_rows(np.asarray(generators, dtype=np.int64).tobytes(), m.q, m.p ** (m.l - n))
+
+
+@lru_cache(maxsize=_LINE_CACHE_STRATA)
+def _point_rows(generators: bytes, q: int, size: int) -> np.ndarray:
+    """line_point_codes for generator codes given as int64 bytes and lines
+    of `size` points; products stay below q * q, and codes at most q * q."""
     small = _int_dtype(q * q + 1)
-    sizes = np.array([len(line) for line in lines])
-    gens = np.array([line.generator for line in lines], dtype=small)
-    t = np.arange(sizes.max(), dtype=small)
-    rows = t * gens[:, :1] % q * q + t * gens[:, 1:] % q
-    rows[t >= sizes[:, None]] = q * q
+    g0, g1 = np.divmod(np.frombuffer(generators, dtype=np.int64).astype(small), q)
+    t = np.arange(size, dtype=small)
+    rows = t * g0[:, None] % q * q + t * g1[:, None] % q
     rows.sort(axis=1)
     repeated = rows[:, 1:] == rows[:, :-1]
     if repeated.any():  # a point listed twice: pad it out and sort again
@@ -308,11 +315,13 @@ def incidence_census(m: Modulus) -> np.ndarray:
     census, each line counted at most once per point.
     """
     q = m.q
-    codes = line_point_codes(lines_in_stratum(m, 0), q)
+    codes = line_point_codes(m, 0, line_generators(m, 0))
     return np.bincount(codes.ravel(), minlength=q * q + 1)[: q * q].reshape(q, q)
 
 
 def average_line_points(m: Modulus) -> Fraction:
-    """Mean number of points per line across all strata (diagnostic only)."""
-    sizes = [len(line) for n in range(m.l) for line in lines_in_stratum(m, n)]
-    return Fraction(sum(sizes), len(sizes))
+    """Mean number of points per line across all strata (diagnostic only):
+    sum_n |L_n| p**(l-n) over sum_n |L_n|."""
+    counts = [len(line_generators(m, n)) for n in range(m.l)]
+    points = sum(c * m.p ** (m.l - n) for n, c in enumerate(counts))
+    return Fraction(points, sum(counts))

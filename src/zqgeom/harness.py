@@ -671,15 +671,15 @@ def _check_hensel_quadratics(m: Modulus) -> Outcome:
     fails, witness, tested = 0, "", 0
     xs = np.arange(q, dtype=np.int64)
     for b in range(p):
+        # roots[c, x]: x is a root mod q of x^2 + b x + c, for every c < p at once
+        roots = (xs * xs + b * xs) % q == -np.arange(p)[:, None] % q
         for c in range(p):
-            f = Polynomial((c, b, 1))
-            roots_q = np.flatnonzero((xs * xs + b * xs + c) % q == 0).tolist()
             for r in range(p):
-                if f.eval_mod(r, p) != 0 or (2 * r + b) % p == 0:
+                if (r * r + b * r + c) % p or (2 * r + b) % p == 0:
                     continue
                 tested += 1
-                lifted = hensel_lift_root(f, r, m)
-                if [x for x in roots_q if x % p == r] != [lifted]:
+                lifted = hensel_lift_root(Polynomial((c, b, 1)), r, m)
+                if (r + p * np.flatnonzero(roots[c, r::p])).tolist() != [lifted]:
                     fails += 1
                     witness = witness or f"f=x^2+{b}x+{c}, r={r}"
     return Outcome(tested, fails, 0, witness)
@@ -702,19 +702,18 @@ def _check_stratum_sizes(m: Modulus) -> Outcome:
 def _check_line_census(m: Modulus) -> Outcome:
     fails, witness, universe = 0, "", 0
     for n in range(m.l):
-        lines = geometry.lines_in_stratum(m, n)
-        universe += len(lines)
-        if len(lines) != m.p ** (m.l - n) + m.p ** (m.l - n - 1):
+        gens = geometry.line_generators(m, n)
+        universe += len(gens)
+        if len(gens) != m.p ** (m.l - n) + m.p ** (m.l - n - 1):
             fails += 1
             witness = witness or f"census size, n={n}"
-        if not lines:
+        if not len(gens):
             continue
-        rows = geometry.line_point_codes(lines, m.q)
-        sizes = np.array([len(line) for line in lines])
-        short = np.flatnonzero((rows < m.q**2).sum(axis=1) != sizes)
+        rows = geometry.line_point_codes(m, n, gens)
+        short = np.flatnonzero((rows < m.q**2).sum(axis=1) != m.p ** (m.l - n))
         if len(short):
             fails += len(short)
-            witness = witness or f"short line {lines[short[0]].generator}"
+            witness = witness or f"short line {divmod(int(gens[short[0]]), m.q)}"
         # equal point sets give equal rows, and equal rows equal bytes
         keys = np.sort(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel())
         if (keys[1:] == keys[:-1]).any():

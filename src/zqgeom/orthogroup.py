@@ -11,7 +11,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import DimensionMismatch, _distinct, _int_dtype, valuation_table, vsub
+from .geometry import DimensionMismatch, _int_dtype, valuation_table, vsub
 from .ring import Modulus, Polynomial, hensel_lift_root
 
 __all__ = [
@@ -493,6 +493,15 @@ def _tally(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray,
     return _merge_counts([(keys, counts), *pending])
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct entries of a 1-D array, records too, without
+    np.unique's first-use import of numpy.ma."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]  # np.not_equal has no loop for records
+    return values[keep]
+
+
 def _residues(blocks: Iterable[np.ndarray], q: int, start: int = 0) -> np.ndarray:
     """Sorted values start <= t < q occurring in the blocks, whose entries
     all lie in range(q); stops once every such t has occurred.
@@ -511,16 +520,18 @@ def _residues(blocks: Iterable[np.ndarray], q: int, start: int = 0) -> np.ndarra
 
 
 def _planar(m: Modulus, points: Iterable[Vec2] | np.ndarray) -> np.ndarray:
-    """The points as an (n, 2) int64 array reduced mod q."""
-    if isinstance(points, np.ndarray):
-        pts = points.astype(np.int64)
-    else:
-        pts = np.array([tuple(v) for v in points], dtype=np.int64)
+    """The points as an (n, 2) int64 array reduced mod q, for reading only:
+    an int64 array already reduced (the read-only PointSet.as_array(), say)
+    comes back as it is."""
+    if not isinstance(points, np.ndarray):
+        points = [tuple(v) for v in points]
+    pts = np.asarray(points, dtype=np.int64)
     if len(pts) == 0:
         return np.empty((0, 2), dtype=np.int64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise DimensionMismatch("triangle classes are a planar census")
-    return pts % m.q
+    # read as unsigned, a negative entry is at least 2**63 > q
+    return pts % m.q if pts.view(np.uint64).max() >= m.q else pts
 
 
 def _class_census(m: Modulus, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

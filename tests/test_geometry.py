@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from zqgeom import geometry
 from zqgeom.geometry import (
     DimensionMismatch,
-    Line,
     average_line_points,
     det2,
     dot,
     incidence_census,
+    line_generators,
+    line_point_codes,
     lines_in_stratum,
     lines_through,
     norm,
@@ -175,8 +176,8 @@ def test_incidence_census_matches_lines_through(m):
 
 def test_incidence_census_counts_a_line_once_per_point(monkeypatch):
     # a generator of stratum 1 posing as full length lists each point 3 times
-    fake = (Line(M9, (3, 3), 0),)
-    monkeypatch.setattr("zqgeom.geometry.lines_in_stratum", lambda m, n: fake)
+    fake = np.array([3 * M9.q + 3])
+    monkeypatch.setattr("zqgeom.geometry.line_generators", lambda m, n: fake)
     hits = incidence_census(M9)
     assert hits.sum() == 3
     assert hits[0, 0] == hits[3, 3] == hits[6, 6] == 1
@@ -274,6 +275,26 @@ def test_line_census_matches_the_spanned_line_loop(m):
         assert all(type(c) is int for line in lines for c in line.generator)
 
 
+_MODULI_TO_243 = [m for m in _MODULI_TO_625 if m.q <= 243]
+
+
+# as many examples as moduli, which hypothesis's sampled_from then covers
+@settings(max_examples=len(_MODULI_TO_243), deadline=None)
+@given(st.sampled_from(_MODULI_TO_243))
+def test_line_generator_arrays_match_the_spanned_line_loop(m):
+    q = m.q
+    for n in range(m.l):
+        lines = _lines_in_stratum_loop(m, n)
+        gens = line_generators(m, n)
+        assert gens.dtype == np.int64 and not gens.flags.writeable
+        assert gens.tolist() == [g0 * q + g1 for g0, g1 in (line.generator for line in lines)]
+        rows = line_point_codes(m, n, gens)
+        assert rows.shape == (len(lines), m.p ** (m.l - n)) and not rows.flags.writeable
+        for row, line in zip(rows.tolist(), lines):
+            points = sorted(x * q + y for x, y in set(line.points()))
+            assert row == points + [q * q] * (len(row) - len(points))
+
+
 # the 121**3-point Python scan takes seconds, so Z_121 in dimension 3 is
 # sampled by the test after this one
 @pytest.mark.parametrize(
@@ -307,8 +328,9 @@ def test_sphere_points_in_small_blocks(monkeypatch):
 
 
 def test_line_census_cache_is_bounded():
-    info = lines_in_stratum.cache_info()
-    assert info.maxsize is not None
+    caches = (line_generators, geometry._point_rows)
+    assert all(cache.cache_info().maxsize is not None for cache in caches)
+    info = line_generators.cache_info()
     # 18 moduli with one or more strata each: more strata than the cache holds
     qs = (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49)
     strata = sum(Modulus.from_q(q).l for q in qs)
@@ -316,5 +338,8 @@ def test_line_census_cache_is_bounded():
     for q in qs:
         m = Modulus.from_q(q)
         for n in range(m.l):
-            assert len(lines_in_stratum(m, n)) == m.p ** (m.l - n) + m.p ** (m.l - n - 1)
-    assert lines_in_stratum.cache_info().currsize <= info.maxsize
+            gens = line_generators(m, n)
+            assert len(gens) == m.p ** (m.l - n) + m.p ** (m.l - n - 1)
+            assert len(line_point_codes(m, n, gens)) == len(gens)
+    for cache in caches:
+        assert cache.cache_info().currsize <= cache.cache_info().maxsize

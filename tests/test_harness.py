@@ -53,7 +53,7 @@ from zqgeom.harness import (
     write_report,
 )
 from zqgeom.orthogroup import _OP_CAP, so2_elements
-from zqgeom.ring import Modulus, is_prime
+from zqgeom.ring import Modulus, Polynomial, hensel_lift_root, is_prime
 
 M3 = Modulus(3, 1)
 M9 = Modulus(3, 2)
@@ -608,9 +608,14 @@ def test_rotated_plane_checks_run_beyond_the_old_scan_budget():
     assert nonzero.passed and zero.passed and zero.statistic == zero.bound == 3**5
 
 
+def _census_lines(m, n):
+    # the lines of the generator codes the suite reads, faulty or not
+    return [geometry.Line(m, divmod(int(c), m.q), n) for c in geometry.line_generators(m, n)]
+
+
 def _incidence_scan_oracle(m):
     # per-vector scan of every full-length line, as (mismatches, first witness)
-    full = geometry.lines_in_stratum(m, 0)
+    full = _census_lines(m, 0)
     fails, witness = 0, ""
     for v in itertools.product(range(m.q), repeat=2):
         if v == (0, 0):
@@ -624,13 +629,13 @@ def _incidence_scan_oracle(m):
 
 @pytest.mark.parametrize("m, dropped", [(M9, 2), (M25, 0), (Modulus(3, 3), 7)], ids=str)
 def test_incidence_check_reports_a_dropped_line_like_the_scan(monkeypatch, m, dropped):
-    census = geometry.lines_in_stratum
+    census = geometry.line_generators
 
     def faulty(mod, n):
-        lines = census(mod, n)
-        return lines[:dropped] + lines[dropped + 1 :] if n == 0 else lines
+        gens = census(mod, n)
+        return np.delete(gens, dropped) if n == 0 else gens
 
-    monkeypatch.setattr(geometry, "lines_in_stratum", faulty)
+    monkeypatch.setattr(geometry, "line_generators", faulty)
     (check,) = _rows(m, _check_point_line_incidence)
     fails, witness = _incidence_scan_oracle(m)
     assert fails > 0
@@ -759,7 +764,7 @@ def _line_census_loop(m):
     # per line: its point list, its set, and the set of sets per stratum
     fails, witness, universe = 0, "", 0
     for n in range(m.l):
-        lines = geometry.lines_in_stratum(m, n)
+        lines = _census_lines(m, n)
         universe += len(lines)
         if len(lines) != m.p ** (m.l - n) + m.p ** (m.l - n - 1):
             fails += 1
@@ -919,34 +924,89 @@ def test_depth_counts_match_the_loops_on_any_table(data):
             orthogroup.so2_elements.cache_clear()
 
 
-def _duplicate(lines, k):
-    return lines[:k] + lines[k - 1 : k] + lines[k + 1 :]
+def _hensel_loop(m, lift):
+    # per quadratic and candidate root, with the roots mod q listed per quadratic
+    p, q = m.p, m.q
+    fails, witness, tested = 0, "", 0
+    for b in range(p):
+        for c in range(p):
+            f = Polynomial((c, b, 1))
+            roots_q = [x for x in range(q) if f.eval_mod(x, q) == 0]
+            for r in range(p):
+                if f.eval_mod(r, p) != 0 or (2 * r + b) % p == 0:
+                    continue
+                tested += 1
+                if [x for x in roots_q if x % p == r] != [lift(f, r, m)]:
+                    fails += 1
+                    witness = witness or f"f=x^2+{b}x+{c}, r={r}"
+    return fails, witness, tested
+
+
+@pytest.mark.parametrize("m", [M9, M25, M27, Modulus(7, 2)], ids=str)
+@pytest.mark.parametrize("shift", [0, 1, "p"], ids=["clean", "off-residue", "off-lift"])
+def test_hensel_check_reports_a_faulty_lift_like_the_loop(monkeypatch, m, shift):
+    # the lifts of x^2 + 2x + c moved: by 1 out of their residue class, by p within it
+    step = m.p if shift == "p" else shift
+
+    def lift(f, r, mod):
+        root = hensel_lift_root(f, r, mod)
+        return (root + step) % mod.q if f.coeffs[1] == 2 else root
+
+    monkeypatch.setattr(harness, "hensel_lift_root", lift)
+    (check,) = _rows(m, _check_hensel_quadratics)
+    fails, witness, tested = _hensel_loop(m, lift)
+    assert (check.statistic, check.witness, check.universe) == (fails, witness, tested)
+    assert (fails > 0) == (step != 0)
+
+
+def _duplicate(gens, k):
+    # line k replaced by a second copy of line k - 1
+    return np.concatenate([gens[:k], gens[k - 1 : k], gens[k + 1 :]])
+
+
+def _codes(m, *generators):
+    return np.array([g0 * m.q + g1 for g0, g1 in generators], dtype=np.int64)
 
 
 @pytest.mark.parametrize(
     "m, faults",
     [
-        (M9, {0: lambda m, lines: _duplicate(lines, 5)}),
-        (M27, {1: lambda m, lines: lines + lines[2:3]}),
-        (M25, {0: lambda m, lines: lines[:3] + (geometry.Line(m, (5, 5), 0),) + lines[4:]}),
-        (M27, {0: lambda m, lines: _duplicate(lines, 7),
-               1: lambda m, lines: lines[:1] + (geometry.Line(m, (9, 9), 1),) + lines[2:]}),
-        (M27, {2: lambda m, lines: lines + (geometry.Line(m, (0, 9), 2),) * 2}),
+        (M9, {0: lambda m, gens: _duplicate(gens, 5)}),
+        (M27, {1: lambda m, gens: np.concatenate([gens, gens[2:3]])}),
+        (M25, {0: lambda m, gens: np.concatenate([gens[:3], _codes(m, (5, 5)), gens[4:]])}),
+        (M27, {0: lambda m, gens: _duplicate(gens, 7),
+               1: lambda m, gens: np.concatenate([gens[:1], _codes(m, (9, 9)), gens[2:]])}),
+        (M27, {2: lambda m, gens: np.concatenate([gens, _codes(m, (0, 9), (0, 9))])}),
     ],
     ids=["Z_9-replaced", "Z_27-appended", "Z_25-short", "Z_27-two-strata", "Z_27-twice"],
 )
 def test_line_census_check_reports_a_faulty_census_like_the_loop(monkeypatch, m, faults):
-    census = geometry.lines_in_stratum
+    census = geometry.line_generators
 
     def faulty(mod, n):
-        lines = census(mod, n)
-        return faults[n](mod, lines) if n in faults else lines
+        gens = census(mod, n)
+        return faults[n](mod, gens) if n in faults else gens
 
-    monkeypatch.setattr(geometry, "lines_in_stratum", faulty)
+    monkeypatch.setattr(geometry, "line_generators", faulty)
     check = _rows(m, _check_line_census)[0]
     fails, witness, universe = _line_census_loop(m)
     assert fails > 0 and not check.passed
     assert (check.statistic, check.witness, check.universe) == (fails, witness, universe)
+
+
+@pytest.mark.parametrize("m", [M27, M25], ids=str)
+def test_lemma_suite_builds_no_line_object(monkeypatch, m):
+    # the census checks read generator arrays; with the Line cache empty, any
+    # call that lists lines would have to build them
+    def refuse(*args, **kwargs):
+        raise AssertionError("the lemma suite built a Line")
+
+    geometry.lines_in_stratum.cache_clear()
+    monkeypatch.setattr(geometry, "Line", refuse)
+    with pytest.raises(AssertionError):
+        geometry.lines_in_stratum(m, 0)
+    rep = run_lemma_suite(m)
+    assert rep.aggregate["failed"] == 0 and rep.aggregate["passed"] > 0
 
 
 def test_line_tables_are_cached_per_census_not_per_modulus(monkeypatch):
@@ -954,20 +1014,20 @@ def test_line_tables_are_cached_per_census_not_per_modulus(monkeypatch):
     # of the same moduli must get tables of its own
     assert _rows(M27, _check_line_census)[0].passed
     clean = geometry.incidence_census(M9)
-    census = geometry.lines_in_stratum
+    census = geometry.line_generators
 
     def faulty(mod, n):
-        lines = census(mod, n)
-        return _duplicate(lines, 3) if n == 0 else lines
+        gens = census(mod, n)
+        return _duplicate(gens, 3) if n == 0 else gens
 
-    monkeypatch.setattr(geometry, "lines_in_stratum", faulty)
+    monkeypatch.setattr(geometry, "line_generators", faulty)
     check = _rows(M27, _check_line_census)[0]
     fails, witness, universe = _line_census_loop(M27)
     assert fails > 0 and not check.passed
     assert (check.statistic, check.witness, check.universe) == (fails, witness, universe)
     hits = geometry.incidence_census(M9)
     want = np.zeros((M9.q, M9.q), dtype=np.int64)
-    for line in faulty(M9, 0):
+    for line in _census_lines(M9, 0):
         for point in set(line.points()):
             want[point] += 1
     assert np.array_equal(hits, want) and not np.array_equal(hits, clean)

@@ -421,6 +421,28 @@ def test_triangle_class_count_matches_the_census(m, pts, repeats, chunk_bytes):
         assert triangle_class_count(m, pts) == len(triangle_classes(m, pts))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(_MODULI),
+    st.lists(st.tuples(st.integers(0, 80), st.integers(0, 80)), min_size=1, max_size=12),
+    st.lists(st.integers(-3, 3), min_size=2, max_size=2),
+    st.sampled_from([np.int64, np.int32, np.float64]),
+)
+def test_triangle_class_count_reduces_unreduced_arrays(m, pts, shift, dtype):
+    # negative, unreduced or non-int64 arrays count as their reduced rows,
+    # and the caller's array is left as it was
+    reduced = np.array(pts, dtype=np.int64) % m.q
+    raw = (reduced + m.q * np.array(shift)).astype(dtype)
+    before = raw.copy()
+    assert triangle_class_count(m, raw) == triangle_class_count(m, reduced)
+    assert len(triangle_classes(m, raw)) == len(triangle_classes(m, reduced))
+    assert np.array_equal(raw, before)
+    # a reduced int64 array, as PointSet.as_array() gives, is read in place
+    reduced.flags.writeable = False
+    assert orthogroup._planar(m, reduced) is reduced
+    assert triangle_class_count(m, reduced) == triangle_class_count(m, pts)
+
+
 def test_triangle_class_count_of_the_full_grid():
     assert triangle_class_count(M3, itertools.product(range(3), repeat=2)) == 21
     assert triangle_class_count(M9, []) == 0
