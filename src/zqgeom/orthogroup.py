@@ -42,12 +42,8 @@ _GROUP_CACHE_SIZE = 8
 _CHUNK_BYTES = 1 << 23
 # operations a scan, sumset, t2 census or orbit cover may take before it is refused
 _OP_CAP = 2 * 10**8
-# bytes the t2 key count or the sorted census may hold, and the census's bytes
-# per distinct pair key: the int64 key and count, the merge's sorted copies
-# and the canonical pair arrays peak at about 105 B a key (tracemalloc,
-# sparse sets in Z_727)
+# bytes the t2 key count or triangle_classes may hold, by _key_blocks' rule
 _CENSUS_BYTES = 1 << 30
-_KEY_BYTES = 128
 # bytes the t2 key count may hold per distinct int64 orbit key, twice that per
 # _WIDE_KEY record: a merge holds the union, as many pending keys and their
 # concatenation, at most 32 B a key, plus a few blocks.  Random sparse sets,
@@ -55,6 +51,10 @@ _KEY_BYTES = 128
 # keys (150 to 322 points in Z_727) and 34 B with records (150 and 250 points
 # at q = 2**31 - 1), by tracemalloc
 _ORBIT_KEY_BYTES = 32
+# the same for triangle_classes, whose census holds each key's count and one
+# pair of codes while it canonicalizes those pairs: it peaks at 112 to 122 B
+# a class on 60 to 150 random points in Z_625, Z_727 and Z_729, by tracemalloc
+_CLASS_KEY_BYTES = 128
 
 
 class _OverBudget(ValueError):
@@ -464,42 +464,40 @@ def _row_counts(rank: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(flat, minlength=k * size).reshape(k, size).astype(np.float64)
 
 
-def _merge_counts(parts) -> tuple[np.ndarray, np.ndarray]:
-    """Sum the counts of equal keys across (keys, counts) parts."""
-    keys = np.concatenate([k for k, _ in parts])
-    counts = np.concatenate([c for _, c in parts])
-    order = np.argsort(keys)
-    keys, counts = keys[order], counts[order]
-    first = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
-    return keys[first], np.add.reduceat(counts, first)
+def _merge_counts(parts: list) -> tuple[np.ndarray, ...]:
+    """Sorted distinct keys over (keys, counts, *extras) parts, each key with
+    its summed count and the extras of one of its entries.  Counts and
+    extras have the keys' shape, and in a lone part may be broadcast views:
+    the extras are read at one entry a key.  The list is emptied, so that
+    the parts are freed once concatenated."""
+    keys, counts, *extras = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    parts.clear()
+    order = np.argsort(keys, axis=None)
+    keys = keys.ravel()[order]
+    first = np.flatnonzero(_heads(keys))
+    at = order[first]
+    return keys[first], np.add.reduceat(counts.ravel()[order], first), *(x.flat[at] for x in extras)
 
 
-def _tally(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct values over (values, weights) blocks, with summed weights.
+def _tally(blocks: Iterable[tuple]) -> tuple[np.ndarray, ...]:
+    """_merge_counts over (values, weights, *extras) blocks, whose weights and
+    extras broadcast to the values' shape.
 
     Each block is reduced to its distinct values, and these are merged into
-    the running tally once they are at least as many as it holds, so a
-    merge never sorts more than twice what the blocks since the last merge
-    contributed.
+    the running tally, the first entry of `parts`, once they are at least
+    as many as it holds, so a merge never sorts more than twice what the
+    blocks since the last merge contributed.
     """
-    keys = counts = np.empty(0, dtype=np.int64)
-    pending, held = [], 0
-    for values, weights in blocks:
-        pending.append(_merge_counts([(values.ravel(), weights.ravel())]))
-        held += len(pending[-1][0])
-        if held >= len(keys):
-            keys, counts = _merge_counts([(keys, counts), *pending])
-            pending, held = [], 0
-    return _merge_counts([(keys, counts), *pending])
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct entries of a 1-D array, records too, without
-    np.unique's first-use import of numpy.ma."""
-    values = np.sort(values)
-    keep = np.ones(len(values), dtype=bool)
-    keep[1:] = values[1:] != values[:-1]  # np.not_equal has no loop for records
-    return values[keep]
+    parts, held, size = [], 0, 0
+    for values, *rest in blocks:
+        parts.append(_merge_counts([(values, *(np.broadcast_to(x, values.shape) for x in rest))]))
+        size += len(parts[-1][0])
+        if size >= held:
+            parts = [_merge_counts(parts) if len(parts) > 1 else parts[0]]
+            held, size = len(parts[0][0]), 0
+    if not parts:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    return _merge_counts(parts) if len(parts) > 1 else parts[0]
 
 
 def _residues(blocks: Iterable[np.ndarray], q: int, start: int = 0) -> np.ndarray:
@@ -535,73 +533,77 @@ def _planar(m: Modulus, points: Iterable[Vec2] | np.ndarray) -> np.ndarray:
 
 
 def _class_census(m: Modulus, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Codes of the canonical pairs (u, v) of triangle_classes, and their
-    counts: the realized pairs of _pair_census, each canonicalized by a
-    minimum over the cached group table."""
+    """Codes of the canonical pairs (u, v) of triangle_classes, in order, and
+    their counts: the orbit keys of _key_blocks tallied by weight, each with
+    one of its pairs, which alone is canonicalized."""
     q = m.q
-    codes, keys, counts = _pair_census(m, pts)
-    size = len(codes)
-    u, v = _canonical_pairs(m, _turn(-1, 0, codes, q), keys // size, codes[keys % size])
-    # rank the canonical codes too, so a pair key stays below size**2 (a code
-    # pair packed as u * q**2 + v would need q**4 to fit in int64)
-    cu, ru = np.unique(u, return_inverse=True)
-    cv, rv = np.unique(v, return_inverse=True)
-    keys, counts = _merge_counts([(ru * len(cv) + rv, counts)])
-    return cu[keys // len(cv)], cv[keys % len(cv)], counts
+    if not len(pts):
+        return (np.empty(0, dtype=np.int64),) * 3
+
+    def code(w):
+        return w[..., 0] % q * q + w[..., 1] % q
+
+    blocks = _key_blocks(m, pts, _CLASS_KEY_BYTES)
+    _, counts, u, v = _tally((k, w, code(u), code(v)) for k, w, u, v in blocks)
+    codes = _merged([u])
+    u, v = _canonical_pairs(m, codes, np.searchsorted(codes, u), v)
+    order = np.lexsort((v, u))
+    return u[order], v[order], counts[order]
 
 
-def _pair_census(m: Modulus, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sorted codes of the distinct differences of pts, and the keys
-    rank(y - x) * size + rank(y - z) of the realized pairs with their counts
-    over the ordered triples (x, y, z); the pair is (x - y, y - z).
+def _key_blocks(m: Modulus, pts: np.ndarray, key_bytes: int) -> Iterator[tuple]:
+    """Blocks (keys, weights, u, v) over the ordered triples (x, y, z) of pts:
+    pair_orbit_keys of the pairs (u, v) = (x - y, y - z), each weighted by
+    its number of triples, with u and v as vectors broadcasting to the keys.
 
-    Row y of _difference_blocks lists y - w over w in E, so one row gives
-    a = y - x and b = y - z for every x and z, and (-a, b) is the pair
-    (x - y, y - z).  Differences are ranked among the distinct differences
-    of the set, so each realized pair is counted once over a key space of
-    at most min(n**2, q**2)**2.  When that space fits the chunk budget, the
-    counts are the matrix product sum_y #{x : rank(y - x) = r} *
-    #{z : rank(y - z) = s}, exact in float64 while n**3 < 2**53; otherwise
-    each block's keys are tallied.
+    The keys number at most n**3, the key space and s**2, s the number of
+    distinct differences, which takes n**2 steps to count and is counted
+    once the triples pass one block or 4 q**4.  The least bound times
+    key_bytes (twice that per _WIDE_KEY) is checked against _CENSUS_BYTES
+    before any key is formed.  With s**2 within the dense table, that table
+    gives the realized pairs and their counts, sum_y #{x : y - x = a} *
+    #{z : y - z = b} over the differences a, b (n s**2 flops, exact in
+    float64 while n**3 < 2**53), in one block; keying its at most q**4
+    pairs beats keying the triples for both censuses from n**3 = 4.4 q**4
+    (q = 9 to 19), and loses for the count at 1.5 to 1.9 q**4.  Otherwise
+    every triple is keyed with weight 1, one block of middle vertices y at
+    a time, each block's keys at most _CHUNK_BYTES.
     """
     q, n = m.q, len(pts)
-    blocks = partial(_difference_blocks, pts, q)
-    if 8 * n * n <= _CHUNK_BYTES:  # one block: make it once for both passes
-        blocks = partial(iter, list(blocks()))
-    codes = _residues(blocks(), q * q)
-    size = len(codes)
-    rank = partial(np.searchsorted, codes)
-    if q * q <= n * n:  # tabulated, when the table is no larger than the differences
-        rank = rank(np.arange(q * q)).__getitem__
-    if 8 * size * size <= _CHUNK_BYTES:
+    per_key = key_bytes * _key_dtype(m).itemsize // 8
+    held = per_key * min(n**3, (6 * m.l + 1) * q**3)
+    codes = None
+    if held > _CENSUS_BYTES or 8 * n**3 > _CHUNK_BYTES or n**3 > 4 * q**4:
+        diffs = partial(_difference_blocks, pts, q)
+        if 8 * n * n <= _CHUNK_BYTES:  # one block: make it once for both passes
+            diffs = partial(iter, list(diffs()))
+        codes = _residues(diffs(), q * q)
+        held = min(held, per_key * len(codes) ** 2)
+    if held > _CENSUS_BYTES:
+        raise ValueError(f"t2 census over n = {n} points may hold {held} bytes of orbit keys, "
+                         f"over the {_CENSUS_BYTES}-byte budget")
+    if codes is not None and 8 * len(codes) ** 2 <= _CHUNK_BYTES:
+        size = len(codes)
+        rank = partial(np.searchsorted, codes)
+        if q * q <= n * n:  # tabulated, when the table is no larger than the differences
+            rank = rank(np.arange(q * q)).__getitem__
         table = np.zeros((size, size))
-        step = max(1, _CHUNK_BYTES // (8 * max(1, n, size)))
-        for block in blocks():
-            ranks = rank(block)
+        step = max(1, _CHUNK_BYTES // (8 * max(n, size)))
+        for block in diffs():
+            ranks = rank(block)  # row y holds the ranks of y - x over every x
             for s in range(0, len(ranks), step):
                 counts = _row_counts(ranks[s : s + step], size)
                 table += counts.T @ counts
-        keys = np.flatnonzero(table)
-        counts = table.ravel()[keys].astype(np.int64)
-    else:
-        # the keys number at most the triples and the pairs of differences
-        held = _KEY_BYTES * min(n**3, size * size)
-        if held > _CENSUS_BYTES:
-            raise ValueError(
-                f"t2 census over n = {n} points with {size} distinct differences may hold "
-                f"{held} bytes of pair keys, over the {_CENSUS_BYTES}-byte budget"
-            )
-        # row y gives the keys rank(y - x) * size + rank(y - z) over every x
-        # and z, in pieces of at most _CHUNK_BYTES
-        step = max(1, _CHUNK_BYTES // (8 * n))
-        pairs = (
-            row[s : s + step, None] * size + row
-            for block in blocks()
-            for row in rank(block)
-            for s in range(0, n, step)
-        )
-        keys, counts = _tally((k, np.ones_like(k)) for k in pairs)
-    return codes, keys, counts
+        pairs = np.flatnonzero(table)  # rank(y - x) * size + rank(y - z)
+        u, v = (np.stack([c // q, c % q], axis=-1)
+                for c in (_turn(-1, 0, codes, q)[pairs // size], codes[pairs % size]))
+        yield pair_orbit_keys(m, u, v), table.ravel()[pairs].astype(np.int64), u, v
+        return
+    step = max(1, _CHUNK_BYTES // (_key_dtype(m).itemsize * max(1, n * n)))
+    for s in range(0, n, step):
+        d = pts[None, :] - pts[s : s + step, None]  # d[y, x] = x - y
+        u, v = d[:, :, None], -d[:, None, :]
+        yield pair_orbit_keys(m, u, v), 1, u, v
 
 
 def triangle_classes(m: Modulus, points: Iterable[Vec2]) -> dict[TriangleClass, int]:
@@ -610,7 +612,9 @@ def triangle_classes(m: Modulus, points: Iterable[Vec2]) -> dict[TriangleClass, 
     Keys are canonical difference pairs (x - y, y - z); the third
     difference x - z is their sum, so it never needs to be stored.
     Duplicate points count as separate vertices, and the multiplicities
-    sum to n**3 over the n**3 ordered triples.
+    sum to n**3 over the n**3 ordered triples.  The classes are those of
+    triangle_class_count's key count, refused past the same byte rule at
+    _CLASS_KEY_BYTES a key.
     """
     q = m.q
     u, v, counts = _class_census(m, _planar(m, points))
@@ -639,11 +643,11 @@ def triangle_class_count(m: Modulus, points: Iterable[Vec2] | np.ndarray) -> int
     - otherwise the key count: the distinct pair_orbit_keys of the n**3
       triples, refused past _OP_CAP, or before any key is formed when
       _ORBIT_KEY_BYTES per int64 key it may hold (twice that per _WIDE_KEY)
-      passes _CENSUS_BYTES (_key_count).
+      passes _CENSUS_BYTES (_key_blocks).
     """
     pts = _planar(m, points)
     q = m.q
-    codes = _distinct(pts[:, 0] * q + pts[:, 1])
+    codes = _merged([pts[:, 0] * q + pts[:, 1]])
     n = len(codes)
     if realizes_every_pair(m, n):
         return orbit_pair_total(m)
@@ -658,40 +662,9 @@ def triangle_class_count(m: Modulus, points: Iterable[Vec2] | np.ndarray) -> int
 
 
 def _key_count(m: Modulus, pts: np.ndarray) -> int:
-    """The number of distinct pair_orbit_keys of (x - y, y - z) over the
-    ordered triples of the n distinct points pts.
-
-    The keys number at most n**3, the key space and size**2, size the
-    number of distinct differences, which takes n**2 steps to count and is
-    counted once the triples pass one block.  The least bound, times the
-    bytes per key, is checked against _CENSUS_BYTES before any key is
-    formed.  With size**2 within _pair_census's dense table, that table
-    (n size**2 flops) finds the realized pairs and each is keyed once;
-    otherwise every triple is keyed, one block of middle vertices y at a
-    time, each block's keys at most _CHUNK_BYTES.
-    """
-    q, n = m.q, len(pts)
-    per_key = _ORBIT_KEY_BYTES * _key_dtype(m).itemsize // 8
-    held = per_key * min(n**3, (6 * m.l + 1) * q**3)
-    size = None
-    if held > _CENSUS_BYTES or 8 * n**3 > _CHUNK_BYTES:
-        size = len(_residues(_difference_blocks(pts, q), q * q))
-        held = min(held, per_key * size * size)
-    if held > _CENSUS_BYTES:
-        raise ValueError(f"t2 census over n = {n} points may hold {held} bytes of orbit keys, "
-                         f"over the {_CENSUS_BYTES}-byte budget")
-    if size is not None and 8 * size * size <= _CHUNK_BYTES:
-        diffs, keys, _ = _pair_census(m, pts)
-        u, v = (np.stack([c // q, c % q], axis=-1) for c in (diffs[keys // size], diffs[keys % size]))
-        return len(_distinct(pair_orbit_keys(m, -u, v)))
-    step = max(1, _CHUNK_BYTES // (_key_dtype(m).itemsize * max(1, n * n)))
-
-    def blocks() -> Iterator[np.ndarray]:
-        for s in range(0, n, step):
-            d = pts[None, :] - pts[s : s + step, None]  # d[y, x] = x - y
-            yield pair_orbit_keys(m, d[:, :, None], -d[:, None, :]).ravel()
-
-    return len(_union(blocks()))
+    """The number of distinct keys of _key_blocks over the ordered triples of
+    the n distinct points pts, at _ORBIT_KEY_BYTES a key."""
+    return len(_union(keys for keys, *_ in _key_blocks(m, pts, _ORBIT_KEY_BYTES)))
 
 
 def _union(parts: Iterable[np.ndarray], full: int = -1) -> np.ndarray:
@@ -724,9 +697,15 @@ def _merged(arrays: list[np.ndarray]) -> np.ndarray:
     values = np.concatenate(arrays)
     arrays.clear()
     values.sort()
-    keep = np.ones(len(values), dtype=bool)
-    keep[1:] = values[1:] != values[:-1]
-    return values[keep]
+    return values[_heads(values)]
+
+
+def _heads(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries of a sorted 1-D array starts, records
+    too: np.diff has no loop for them."""
+    head = np.ones(len(values), dtype=bool)
+    head[1:] = values[1:] != values[:-1]
+    return head
 
 
 def _difference_blocks(pts: np.ndarray, q: int) -> Iterator[np.ndarray]:
@@ -811,7 +790,7 @@ def _cover_count(m: Modulus, codes: np.ndarray, budget: int) -> int:
             inside = np.unpackbits(raw, count=2 * q2, bitorder="little").reshape(q, 2 * q)[:, :q]
             stab, left = _fixing(m, u), np.flatnonzero(inside)
             meter.charge(len(stab) * len(left))
-            heads = _distinct(_orbit_min(stab, left, q)[0])
+            heads = _merged([_orbit_min(stab, left, q)[0]])
             total -= int(inside.ravel()[_turn(stab[:, :1], stab[:, 1:], heads, q)].all(0).sum())
     return total
 
@@ -823,7 +802,7 @@ def _cover_tables(m: Modulus) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     depth of each u, and the q x q DFT matrix."""
     q, v = m.q, valuation_table(m)
     least = _orbit_min(so2_table(m), np.arange(q * q), q)[0]
-    reps = _distinct(least)
+    reps = _merged([least])
     gains = np.array(_pair_orbits_by_depth(m))[np.minimum(v[reps // q], v[reps % q])]
     dft = np.exp(-2j * np.pi / q * (np.outer(np.arange(q), np.arange(q)) % q))
     for table in (least, reps, gains, dft):

@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import tracemalloc
+from collections import Counter
 from functools import partial
 from unittest import mock
 
@@ -303,22 +304,6 @@ def test_triangle_classes_beyond_int64_code_pairs():
     assert triangle_classes(m, pts) == _triangle_classes_loop(m, pts)
 
 
-def test_triangle_class_grouping_beyond_int64_code_pairs(monkeypatch):
-    # canonical first differences stay small in practice, so switch the
-    # canonicalization off: the census is then the raw (x - y, y - z) count,
-    # whose codes near q**2 would wrap if packed as u * q**2 + v
-    m = Modulus(3, 10)
-    monkeypatch.setattr(
-        orthogroup, "_canonical_pairs", lambda m, codes, ru, v: (codes[ru], v)
-    )
-    pts = [(0, 0), (1, 1), (59048, 3), (5, 59040), (1, 1)]
-    raw = {}
-    for x, y, z in itertools.product(pts, repeat=3):
-        key = TriangleClass(vsub(m, x, y), vsub(m, y, z))
-        raw[key] = raw.get(key, 0) + 1
-    assert triangle_classes(m, pts) == raw
-
-
 def test_triangle_classes_empty_and_non_planar():
     assert triangle_classes(M9, []) == {}
     with pytest.raises(ValueError):
@@ -327,9 +312,10 @@ def test_triangle_classes_empty_and_non_planar():
 
 @pytest.mark.parametrize("chunk_bytes", [64, 1024, 4096])
 def test_triangle_classes_tiny_chunks(monkeypatch, chunk_bytes):
-    # tiny blocks force many chunks: sorted merges of several pending parts,
-    # dense counts over many middle-vertex chunks (the repeated 2 x 2 square
-    # has only 9 distinct differences), chunked canonicalization and group tables
+    # tiny blocks force many chunks: key tallies merging several pending
+    # parts, dense counts over many middle-vertex chunks at 1024 and 4096
+    # bytes (the repeated 2 x 2 square has only 9 distinct differences),
+    # chunked canonicalization and group tables
     monkeypatch.setattr(orthogroup, "_CHUNK_BYTES", chunk_bytes)
     orthogroup.so2_table.cache_clear()
     orthogroup.so2_elements.cache_clear()
@@ -413,8 +399,9 @@ def test_stabilizer_table_counts_the_stabilizer(m):
     st.sampled_from([None, 64]),
 )
 def test_triangle_class_count_matches_the_census(m, pts, repeats, chunk_bytes):
-    # 64-byte chunks send every set with 3 or more distinct differences
-    # through the sorted kernel of _class_census
+    # 64-byte chunks key every set with 3 or more distinct differences one
+    # middle vertex at a time, in both censuses, and tally the keys over
+    # many merges in triangle_classes
     pts = pts + pts[:repeats]
     chunk = orthogroup._CHUNK_BYTES if chunk_bytes is None else chunk_bytes
     with mock.patch.object(orthogroup, "_CHUNK_BYTES", chunk):
@@ -528,7 +515,7 @@ def test_pair_orbit_keys_past_int64_are_records_that_rotations_keep(p, l):
         cases.append(((orthogroup._iota(m), 1), w))
     for first, second in cases:
         keys = orthogroup.pair_orbit_keys(m, np.array(first), second)
-        assert len(orthogroup._distinct(keys)) == len(w)
+        assert len(orthogroup._merged([keys])) == len(w)
 
 
 def _special_set(m, family, seed):
@@ -1075,25 +1062,121 @@ def test_sorted_census_refuses_past_its_byte_budget_before_any_tally(monkeypatch
 
 
 def test_census_byte_budget_is_min_of_triples_and_key_pairs(monkeypatch):
-    # 40 sparse points: more than 1024 distinct differences, so the sorted
-    # kernel runs, and n**3 = 64000 triples bound its keys
-    m, q = Modulus(727, 1), 727
-    E = random_subset(m, 2, 40, seed=3).as_array()
-    held = orthogroup._KEY_BYTES * 40**3
+    # triangle_classes is refused by the key count's rule at _CLASS_KEY_BYTES
+    # a key: the least of the triples, the key space and the pairs of
+    # distinct differences (the cases of the key count's own test)
+    cases = [
+        (Modulus(727, 1), random_subset(Modulus(727, 1), 2, 40, seed=3).as_array(), 40**3),
+        (Modulus(11, 1), random_subset(Modulus(11, 1), 2, 30, seed=0).as_array(), 7 * 11**3),
+        (Modulus(727, 1), _line(60), 119**2),
+    ]
+    for m, E, bound in cases:
+        n, held = len(E), orthogroup._CLASS_KEY_BYTES * bound
+        monkeypatch.setattr(orthogroup, "_CENSUS_BYTES", held - 1)
+        with pytest.raises(ValueError, match=f"n = {n} points may hold {held} bytes of orbit keys, "
+                                             f"over the {held - 1}-byte budget"):
+            triangle_classes(m, E)
+        monkeypatch.setattr(orthogroup, "_CENSUS_BYTES", held)
+        assert sum(triangle_classes(m, E).values()) == n**3
+
+
+def _canonical_census(m, pts):
+    """triangle_classes by _canonical_pairs over every ordered triple, grouped
+    by canonical pair rather than by orbit key."""
+    q = m.q
+    pairs = [(vsub(m, x, y), vsub(m, y, z)) for x, y, z in itertools.product(pts, repeat=3)]
+    u, v = (np.array([a * q + b for a, b in col], dtype=np.int64) for col in zip(*pairs))
+    codes = np.unique(u)
+    cu, cv = orthogroup._canonical_pairs(m, codes, np.searchsorted(codes, u), v)
+    pairs = zip(cu.tolist(), cv.tolist())
+    return Counter(TriangleClass(divmod(a, q), divmod(b, q)) for a, b in pairs)
+
+
+def _keys_split_pairs_like_canonical_pairs(m, E, k, seed):
+    """Whether pair_orbit_keys and _canonical_pairs partition alike k realized
+    pairs (x - y, y - z) of E at random triples, each beside its image under
+    a random rotation."""
+    q, rng = m.q, np.random.default_rng(seed)
+    x, y, z = np.asarray(E, dtype=np.int64)[rng.integers(0, len(E), size=(3, k))]
+    g = orthogroup.so2_table(m)
+    a, b = g[rng.integers(0, len(g), k)].T
+
+    def turn(w):
+        return np.stack([(a * w[:, 0] - b * w[:, 1]) % q, (b * w[:, 0] + a * w[:, 1]) % q], 1)
+
+    u, v = (x - y) % q, (y - z) % q
+    u, v = np.concatenate([u, turn(u)]), np.concatenate([v, turn(v)])
+    keys = orthogroup.pair_orbit_keys(m, u, v)
+    codes = np.unique(u @ [q, 1])
+    cu, cv = orthogroup._canonical_pairs(m, codes, np.searchsorted(codes, u @ [q, 1]), v @ [q, 1])
+    return _same_partition(keys, cu * q**2 + cv)
+
+
+def _odd_prime_powers(top):
+    moduli = []
+    for q in range(3, top + 1, 2):
+        try:
+            moduli.append(Modulus.from_q(q))
+        except ValueError:
+            pass
+    return moduli
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_odd_prime_powers(125)), st.integers(0, 2**32), st.integers(0, 2**16))
+def test_pair_orbit_keys_partition_realized_pairs_like_canonical_pairs(m, where, seed):
+    # triangle_classes groups by key and labels each key once, so the keys
+    # are checked against the group scan here, on sparse to dense sets; a
+    # split orbit would leave the class totals short of n**3
+    E = random_subset(m, 2, 1 + where % m.q**2, seed=seed).as_array()
+    assert _keys_split_pairs_like_canonical_pairs(m, E, 1000, seed)
+    E = E[:30]
+    assert sum(triangle_classes(m, E).values()) == len(E) ** 3
+
+
+@pytest.mark.parametrize(
+    "q, family",
+    [(q, family) for family in ("random", "strip", "deep") for q in (625, 727, 729)]
+    + [(625, "isotropic")],  # for p = 3 mod 4 _special_set gives the deep set instead
+)
+def test_triangle_classes_match_the_canonical_census_at_large_q(q, family):
+    m = Modulus.from_q(q)
+    if family == "random":
+        E = random_subset(m, 2, 30, seed=q).as_array()
+    else:
+        E = _special_set(m, family, q)
+    assert _keys_split_pairs_like_canonical_pairs(m, E, 20000, q)
+    classes = triangle_classes(m, E)
+    assert sum(classes.values()) == len(E) ** 3
+    assert classes == _canonical_census(m, E.tolist())
+
+
+def test_triangle_classes_past_the_int64_key_space(monkeypatch):
+    # at q = 1100009 the key space (6 l + 1) q**3 passes 2**63, so the keys
+    # are records, which the tally must sort and compare as such: np.diff
+    # has no loop for them
+    m, pts = Modulus(1100009, 1), [(1, 2), (5, 9), (100, 7)]
+    assert orthogroup._key_dtype(m) == orthogroup._WIDE_KEY
+    classes = triangle_classes(m, pts)
+    assert len(classes) == triangle_class_count(m, pts) == 16  # 1 + 9 + 6, as in test_cli
+    assert classes == _canonical_census(m, pts)
+    # records take twice the bytes a key
+    held = 2 * orthogroup._CLASS_KEY_BYTES * 27
     monkeypatch.setattr(orthogroup, "_CENSUS_BYTES", held - 1)
-    with pytest.raises(ValueError, match=f"may hold {held} bytes of pair keys"):
-        triangle_classes(m, E)
-    monkeypatch.setattr(orthogroup, "_CENSUS_BYTES", held)
-    assert triangle_class_count(m, E) == len(triangle_classes(m, E))
-    # 130 points of Z_37: at most 37**2 = 1369 distinct differences, whose
-    # pairs bound the keys below n**3
-    m = Modulus(37, 1)
-    E = random_subset(m, 2, 130, seed=3).as_array()
-    size = len({int((x - y) % 37 @ [37, 1]) for x in E for y in E})
-    assert size > 1024 and size**2 < 130**3
-    held = orthogroup._KEY_BYTES * size**2
-    monkeypatch.setattr(orthogroup, "_CENSUS_BYTES", held - 1)
-    with pytest.raises(ValueError, match=f"with {size} distinct differences may hold {held} "):
-        orthogroup._class_census(m, E)
-    monkeypatch.setattr(orthogroup, "_CENSUS_BYTES", held)
-    assert orthogroup._class_census(m, E)[2].sum() == 130**3
+    with pytest.raises(ValueError, match=f"n = 3 points may hold {held} bytes of orbit keys"):
+        triangle_classes(m, pts)
+
+
+def test_class_census_holds_at_most_its_bytes_a_class():
+    # tallied keys with their counts and pairs, then the canonicalization of
+    # one pair a key, stay under _CLASS_KEY_BYTES a class
+    m = Modulus(727, 1)
+    E = random_subset(m, 2, 60, seed=1).as_array()
+    orthogroup.so2_table(m)  # the cached group table is not the census's
+    tracemalloc.start()
+    try:
+        classes = len(orthogroup._class_census(m, E)[2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < orthogroup._CLASS_KEY_BYTES * classes
