@@ -22,6 +22,7 @@ from .geometry import (
     DimensionMismatch,
     Line,
     Vec,
+    _int_dtype,
     norm,
     vadd,
     valuation_table,
@@ -237,10 +238,11 @@ def _area_blocks(E: PointSet) -> Iterator[np.ndarray]:
     a time (see _row_blocks).
 
     With a = x - z, the determinant is a0*y1 - a1*y0 - (a0*z1 - a1*z0);
-    every term is below q**2, so nothing overflows int64 for q up to MAX_Q.
+    every term and partial sum stays within q**2 + q of 0, so the blocks
+    are int32 below q = 46341 (_int_dtype) and int64 up to MAX_Q.
     """
     n, q = len(E), E.m.q
-    pts = E.as_array()
+    pts = E.as_array().astype(_int_dtype(q * q + q), copy=False)
     for rs in _row_blocks(n * n, n, q, "triangle area"):
         z, x = np.divmod(np.arange(rs.start, rs.stop), n)
         a = (pts[x] - pts[z]) % q  # x - z, one row per (z, x)

@@ -5,6 +5,7 @@ count of closed-form orbit keys."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -42,8 +43,11 @@ _GROUP_CACHE_SIZE = 8
 _CHUNK_BYTES = 1 << 23
 # operations a scan, sumset, t2 census or orbit cover may take before it is refused
 _OP_CAP = 2 * 10**8
-# bytes the t2 key count or triangle_classes may hold, by _key_blocks' rule
+# bytes the t2 key count, triangle_classes (by _key_blocks' rule) or so2_table may hold
 _CENSUS_BYTES = 1 << 30
+# bytes so2_table holds while it builds, per residue of Z_q: by tracemalloc, 88 B
+# for l = 1 and 101 B at Z_3**12, where |SO_2| = 4q/3 is largest
+_SO2_BYTES = 104
 # bytes the t2 key count may hold per distinct int64 orbit key, twice that per
 # _WIDE_KEY record: a merge holds the union, as many pending keys and their
 # concatenation, at most 32 B a key, plus a few blocks.  Random sparse sets,
@@ -116,8 +120,12 @@ def so2_table(m: Modulus) -> np.ndarray:
 
     For each a, the b with b**2 = 1 - a**2 are looked up among the squares
     sorted by value; the sort is stable, so each run lists b in order.
+    A ValueError refuses a build past _CENSUS_BYTES, before it starts.
     """
     q = m.q
+    if _SO2_BYTES * q > _CENSUS_BYTES:
+        raise ValueError(f"the SO_2 table of Z_{q} would hold {_SO2_BYTES * q} bytes, "
+                         f"over the {_CENSUS_BYTES}-byte budget")
     sq = np.arange(q, dtype=np.int64) ** 2 % q
     roots = np.argsort(sq, kind="stable")
     ordered, want = sq[roots], (1 - sq) % q
@@ -729,69 +737,68 @@ def _cover_count(m: Modulus, codes: np.ndarray, budget: int) -> int:
     of E's indicator (4 q**3) gives every |A_w|.  An orbit adds
     _pair_orbits_by_depth at its depth at once when a member has
     |A_w| + n > q**2, as A_w then meets every E + v, and nothing when no
-    member is a difference.  Otherwise U starts as the plane; each member
-    w = theta u with A_w nonempty (u first, one theta each) cuts it by
-    theta^-1 (y - C) over y in A_w until U is empty, and the orbit adds
-    N[depth].  The thetas carrying u to w form a coset of Stab(u), so once
-    every member has cut, the missed pair orbits are the Stab(u)-orbits
-    wholly in U.  Sets are ints, cell (i, j) at bit 2q i + j, so a window
-    at (r, c) of a 2q x 2q tiling of theta^-1 (-C) is the tiling shifted
-    right by 2q r + c; each costs q**2 operations.
+    member is a difference; only if an orbit is left are cut tables built.
+    There U starts as the plane, each member w = theta u with A_w nonempty,
+    in code order (u first, by the identity, if u != 0), cuts it by
+    theta^-1 (y - C) over y in A_w, and the orbit adds N[depth] less the
+    |keys(u, U) - keys(u, plane - U)| (pair_orbit_keys, q**2) pair orbits
+    wholly in U.  Sets are ints, cell (i, j) at bit 2q i + j: a window at
+    (r, c) of a 2q x 2q tiling of theta^-1 (-C) is the tiling shifted right
+    by 2q r + c, charged, like a hit mask, its CPython digits; a tiling q**2.
     """
     q, n, q2 = m.q, len(codes), m.q**2
     meter = _Meter(f"t2 orbit cover over n = {n} points", budget)
-
-    def bits(cells: np.ndarray) -> int:  # bit k is the k-th cell, row-major
-        return int.from_bytes(np.packbits(cells, axis=None, bitorder="little").tobytes(), "little")
-
     g, plane = so2_table(m), np.arange(q2)
     # charged on every call, cached or not, so no refusal depends on earlier calls
     meter.charge(len(g) * q2)
     meter.charge(4 * q**3)  # four products of q x q matrices
     least, reps, gains, dft = _cover_tables(m)
     ind = (np.bincount(codes, minlength=q2) > 0).reshape(q, q)
-    # |A_w| = sum_x ind[x] ind[x + w] for every w, by the 2-D DFT as products
-    # with the DFT matrix: numpy.fft's first import alone outlasts them at
-    # small q, and their float64 error stays far below 0.5
+    # |A_w| = sum_x ind[x] ind[x + w] by 2-D DFT products with the DFT matrix, which
+    # beat numpy.fft's first import at small q, with float64 error far below 0.5
     spectrum = dft @ ind @ dft
     power = dft.conj() @ (spectrum * spectrum.conj()) @ dft.conj()
     sizes = np.rint(power.real / q2).astype(np.int64).ravel()
     largest = np.zeros(q2, dtype=np.int64)  # at u, the largest |A_w| over u's orbit
     np.maximum.at(largest, least, sizes)
+    seen = largest[reps] > 0
+    total, left = int(gains[seen].sum()), reps[seen & (largest[reps] + n <= q2)]
+    if not len(left):
+        return total
+
+    def bits(cells: np.ndarray) -> int:  # bit k is the k-th cell, row-major
+        return int.from_bytes(np.packbits(cells, axis=None, bitorder="little").tobytes(), "little")
+
     wrap, flip = np.arange(2 * q) % q, -np.arange(2 * q) % q
     hole, inner = ~ind[flip][:, flip], wrap == np.arange(2 * q)  # hole[w]: -w is in C
     box, tiled, holes = bits(inner[:, None] & inner), bits(ind[wrap][:, wrap]), bits(hole)
+    digits = -(-4 * q2 // sys.int_info.bits_per_digit)
 
     def cut(U: int, a: int, b: int, w: int) -> int:
         """U cut by theta^-1 (y - C) over y in A_w, theta = (a, b)."""
-        meter.charge(q2)
+        meter.charge(digits)
         hit = box & tiled & tiled >> (w // q * 2 * q + w % q)
         tiles = holes
         if (a, b) != (1, 0):
             meter.charge(q2)
             tiles = bits(hole[:q, :q].ravel()[_turn(a, b, plane, q)].reshape(q, q)[wrap][:, wrap])
         while hit and U:
-            meter.charge(q2)
+            meter.charge(digits)
             i, j = divmod((hit & -hit).bit_length() - 1, 2 * q)  # y; its window is at -theta^-1 y
             hit &= hit - 1
             U &= tiles >> (-(a * i + b * j) % q * 2 * q + (b * i - a * j) % q)
         return U
 
-    seen = largest[reps] > 0
-    total = int(gains[seen].sum())
-    for u in reps[seen & (largest[reps] + n <= q2)].tolist():
-        U = cut(box, 1, 0, u) if sizes[u] else box
+    for u in left.tolist():
+        U, (members, rows) = box, np.unique(_turn(g[:, 0], g[:, 1], u, q), return_index=True)
+        for (a, b), w in zip(g[rows].tolist(), members.tolist()):
+            U = cut(U, a, b, w) if U and sizes[w] else U
         if U:
-            members, rows = np.unique(_turn(g[:, 0], g[:, 1], u, q), return_index=True)
-            for (a, b), w in zip(g[rows].tolist(), members.tolist()):
-                U = cut(U, a, b, w) if U and sizes[w] and w != u else U
-        if U:
+            meter.charge(q2)
             raw = np.frombuffer(U.to_bytes(q2 // 4 + 1, "little"), dtype=np.uint8)
-            inside = np.unpackbits(raw, count=2 * q2, bitorder="little").reshape(q, 2 * q)[:, :q]
-            stab, left = _fixing(m, u), np.flatnonzero(inside)
-            meter.charge(len(stab) * len(left))
-            heads = _merged([_orbit_min(stab, left, q)[0]])
-            total -= int(inside.ravel()[_turn(stab[:, :1], stab[:, 1:], heads, q)].all(0).sum())
+            inside = np.unpackbits(raw, bitorder="little")[plane + plane // q * q] > 0
+            keys = pair_orbit_keys(m, divmod(u, q), np.stack(np.divmod(plane, q), axis=-1))
+            total -= len(np.setdiff1d(keys[inside], keys[~inside]))
     return total
 
 
@@ -801,6 +808,8 @@ def _cover_tables(m: Modulus) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     member, the distinct least members u, _pair_orbits_by_depth at the
     depth of each u, and the q x q DFT matrix."""
     q, v = m.q, valuation_table(m)
+    # a scan, not labels pair_orbit_keys(m, u, 0): cold at Z_13 those take 0.5-1.4 ms to its
+    # 0.1 ms, and threshold-stats wall_s rose 8.13/8.23/7.56 -> 9.14/8.67/8.50 ms in 3 pairs
     least = _orbit_min(so2_table(m), np.arange(q * q), q)[0]
     reps = _merged([least])
     gains = np.array(_pair_orbits_by_depth(m))[np.minimum(v[reps // q], v[reps % q])]

@@ -441,13 +441,23 @@ def test_t2_on_a_z103_band_counts_every_orbit_by_its_certificate(tmp_path):
     assert res.stdout.splitlines()[1].split(",")[:3] == ["0", "6901", "1082221"]
 
 
-def test_t2_at_the_z289_threshold_stops_at_the_op_cap():
-    # the cover's slices would touch about 4.1e8 cells here
+def test_t2_at_the_z289_threshold():
+    # its windows touch about 4.1e8 cells, but each is charged the 11137
+    # digits of 30 bits it shifts and masks, not q**2 = 83521 cells: the
+    # cover spends 177236073 operations, inside the cap
     res = _t2_limited(17, 2, 46848)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[1].split(",")[:3] == ["0", "46848", "25651081"]
+
+
+def test_t2_at_the_z361_threshold_is_refused_at_the_transform():
+    # after the orbit scan, |SO_2| q**2 = 380 * 361**2, the transform's
+    # charge 4 q**3 passes the cap
+    res = _t2_limited(19, 2, 70438)
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
-    assert ("t2 orbit cover over n = 46848 points: 199949274 operations spent, and 83521 more "
-            f"would pass the {harness._OP_CAP}-operation budget") in res.stderr
+    assert ("t2 orbit cover over n = 70438 points: 49521980 operations spent, and 188183524 "
+            f"more would pass the {harness._OP_CAP}-operation budget") in res.stderr
 
 
 def test_t2_at_the_z841_threshold_is_refused_before_counting():

@@ -372,6 +372,16 @@ def test_triangle_areas_near_the_largest_modulus():
     assert triangle_area_set(E) == _areas_brute(E)
 
 
+@pytest.mark.parametrize("q, dtype", [(46337, np.int32), (46349, np.int64)])
+def test_area_blocks_are_int32_while_q_squared_plus_q_fits(q, dtype):
+    # every partial sum of a determinant lies within q**2 + q of 0, which
+    # int32 holds up to q = 46340; coordinates near q stress the extremes
+    m = Modulus(q, 1)
+    E = PointSet(m, 2, ((-1, -2), (-3, 5), (7, -11), (0, 0), (q // 2, -(q // 2)), (-1, 0)))
+    assert {b.dtype for b in configsets._area_blocks(E)} == {np.dtype(dtype)}
+    assert triangle_area_set(E) == _areas_brute(E)
+
+
 def _peak_bytes(fn, *args):
     tracemalloc.start()
     try:
@@ -537,8 +547,9 @@ _REFUSALS = {
                          lambda: dot_product_counts(_A5)),
     "t2 census": ("t2 census over n = 50 points", 50**3 - 1, _t2_of_random(50)),
     # at Z_13 the cover is charged the orbit scan |SO_2| q**2 = 12 * 169 and
-    # the transform 4 q**3, then q**2 a window; 102 random points need windows
-    "t2 cover": ("t2 orbit cover over n = 102 points", 12 * 169 + 4 * 13**3 + 3 * 169 + 5,
+    # the transform 4 q**3, then the 23 digits of 30 bits of its 4 q**2-bit
+    # tiling per hit mask or window; 102 random points need windows
+    "t2 cover": ("t2 orbit cover over n = 102 points", 12 * 169 + 4 * 13**3 + 3 * 23 + 5,
                  _t2_of_random(102)),
 }
 

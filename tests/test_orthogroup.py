@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import sys
 import tracemalloc
 from collections import Counter
 from functools import partial
@@ -857,7 +858,7 @@ def _axis_and_point(m):
 
 
 # structured sets leave pair orbits unrealized, so they run the cover's
-# fallback over every member of an orbit, and its stabilizer count at depth > 0
+# fallback over every member of an orbit, and its key count at depth > 0
 _STRUCTURED = {
     "strip": (_strip, {9: 129, 25: 1657, 27: 3477}),
     "ball": (_ball, {9: 21, 25: 157, 27: 561}),
@@ -878,19 +879,77 @@ def test_orbit_cover_matches_the_census_on_structured_sets(q, family):
 
 
 def test_structured_sets_reach_the_fallback_at_every_depth(monkeypatch):
-    # the depths of the orbits whose fallback ends with the stabilizer count
+    # the depths of the orbits left open once every member has cut, whose
+    # missed pair orbits the fallback counts by pair_orbit_keys of (u, v)
     depths = set()
-    real = orthogroup._fixing
+    real = orthogroup.pair_orbit_keys
 
-    def fixing(m, code):
-        depths.add(min(m.valuation(code // m.q), m.valuation(code % m.q)))
-        return real(m, code)
+    def keys(m, u, v):
+        depths.add(min(m.valuation(u[0]), m.valuation(u[1])))
+        return real(m, u, v)
 
-    monkeypatch.setattr(orthogroup, "_fixing", fixing)
+    monkeypatch.setattr(orthogroup, "pair_orbit_keys", keys)
     for q in (9, 25, 27):
         for build, _ in _STRUCTURED.values():
             _cover(Modulus.from_q(q), build(Modulus.from_q(q)))
     assert 0 in depths and max(depths) > 0
+
+
+def _missed_by_stabilizer(m, u, inside):
+    """The cover's fallback before the keys: the Stab(u)-orbits of v lying
+    wholly in U, given as a boolean mask over the plane codes."""
+    q = m.q
+    stab, left = orthogroup._fixing(m, u), np.flatnonzero(inside)
+    heads = np.unique(orthogroup._orbit_min(stab, left, q)[0])
+    return int(inside[orthogroup._turn(stab[:, :1], stab[:, 1:], heads, q)].all(0).sum())
+
+
+_ODD_PRIME_POWERS_TO_49 = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(_ODD_PRIME_POWERS_TO_49),
+    st.integers(0, 2**32),
+    st.integers(0, 2**32),
+    st.sampled_from([0.0, 0.3, 0.9, 0.99, 1.0]),
+    st.booleans(),
+)
+def test_missed_orbits_by_keys_match_the_stabilizer_count(q, where, seed, density, whole):
+    # (u, v) is missed when its whole Stab(u)-orbit lies in U, that is when
+    # its key occurs among the keys of (u, U) and not among those of the rest
+    m = Modulus.from_q(q)
+    rng = np.random.default_rng(seed)
+    depth = where % (m.l + 1)
+    w = rng.integers(q, size=2)
+    w[0] += (w % m.p == 0).all()  # primitive, so p**depth w has that depth
+    u = int(m.p**depth * w[0] % q * q + m.p**depth * w[1] % q)
+    assert _depth(m, u) == depth
+    plane = np.arange(q * q)
+    inside = rng.random(q * q) < density
+    if whole:  # some Stab(u)-orbits whole, and about one cell in 100 taken out again
+        heads = orthogroup._orbit_min(orthogroup._fixing(m, u), plane, q)[0]
+        inside = inside[heads] & (rng.random(q * q) < 0.99)
+    keys = orthogroup.pair_orbit_keys(m, divmod(u, q), np.stack(np.divmod(plane, q), axis=-1))
+    missed = len(np.setdiff1d(keys[inside], keys[~inside]))
+    assert missed == _missed_by_stabilizer(m, u, inside)
+    if inside.all():
+        assert missed == orthogroup._pair_orbits_by_depth(m)[depth]
+
+
+def test_threshold_sets_that_certify_every_orbit_build_no_cut_table(monkeypatch):
+    # random:79 at Z_11 certifies every orbit whatever the seed, and so does
+    # random:104 at Z_13 with seed 2 (most Z_13 seeds leave an orbit open):
+    # the cover returns its certified sum before it packs any tiling
+    sets = [(M11, random_subset(M11, 2, 79, seed=seed)) for seed in range(10)]
+    sets.append((M13, random_subset(M13, 2, 104, seed=2)))
+    want = [len(triangle_classes(m, E)) for m, E in sets]
+
+    def packbits(*args, **kwargs):
+        raise AssertionError("the cover built a cut table")
+
+    monkeypatch.setattr(orthogroup.np, "packbits", packbits)
+    assert [_cover(m, E) for m, E in sets] == want
 
 
 def test_certified_orbits_take_no_slice():
@@ -919,15 +978,17 @@ def test_cover_tables_are_built_once_and_charged_on_every_call():
 
 def test_cover_past_its_budget_hands_off_to_the_census(monkeypatch):
     # the Z_27 strip, with the cover's budget cut to its orbit scan, its
-    # transform and one slice: the key count counts it instead
+    # transform, one hit mask and one window of 98 digits of 30 bits (of the
+    # 6100029 operations it needs): the key count counts it instead
     E = _strip(M27)
     cover, census = orthogroup._cover_count, orthogroup._key_count
     budgets, censuses = [], []
     scan, transform = len(orthogroup.so2_table(M27)) * 27**2, 4 * 27**3
+    digits = -(-4 * 27**2 // sys.int_info.bits_per_digit)
 
     def low(m, codes, budget):
         budgets.append(budget)
-        return cover(m, codes, scan + transform + 27**2)
+        return cover(m, codes, scan + transform + 2 * digits)
 
     def counted(m, pts):
         censuses.append(len(pts))
@@ -990,6 +1051,28 @@ def test_stabilizers_and_pair_orbits_depend_on_depth_alone(q):
         assert len(orbits) == per_depth[j]
 
 
+def test_group_tables_past_the_byte_budget_are_refused_before_they_are_built():
+    # so2_table at q = 2**31 - 1 would hold _SO2_BYTES * q, some 200 GB; the
+    # group's callers are refused before anything is allocated, while the t2
+    # count of a sparse set needs no group table
+    m, E = Modulus(2**31 - 1, 1), [(1, 2), (5, 9), (100, 7)]
+    held = orthogroup._SO2_BYTES * m.q
+    assert held > orthogroup._CENSUS_BYTES
+    calls = [partial(triangle_classes, m, E), partial(stabilizer, m, (1, 2)),
+             partial(stabilizer_table, m)]
+    tracemalloc.start()
+    try:
+        for call in calls:
+            with pytest.raises(ValueError, match=f"SO_2 table of Z_{m.q} would hold {held} bytes, "
+                                                 f"over the {2**30}-byte budget"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert triangle_class_count(m, E) == 16
+
+
 def test_t2_op_cap_refuses_each_stage_before_it_runs(monkeypatch):
     def count_under(cap, E, m=M13):
         monkeypatch.setattr(orthogroup, "_OP_CAP", cap)
@@ -1004,9 +1087,10 @@ def test_t2_op_cap_refuses_each_stage_before_it_runs(monkeypatch):
         count_under(50**3 - 1, E)
     assert count_under(50**3, E) == len(triangle_classes(M13, E))
     # in it: first the orbit scan of |SO_2| q**2 = 12 * 169 vectors, then the
-    # transform, 4 q**3, then q**2 = 169 per slice
+    # transform, 4 q**3, then the digits of the 4 q**2-bit tiling (23 of 30
+    # bits) per hit mask and per window
     E = list(random_subset(M13, 2, 102, seed=0))
-    scan, transform = 12 * 169, 4 * 13**3
+    scan, transform, digits = 12 * 169, 4 * 13**3, -(-4 * 169 // sys.int_info.bits_per_digit)
     with pytest.raises(ValueError, match=f"n = 102 points: 0 operations spent, and {scan} more "
                                          f"would pass the {scan - 1}-operation budget"):
         count_under(scan - 1, E)
@@ -1014,22 +1098,23 @@ def test_t2_op_cap_refuses_each_stage_before_it_runs(monkeypatch):
                                          f"{transform} more would pass the "
                                          f"{scan + transform - 1}-operation budget"):
         count_under(scan + transform - 1, E)
-    spent = scan + transform + 3 * 169
-    with pytest.raises(ValueError, match=f": {spent} operations spent, and 169 more "
+    spent = scan + transform + 3 * digits
+    with pytest.raises(ValueError, match=f": {spent} operations spent, and {digits} more "
                                          f"would pass the {spent + 5}-operation budget"):
         count_under(spent + 5, E)
     assert count_under(102**3, E) == len(triangle_classes(M13, E))
-    # the Z_27 strip's cover passes n**3: within the cap it hands off to the
-    # census, past it the cover is refused where it stopped
-    E, n3 = _strip(M27), 243**3
-    assert count_under(n3, E, M27) == 3477
+    # the Z_27 strip's cover takes 6100029 operations, under n**3: with them
+    # it counts the strip, and with fewer, as n**3 passes the cap, the cover
+    # is refused where it stopped
+    E, cover = _strip(M27), 6100029
+    assert count_under(cover, E, M27) == 3477
     with pytest.raises(ValueError) as refused:
-        count_under(n3 - 1, E, M27)
+        count_under(cover - 1, E, M27)
     spent, step = re.fullmatch(
         f"t2 orbit cover over n = 243 points: (\\d+) operations spent, and (\\d+) more would "
-        f"pass the {n3 - 1}-operation budget", str(refused.value)
+        f"pass the {cover - 1}-operation budget", str(refused.value)
     ).groups()
-    assert int(spent) <= n3 - 1 < int(spent) + int(step)
+    assert int(spent) <= cover - 1 < int(spent) + int(step)
     # every orbit of this set has a member passing the certificate, so the
     # scan and the transform count it without a slice
     E = list(random_subset(M13, 2, 104, seed=2))
