@@ -4,8 +4,8 @@ Every counter is an exhaustive enumeration, vectorized with numpy when
 the triple or pair count warrants it, in blocks sized in bytes; the set
 counters stop early once every residue has been seen.  Dot products of a
 product set A^d are the exception: they are counted exactly as a sumset
-of A.A, without listing A^d.  Transforms are only ever used to
-cross-check identities, never to produce a count.
+of A.A, without listing A^d.  Transforms here only cross-check
+identities; the t2 orbit cover rounds one to its exact |E ∩ (E - w)|.
 """
 
 from __future__ import annotations

@@ -71,6 +71,11 @@ CSV_HEADER = ("trial", "set_size", "statistic", "bound", "pass")
 # the suite refuses planes beyond this many points, and skips the rows
 # whose scan would exceed the op budget
 SUITE_PLANE_CAP = 10**6
+# bytes an experiment holds per trial in its records and JSON report: 1.9 KB
+# for t2 and 2.1 KB for dotprod, by max RSS over 10**5 trials at Z_3
+_TRIAL_BYTES = 2200
+# bytes an experiment's trials may hold; past it the config is refused
+_TRIALS_BYTES = 1 << 30
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +315,9 @@ class ExperimentConfig:
             raise ValueError(f"kind must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
         if self.trials < 1:
             raise ValueError(f"need at least one trial, got {self.trials}")
+        if self.trials * _TRIAL_BYTES > _TRIALS_BYTES:
+            raise ValueError(f"{self.trials} trials would hold about {self.trials * _TRIAL_BYTES} "
+                             f"bytes of records, past the {_TRIALS_BYTES}-byte budget")
         _check_dimension(self.d)
         if self.kind in ("t2", "v2") and self.d != 2:
             raise ValueError(f"kind {self.kind} is planar; got d={self.d}")

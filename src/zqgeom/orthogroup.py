@@ -11,6 +11,7 @@ from functools import lru_cache, partial
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
+import numpy.fft  # loaded with the package, so no count pays its 1.4-2.3 ms first import
 
 from .geometry import DimensionMismatch, _int_dtype, valuation_table, vsub
 from .ring import Modulus, Polynomial, hensel_lift_root
@@ -727,38 +728,42 @@ def _difference_blocks(pts: np.ndarray, q: int) -> Iterator[np.ndarray]:
         yield block
 
 
+def _overlap_sizes(ind: np.ndarray) -> np.ndarray:
+    """|E ∩ (E - w)| at each plane code w, from E's q x q indicator: its
+    autocorrelation by two real 2-D FFTs, with float64 error far below 0.5."""
+    power = np.fft.irfft2(np.abs(np.fft.rfft2(ind)) ** 2, s=ind.shape)
+    return np.rint(power).astype(np.int64).ravel()
+
+
 def _cover_count(m: Modulus, codes: np.ndarray, budget: int) -> int:
     """triangle_class_count of the points with these distinct codes, one
     orbit of first differences at a time, within `budget` operations.
 
     With C the complement of E, no y in A_w = E ∩ (E - w) realizes (w, v)
-    for v in ∩_{y in A_w} (y - C).  A scan of the plane (|SO_2| q**2
-    operations) gives the least member u of each orbit, and one transform
-    of E's indicator (4 q**3) gives every |A_w|.  An orbit adds
+    for v in ∩_{y in A_w} (y - C).  A scan of the plane gives the least
+    member u of each orbit, and _overlap_sizes every |A_w|.  An orbit adds
     _pair_orbits_by_depth at its depth at once when a member has
     |A_w| + n > q**2, as A_w then meets every E + v, and nothing when no
     member is a difference; only if an orbit is left are cut tables built.
     There U starts as the plane, each member w = theta u with A_w nonempty,
     in code order (u first, by the identity, if u != 0), cuts it by
     theta^-1 (y - C) over y in A_w, and the orbit adds N[depth] less the
-    |keys(u, U) - keys(u, plane - U)| (pair_orbit_keys, q**2) pair orbits
-    wholly in U.  Sets are ints, cell (i, j) at bit 2q i + j: a window at
-    (r, c) of a 2q x 2q tiling of theta^-1 (-C) is the tiling shifted right
-    by 2q r + c, charged, like a hit mask, its CPython digits; a tiling q**2.
+    |keys(u, U) - keys(u, plane - U)| pair orbits wholly in U.  Sets are
+    ints, cell (i, j) at bit 2q i + j: a window at (r, c) of a 2q x 2q
+    tiling of theta^-1 (-C) is the tiling shifted right by 2q r + c.
+    Charged before each runs: the scan |SO_2| q**2, the transform
+    2 q**2 q.bit_length(), a window or hit mask the CPython digits of 4 q**2
+    bits, a rotated tiling q**2, and the key fallback (pair_orbit_keys) q**2.
     """
     q, n, q2 = m.q, len(codes), m.q**2
     meter = _Meter(f"t2 orbit cover over n = {n} points", budget)
     g, plane = so2_table(m), np.arange(q2)
     # charged on every call, cached or not, so no refusal depends on earlier calls
     meter.charge(len(g) * q2)
-    meter.charge(4 * q**3)  # four products of q x q matrices
-    least, reps, gains, dft = _cover_tables(m)
+    meter.charge(2 * q2 * q.bit_length())  # two real 2-D FFTs
+    least, reps, gains = _cover_tables(m)
     ind = (np.bincount(codes, minlength=q2) > 0).reshape(q, q)
-    # |A_w| = sum_x ind[x] ind[x + w] by 2-D DFT products with the DFT matrix, which
-    # beat numpy.fft's first import at small q, with float64 error far below 0.5
-    spectrum = dft @ ind @ dft
-    power = dft.conj() @ (spectrum * spectrum.conj()) @ dft.conj()
-    sizes = np.rint(power.real / q2).astype(np.int64).ravel()
+    sizes = _overlap_sizes(ind)
     largest = np.zeros(q2, dtype=np.int64)  # at u, the largest |A_w| over u's orbit
     np.maximum.at(largest, least, sizes)
     seen = largest[reps] > 0
@@ -803,17 +808,16 @@ def _cover_count(m: Modulus, codes: np.ndarray, budget: int) -> int:
 
 
 @lru_cache(maxsize=_GROUP_CACHE_SIZE)
-def _cover_tables(m: Modulus) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _cover_tables(m: Modulus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_cover_count's read-only tables at m: each plane code's least orbit
-    member, the distinct least members u, _pair_orbits_by_depth at the
-    depth of each u, and the q x q DFT matrix."""
+    member, the distinct least members u, and _pair_orbits_by_depth at the
+    depth of each u."""
     q, v = m.q, valuation_table(m)
     # a scan, not labels pair_orbit_keys(m, u, 0): cold at Z_13 those take 0.5-1.4 ms to its
     # 0.1 ms, and threshold-stats wall_s rose 8.13/8.23/7.56 -> 9.14/8.67/8.50 ms in 3 pairs
     least = _orbit_min(so2_table(m), np.arange(q * q), q)[0]
     reps = _merged([least])
     gains = np.array(_pair_orbits_by_depth(m))[np.minimum(v[reps // q], v[reps % q])]
-    dft = np.exp(-2j * np.pi / q * (np.outer(np.arange(q), np.arange(q)) % q))
-    for table in (least, reps, gains, dft):
+    for table in (least, reps, gains):
         table.flags.writeable = False
-    return least, reps, gains, dft
+    return least, reps, gains

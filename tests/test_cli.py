@@ -181,6 +181,19 @@ def test_product_runs_past_the_integer_string_limit_exit_2(capsys, tmp_path, res
         assert f"d = {d}" in err and f"{sys.get_int_max_str_digits()} decimal digits" in err
 
 
+def test_trials_past_the_byte_budget_exit_2_before_any_trial():
+    # 10**9 trials at _TRIAL_BYTES each pass the budget; under the address
+    # space limit, a run that allocated the records could not get this far
+    res = run_cli_limited(
+        "experiment", "--kind", "t2", "--p", "3", "--l", "1", "--set", "full",
+        "--trials", "1000000000",
+    )
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == (f"error: 1000000000 trials would hold about "
+                          f"{10**9 * harness._TRIAL_BYTES} bytes of records, past the "
+                          f"{harness._TRIALS_BYTES}-byte budget\n")
+
+
 _INTEGER_OPTIONS = [
     ("experiment", opt) for opt in ("--p", "--l", "--d", "--trials", "--seed")
 ] + [("gen-set", opt) for opt in ("--p", "--l", "--d", "--size", "--seed", "--trial")]
@@ -444,20 +457,19 @@ def test_t2_on_a_z103_band_counts_every_orbit_by_its_certificate(tmp_path):
 def test_t2_at_the_z289_threshold():
     # its windows touch about 4.1e8 cells, but each is charged the 11137
     # digits of 30 bits it shifts and masks, not q**2 = 83521 cells: the
-    # cover spends 177236073 operations, inside the cap
+    # cover spends 82189175 operations, inside the cap
     res = _t2_limited(17, 2, 46848)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[1].split(",")[:3] == ["0", "46848", "25651081"]
 
 
-def test_t2_at_the_z361_threshold_is_refused_at_the_transform():
-    # after the orbit scan, |SO_2| q**2 = 380 * 361**2, the transform's
-    # charge 4 q**3 passes the cap
+def test_t2_at_the_z361_threshold():
+    # the orbit scan, |SO_2| q**2 = 380 * 361**2 = 49521980, then the two
+    # real FFTs, 2 q**2 q.bit_length() = 2345778, then the windows, all
+    # inside the cap
     res = _t2_limited(19, 2, 70438)
-    assert res.returncode == 2
-    assert "Traceback" not in res.stderr
-    assert ("t2 orbit cover over n = 70438 points: 49521980 operations spent, and 188183524 "
-            f"more would pass the {harness._OP_CAP}-operation budget") in res.stderr
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[1].split(",")[:3] == ["0", "70438", "44699761"]
 
 
 def test_t2_at_the_z841_threshold_is_refused_before_counting():

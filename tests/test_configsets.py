@@ -547,9 +547,10 @@ _REFUSALS = {
                          lambda: dot_product_counts(_A5)),
     "t2 census": ("t2 census over n = 50 points", 50**3 - 1, _t2_of_random(50)),
     # at Z_13 the cover is charged the orbit scan |SO_2| q**2 = 12 * 169 and
-    # the transform 4 q**3, then the 23 digits of 30 bits of its 4 q**2-bit
-    # tiling per hit mask or window; 102 random points need windows
-    "t2 cover": ("t2 orbit cover over n = 102 points", 12 * 169 + 4 * 13**3 + 3 * 23 + 5,
+    # the two real FFTs 2 q**2 q.bit_length(), then the 23 digits of 30 bits
+    # of its 4 q**2-bit tiling per hit mask or window; 102 random points need
+    # windows
+    "t2 cover": ("t2 orbit cover over n = 102 points", 12 * 169 + 2 * 169 * 4 + 3 * 23 + 5,
                  _t2_of_random(102)),
 }
 

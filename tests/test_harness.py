@@ -294,6 +294,10 @@ def test_experiment_config_validation():
         ExperimentConfig(p=3, l=2, kind="v2", source=src, trials=0)
     with pytest.raises(ValueError):
         ExperimentConfig(p=4, l=2, kind="v2", source=src)
+    most = harness._TRIALS_BYTES // harness._TRIAL_BYTES
+    ExperimentConfig(p=3, l=2, kind="t2", source=src, trials=most)  # fine
+    with pytest.raises(ValueError, match=f"{most + 1} trials .*-byte budget"):
+        ExperimentConfig(p=3, l=2, kind="t2", source=src, trials=most + 1)
 
 
 def test_generate_set_modes(tmp_path):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import subprocess
 import sys
 import tracemalloc
 from collections import Counter
@@ -937,6 +938,59 @@ def test_missed_orbits_by_keys_match_the_stabilizer_count(q, where, seed, densit
         assert missed == orthogroup._pair_orbits_by_depth(m)[depth]
 
 
+def _overlaps_by_pairs(codes, q):
+    """|E ∩ (E - w)| at each plane code w: a bincount of the difference
+    codes over E x E."""
+    x, y = np.divmod(np.asarray(codes, dtype=np.int64), q)
+    return np.bincount(((x[:, None] - x) % q * q + (y[:, None] - y) % q).ravel(), minlength=q * q)
+
+
+def _overlaps_by_fft(codes, q):
+    return orthogroup._overlap_sizes((np.bincount(codes, minlength=q * q) > 0).reshape(q, q))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(_ODD_PRIME_POWERS_TO_49),
+    st.sampled_from(["empty", "point", "strip", "full", "random"]),
+    st.integers(0, 2**32),
+    st.floats(0, 1),
+)
+def test_overlap_sizes_match_the_difference_bincount(q, shape, seed, density):
+    m, rng, plane = Modulus.from_q(q), np.random.default_rng(seed), np.arange(q * q)
+    if shape == "empty":
+        codes = plane[:0]
+    elif shape == "point":
+        codes = rng.integers(q * q, size=1)
+    elif shape == "strip":
+        codes = np.array([x * q + y for x, y in _strip(m)])
+    elif shape == "full":
+        codes = plane
+    else:
+        codes = plane[rng.random(q * q) < density]
+    assert (_overlaps_by_fft(codes, q) == _overlaps_by_pairs(codes, q)).all()
+
+
+@pytest.mark.parametrize("q", [361, 961])
+def test_overlap_sizes_of_2000_random_points_match_the_difference_bincount(q):
+    m = Modulus.from_q(q)
+    E = random_subset(m, 2, 2000, seed=1).as_array()
+    codes = np.unique(E[:, 0] * q + E[:, 1])
+    assert len(codes) == 2000
+    assert (_overlaps_by_fft(codes, q) == _overlaps_by_pairs(codes, q)).all()
+
+
+def test_importing_the_package_loads_numpy_fft():
+    # numpy loads numpy.fft lazily; the package loads it up front, so that
+    # no count pays its first import inside a timed call
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, zqgeom; print('numpy.fft' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "True\n"
+
+
 def test_threshold_sets_that_certify_every_orbit_build_no_cut_table(monkeypatch):
     # random:79 at Z_11 certifies every orbit whatever the seed, and so does
     # random:104 at Z_13 with seed 2 (most Z_13 seeds leave an orbit open):
@@ -959,19 +1013,20 @@ def test_certified_orbits_take_no_slice():
     m, n = Modulus(103, 1), 103 * 67
     E = [(x, y) for x in range(103) for y in range(67)]
     assert 103 * (67 - 31) + n <= 103**2 < 103 * (67 - 30) + n
-    budget = len(orthogroup.so2_table(m)) * 103**2 + 4 * 103**3
+    budget = len(orthogroup.so2_table(m)) * 103**2 + 2 * 103**2 * (103).bit_length()
     assert _cover(m, E, budget) == 1082221
 
 
 def test_cover_tables_are_built_once_and_charged_on_every_call():
-    # the second count reads the cached scan and transform matrix, but is
-    # charged for them as the first was, so a budget below the scan still
-    # refuses it before anything runs
+    # the second count reads the cached scan, but is charged for it as the
+    # first was, so a budget below the scan still refuses it before anything
+    # runs
     E, scan = list(random_subset(M13, 2, 102, seed=0)), 12 * 169
     orthogroup._cover_tables.cache_clear()
     assert _cover(M13, E) == _cover(M13, E) == len(triangle_classes(M13, E))
     assert orthogroup._cover_tables.cache_info().misses == 1
-    assert not any(t.flags.writeable for t in orthogroup._cover_tables(M13))
+    tables = orthogroup._cover_tables(M13)  # least, reps and gains; no transform matrix
+    assert len(tables) == 3 and not any(t.flags.writeable for t in tables)
     with pytest.raises(ValueError, match=f": 0 operations spent, and {scan} more"):
         _cover(M13, E, scan - 1)
 
@@ -979,11 +1034,11 @@ def test_cover_tables_are_built_once_and_charged_on_every_call():
 def test_cover_past_its_budget_hands_off_to_the_census(monkeypatch):
     # the Z_27 strip, with the cover's budget cut to its orbit scan, its
     # transform, one hit mask and one window of 98 digits of 30 bits (of the
-    # 6100029 operations it needs): the key count counts it instead
+    # 6028587 operations it needs): the key count counts it instead
     E = _strip(M27)
     cover, census = orthogroup._cover_count, orthogroup._key_count
     budgets, censuses = [], []
-    scan, transform = len(orthogroup.so2_table(M27)) * 27**2, 4 * 27**3
+    scan, transform = len(orthogroup.so2_table(M27)) * 27**2, 2 * 27**2 * (27).bit_length()
     digits = -(-4 * 27**2 // sys.int_info.bits_per_digit)
 
     def low(m, codes, budget):
@@ -1087,10 +1142,10 @@ def test_t2_op_cap_refuses_each_stage_before_it_runs(monkeypatch):
         count_under(50**3 - 1, E)
     assert count_under(50**3, E) == len(triangle_classes(M13, E))
     # in it: first the orbit scan of |SO_2| q**2 = 12 * 169 vectors, then the
-    # transform, 4 q**3, then the digits of the 4 q**2-bit tiling (23 of 30
-    # bits) per hit mask and per window
+    # two real FFTs, 2 q**2 q.bit_length(), then the digits of the 4 q**2-bit
+    # tiling (23 of 30 bits) per hit mask and per window
     E = list(random_subset(M13, 2, 102, seed=0))
-    scan, transform, digits = 12 * 169, 4 * 13**3, -(-4 * 169 // sys.int_info.bits_per_digit)
+    scan, transform, digits = 12 * 169, 2 * 169 * 4, -(-4 * 169 // sys.int_info.bits_per_digit)
     with pytest.raises(ValueError, match=f"n = 102 points: 0 operations spent, and {scan} more "
                                          f"would pass the {scan - 1}-operation budget"):
         count_under(scan - 1, E)
@@ -1103,10 +1158,10 @@ def test_t2_op_cap_refuses_each_stage_before_it_runs(monkeypatch):
                                          f"would pass the {spent + 5}-operation budget"):
         count_under(spent + 5, E)
     assert count_under(102**3, E) == len(triangle_classes(M13, E))
-    # the Z_27 strip's cover takes 6100029 operations, under n**3: with them
+    # the Z_27 strip's cover takes 6028587 operations, under n**3: with them
     # it counts the strip, and with fewer, as n**3 passes the cap, the cover
     # is refused where it stopped
-    E, cover = _strip(M27), 6100029
+    E, cover = _strip(M27), 6028587
     assert count_under(cover, E, M27) == 3477
     with pytest.raises(ValueError) as refused:
         count_under(cover - 1, E, M27)
