@@ -3,8 +3,8 @@
 The forward transform averages against the additive characters,
 fhat(m) = q**-d * sum_x chi(-x.m) f(x) with chi(z) = exp(2 pi i z / q),
 and inversion carries no normalization factor.  The default path is
-numpy's FFT over every axis; the literal quadratic sum, run in kernel row
-blocks of about 1 MiB, is the oracle, and the two agree to within 1e-10.
+numpy's FFT over every axis; the literal sum over the table's support, run
+in kernel row blocks of about 1 MiB, is the oracle; they agree within 1e-10.
 
 Tables are immutable: the constructor copies the caller's values into a
 read-only array, float64 if they are real and complex128 otherwise, and
@@ -17,12 +17,14 @@ the float64 real inverse FFT of that half.  Other tables take the complex FFT.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
 
+from .geometry import _int_dtype
 from .ring import Modulus
 
 __all__ = [
@@ -44,12 +46,20 @@ def _roots_of_unity(q: int) -> np.ndarray:
 
 
 def _grid_index(m: Modulus, d: int, points) -> tuple[np.ndarray, ...]:
-    """Per-axis int64 indices, mod q, of an (n, d) integer array or iterable of d-tuples."""
+    """Per-axis int64 indices, mod q, of an (n, d) integer array or iterable of d-tuples,
+    refused as np.asarray reads them: ragged, of another d, or not all ints in int64."""
     if not isinstance(points, np.ndarray):
-        points = np.asarray(list(points) or np.empty((0, d), np.int64))
+        pts, flat = list(points), itertools.chain.from_iterable
+        try:  # np.asarray reads points of bools alone as a bool table
+            if set(map(len, pts)) - {d} or pts and all(isinstance(c, bool) for c in flat(pts)):
+                raise TypeError("ragged points, or bools alone")
+            ints = np.fromiter(map(operator.index, flat(pts)), np.int64, len(pts) * d)
+        except (TypeError, OverflowError) as err:
+            raise ValueError(f"need integer {d}-dimensional points: {err}") from None
+        points = ints.reshape(len(pts), d)
     if points.ndim != 2 or points.shape[1] != d or points.dtype.kind not in "iu":
         raise ValueError(f"need integer {d}-dimensional points, got {points.dtype} {points.shape}")
-    return tuple((points.astype(np.int64) % m.q).T)
+    return tuple((points.astype(np.int64, copy=False) % m.q).T)
 
 
 def _float_or_complex(values) -> np.ndarray:
@@ -107,12 +117,12 @@ class GridFunction(_Table):
     @cached_property
     def _spectrum(self) -> "SpectrumTable":
         axes, q = tuple(range(self.d)), self.m.q
+        vals = np.empty(self.values.shape, dtype=complex)
         if self.d and not (self.values.dtype.kind == "c" and self.values.imag.any()):
-            vals = np.empty(self.values.shape, dtype=complex)
             np.fft.rfftn(self.values.real, axes=axes, norm="forward", out=vals[..., : _half(q)])
             _mirror(vals, q)
             return SpectrumTable._adopt(self.m, self.d, vals, hermitian=True)
-        vals = np.fft.fftn(self.values, axes=axes, norm="forward")
+        vals = np.fft.fftn(self.values, axes=axes, norm="forward", out=vals)  # at d = 0: values
         return SpectrumTable._adopt(self.m, self.d, vals)
 
 
@@ -152,13 +162,16 @@ def forward(f: GridFunction) -> SpectrumTable:
 
 
 def _literal_sum(t: _Table, roots: np.ndarray) -> np.ndarray:
-    """sum_x roots[x.m mod q] t(x) at every m, over kernel row blocks of about 1 MiB."""
-    coords = np.indices(t.values.shape).reshape(t.d, -1).T
-    out = np.empty(t.values.shape, dtype=complex)
-    rows, step = out.reshape(-1), max(1, (1 << 20) // (16 * len(coords)))
-    for s in range(0, len(coords), step):
-        rows[s : s + step] = roots[(coords[s : s + step] @ coords.T) % t.m.q] @ t.values.reshape(-1)
-    return out
+    """sum_x roots[x.m mod q] t(x) at every m, over the x with t(x) != 0 (a zero term
+    adds nothing), in 1 MiB kernel row blocks, x.m summed by axis in _int_dtype(d q**2)."""
+    q, vals, support = t.m.q, t.values.ravel(), np.flatnonzero(t.values)
+    freqs = np.indices(t.values.shape, dtype=_int_dtype(t.d * q * q)).reshape(t.d, -1)
+    points, out = freqs[:, support], np.empty(vals.shape, dtype=complex)
+    step = max(1, (1 << 20) // (16 * max(1, len(support))))
+    for s in range(0, len(out), step):
+        dots = sum(np.multiply.outer(f[s : s + step], x) for f, x in zip(freqs, points))
+        out[s : s + step] = roots[dots % q] @ vals[support]
+    return out.reshape(t.values.shape)
 
 
 def forward_naive(f: GridFunction) -> SpectrumTable:
@@ -169,12 +182,15 @@ def forward_naive(f: GridFunction) -> SpectrumTable:
 
 def inverse(fhat: SpectrumTable) -> GridFunction:
     """The unnormalized inversion sum, as numpy's inverse FFT without its 1/q**d."""
-    axes = tuple(range(fhat.d))
-    if fhat.hermitian:
-        half = fhat.values[..., : _half(fhat.m.q)]
-        vals = np.fft.irfftn(half, s=fhat.values.shape, axes=axes, norm="forward")
+    q, axes = fhat.m.q, tuple(range(fhat.d))
+    if not fhat.hermitian:
+        vals = np.fft.ifftn(fhat.values, axes=axes, norm="forward", out=np.empty_like(fhat.values))
         return GridFunction._adopt(fhat.m, fhat.d, vals)
-    return GridFunction._adopt(fhat.m, fhat.d, np.fft.ifftn(fhat.values, axes=axes, norm="forward"))
+    # irfftn's 1-D transforms in its order, the leading axes in one work array
+    half, work = fhat.values[..., : _half(q)], None
+    for axis in axes[:-1]:
+        half = work = np.fft.ifft(half, axis=axis, norm="forward", out=work)
+    return GridFunction._adopt(fhat.m, fhat.d, np.fft.irfft(half, n=q, axis=-1, norm="forward"))
 
 
 def inverse_naive(fhat: SpectrumTable) -> GridFunction:

@@ -4,6 +4,7 @@ count of closed-form orbit keys."""
 
 from __future__ import annotations
 
+import gc
 import math
 import sys
 from dataclasses import dataclass
@@ -50,10 +51,10 @@ _CENSUS_BYTES = 1 << 30
 # for l = 1 and 101 B at Z_3**12, where |SO_2| = 4q/3 is largest
 _SO2_BYTES = 104
 # bytes the t2 key count may hold per distinct int64 orbit key, twice that per
-# _WIDE_KEY record: a merge holds the union, as many pending keys and their
+# _WIDE_KEY: a merge holds the union, as many pending keys and their
 # concatenation, at most 32 B a key, plus a few blocks.  Random sparse sets,
 # whose keys are nearly all distinct, peak at about 17 B a triple with int64
-# keys (150 to 322 points in Z_727) and 34 B with records (150 and 250 points
+# keys (150 to 322 points in Z_727) and 34 B with wide keys (150 and 250 points
 # at q = 2**31 - 1), by tracemalloc
 _ORBIT_KEY_BYTES = 32
 # the same for triangle_classes, whose census holds each key's count and one
@@ -304,8 +305,15 @@ def canonical_pair(m: Modulus, u: Vec2, v: Vec2) -> TriangleClass:
     return TriangleClass(*best)
 
 
-# a pair key past int64: tag * q + a and b * q + c, which sort like the packed key
-_WIDE_KEY = np.dtype([("hi", np.int64), ("lo", np.int64)])
+# a pair key past int64: hi = tag q + a < (6 l + 1) q <= 115 * 2**31 < 2**38, lo = b q + c <
+# q**2 <= 2**62, as (hi 2**12 + lo // 2**50) + (lo mod 2**50) i; both parts are integers below
+# 2**53, exact, and numpy orders complex numbers by real, then imaginary part, like (hi, lo)
+_WIDE_KEY = np.dtype(np.complex128)
+
+
+def _wide_keys(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """The _WIDE_KEY of each int64 pair (hi, lo), 0 <= hi < 2**38 and 0 <= lo < 2**62."""
+    return (hi << 12 | lo >> 50) + (lo & (1 << 50) - 1) * 1j
 
 
 def pair_orbit_keys(m: Modulus, u, v) -> np.ndarray:
@@ -347,8 +355,8 @@ def pair_orbit_keys(m: Modulus, u, v) -> np.ndarray:
     branches apart, and (0, 0) takes the tag 6 l, with a = b = c = 0.  No
     group table is built.  Keys are int64, ((tag q + a) q + b) q + c, while
     the key space (6 l + 1) q**3 fits int64 (q up to about 10**6 at l = 1);
-    past it each key is a _WIDE_KEY record (tag q + a, b q + c), which
-    sorts and compares in the same order.
+    past it each key is the _WIDE_KEY of (tag q + a, b q + c), which sorts
+    and compares in the same order.
     """
     q, p, l = m.q, m.p, m.l
     u, v = np.asarray(u, dtype=np.int64) % q, np.asarray(v, dtype=np.int64) % q
@@ -366,9 +374,7 @@ def pair_orbit_keys(m: Modulus, u, v) -> np.ndarray:
         deep = deep[sub[0] < 0]
     if _key_dtype(m) == np.int64:
         return (head * q + b) * q + c
-    keys = np.empty(head.shape, dtype=_WIDE_KEY)
-    keys["hi"], keys["lo"] = head, b * q + c
-    return keys
+    return _wide_keys(head, b * q + c)
 
 
 def _key_dtype(m: Modulus) -> np.dtype:
@@ -627,13 +633,15 @@ def triangle_classes(m: Modulus, points: Iterable[Vec2]) -> dict[TriangleClass, 
     """
     q = m.q
     u, v, counts = _class_census(m, _planar(m, points))
-    return {
-        TriangleClass((a, b), (c, d)): n
-        for a, b, c, d, n in zip(
-            (u // q).tolist(), (u % q).tolist(), (v // q).tolist(), (v % q).tolist(),
-            counts.tolist(),
-        )
-    }
+    pairs = zip(zip((u // q).tolist(), (u % q).tolist()), zip((v // q).tolist(), (v % q).tolist()))
+    # the collector's full passes over the growing dict took 1.6 s of 2.8 s at 970291 classes
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return dict(zip(map(TriangleClass._make, pairs), counts.tolist()))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def triangle_class_count(m: Modulus, points: Iterable[Vec2] | np.ndarray) -> int:
@@ -710,8 +718,7 @@ def _merged(arrays: list[np.ndarray]) -> np.ndarray:
 
 
 def _heads(values: np.ndarray) -> np.ndarray:
-    """Where each run of equal entries of a sorted 1-D array starts, records
-    too: np.diff has no loop for them."""
+    """Where each run of equal entries of a sorted 1-D array starts."""
     head = np.ones(len(values), dtype=bool)
     head[1:] = values[1:] != values[:-1]
     return head
@@ -729,10 +736,12 @@ def _difference_blocks(pts: np.ndarray, q: int) -> Iterator[np.ndarray]:
 
 
 def _overlap_sizes(ind: np.ndarray) -> np.ndarray:
-    """|E ∩ (E - w)| at each plane code w, from E's q x q indicator: its
-    autocorrelation by two real 2-D FFTs, with float64 error far below 0.5."""
-    power = np.fft.irfft2(np.abs(np.fft.rfft2(ind)) ** 2, s=ind.shape)
-    return np.rint(power).astype(np.int64).ravel()
+    """|E ∩ (E - w)| at each plane code w, from E's q x q indicator: its autocorrelation
+    by two real 2-D FFTs, as in-place 1-D calls, with float64 error far below 0.5."""
+    spec = np.fft.rfft(ind, axis=1)
+    np.fft.fft(spec, axis=0, out=spec)
+    np.fft.ifft(np.multiply(spec, spec.conj(), out=spec), axis=0, out=spec)
+    return np.rint(np.fft.irfft(spec, n=len(ind), axis=1)).astype(np.int64).ravel()
 
 
 def _cover_count(m: Modulus, codes: np.ndarray, budget: int) -> int:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -160,6 +160,22 @@ def _literal_sum(values, q, freqs, sign):
     return values.reshape(-1) @ chi
 
 
+@pytest.mark.parametrize("q,d", [(3, 1), (27, 1), (27, 2), (25, 2), (9, 3), (5, 4)])
+def test_the_support_sum_is_the_literal_sum(q, d):
+    m, rng, shape = Modulus.from_q(q), np.random.default_rng(q + d), (q,) * d
+    sparse = np.where(rng.random(shape) < 0.3, rng.uniform(-1, 1, shape), 0.0)
+    one = np.zeros(shape)
+    one.flat[q**d // 2] = 1.0
+    twisted = np.where(sparse != 0, sparse + 1j * rng.uniform(-1, 1, shape), 0)
+    freqs = np.indices(shape).reshape(d, -1).T
+    for vals in (sparse, rng.uniform(-1, 1, shape), np.zeros(shape), one, twisted):
+        for sign in (-1, 1):
+            roots = fourier._roots_of_unity(q)
+            roots = roots.conj() if sign < 0 else roots
+            got = fourier._literal_sum(GridFunction(m, d, vals), roots)
+            assert np.abs(got.ravel() - _literal_sum(vals, q, freqs, sign)).max() < 1e-12
+
+
 # the naive transforms take q**(2d) steps, so they run where q**d <= 729;
 # above that, sampled coefficients are checked against the defining sum
 _GRIDS = [(q, d) for q in (3, 5, 9, 25, 27) for d in (1, 2, 3, 4)]
@@ -201,6 +217,52 @@ def test_cached_roots_of_unity_are_read_only():
     with pytest.raises(ValueError):
         roots[1] = 0
     assert fourier._roots_of_unity(9) is roots and roots[1] == np.exp(2j * np.pi / 9)
+
+
+def _asarray_grid_index(m, d, points):
+    """_grid_index's reading of tuples through np.asarray, as it was (the oracle)."""
+    points = np.asarray(list(points) or np.empty((0, d), np.int64))
+    if points.ndim != 2 or points.shape[1] != d or points.dtype.kind not in "iu":
+        raise ValueError("refused")
+    return tuple((points.astype(np.int64) % m.q).T)
+
+
+_COORD = st.one_of(st.integers(-50, 50), st.integers(-2**64, 2**64), st.booleans(),
+                   st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda d: st.tuples(st.just(d), st.lists(st.one_of(
+    st.lists(st.integers(-2**63, 2**63 - 1), min_size=d, max_size=d),
+    st.lists(st.booleans(), min_size=d, max_size=d),
+    st.lists(_COORD, min_size=max(0, d - 1), max_size=d + 1),
+).map(tuple), max_size=6))))
+@example((2, [(1, 2), (3,)]))
+@example((2, [(1, 2, 3), (4,)]))
+@example((2, [(True, False), (False, False)]))
+@example((2, [(True, 2)]))
+@example((2, [(1.0, 2)]))
+@example((2, [(2**63, 1)]))
+@example((2, [(-2**63 - 1, 1)]))
+@example((2, [(2**63 - 1, -2**63)]))
+@example((1, [(2**63,), (2**64 - 1,)]))
+@example((0, [()]))
+@example((0, []))
+def test_tuples_are_read_as_np_asarray_reads_them(case):
+    d, points = case
+    try:
+        want = _asarray_grid_index(M9, d, points)
+    except ValueError:
+        want = None
+    # ints of 2**63 and up alone make a uint64 array, which the old path
+    # wrapped to int64, so to wrong indices; they are refused now
+    if want is None or np.asarray(points).dtype == np.uint64:
+        with pytest.raises(ValueError):
+            fourier._grid_index(M9, d, points)
+    else:
+        got = fourier._grid_index(M9, d, iter(points))
+        assert len(got) == d and all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert all(a.dtype == np.int64 for a in got)
 
 
 def test_array_points_give_the_same_tables_as_tuples():
@@ -325,6 +387,14 @@ def test_real_transforms_stay_within_two_and_a_half_spectra():
     assert _peak_bytes(lambda: inverse(forward(f))) <= 2.5 * 16 * m.q**2
 
 
+def test_the_real_inverse_holds_one_work_array_and_its_output():
+    m = Modulus(3, 4)
+    fhat = forward(_real_table(m, 3, seed=4))
+    work, out = 16 * m.q**2 * (m.q // 2 + 1), 8 * m.q**3
+    # irfftn held two work arrays at once, work - out = 53 kB more than this
+    assert _peak_bytes(lambda: inverse(fhat)) <= work + out + 2**14
+
+
 def test_naive_transforms_run_in_row_blocks():
     f = GridFunction.indicator(M27, 2, random_subset(M27, 2, 200, seed=1).points)
     fourier._roots_of_unity(27)
@@ -399,6 +469,22 @@ def test_a_tiny_imaginary_part_takes_the_complex_path():
     assert not forward(f).hermitian
     _check_against_oracles(f)
     assert np.array_equal(forward(f).values, np.fft.fftn(f.values, norm="forward"))
+
+
+@pytest.mark.parametrize("q,d", _GRIDS, ids=lambda v: str(v))
+def test_transforms_are_bitwise_numpys_n_dimensional_transforms(q, d):
+    # the n-D calls the transforms made before they ran per axis into one array
+    m, axes, half = Modulus.from_q(q), tuple(range(d)), q // 2 + 1
+    real = _real_table(m, d, seed=13 * q + d)
+    rhat = forward(real)
+    assert np.array_equal(rhat.values[..., :half], np.fft.rfftn(real.values, norm="forward"))
+    want = np.fft.irfftn(rhat.values[..., :half], s=real.values.shape, axes=axes, norm="forward")
+    assert np.array_equal(inverse(rhat).values, want)
+    cplx = GridFunction(m, d, real.values + 1j * real.values[::-1])
+    chat = forward(cplx)
+    assert not chat.hermitian
+    assert np.array_equal(chat.values, np.fft.fftn(cplx.values, norm="forward"))
+    assert np.array_equal(inverse(chat).values, np.fft.ifftn(chat.values, norm="forward"))
 
 
 _SMALL_GRIDS = [(q, d) for q, d in _GRIDS if q**d <= 243]

@@ -1,5 +1,6 @@
 """Rotation group structure, stabilizers, and triangle congruence."""
 
+import gc
 import itertools
 import math
 import re
@@ -12,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zqgeom import orthogroup
@@ -482,7 +483,7 @@ def _cayley(q, t):
 
 @pytest.mark.parametrize("p, l", [(2**31 - 1, 1), (2147483629, 1), (3, 19), (5, 13), (1009, 2)])
 def test_pair_orbit_keys_past_int64_are_records_that_rotations_keep(p, l):
-    # the key space (6 l + 1) q**3 passes 2**63, so the keys are records;
+    # the key space (6 l + 1) q**3 passes 2**63, so the keys are wide;
     # deep pairs reach branch 4, and for p = 1 mod 4 isotropic ones branch 3
     m = Modulus(p, l)
     q = m.q
@@ -1289,12 +1290,57 @@ def test_triangle_classes_match_the_canonical_census_at_large_q(q, family):
     classes = triangle_classes(m, E)
     assert sum(classes.values()) == len(E) ** 3
     assert classes == _canonical_census(m, E.tolist())
+    assert list(classes) == sorted(classes)  # the census's (u, v) order
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_triangle_classes_restores_the_collector(enabled):
+    # the dict is built with the cyclic collector paused
+    m = Modulus(3, 3)
+    E = random_subset(m, 2, 20, seed=1).as_array()
+    want = _canonical_census(m, E.tolist())
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert triangle_classes(m, E) == want
+        assert gc.isenabled() == enabled
+        with mock.patch.object(orthogroup.TriangleClass, "_make", side_effect=MemoryError):
+            with pytest.raises(MemoryError):
+                triangle_classes(m, E)
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+
+
+_HI = st.one_of(st.integers(0, 3), st.integers(0, 2**38 - 1))
+_LO = st.one_of(st.sampled_from([0, 1, 2**50 - 1, 2**50, 2**62 - 1]), st.integers(0, 2**62 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_HI, _LO), min_size=1, max_size=40))
+@example([(0, 0), (2**38 - 1, 2**62 - 1), (0, 2**62 - 1), (2**38 - 1, 0), (1, 0), (0, 2**50),
+          (0, 2**50 - 1), (2**38 - 2, 2**62 - 1), (2**38 - 1, 2**62 - 2), (0, 0)])
+def test_wide_keys_sort_and_compare_like_their_pairs(pairs):
+    # the (hi, lo) records the wide keys once were, and Python's tuple order,
+    # are the oracles: packed keys take 16 bytes, decode exactly, and sort
+    # and compare alike
+    hi, lo = np.array(pairs, dtype=np.int64).T
+    keys = orthogroup._wide_keys(hi, lo)
+    assert keys.dtype == orthogroup._WIDE_KEY and keys.itemsize == 16
+    real, imag = keys.real.astype(np.int64), keys.imag.astype(np.int64)
+    assert (real == keys.real).all() and (imag == keys.imag).all()
+    assert np.array_equal(real >> 12, hi) and np.array_equal((real & 4095) << 50 | imag, lo)
+    records = np.empty(len(pairs), dtype=[("hi", np.int64), ("lo", np.int64)])
+    records["hi"], records["lo"] = hi, lo
+    assert np.array_equal(np.argsort(keys, kind="stable"), np.argsort(records, kind="stable"))
+    assert (keys[:, None] == keys).tolist() == [[a == b for b in pairs] for a in pairs]
+    assert (keys[:, None] < keys).tolist() == [[a < b for b in pairs] for a in pairs]
+    assert np.array_equal(orthogroup._merged([keys.copy()]), orthogroup._wide_keys(
+        *np.array(sorted(set(pairs)), dtype=np.int64).T))
 
 
 def test_triangle_classes_past_the_int64_key_space(monkeypatch):
     # at q = 1100009 the key space (6 l + 1) q**3 passes 2**63, so the keys
-    # are records, which the tally must sort and compare as such: np.diff
-    # has no loop for them
+    # are wide, which the tally must sort and compare as complex numbers
     m, pts = Modulus(1100009, 1), [(1, 2), (5, 9), (100, 7)]
     assert orthogroup._key_dtype(m) == orthogroup._WIDE_KEY
     classes = triangle_classes(m, pts)
