@@ -123,7 +123,7 @@ class PointSet:
     @property
     def points(self) -> tuple[Vec, ...]:
         """The points as tuples, made from as_array() on every call."""
-        return tuple(map(tuple, self.as_array().tolist()))
+        return tuple(self)
 
     @property
     def size(self) -> int:
@@ -136,7 +136,9 @@ class PointSet:
         return self.size
 
     def __iter__(self) -> Iterator[Vec]:
-        return map(tuple, self.as_array().tolist())
+        # zip over the columns builds each tuple in C, about twice as fast
+        # as a tuple() call per row
+        return zip(*self.as_array().T.tolist())
 
     def __contains__(self, v) -> bool:
         v = tuple(v)

@@ -59,7 +59,10 @@ def _grid_index(m: Modulus, d: int, points) -> tuple[np.ndarray, ...]:
         points = ints.reshape(len(pts), d)
     if points.ndim != 2 or points.shape[1] != d or points.dtype.kind not in "iu":
         raise ValueError(f"need integer {d}-dimensional points, got {points.dtype} {points.shape}")
-    return tuple((points.astype(np.int64, copy=False) % m.q).T)
+    # unsigned values are reduced in uint64, so none past 2**63 wraps; signed ones
+    # are widened first, because int8 % 729 overflows int8
+    wide = np.uint64 if points.dtype.kind == "u" else np.int64
+    return tuple((points.astype(wide, copy=False) % m.q).astype(np.int64, copy=False).T)
 
 
 def _float_or_complex(values) -> np.ndarray:

@@ -525,7 +525,8 @@ def _residues(blocks: Iterable[np.ndarray], q: int, start: int = 0) -> np.ndarra
     if q <= _CHUNK_BYTES:
         seen = np.zeros(q, dtype=bool)
         for block in blocks:
-            seen[block.ravel()] = True
+            # an explicit cast: numpy's own cast of int32 indices takes about twice as long
+            seen[block.ravel().astype(np.intp, copy=False)] = True
             if seen[start:].all():
                 break
         return np.flatnonzero(seen[start:]) + start

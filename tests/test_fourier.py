@@ -286,6 +286,23 @@ def test_array_points_give_the_same_tables_as_tuples():
     assert not GridFunction.indicator(M9, 2, np.empty((0, 2), dtype=np.int64)).values.any()
 
 
+@pytest.mark.parametrize(
+    "q,values,dtype",
+    [
+        (9, [2**63, 2**64 - 1, 2**63 + 7], np.uint64),  # past int64, so no int64 cast
+        (729, [-128, -1, 0, 127], np.int8),  # int8 % 729 overflows int8
+        (9, [-1, -(2**63), -10], np.int64),
+        (729, [255, 0, 200], np.uint8),
+    ],
+)
+def test_array_points_of_every_int_kind_index_their_residues(q, values, dtype):
+    m = Modulus.from_q(q)
+    (got,) = fourier._grid_index(m, 1, np.array([values], dtype=dtype).T)
+    assert got.dtype == np.int64 and got.tolist() == [v % q for v in values]
+    f = GridFunction.indicator(m, 1, np.array([[values[0]]], dtype=dtype))
+    assert np.flatnonzero(f.values).tolist() == [values[0] % q]
+
+
 # --- immutable tables --------------------------------------------------------
 
 

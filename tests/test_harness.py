@@ -4,6 +4,7 @@ import collections
 import hashlib
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
@@ -96,16 +97,76 @@ def _sample_indices_list(rng, n, k):
     return idx[:k]
 
 
+def _sample_indices_dict(rng, n, k):
+    # the sparse shuffle as a loop: a dict of displaced entries, one step a draw
+    moved, out = {}, []
+    for i, r in enumerate(_draw_below(rng, np.arange(n, n - k, -1, dtype=np.uint64)).tolist()):
+        j = i + r
+        out.append(moved.get(j, j))
+        moved[j] = moved.pop(i, i)
+    return out
+
+
 @pytest.mark.parametrize(
     "n,k,seed",
-    [(1, 1, 0), (9, 0, 1), (9, 9, 2), (10, 3, 3), (81, 81, 4), (625, 16, 5),
+    [(1, 0, 0), (1, 1, 0), (9, 0, 1), (9, 9, 2), (10, 3, 3), (81, 81, 4), (625, 16, 5),
      (729**2, 12, 6), (4096, 4096, 7)],
 )
 def test_sparse_sampler_matches_the_list_shuffle(n, k, seed):
     for trial in range(3):
-        got = _sample_indices(trial_rng(seed, trial), n, k)
+        got = _sample_indices(trial_rng(seed, trial), n, k).tolist()
         assert got == _sample_indices_list(trial_rng(seed, trial), n, k)
         assert len(set(got)) == k and all(0 <= i < n for i in got)
+
+
+@st.composite
+def _crowded_draws(draw):
+    # targets repeat often: small n with any k, or k at least half of n
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 64))
+        k = draw(st.integers(0, n))
+    else:
+        n = draw(st.integers(1, 4096))
+        k = draw(st.integers((n + 1) // 2, n))
+    return n, k, draw(st.integers(-(2**70), 2**70))
+
+
+@settings(max_examples=200)
+@given(_crowded_draws())
+def test_sampler_matches_the_list_shuffle_where_targets_repeat(case):
+    n, k, seed = case
+    rng, ref = SplitMix64(seed), SplitMix64(seed)
+    got = _sample_indices(rng, n, k)
+    assert got.dtype == np.int64
+    assert got.tolist() == _sample_indices_list(ref, n, k)
+    assert rng._state == ref._state
+
+
+@pytest.mark.parametrize("q,k", [(729, 306828), (961, 424001)])
+def test_sampler_matches_the_dict_loop_at_the_threshold_sizes(q, k):
+    # the v2 threshold at Z_729 and the t2 threshold at Z_961
+    rng, ref = trial_rng(1, 0), trial_rng(1, 0)
+    assert _sample_indices(rng, q * q, k).tolist() == _sample_indices_dict(ref, q * q, k)
+    assert rng._state == ref._state
+
+
+def test_random_subset_memory_peak(monkeypatch):
+    # the bound the random_subset docstring states, against the dict loop it replaced
+    m, k = Modulus(31, 2), 424001
+
+    def peak():
+        random_subset(m, 2, 100, seed=1)
+        tracemalloc.start()
+        try:
+            random_subset(m, 2, k, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    array_peak = peak()
+    monkeypatch.setattr(harness, "_sample_indices",
+                        lambda rng, n, k: np.array(_sample_indices_dict(rng, n, k), dtype=np.int64))
+    assert array_peak <= min(42 * k, peak())
 
 
 def _unrank(index, q, d):
