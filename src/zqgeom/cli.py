@@ -42,7 +42,7 @@ def _add_modulus_args(sub: argparse.ArgumentParser) -> None:
 # built once per process: argparse spends about a millisecond per build on
 # formatters and message catalogues, and parse_args keeps no state in it
 @functools.lru_cache(maxsize=1)
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="zqgeom",
         description="exact geometry and counting over Z_{p^l}, with verification harness",
@@ -79,11 +79,16 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--trial", type=_integer, default=0)
     gen.add_argument("--out", help="write the set here instead of stdout")
 
-    return parser
+    return parser, {"verify-lemmas": lemmas, "experiment": exp, "gen-set": gen}
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in commands:  # its own parser skips the top-level parser's pass
+        args = commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    else:  # no command, -h, or an unknown one: the top-level parser reports it
+        args = parser.parse_args(argv)
     try:
         if args.command == "verify-lemmas":
             report = run_lemma_suite(Modulus(args.p, args.l))

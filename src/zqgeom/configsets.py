@@ -17,18 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _census
 from .fourier import GridFunction
-from .geometry import (
-    DimensionMismatch,
-    Line,
-    Vec,
-    _int_dtype,
-    norm,
-    vadd,
-    valuation_table,
-    vsub,
-)
-from . import orthogroup
+from .geometry import DimensionMismatch, Line, Vec, norm, vadd, valuation_table, vsub
 from .orthogroup import Rotation
 from .ring import Modulus
 
@@ -51,11 +42,6 @@ __all__ = [
 
 # ceiling on materialized grids and sampling universes
 FULL_GRID_CAP = 10**6
-# bytes of one int64 block of areas or dot products; a scan keeps at most
-# four blocks' worth alive
-_CHUNK_BYTES = 1 << 22
-# values in the first block of an area or dot scan, at least
-_FIRST_BLOCK = 1 << 12
 
 
 class PointSet:
@@ -196,37 +182,16 @@ def distance_set(E: PointSet) -> set[int]:
     return {norm(E.m, vsub(E.m, x, y)) for x in E for y in E}
 
 
-def _row_blocks(rows: int, width: int, q: int, scan: str = "pair") -> Iterator[slice]:
-    """Slices covering range(rows), for rows of `width` values each.
-
-    The first block holds about max(q, _FIRST_BLOCK) values, and each next
-    one twice as many, up to _CHUNK_BYTES of int64: a scan that saturates
-    early stops after a few small blocks, and one that does not pays about
-    log2(cap / q) extra blocks.  Below 2**12 values numpy's per-call
-    overhead outweighs a block's arithmetic, so small q starts there.
-    Each block's values are charged to an orthogroup._Meter before it is
-    handed out, so a scan that has not saturated within
-    orthogroup._OP_CAP values is refused with a ValueError.
-    """
-    cap = max(1, _CHUNK_BYTES // (8 * max(1, width)))
-    step, s = min(cap, max(1, max(q, _FIRST_BLOCK) // max(1, width))), 0
-    meter = orthogroup._Meter(f"the {scan} scan")
-    while s < rows:
-        stop = min(rows, s + step)
-        meter.charge((stop - s) * width)
-        yield slice(s, stop)
-        s, step = stop, min(cap, 2 * step)
-
-
 def _dot_blocks(E: PointSet) -> Iterator[np.ndarray]:
-    """x.y mod q over all ordered pairs, one block of rows x at a time
-    (see _row_blocks).
+    """x.y mod q over all ordered pairs, in doubling blocks of rows x, each
+    charged to a _Meter (_blocks) and at most _SCAN_BYTES.
 
     The sum is reduced mod q after every coordinate, so no intermediate
     exceeds q**2 + q, which fits int64 for every q up to MAX_Q.
     """
     pts, q = E.as_array(), E.m.q
-    for rs in _row_blocks(len(pts), len(pts), q, "dot product"):
+    meter = _census._Meter("the dot product scan")
+    for rs in _census._blocks(len(pts), len(pts), _census._SCAN_BYTES, first=q, meter=meter):
         rows = pts[rs]
         block = np.zeros((len(rows), len(pts)), dtype=np.int64)
         for k in range(E.d):
@@ -237,15 +202,16 @@ def _dot_blocks(E: PointSet) -> Iterator[np.ndarray]:
 
 def _area_blocks(E: PointSet) -> Iterator[np.ndarray]:
     """det(x - z, y - z) mod q over all triples, one block of (z, x) rows at
-    a time (see _row_blocks).
+    a time, as in _dot_blocks.
 
     With a = x - z, the determinant is a0*y1 - a1*y0 - (a0*z1 - a1*z0);
     every term and partial sum stays within q**2 + q of 0, so the blocks
     are int32 below q = 46341 (_int_dtype) and int64 up to MAX_Q.
     """
     n, q = len(E), E.m.q
-    pts = E.as_array().astype(_int_dtype(q * q + q), copy=False)
-    for rs in _row_blocks(n * n, n, q, "triangle area"):
+    pts = E.as_array().astype(_census._int_dtype(q * q + q), copy=False)
+    meter = _census._Meter("the triangle area scan")
+    for rs in _census._blocks(n * n, n, _census._SCAN_BYTES, first=q, meter=meter):
         z, x = np.divmod(np.arange(rs.start, rs.stop), n)
         a = (pts[x] - pts[z]) % q  # x - z, one row per (z, x)
         block = a[:, :1] * pts[None, :, 1]
@@ -259,23 +225,22 @@ def _is_product(E: PointSet) -> bool:
     return E.base is not None and E._factor is not None
 
 
-def _sumset_meter(E: PointSet) -> orthogroup._Meter:
-    return orthogroup._Meter(f"dot products of A^{E.d} with |A| = {len(E.base)}")
+def _sumset_meter(E: PointSet) -> _census._Meter:
+    return _census._Meter(f"dot products of A^{E.d} with |A| = {len(E.base)}")
 
 
 def _pair_blocks(x, y, q: int, op, meter) -> Iterator[tuple[int, np.ndarray]]:
     """(s, op(x[s : s + k, None], y) mod q) over row blocks of x of at most
-    _CHUNK_BYTES of int64, once the meter is charged len(x) len(y); op is
+    _SCAN_BYTES of int64, once the meter is charged len(x) len(y); op is
     np.multiply or np.add, so every entry stays below q**2 until reduced."""
     meter.charge(len(x) * len(y))
-    step = max(1, _CHUNK_BYTES // (8 * max(1, len(y))))
-    for s in range(0, len(x), step):
-        yield s, op(x[s : s + step, None], y[None, :]) % q
+    for rs in _census._blocks(len(x), len(y), _census._SCAN_BYTES):
+        yield rs.start, op(x[rs, None], y[None, :]) % q
 
 
 def _convolve(x, cx, y, cy, q: int, op, meter) -> tuple[np.ndarray, np.ndarray]:
     """Distinct op(x_i, y_j) mod q, each with the sum of its weights cx_i * cy_j."""
-    return orthogroup._tally(
+    return _census._tally(
         (block, cx[s : s + len(block), None] * cy[None, :])
         for s, block in _pair_blocks(x, y, q, op, meter)
     )
@@ -289,13 +254,13 @@ def _dot_sumset(E: PointSet) -> np.ndarray:
     and each later step shifts by p.  Until then |S_k| grows.
     """
     q, d, a, meter = E.m.q, E.d, np.array(E.base, dtype=np.int64), _sumset_meter(E)
-    prods = orthogroup._residues((b for _, b in _pair_blocks(a, a, q, np.multiply, meter)), q)
+    prods = _census._residues((b for _, b in _pair_blocks(a, a, q, np.multiply, meter)), q)
     found = prods
     for k in range(1, d):
         if len(found) == q:
             break
         sums = _pair_blocks(found, prods, q, np.add, meter)
-        grown = orthogroup._residues((b for _, b in sums), q)
+        grown = _census._residues((b for _, b in sums), q)
         if len(grown) == len(found):  # prods[:1] is p, or empty when A.A is
             return np.sort((grown + (d - k - 1) % q * prods[:1]) % q)
         found = grown
@@ -377,8 +342,8 @@ def dot_product_set(E: PointSet) -> set[int]:
 
     For a set built by PointSet.product these are the d-fold sumset of
     A.A = {a a' : a, a' in A} in Z_q, found without listing A^d and refused
-    past orthogroup._OP_CAP operations (see _dot_sumset).  Any other set is
-    scanned in row blocks of at most _CHUNK_BYTES of int64 each, with at
+    past _OP_CAP operations (see _dot_sumset).  Any other set is
+    scanned in row blocks of at most _SCAN_BYTES of int64 each, with at
     most four blocks' worth alive at once.  Both stop once all q values
     have appeared.
     """
@@ -393,7 +358,7 @@ def dot_product_count(E: PointSet) -> int:
 def _dot_values(E: PointSet) -> np.ndarray:
     if _is_product(E):
         return _dot_sumset(E)
-    return orthogroup._residues(_dot_blocks(E), E.m.q)
+    return _census._residues(_dot_blocks(E), E.m.q)
 
 
 def dot_product_counts(E: PointSet) -> Mapping[int, int]:
@@ -401,19 +366,19 @@ def dot_product_counts(E: PointSet) -> Mapping[int, int]:
 
     The table is held sparse, so no length-q array is allocated.  For a set
     built by PointSet.product, nu is the d-fold cyclic convolution of the
-    histogram of A.A, exact in int64; it is refused past orthogroup._OP_CAP or
+    histogram of A.A, exact in int64; it is refused past _OP_CAP or
     once |A|**(2d) reaches 2**63.  Any other set is tallied over the row
     blocks of its pair scan.
     """
     if _is_product(E):
         return _DotCounts(E.m.q, *_dot_convolution(E))
-    return _DotCounts(E.m.q, *orthogroup._tally((b, np.ones_like(b)) for b in _dot_blocks(E)))
+    return _DotCounts(E.m.q, *_census._tally((b, np.ones_like(b)) for b in _dot_blocks(E)))
 
 
 def triangle_area_set(E: PointSet) -> set[int]:
     """Nonzero parallelogram determinants det(x - z, y - z) over vertex triples.
 
-    Blocks of (z, x) rows against every y, at most _CHUNK_BYTES of int64
+    Blocks of (z, x) rows against every y, at most _SCAN_BYTES of int64
     each, with at most four blocks' worth alive at once; the scan stops
     once all q - 1 nonzero residues have appeared.
     """
@@ -428,7 +393,7 @@ def triangle_area_count(E: PointSet) -> int:
 def _area_values(E: PointSet) -> np.ndarray:
     if E.d != 2:
         raise DimensionMismatch("areas are a planar counter")
-    return orthogroup._residues(_area_blocks(E), E.m.q, start=1)
+    return _census._residues(_area_blocks(E), E.m.q, start=1)
 
 
 def rotation_correlation(E: PointSet, theta: Rotation) -> dict[Vec, int]:
@@ -436,7 +401,7 @@ def rotation_correlation(E: PointSet, theta: Rotation) -> dict[Vec, int]:
 
     The set is rotated once; the codes t0*q + t1 of the differences are
     bincounted one block of rows u at a time, each block at most
-    _CHUNK_BYTES of int64, so memory stays O(_CHUNK_BYTES + q**2) in |E|.
+    _SCAN_BYTES of int64, so memory stays O(_SCAN_BYTES + q**2) in |E|.
     """
     if E.d != 2:
         raise DimensionMismatch("rotation correlation is a planar counter")
@@ -446,9 +411,8 @@ def rotation_correlation(E: PointSet, theta: Rotation) -> dict[Vec, int]:
     r0 = (a * pts[:, 0] - b * pts[:, 1]) % q
     r1 = (b * pts[:, 0] + a * pts[:, 1]) % q
     counts = np.zeros(q * q, dtype=np.int64)
-    step = max(1, _CHUNK_BYTES // (8 * max(1, len(pts))))
-    for s in range(0, len(pts), step):
-        rows = pts[s : s + step]
+    for rs in _census._blocks(len(pts), len(pts), _census._SCAN_BYTES):
+        rows = pts[rs]
         code = rows[:, :1] - r0
         code %= q
         code *= q

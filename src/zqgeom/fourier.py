@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .geometry import _int_dtype
+from . import _census
 from .ring import Modulus
 
 __all__ = [
@@ -166,14 +166,13 @@ def forward(f: GridFunction) -> SpectrumTable:
 
 def _literal_sum(t: _Table, roots: np.ndarray) -> np.ndarray:
     """sum_x roots[x.m mod q] t(x) at every m, over the x with t(x) != 0 (a zero term
-    adds nothing), in 1 MiB kernel row blocks, x.m summed by axis in _int_dtype(d q**2)."""
+    adds nothing), in _KERNEL_BYTES row blocks, x.m summed by axis in _int_dtype(d q**2)."""
     q, vals, support = t.m.q, t.values.ravel(), np.flatnonzero(t.values)
-    freqs = np.indices(t.values.shape, dtype=_int_dtype(t.d * q * q)).reshape(t.d, -1)
+    freqs = np.indices(t.values.shape, dtype=_census._int_dtype(t.d * q * q)).reshape(t.d, -1)
     points, out = freqs[:, support], np.empty(vals.shape, dtype=complex)
-    step = max(1, (1 << 20) // (16 * max(1, len(support))))
-    for s in range(0, len(out), step):
-        dots = sum(np.multiply.outer(f[s : s + step], x) for f, x in zip(freqs, points))
-        out[s : s + step] = roots[dots % q] @ vals[support]
+    for rs in _census._blocks(len(out), len(support), _census._KERNEL_BYTES, 16):
+        dots = sum(np.multiply.outer(f[rs], x) for f, x in zip(freqs, points))
+        out[rs] = roots[dots % q] @ vals[support]
     return out.reshape(t.values.shape)
 
 

@@ -14,6 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _census
 from .ring import Modulus
 
 __all__ = [
@@ -43,16 +44,9 @@ __all__ = [
 
 Vec = tuple[int, ...]
 
-# bytes of one block of the sphere scan's norm table
-_CHUNK_BYTES = 1 << 23
 # strata whose coordinates, line census and line point rows stay cached:
 # the four moduli of Z_81, Z_121, Z_125 and Z_243 together have 14
 _LINE_CACHE_STRATA = 16
-
-
-def _int_dtype(bound: int) -> type:
-    """int32 when every value of an array lies below `bound`, at most 2**31, else int64."""
-    return np.int32 if bound <= 2**31 else np.int64
 
 
 class DimensionMismatch(ValueError):
@@ -105,13 +99,12 @@ def sphere_points(m: Modulus, j: int, d: int) -> tuple[Vec, ...]:
     rest = np.zeros(1, dtype=np.int64)
     for _ in range(d - 1):
         rest = (rest[:, None] + sq).ravel() % q
-    step = max(1, _CHUNK_BYTES // (8 * len(rest)))
     out: list[Vec] = []
-    for x0 in range(0, q, step):
-        total = sq[x0 : x0 + step, None] + rest
+    for rs in _census._blocks(q, len(rest), _census._BLOCK_BYTES):
+        total = sq[rs, None] + rest
         hit = (total == j) | (total == j + q)
         idx = np.argwhere(hit.reshape((-1,) + (q,) * (d - 1)))
-        idx[:, 0] += x0
+        idx[:, 0] += rs.start
         out.extend(map(tuple, idx.tolist()))
     return tuple(out)
 
@@ -240,7 +233,7 @@ def _spanned_generators(m: Modulus, n: int, a: np.ndarray, b: np.ndarray) -> np.
     c = (b / a or a / b) mod w, from a product below w**2.
     """
     p, w, pn = m.p, m.p ** (m.l - n), m.p**n
-    small = _int_dtype(w * w)
+    small = _census._int_dtype(w * w)
     inv = np.array([pow(u, -1, w) if u % p else 0 for u in range(w)], dtype=small)
     unit = inv[a] != 0
     c = np.where(unit, b, a).astype(small) * inv[np.where(unit, a, b)] % w
@@ -295,7 +288,7 @@ def line_point_codes(m: Modulus, n: int, generators: np.ndarray) -> np.ndarray:
 def _point_rows(generators: bytes, q: int, size: int) -> np.ndarray:
     """line_point_codes for generator codes given as int64 bytes and lines
     of `size` points; products stay below q * q, and codes at most q * q."""
-    small = _int_dtype(q * q + 1)
+    small = _census._int_dtype(q * q + 1)
     g0, g1 = np.divmod(np.frombuffer(generators, dtype=np.int64).astype(small), q)
     t = np.arange(size, dtype=small)
     rows = t * g0[:, None] % q * q + t * g1[:, None] % q

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import geometry, orthogroup
+from . import _census, geometry, orthogroup
 from .configsets import (
     FULL_GRID_CAP,
     PointSet,
@@ -34,7 +34,6 @@ from .configsets import (
     dot_product_count,
     triangle_area_count,
 )
-from .orthogroup import _OP_CAP
 from .ring import Modulus, Polynomial, hensel_lift_root
 
 __all__ = [
@@ -357,9 +356,9 @@ class ExperimentConfig:
         _check_dimension(self.d)
         if self.kind in ("t2", "v2") and self.d != 2:
             raise ValueError(f"kind {self.kind} is planar; got d={self.d}")
-        Modulus(self.p, self.l)  # validates p and l eagerly
+        self.modulus  # validates p and l eagerly, once: no trial reruns the primality test
 
-    @property
+    @functools.cached_property
     def modulus(self) -> Modulus:
         return Modulus(self.p, self.l)
 
@@ -823,14 +822,13 @@ def _check_group_axioms(m: Modulus) -> Outcome:
 
 
 def _compositions(g: np.ndarray, q: int):
-    """(s, codes of t o u) for each row block t = g[s : s + step] against every
-    u in g, each block at most _CHUNK_BYTES.  Composing t o u turns the
+    """(s, codes of t o u) for each row block t = g[s : s + k] against every
+    u in g, each block at most _BLOCK_BYTES.  Composing t o u turns the
     code of u by t, in int32 wherever _turn's terms, below 2q**2, fit it."""
-    small = geometry._int_dtype(2 * q * q)
+    small = _census._int_dtype(2 * q * q)
     rows, codes = g.astype(small), (g[:, 0] * q + g[:, 1]).astype(small)
-    step = max(1, orthogroup._CHUNK_BYTES // (np.dtype(small).itemsize * len(g)))
-    for s in range(0, len(g), step):
-        yield s, orthogroup._turn(rows[s : s + step, :1], rows[s : s + step, 1:], codes, q)
+    for rs in _census._blocks(len(g), len(g), _census._BLOCK_BYTES, np.dtype(small).itemsize):
+        yield rs.start, orthogroup._turn(rows[rs, :1], rows[rs, 1:], codes, q)
 
 
 def _rotated_plane_checks(m: Modulus) -> list[Outcome]:
@@ -898,7 +896,7 @@ def _census_skip(m: Modulus) -> str:
         return "no strata above 0 when l = 1"
     # the census counts q**2 coordinate pairs; the q**4 budget stays only
     # because the benchmark's lemma golden pins this row skipped from Z_121 on
-    return "pair enumeration exceeds the op budget" if m.q**4 > _OP_CAP else ""
+    return "pair enumeration exceeds the op budget" if m.q**4 > _census._OP_CAP else ""
 
 
 def _check_difference_census(m: Modulus) -> Outcome:
@@ -921,7 +919,8 @@ LEMMAS = (
     Lemma("hensel_quadratic_lifts", "eq", _check_hensel_quadratics,
           "each simple root mod p of x^2 + b x + c lifts to exactly one root mod q",
           # the sweep tries q candidate roots for each of the p**2 quadratics
-          lambda m: "quadratic sweep exceeds the op budget" if m.p**2 * m.q > _OP_CAP else ""),
+          lambda m: "quadratic sweep exceeds the op budget"
+          if m.p**2 * m.q > _census._OP_CAP else ""),
     Lemma("stratum_partition_sizes", "eq", _check_stratum_sizes,
           "the strata partition the punctured plane with |Lambda_n| = p^(2(l-n)) - p^(2(l-n-1))"),
     Lemma("line_census_sizes", "eq", _check_line_census,

@@ -14,7 +14,8 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 import numpy as np
 import numpy.fft  # loaded with the package, so no count pays its 1.4-2.3 ms first import
 
-from .geometry import DimensionMismatch, _int_dtype, valuation_table, vsub
+from . import _census
+from .geometry import DimensionMismatch, valuation_table, vsub
 from .ring import Modulus, Polynomial, hensel_lift_root
 
 __all__ = [
@@ -38,15 +39,6 @@ Triangle = tuple[Vec2, Vec2, Vec2]
 
 # moduli whose group stays cached; a sweep over moduli keeps only the latest
 _GROUP_CACHE_SIZE = 8
-# bytes of a working block of the orbit minima, the orbit keys or the
-# triangle census, and of _residues' seen table; also caps the dense
-# (distinct differences)**2 count table, which at this size holds the full
-# Z_27 grid's 729**2 pairs
-_CHUNK_BYTES = 1 << 23
-# operations a scan, sumset, t2 census or orbit cover may take before it is refused
-_OP_CAP = 2 * 10**8
-# bytes the t2 key count, triangle_classes (by _key_blocks' rule) or so2_table may hold
-_CENSUS_BYTES = 1 << 30
 # bytes so2_table holds while it builds, per residue of Z_q: by tracemalloc, 88 B
 # for l = 1 and 101 B at Z_3**12, where |SO_2| = 4q/3 is largest
 _SO2_BYTES = 104
@@ -57,28 +49,10 @@ _SO2_BYTES = 104
 # keys (150 to 322 points in Z_727) and 34 B with wide keys (150 and 250 points
 # at q = 2**31 - 1), by tracemalloc
 _ORBIT_KEY_BYTES = 32
-# the same for triangle_classes, whose census holds each key's count and one
-# pair of codes while it canonicalizes those pairs: it peaks at 112 to 122 B
-# a class on 60 to 150 random points in Z_625, Z_727 and Z_729, by tracemalloc
-_CLASS_KEY_BYTES = 128
-
-
-class _OverBudget(ValueError):
-    """The next step of a metered computation would pass its operation budget."""
-
-
-class _Meter:
-    """Operations one computation spent, each step charged before it runs."""
-
-    def __init__(self, what: str, budget: Optional[int] = None) -> None:
-        self.what, self.spent = what, 0
-        self.budget = _OP_CAP if budget is None else budget  # _OP_CAP as it is now
-
-    def charge(self, cost: int) -> None:
-        if self.spent + cost > self.budget:
-            raise _OverBudget(f"{self.what}: {self.spent} operations spent, and {cost} more "
-                              f"would pass the {self.budget}-operation budget")
-        self.spent += cost
+# the same for triangle_classes, whose census tallies each key's count and one
+# pair of codes, then canonicalizes those pairs: it peaks at 74 to 89 B a class
+# on 60 to 150 random points in Z_625, Z_727 and Z_729, by tracemalloc
+_CLASS_KEY_BYTES = 96
 
 
 @dataclass(frozen=True)
@@ -125,9 +99,9 @@ def so2_table(m: Modulus) -> np.ndarray:
     A ValueError refuses a build past _CENSUS_BYTES, before it starts.
     """
     q = m.q
-    if _SO2_BYTES * q > _CENSUS_BYTES:
+    if _SO2_BYTES * q > _census._CENSUS_BYTES:
         raise ValueError(f"the SO_2 table of Z_{q} would hold {_SO2_BYTES * q} bytes, "
-                         f"over the {_CENSUS_BYTES}-byte budget")
+                         f"over the {_census._CENSUS_BYTES}-byte budget")
     sq = np.arange(q, dtype=np.int64) ** 2 % q
     roots = np.argsort(sq, kind="stable")
     ordered, want = sq[roots], (1 - sq) % q
@@ -429,13 +403,13 @@ def _orbit_min(rot: np.ndarray, codes: np.ndarray, q: int) -> tuple[np.ndarray, 
     of `rot` attaining it."""
     best, arg = np.empty_like(codes), np.empty_like(codes)
     # _turn's terms stay below 2q**2, so under q = 32768 int32 halves the bytes
-    small = _int_dtype(2 * q * q)
+    small = _census._int_dtype(2 * q * q)
     rot, codes = rot.astype(small), codes.astype(small)
-    step = max(1, _CHUNK_BYTES // (8 * len(rot)))
-    for s in range(0, len(codes), step):
-        img = _turn(rot[:, :1], rot[:, 1:], codes[None, s : s + step], q)
-        arg[s : s + step] = img.argmin(axis=0)
-        best[s : s + step] = img.min(axis=0)
+    for rs in _census._blocks(len(codes), len(rot), _census._BLOCK_BYTES):
+        img = _turn(rot[:, :1], rot[:, 1:], codes[None, rs], q)
+        arg[rs] = img.argmin(axis=0)
+        best[rs] = img.min(axis=0)
+        del img  # freed before the next block's turn
     return best, arg
 
 
@@ -450,26 +424,28 @@ def _canonical_pairs(
     m: Modulus, codes: np.ndarray, ru: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """canonical_pair of each pair (codes[ru], v) of vector codes, as the
-    codes of the least image pair.
+    codes of the least image pair; v is turned in place.
 
     Codes order like the tuples they encode.  The least image of u comes
     from its orbit alone, found once per entry of codes; the rotations
     attaining it form theta*Stab(u), and Stab(u) = Stab(theta u) as the
     group is abelian, so v is turned by theta and then minimized over
-    that stabilizer only, which depends on the depths of u alone.
+    that stabilizer only, which depends on the depths of u alone; pairs
+    are turned one block of a depth group at a time.
     """
     q = m.q
     g = so2_table(m)
     least, theta = _orbit_min(g, codes, q)
-    u, t = least[ru], theta[ru]
-    v = _turn(g[t, 0], g[t, 1], v, q)
-    depth = _depths(m, u // q, u % q)
+    depth = _depths(m, least // q, least % q)[:, ru]
     order = np.lexsort(depth)
     heads = np.flatnonzero(np.diff(depth[:, order], prepend=-1).any(axis=0))
-    for lo, hi in zip(heads, np.r_[heads[1:], len(u)]):
-        idx = order[lo:hi]
-        v[idx] = _orbit_min(_fixing(m, int(u[order[lo]])), v[idx], q)[0]
-    return u, v
+    for lo, hi in zip(heads, np.r_[heads[1:], len(ru)]):
+        stab = _fixing(m, int(least[ru[order[lo]]]))
+        for rs in _census._blocks(hi - lo, 16, _census._BLOCK_BYTES):  # 16 int64 temporaries a pair
+            idx = order[lo:hi][rs]
+            t = theta[ru[idx]]
+            v[idx] = _orbit_min(stab, _turn(g[t, 0], g[t, 1], v[idx], q), q)[0]
+    return least[ru], v
 
 
 def _row_counts(rank: np.ndarray, size: int) -> np.ndarray:
@@ -477,60 +453,6 @@ def _row_counts(rank: np.ndarray, size: int) -> np.ndarray:
     k = len(rank)
     flat = (np.arange(k)[:, None] * size + rank).ravel()
     return np.bincount(flat, minlength=k * size).reshape(k, size).astype(np.float64)
-
-
-def _merge_counts(parts: list) -> tuple[np.ndarray, ...]:
-    """Sorted distinct keys over (keys, counts, *extras) parts, each key with
-    its summed count and the extras of one of its entries.  Counts and
-    extras have the keys' shape, and in a lone part may be broadcast views:
-    the extras are read at one entry a key.  The list is emptied, so that
-    the parts are freed once concatenated."""
-    keys, counts, *extras = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-    parts.clear()
-    order = np.argsort(keys, axis=None)
-    keys = keys.ravel()[order]
-    first = np.flatnonzero(_heads(keys))
-    at = order[first]
-    return keys[first], np.add.reduceat(counts.ravel()[order], first), *(x.flat[at] for x in extras)
-
-
-def _tally(blocks: Iterable[tuple]) -> tuple[np.ndarray, ...]:
-    """_merge_counts over (values, weights, *extras) blocks, whose weights and
-    extras broadcast to the values' shape.
-
-    Each block is reduced to its distinct values, and these are merged into
-    the running tally, the first entry of `parts`, once they are at least
-    as many as it holds, so a merge never sorts more than twice what the
-    blocks since the last merge contributed.
-    """
-    parts, held, size = [], 0, 0
-    for values, *rest in blocks:
-        parts.append(_merge_counts([(values, *(np.broadcast_to(x, values.shape) for x in rest))]))
-        size += len(parts[-1][0])
-        if size >= held:
-            parts = [_merge_counts(parts) if len(parts) > 1 else parts[0]]
-            held, size = len(parts[0][0]), 0
-    if not parts:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return _merge_counts(parts) if len(parts) > 1 else parts[0]
-
-
-def _residues(blocks: Iterable[np.ndarray], q: int, start: int = 0) -> np.ndarray:
-    """Sorted values start <= t < q occurring in the blocks, whose entries
-    all lie in range(q); stops once every such t has occurred.
-
-    Up to q = _CHUNK_BYTES the values are marked in a q-entry table; above
-    it they are tallied, so memory follows the values found, not q.
-    """
-    if q <= _CHUNK_BYTES:
-        seen = np.zeros(q, dtype=bool)
-        for block in blocks:
-            # an explicit cast: numpy's own cast of int32 indices takes about twice as long
-            seen[block.ravel().astype(np.intp, copy=False)] = True
-            if seen[start:].all():
-                break
-        return np.flatnonzero(seen[start:]) + start
-    return _union((b[b >= start] for b in blocks), q - start)
 
 
 def _planar(m: Modulus, points: Iterable[Vec2] | np.ndarray) -> np.ndarray:
@@ -560,9 +482,11 @@ def _class_census(m: Modulus, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
         return w[..., 0] % q * q + w[..., 1] % q
 
     blocks = _key_blocks(m, pts, _CLASS_KEY_BYTES)
-    _, counts, u, v = _tally((k, w, code(u), code(v)) for k, w, u, v in blocks)
-    codes = _merged([u])
-    u, v = _canonical_pairs(m, codes, np.searchsorted(codes, u), v)
+    counts, u, v = _census._tally((k, w, code(u), code(v)) for k, w, u, v in blocks)[1:]
+    codes = _census._merged([u])
+    ru = np.searchsorted(codes, u)
+    del u  # freed before the pairs are canonicalized
+    u, v = _canonical_pairs(m, codes, ru, v)
     order = np.lexsort((v, u))
     return u[order], v[order], counts[order]
 
@@ -583,41 +507,39 @@ def _key_blocks(m: Modulus, pts: np.ndarray, key_bytes: int) -> Iterator[tuple]:
     pairs beats keying the triples for both censuses from n**3 = 4.4 q**4
     (q = 9 to 19), and loses for the count at 1.5 to 1.9 q**4.  Otherwise
     every triple is keyed with weight 1, one block of middle vertices y at
-    a time, each block's keys at most _CHUNK_BYTES.
+    a time, each block's keys at most _BLOCK_BYTES.
     """
-    q, n = m.q, len(pts)
+    q, n, block_bytes, census_bytes = m.q, len(pts), _census._BLOCK_BYTES, _census._CENSUS_BYTES
     per_key = key_bytes * _key_dtype(m).itemsize // 8
     held = per_key * min(n**3, (6 * m.l + 1) * q**3)
     codes = None
-    if held > _CENSUS_BYTES or 8 * n**3 > _CHUNK_BYTES or n**3 > 4 * q**4:
+    if held > census_bytes or 8 * n**3 > block_bytes or n**3 > 4 * q**4:
         diffs = partial(_difference_blocks, pts, q)
-        if 8 * n * n <= _CHUNK_BYTES:  # one block: make it once for both passes
+        if 8 * n * n <= block_bytes:  # one block: make it once for both passes
             diffs = partial(iter, list(diffs()))
-        codes = _residues(diffs(), q * q)
+        codes = _census._residues(diffs(), q * q)
         held = min(held, per_key * len(codes) ** 2)
-    if held > _CENSUS_BYTES:
+    if held > census_bytes:
         raise ValueError(f"t2 census over n = {n} points may hold {held} bytes of orbit keys, "
-                         f"over the {_CENSUS_BYTES}-byte budget")
-    if codes is not None and 8 * len(codes) ** 2 <= _CHUNK_BYTES:
+                         f"over the {census_bytes}-byte budget")
+    if codes is not None and 8 * len(codes) ** 2 <= block_bytes:
         size = len(codes)
         rank = partial(np.searchsorted, codes)
         if q * q <= n * n:  # tabulated, when the table is no larger than the differences
             rank = rank(np.arange(q * q)).__getitem__
         table = np.zeros((size, size))
-        step = max(1, _CHUNK_BYTES // (8 * max(n, size)))
         for block in diffs():
             ranks = rank(block)  # row y holds the ranks of y - x over every x
-            for s in range(0, len(ranks), step):
-                counts = _row_counts(ranks[s : s + step], size)
+            for rs in _census._blocks(len(ranks), max(n, size), block_bytes):
+                counts = _row_counts(ranks[rs], size)
                 table += counts.T @ counts
         pairs = np.flatnonzero(table)  # rank(y - x) * size + rank(y - z)
         u, v = (np.stack([c // q, c % q], axis=-1)
                 for c in (_turn(-1, 0, codes, q)[pairs // size], codes[pairs % size]))
         yield pair_orbit_keys(m, u, v), table.ravel()[pairs].astype(np.int64), u, v
         return
-    step = max(1, _CHUNK_BYTES // (_key_dtype(m).itemsize * max(1, n * n)))
-    for s in range(0, n, step):
-        d = pts[None, :] - pts[s : s + step, None]  # d[y, x] = x - y
+    for rs in _census._blocks(n, n * n, block_bytes, _key_dtype(m).itemsize):
+        d = pts[None, :] - pts[rs, None]  # d[y, x] = x - y
         u, v = d[:, :, None], -d[:, None, :]
         yield pair_orbit_keys(m, u, v), 1, u, v
 
@@ -665,74 +587,33 @@ def triangle_class_count(m: Modulus, points: Iterable[Vec2] | np.ndarray) -> int
     """
     pts = _planar(m, points)
     q = m.q
-    codes = _merged([pts[:, 0] * q + pts[:, 1]])
+    codes = _census._merged([pts[:, 0] * q + pts[:, 1]])
     n = len(codes)
     if realizes_every_pair(m, n):
         return orbit_pair_total(m)
     if n**3 >= q**4 * math.log(q * q):
         try:
-            return _cover_count(m, codes, min(_OP_CAP, n**3))
-        except _OverBudget:
-            if n**3 > _OP_CAP:
+            return _cover_count(m, codes, min(_census._OP_CAP, n**3))
+        except _census._OverBudget:
+            if n**3 > _census._OP_CAP:
                 raise
-    _Meter(f"t2 census over n = {n} points").charge(n**3)
+    _census._Meter(f"t2 census over n = {n} points").charge(n**3)
     return _key_count(m, np.stack([codes // q, codes % q], axis=1))
 
 
 def _key_count(m: Modulus, pts: np.ndarray) -> int:
     """The number of distinct keys of _key_blocks over the ordered triples of
     the n distinct points pts, at _ORBIT_KEY_BYTES a key."""
-    return len(_union(keys for keys, *_ in _key_blocks(m, pts, _ORBIT_KEY_BYTES)))
-
-
-def _union(parts: Iterable[np.ndarray], full: int = -1) -> np.ndarray:
-    """Sorted distinct values over the parts, stopping once `full` distinct
-    values have occurred.
-
-    Parts are merged into the running union, the first entry of `pending`,
-    once they hold as many values as it does, so a merge never sorts more
-    than twice what the parts since the last merge contributed.  A merge
-    holds the union, the parts and their concatenation, which it then sorts
-    in place: at most about 32 bytes per distinct int64 value, plus a part.
-    """
-    pending, held, size = [], 0, 0
-    for part in parts:
-        pending.append(part.ravel())
-        size += len(pending[-1])
-        if size >= held:
-            pending = [_merged(pending)]
-            held, size = len(pending[0]), 0
-            if held == full:
-                break
-    if not pending:
-        return np.empty(0, dtype=np.int64)
-    return pending[0] if len(pending) == 1 else _merged(pending)
-
-
-def _merged(arrays: list[np.ndarray]) -> np.ndarray:
-    """Sorted distinct values of the arrays, emptying the list, so that the
-    arrays are freed before the concatenation is sorted in place."""
-    values = np.concatenate(arrays)
-    arrays.clear()
-    values.sort()
-    return values[_heads(values)]
-
-
-def _heads(values: np.ndarray) -> np.ndarray:
-    """Where each run of equal entries of a sorted 1-D array starts."""
-    head = np.ones(len(values), dtype=bool)
-    head[1:] = values[1:] != values[:-1]
-    return head
+    return len(_census._union(keys for keys, *_ in _key_blocks(m, pts, _ORBIT_KEY_BYTES)))
 
 
 def _difference_blocks(pts: np.ndarray, q: int) -> Iterator[np.ndarray]:
     """Codes of pts[i] - pts[j], one block of rows i at a time, each block
-    at most _CHUNK_BYTES."""
+    at most _BLOCK_BYTES."""
     x, y = pts[:, 0], pts[:, 1]
-    step = max(1, _CHUNK_BYTES // (8 * max(1, len(pts))))
-    for s in range(0, len(pts), step):
-        block = (x[s : s + step, None] - x) % q * q
-        block += (y[s : s + step, None] - y) % q
+    for rs in _census._blocks(len(pts), len(pts), _census._BLOCK_BYTES):
+        block = (x[rs, None] - x) % q * q
+        block += (y[rs, None] - y) % q
         yield block
 
 
@@ -766,7 +647,7 @@ def _cover_count(m: Modulus, codes: np.ndarray, budget: int) -> int:
     bits, a rotated tiling q**2, and the key fallback (pair_orbit_keys) q**2.
     """
     q, n, q2 = m.q, len(codes), m.q**2
-    meter = _Meter(f"t2 orbit cover over n = {n} points", budget)
+    meter = _census._Meter(f"t2 orbit cover over n = {n} points", budget)
     g, plane = so2_table(m), np.arange(q2)
     # charged on every call, cached or not, so no refusal depends on earlier calls
     meter.charge(len(g) * q2)
@@ -826,7 +707,7 @@ def _cover_tables(m: Modulus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # a scan, not labels pair_orbit_keys(m, u, 0): cold at Z_13 those take 0.5-1.4 ms to its
     # 0.1 ms, and threshold-stats wall_s rose 8.13/8.23/7.56 -> 9.14/8.67/8.50 ms in 3 pairs
     least = _orbit_min(so2_table(m), np.arange(q * q), q)[0]
-    reps = _merged([least])
+    reps = _census._merged([least])
     gains = np.array(_pair_orbits_by_depth(m))[np.minimum(v[reps // q], v[reps % q])]
     for table in (least, reps, gains):
         table.flags.writeable = False

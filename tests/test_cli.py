@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from zqgeom import cli, harness
+from zqgeom import _census, cli, harness
 from zqgeom.ring import Modulus
 
 
@@ -77,6 +77,27 @@ def test_usage_and_config_errors_exit_2(args):
     assert res.stderr != ""
 
 
+@pytest.mark.parametrize(
+    "args, prog",
+    [
+        (("experiment", "--kind", "t2", "--p", "3", "--l", "1", "--set", "full", "--bogus", "1"),
+         "zqgeom experiment"),
+        (("verify-lemmas", "--p", "3", "--l", "1", "--bogus", "1"), "zqgeom verify-lemmas"),
+        (("gen-set", "--p", "3", "--l", "1", "--full", "--bogus", "1"), "zqgeom gen-set"),
+        (("--bogus", "1"), "zqgeom"),
+    ],
+)
+def test_unrecognized_arguments_are_reported_by_the_parser_that_read_them(capsys, args, prog):
+    # a subcommand is parsed by its own parser, which names itself in the error
+    code, out, err = _in_process(capsys, list(args))
+    assert (code, out) == (2, "")
+    if prog == "zqgeom":  # no command: the top-level parser reads "1" as one
+        assert err.endswith("zqgeom: error: argument command: invalid choice: '1' (choose from "
+                            "'verify-lemmas', 'experiment', 'gen-set')\n")
+    else:
+        assert err.endswith(f"{prog}: error: unrecognized arguments: --bogus 1\n")
+
+
 def test_product_source_above_the_cap_exits_2(tmp_path):
     # the whole of Z_3^9 as A: its 19683**2 products alone pass the sumset budget
     base = tmp_path / "base.txt"
@@ -87,7 +108,7 @@ def test_product_source_above_the_cap_exits_2(tmp_path):
     )
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
-    assert (f"0 operations spent, and {19683**2} more would pass the {harness._OP_CAP}-operation "
+    assert (f"0 operations spent, and {19683**2} more would pass the {_census._OP_CAP}-operation "
             "budget") in res.stderr
 
 
@@ -128,7 +149,7 @@ def test_t2_census_past_the_op_cap_is_refused_before_counting():
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
     assert "n = 2000" in res.stderr and str(2000**3) in res.stderr
-    assert str(harness._OP_CAP) in res.stderr
+    assert str(_census._OP_CAP) in res.stderr
 
 
 _HUGE_P = str(2**61 - 1)
@@ -478,7 +499,7 @@ def test_t2_at_the_z841_threshold_is_refused_before_counting():
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
     assert "n = 332022 points: 0 operations spent, and 574312172 more would pass" in res.stderr
-    assert str(harness._OP_CAP) in res.stderr
+    assert str(_census._OP_CAP) in res.stderr
 
 
 def test_v2_on_a_strip_stops_at_the_op_cap(tmp_path):
@@ -495,7 +516,7 @@ def test_v2_on_a_strip_stops_at_the_op_cap(tmp_path):
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
     assert re.search(r"the triangle area scan: \d+ operations spent, and \d+ more would pass "
-                     f"the {harness._OP_CAP}-operation budget", res.stderr)
+                     f"the {_census._OP_CAP}-operation budget", res.stderr)
 
 
 def test_t2_census_past_its_byte_budget_is_refused_before_counting():

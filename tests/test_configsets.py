@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zqgeom import configsets, orthogroup
+from zqgeom import _census, configsets, orthogroup
 from zqgeom.configsets import (
     PointSet,
     difference_stratum_census,
@@ -395,11 +395,11 @@ def test_counters_hold_four_blocks_at_most():
     # sets whose values never saturate, so every block is scanned
     lattice = PointSet(M27, 2, tuple((3 * s, t) for s in range(9) for t in range(27)))
     assert triangle_area_set(lattice) == set(range(3, 27, 3))
-    assert _peak_bytes(triangle_area_set, lattice) <= 4 * configsets._CHUNK_BYTES
+    assert _peak_bytes(triangle_area_set, lattice) <= 4 * _census._SCAN_BYTES
     m = Modulus(3, 5)
     grid = PointSet(m, 2, tuple((3 * s, 3 * t) for s in range(81) for t in range(81)))
     assert dot_product_set(grid) == set(range(0, m.q, 9))
-    assert _peak_bytes(dot_product_set, grid) <= 4 * configsets._CHUNK_BYTES
+    assert _peak_bytes(dot_product_set, grid) <= 4 * _census._SCAN_BYTES
 
 
 def _counting(monkeypatch, name):
@@ -418,7 +418,7 @@ def _counting(monkeypatch, name):
 
 def test_counters_over_tiny_chunks_stop_once_saturated(monkeypatch):
     # one row per block, so saturation is seen long before the last block
-    monkeypatch.setattr(configsets, "_CHUNK_BYTES", 8)
+    monkeypatch.setattr(_census, "_SCAN_BYTES", 8)
     areas = _counting(monkeypatch, "_area_blocks")
     dots = _counting(monkeypatch, "_dot_blocks")
 
@@ -467,25 +467,26 @@ def test_scans_agree_over_doubling_and_tiny_blocks(m, d, rows, chunk):
     if m.q < 100:
         assert dots == _dot_set_loop(E)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(configsets, "_CHUNK_BYTES", chunk)
+        patch.setattr(_census, "_SCAN_BYTES", chunk)
         assert dot_product_set(E) == dots
         if d == 2:
             assert triangle_area_set(E) == areas
 
 
-def test_row_blocks_start_near_q_values_and_double_to_the_cap(monkeypatch):
-    monkeypatch.setattr(configsets, "_CHUNK_BYTES", 8 * 20 * 1000)  # 20 rows of 1000
+def test_row_blocks_start_near_q_values_and_double_to_the_cap():
+    def blocks(rows, width, q, budget=8 * 20 * 1000):  # 20 rows of 1000
+        return list(_census._blocks(rows, width, budget, first=q))
+
     # below q = 2**12 the first block holds 2**12 values, 4 rows of 1000
-    rows = [(s.start, s.stop) for s in configsets._row_blocks(60, 1000, 250)]
+    rows = [(s.start, s.stop) for s in blocks(60, 1000, 250)]
     assert rows == [(0, 4), (4, 12), (12, 28), (28, 48), (48, 60)]
     # above it, about q values: 10 rows of 1000 at q = 10**4
-    rows = [(s.start, s.stop) for s in configsets._row_blocks(60, 1000, 10**4)]
+    rows = [(s.start, s.stop) for s in blocks(60, 1000, 10**4)]
     assert rows == [(0, 10), (10, 30), (30, 50), (50, 60)]
     # rows wider than the first block start at one row; a cap below one row
     # still gives one
-    assert [s.stop - s.start for s in configsets._row_blocks(5, 5000, 7)] == [1, 2, 2]
-    monkeypatch.setattr(configsets, "_CHUNK_BYTES", 8)
-    assert [s.stop for s in configsets._row_blocks(3, 100, 10**6)] == [1, 2, 3]
+    assert [s.stop - s.start for s in blocks(5, 5000, 7)] == [1, 2, 2]
+    assert [s.stop for s in blocks(3, 100, 10**6, budget=8)] == [1, 2, 3]
 
 
 # every area of the strip Z_25 x 5 Z_25 is a multiple of 5, and every dot
@@ -501,9 +502,9 @@ def test_pair_scans_charge_each_block_to_the_op_cap(monkeypatch):
     # the strip's scan runs all 125**3 values unless the cap stops it
     strip = _STRIP25
     assert triangle_area_count(strip) == 4
-    blocks = list(configsets._row_blocks(125 * 125, 125, 25))
+    blocks = list(_census._blocks(125 * 125, 125, _census._SCAN_BYTES, first=25))
     spent = blocks[-1].start * 125
-    monkeypatch.setattr(orthogroup, "_OP_CAP", 125**3 - 1)
+    monkeypatch.setattr(_census, "_OP_CAP", 125**3 - 1)
     with pytest.raises(ValueError) as info:
         triangle_area_count(strip)
     last = blocks[-1].stop - blocks[-1].start
@@ -513,9 +514,9 @@ def test_pair_scans_charge_each_block_to_the_op_cap(monkeypatch):
     )
     # the deep set's 25 * 25 pairs, never saturated
     deep = _DEEP25
-    monkeypatch.setattr(orthogroup, "_OP_CAP", 25 * 25)
+    monkeypatch.setattr(_census, "_OP_CAP", 25 * 25)
     assert dot_product_count(deep) == 1
-    monkeypatch.setattr(orthogroup, "_OP_CAP", 25 * 25 - 1)
+    monkeypatch.setattr(_census, "_OP_CAP", 25 * 25 - 1)
     with pytest.raises(ValueError, match="the dot product scan: .* more would pass the "
                                          f"{25 * 25 - 1}-operation budget"):
         dot_product_count(deep)
@@ -526,7 +527,7 @@ def test_pair_scans_charge_each_block_to_the_op_cap(monkeypatch):
 def test_saturating_scans_stay_far_inside_the_op_cap(monkeypatch):
     # 280 points saturate the Z_25 areas and 16 points the Z_9 dot products
     # after their first blocks, whatever the full scans would cost
-    monkeypatch.setattr(orthogroup, "_OP_CAP", 10**6)
+    monkeypatch.setattr(_census, "_OP_CAP", 10**6)
     assert triangle_area_count(random_subset(M25, 2, 280, 1)) == 24
     assert dot_product_count(random_subset(M9, 2, 40, 1)) == 9
 
@@ -558,7 +559,7 @@ _REFUSALS = {
 @pytest.mark.parametrize("path", list(_REFUSALS))
 def test_each_refusal_names_spent_next_and_budget(monkeypatch, path):
     what, cap, run = _REFUSALS[path]
-    monkeypatch.setattr(orthogroup, "_OP_CAP", cap)
+    monkeypatch.setattr(_census, "_OP_CAP", cap)
     with pytest.raises(ValueError) as info:
         run()
     spent, step, budget = map(int, re.fullmatch(
@@ -629,7 +630,7 @@ def test_rotation_correlation_over_tiny_chunks(monkeypatch):
 
     E = random_subset(M27, 2, 30, seed=8)
     for chunk, rows in ((8, 1), (8 * 7 * len(E), 7)):
-        monkeypatch.setattr(configsets, "_CHUNK_BYTES", chunk)
+        monkeypatch.setattr(_census, "_SCAN_BYTES", chunk)
         monkeypatch.setattr(np, "bincount", counting)
         for theta in so2_elements(M27)[::5]:
             blocks.clear()
@@ -643,9 +644,9 @@ def test_rotation_correlation_holds_a_few_blocks():
     E = random_subset(m, 2, 4000, seed=2)
     theta = so2_elements(m)[7]
     # all n**2 codes at once would be 128 MB; the counts and the dict are O(q**2)
-    assert 8 * len(E) ** 2 > 30 * configsets._CHUNK_BYTES
+    assert 8 * len(E) ** 2 > 30 * _census._SCAN_BYTES
     assert _peak_bytes(rotation_correlation, E, theta) <= (
-        4 * configsets._CHUNK_BYTES + 64 * m.q**2
+        4 * _census._SCAN_BYTES + 64 * m.q**2
     )
 
 
@@ -840,7 +841,7 @@ def test_sumset_path_refuses_past_its_budget():
     q = 3**9
     E = PointSet.product(Modulus.from_q(q), range(q), 2)
     refusal = (f"dot products of A\\^2 with \\|A\\| = {q}: 0 operations spent, and {q * q} "
-               f"more would pass the {orthogroup._OP_CAP}-operation budget")
+               f"more would pass the {_census._OP_CAP}-operation budget")
     with pytest.raises(ValueError, match=refusal):
         dot_product_set(E)
     with pytest.raises(ValueError, match=refusal):

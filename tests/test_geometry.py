@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zqgeom import geometry
+from zqgeom import _census, geometry
 from zqgeom.geometry import (
     DimensionMismatch,
     average_line_points,
@@ -322,7 +322,7 @@ def test_sphere_points_in_dimension_3_over_z121_sampled():
 
 def test_sphere_points_in_small_blocks(monkeypatch):
     # one leading coordinate per block still lists the sphere in order
-    monkeypatch.setattr(geometry, "_CHUNK_BYTES", 8)
+    monkeypatch.setattr(_census, "_BLOCK_BYTES", 8)
     for d in (1, 2, 3):
         assert sphere_points(M9, 4, d) == _sphere_scan(M9, d)[4]
 

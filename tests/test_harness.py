@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zqgeom import geometry, harness, orthogroup
+from zqgeom import _census, geometry, harness, orthogroup
 from zqgeom.configsets import FULL_GRID_CAP, PointSet
 from zqgeom.harness import (
     CSV_HEADER,
@@ -53,7 +53,8 @@ from zqgeom.harness import (
     write_pointset_file,
     write_report,
 )
-from zqgeom.orthogroup import _OP_CAP, so2_elements
+from zqgeom._census import _OP_CAP
+from zqgeom.orthogroup import so2_elements
 from zqgeom.ring import Modulus, Polynomial, hensel_lift_root, is_prime
 
 M3 = Modulus(3, 1)
@@ -1103,7 +1104,7 @@ def test_group_products_in_int32_match_int64(monkeypatch, m, rows):
     # every t o u of the group, in blocks of `rows` rotations t, against
     # (ta ua - tb ub, tb ua + ta ub) in int64
     g, q = orthogroup.so2_table(m), m.q
-    monkeypatch.setattr(orthogroup, "_CHUNK_BYTES", 4 * len(g) * rows)
+    monkeypatch.setattr(_census, "_BLOCK_BYTES", 4 * len(g) * rows)
     blocks = list(_compositions(g, q))
     assert [s for s, _ in blocks] == list(range(0, len(g), rows))
     got = np.concatenate([block for _, block in blocks])

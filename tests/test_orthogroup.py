@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zqgeom import orthogroup
+from zqgeom import _census, orthogroup
 from zqgeom.geometry import norm, stratum_of, vadd, vsub
 from zqgeom.harness import random_subset
 from zqgeom.orthogroup import (
@@ -319,7 +319,7 @@ def test_triangle_classes_tiny_chunks(monkeypatch, chunk_bytes):
     # parts, dense counts over many middle-vertex chunks at 1024 and 4096
     # bytes (the repeated 2 x 2 square has only 9 distinct differences),
     # chunked canonicalization and group tables
-    monkeypatch.setattr(orthogroup, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(_census, "_BLOCK_BYTES", chunk_bytes)
     orthogroup.so2_table.cache_clear()
     orthogroup.so2_elements.cache_clear()
     try:
@@ -346,9 +346,9 @@ def test_residue_table_matches_the_sorted_merge(q, start, values):
     blocks = [np.array(b, dtype=np.int64).reshape(-1, 1) % q for b in values]
     start = min(start, q - 1)
     want = sorted({v % q for b in values for v in b if v % q >= start})
-    assert orthogroup._residues(iter(blocks), q, start).tolist() == want
-    with mock.patch.object(orthogroup, "_CHUNK_BYTES", 1):
-        assert orthogroup._residues(iter(blocks), q, start).tolist() == want
+    assert _census._residues(iter(blocks), q, start).tolist() == want
+    with mock.patch.object(_census, "_BLOCK_BYTES", 1):
+        assert _census._residues(iter(blocks), q, start).tolist() == want
 
 
 def test_residues_stop_once_every_value_has_occurred():
@@ -356,9 +356,9 @@ def test_residues_stop_once_every_value_has_occurred():
         yield np.array([[3, 1], [6, 2], [5, 4]])  # every 1 <= t < 7
         raise AssertionError("read a block past saturation")
 
-    for chunk in (orthogroup._CHUNK_BYTES, 1):
-        with mock.patch.object(orthogroup, "_CHUNK_BYTES", chunk):
-            assert orthogroup._residues(blocks(), 7, start=1).tolist() == [1, 2, 3, 4, 5, 6]
+    for chunk in (_census._BLOCK_BYTES, 1):
+        with mock.patch.object(_census, "_BLOCK_BYTES", chunk):
+            assert _census._residues(blocks(), 7, start=1).tolist() == [1, 2, 3, 4, 5, 6]
 
 
 def test_group_caches_are_bounded():
@@ -406,8 +406,8 @@ def test_triangle_class_count_matches_the_census(m, pts, repeats, chunk_bytes):
     # middle vertex at a time, in both censuses, and tally the keys over
     # many merges in triangle_classes
     pts = pts + pts[:repeats]
-    chunk = orthogroup._CHUNK_BYTES if chunk_bytes is None else chunk_bytes
-    with mock.patch.object(orthogroup, "_CHUNK_BYTES", chunk):
+    chunk = _census._BLOCK_BYTES if chunk_bytes is None else chunk_bytes
+    with mock.patch.object(_census, "_BLOCK_BYTES", chunk):
         assert triangle_class_count(m, pts) == len(triangle_classes(m, pts))
 
 
@@ -518,7 +518,7 @@ def test_pair_orbit_keys_past_int64_are_records_that_rotations_keep(p, l):
         cases.append(((orthogroup._iota(m), 1), w))
     for first, second in cases:
         keys = orthogroup.pair_orbit_keys(m, np.array(first), second)
-        assert len(orthogroup._merged([keys])) == len(w)
+        assert len(_census._merged([keys])) == len(w)
 
 
 def _special_set(m, family, seed):
@@ -611,11 +611,11 @@ def test_key_count_byte_budget_is_the_least_key_bound(monkeypatch, m, E, per_key
     held = per_key * bound
     assert orthogroup._ORBIT_KEY_BYTES * orthogroup._key_dtype(m).itemsize // 8 == per_key
     want = 16 if n == 3 else len(triangle_classes(m, E))  # 1 + 9 + 6, as in test_cli
-    monkeypatch.setattr(orthogroup, "_CENSUS_BYTES", held - 1)
+    monkeypatch.setattr(_census, "_CENSUS_BYTES", held - 1)
     with pytest.raises(ValueError, match=f"n = {n} points may hold {held} bytes of orbit keys, "
                                          f"over the {held - 1}-byte budget"):
         triangle_class_count(m, E)
-    monkeypatch.setattr(orthogroup, "_CENSUS_BYTES", held)
+    monkeypatch.setattr(_census, "_CENSUS_BYTES", held)
     assert triangle_class_count(m, E) == want
 
 
@@ -635,8 +635,8 @@ def test_key_count_admits_sets_with_few_differences_past_n3_bytes(monkeypatch, m
     # 32 bytes per triple would pass the 1 GiB budget, but the keys number
     # at most the pairs of distinct differences
     n = len(E)
-    assert orthogroup._ORBIT_KEY_BYTES * n**3 > orthogroup._CENSUS_BYTES
-    assert n**3 <= orthogroup._OP_CAP and n**3 < m.q**4 * math.log(m.q**2)
+    assert orthogroup._ORBIT_KEY_BYTES * n**3 > _census._CENSUS_BYTES
+    assert n**3 <= _census._OP_CAP and n**3 < m.q**4 * math.log(m.q**2)
     want = len(triangle_classes(m, E)) if want is None else want
     keyed, keys = [], orthogroup.pair_orbit_keys
 
@@ -649,7 +649,7 @@ def test_key_count_admits_sets_with_few_differences_past_n3_bytes(monkeypatch, m
     assert triangle_class_count(m, E) == want
     # with at most 1024 differences the dense pair table keys each realized
     # pair once, not every triple
-    size = len(orthogroup._residues(orthogroup._difference_blocks(E, m.q), m.q**2))
+    size = len(_census._residues(orthogroup._difference_blocks(E, m.q), m.q**2))
     assert sum(keyed) <= size**2 if size <= 1024 else sum(keyed) == n**3
 
 
@@ -771,7 +771,7 @@ def _certified_orbits(m, E):
 def _cover(m, E, budget=None):
     """_cover_count of the distinct points E, within the op cap by default."""
     codes = np.unique([x * m.q + y for x, y in E])
-    return orthogroup._cover_count(m, codes, orthogroup._OP_CAP if budget is None else budget)
+    return orthogroup._cover_count(m, codes, _census._OP_CAP if budget is None else budget)
 
 
 # (n, seed) per modulus where no nonzero orbit, some orbits, or every orbit
@@ -825,8 +825,8 @@ def test_windowed_count_matches_the_census_over_the_window(m, where, seed, chunk
     E = list(random_subset(m, 2, lo + where % (hi - lo + 1), seed=seed))
     want = len(triangle_classes(m, E))
     if chunk is None or m.q > 13:
-        chunk = orthogroup._CHUNK_BYTES
-    with mock.patch.object(orthogroup, "_CHUNK_BYTES", chunk):
+        chunk = _census._BLOCK_BYTES
+    with mock.patch.object(_census, "_BLOCK_BYTES", chunk):
         assert triangle_class_count(m, E) == want
 
 
@@ -1061,7 +1061,7 @@ def test_difference_blocks_match_the_pair_loop(m):
     E = list(random_subset(m, 2, m.q**2 // 2 + 3, seed=5))
     pts = np.array(E, dtype=np.int64)
     h = np.zeros(m.q**2, dtype=np.int64)
-    with mock.patch.object(orthogroup, "_CHUNK_BYTES", 8 * 7 * len(pts)):  # 7 rows a block
+    with mock.patch.object(_census, "_BLOCK_BYTES", 8 * 7 * len(pts)):  # 7 rows a block
         blocks = list(orthogroup._difference_blocks(pts, m.q))
     assert [len(b) for b in blocks[:-1]] == [7] * (len(blocks) - 1)
     for block in blocks:
@@ -1113,7 +1113,7 @@ def test_group_tables_past_the_byte_budget_are_refused_before_they_are_built():
     # count of a sparse set needs no group table
     m, E = Modulus(2**31 - 1, 1), [(1, 2), (5, 9), (100, 7)]
     held = orthogroup._SO2_BYTES * m.q
-    assert held > orthogroup._CENSUS_BYTES
+    assert held > _census._CENSUS_BYTES
     calls = [partial(triangle_classes, m, E), partial(stabilizer, m, (1, 2)),
              partial(stabilizer_table, m)]
     tracemalloc.start()
@@ -1131,7 +1131,7 @@ def test_group_tables_past_the_byte_budget_are_refused_before_they_are_built():
 
 def test_t2_op_cap_refuses_each_stage_before_it_runs(monkeypatch):
     def count_under(cap, E, m=M13):
-        monkeypatch.setattr(orthogroup, "_OP_CAP", cap)
+        monkeypatch.setattr(_census, "_OP_CAP", cap)
         return triangle_class_count(m, E)
 
     # below the cover's regime, 50**3 < 13**4 ln(13**2): the n**3 census
@@ -1186,7 +1186,7 @@ def test_sorted_census_refuses_past_its_byte_budget_before_any_tally(monkeypatch
     # key is formed
     m = Modulus(727, 1)
     pts = random_subset(m, 2, 584, seed=0).as_array()
-    assert 584**3 <= orthogroup._OP_CAP
+    assert 584**3 <= _census._OP_CAP
 
     def no_keys(m, u, v):
         raise AssertionError("the census formed keys before its byte check")
@@ -1213,11 +1213,11 @@ def test_census_byte_budget_is_min_of_triples_and_key_pairs(monkeypatch):
     ]
     for m, E, bound in cases:
         n, held = len(E), orthogroup._CLASS_KEY_BYTES * bound
-        monkeypatch.setattr(orthogroup, "_CENSUS_BYTES", held - 1)
+        monkeypatch.setattr(_census, "_CENSUS_BYTES", held - 1)
         with pytest.raises(ValueError, match=f"n = {n} points may hold {held} bytes of orbit keys, "
                                              f"over the {held - 1}-byte budget"):
             triangle_classes(m, E)
-        monkeypatch.setattr(orthogroup, "_CENSUS_BYTES", held)
+        monkeypatch.setattr(_census, "_CENSUS_BYTES", held)
         assert sum(triangle_classes(m, E).values()) == n**3
 
 
@@ -1334,7 +1334,7 @@ def test_wide_keys_sort_and_compare_like_their_pairs(pairs):
     assert np.array_equal(np.argsort(keys, kind="stable"), np.argsort(records, kind="stable"))
     assert (keys[:, None] == keys).tolist() == [[a == b for b in pairs] for a in pairs]
     assert (keys[:, None] < keys).tolist() == [[a < b for b in pairs] for a in pairs]
-    assert np.array_equal(orthogroup._merged([keys.copy()]), orthogroup._wide_keys(
+    assert np.array_equal(_census._merged([keys.copy()]), orthogroup._wide_keys(
         *np.array(sorted(set(pairs)), dtype=np.int64).T))
 
 
@@ -1348,7 +1348,7 @@ def test_triangle_classes_past_the_int64_key_space(monkeypatch):
     assert classes == _canonical_census(m, pts)
     # records take twice the bytes a key
     held = 2 * orthogroup._CLASS_KEY_BYTES * 27
-    monkeypatch.setattr(orthogroup, "_CENSUS_BYTES", held - 1)
+    monkeypatch.setattr(_census, "_CENSUS_BYTES", held - 1)
     with pytest.raises(ValueError, match=f"n = 3 points may hold {held} bytes of orbit keys"):
         triangle_classes(m, pts)
 
