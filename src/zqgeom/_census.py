@@ -72,9 +72,10 @@ def _blocks(rows: int, width: int, budget: int, itemsize: int = 8, *,
 
 
 def _heads(values: np.ndarray) -> np.ndarray:
-    """Where each run of equal entries of a sorted 1-D array starts."""
-    head = np.ones(len(values), dtype=bool)
-    head[1:] = values[1:] != values[:-1]
+    """Where each run of equal entries (rows, in a 2-D array) of a sorted array starts."""
+    head = np.empty(len(values), dtype=bool)
+    head[:1], step = True, np.not_equal(values[1:], values[:-1])
+    head[1:] = step if values.ndim == 1 else np.logical_or.reduce(step, axis=1)
     return head
 
 

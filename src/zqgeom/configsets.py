@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _census
 from .fourier import GridFunction
-from .geometry import DimensionMismatch, Line, Vec, norm, vadd, valuation_table, vsub
+from .geometry import DimensionMismatch, Line, Vec, _read_points, norm, vadd, valuation_table, vsub
 from .orthogroup import Rotation
 from .ring import Modulus
 
@@ -64,14 +64,10 @@ class PointSet:
         self, m: Modulus, d: int, points: Iterable[Vec], base: Iterable[int] | None = None
     ) -> None:
         _check_dimension(d)
-        q = m.q
-        pts = sorted({tuple(c % q for c in pt) for pt in points})
-        for pt in pts:
-            if len(pt) != d:
-                raise DimensionMismatch(f"point {pt} is not {d}-dimensional")
-        if base is not None:
-            base = tuple(sorted({c % q for c in base}))
-        self._fill(m, d, base, None, np.array(pts, dtype=np.int64).reshape(len(pts), d))
+        base = None if base is None else PointSet.product(m, base, 1).base
+        pts = _read_points(m, d, points)
+        rows = pts[np.lexsort(pts.T[::-1])]
+        self._fill(m, d, base, None, rows[_census._heads(rows)])
 
     def _fill(self, m, d, base, factor, rows) -> None:
         if rows is not None:
@@ -95,7 +91,8 @@ class PointSet:
     def product(cls, m: Modulus, base: Iterable[int], d: int) -> "PointSet":
         """The d-fold product A x ... x A of a subset A of Z_q."""
         _check_dimension(d)
-        a = tuple(sorted({c % m.q for c in base}))
+        cells = base[:, None] if isinstance(base, np.ndarray) else [(c,) for c in base]
+        a = tuple(sorted(set(_read_points(m, 1, cells)[:, 0].tolist())))
         return cls._made(m, d, factor=a, base=a)
 
     @classmethod

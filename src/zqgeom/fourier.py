@@ -17,7 +17,6 @@ the float64 real inverse FFT of that half.  Other tables take the complex FFT.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
@@ -25,6 +24,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import _census
+from .geometry import _read_points
 from .ring import Modulus
 
 __all__ = [
@@ -43,26 +43,6 @@ def _roots_of_unity(q: int) -> np.ndarray:
     roots = np.exp(2j * np.pi * np.arange(q) / q)
     roots.flags.writeable = False
     return roots
-
-
-def _grid_index(m: Modulus, d: int, points) -> tuple[np.ndarray, ...]:
-    """Per-axis int64 indices, mod q, of an (n, d) integer array or iterable of d-tuples,
-    refused as np.asarray reads them: ragged, of another d, or not all ints in int64."""
-    if not isinstance(points, np.ndarray):
-        pts, flat = list(points), itertools.chain.from_iterable
-        try:  # np.asarray reads points of bools alone as a bool table
-            if set(map(len, pts)) - {d} or pts and all(isinstance(c, bool) for c in flat(pts)):
-                raise TypeError("ragged points, or bools alone")
-            ints = np.fromiter(map(operator.index, flat(pts)), np.int64, len(pts) * d)
-        except (TypeError, OverflowError) as err:
-            raise ValueError(f"need integer {d}-dimensional points: {err}") from None
-        points = ints.reshape(len(pts), d)
-    if points.ndim != 2 or points.shape[1] != d or points.dtype.kind not in "iu":
-        raise ValueError(f"need integer {d}-dimensional points, got {points.dtype} {points.shape}")
-    # unsigned values are reduced in uint64, so none past 2**63 wraps; signed ones
-    # are widened first, because int8 % 729 overflows int8
-    wide = np.uint64 if points.dtype.kind == "u" else np.int64
-    return tuple((points.astype(wide, copy=False) % m.q).astype(np.int64, copy=False).T)
 
 
 def _float_or_complex(values) -> np.ndarray:
@@ -107,14 +87,14 @@ class GridFunction(_Table):
     @classmethod
     def indicator(cls, m: Modulus, d: int, points: Iterable) -> "GridFunction":
         vals = np.zeros((m.q,) * d)
-        vals[_grid_index(m, d, points)] = 1.0
+        vals[tuple(_read_points(m, d, points).T)] = 1.0
         return cls._adopt(m, d, vals)
 
     @classmethod
     def from_counts(cls, m: Modulus, d: int, table: Mapping) -> "GridFunction":
         counts = _float_or_complex(list(table.values()))
         vals = np.zeros((m.q,) * d, dtype=counts.dtype)
-        vals[_grid_index(m, d, table.keys())] = counts
+        vals[tuple(_read_points(m, d, table.keys()).T)] = counts
         return cls._adopt(m, d, vals)
 
     @cached_property

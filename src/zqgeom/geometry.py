@@ -8,6 +8,8 @@ plane into annuli that the line census is organized around.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -51,6 +53,34 @@ _LINE_CACHE_STRATA = 16
 
 class DimensionMismatch(ValueError):
     """Vector arguments live in different (or unsupported) dimensions."""
+
+
+def _read_points(m: Modulus, d: int, points) -> np.ndarray:
+    """Caller points as an (n, d) int64 array of residues in [0, q): an (n, d) integer
+    array, or an iterable of d-coordinate points, not all bools (np.asarray reads those as
+    a bool table), whose coordinates pass operator.index and fit int64.  DimensionMismatch
+    refuses a wrong d, ValueError any other point; a reduced int64 array comes back as is."""
+    if not isinstance(points, np.ndarray):
+        pts, flat = list(points), itertools.chain.from_iterable
+        try:
+            if bad := set(map(len, pts)) - {d}:
+                raise DimensionMismatch(f"need {d}-dimensional points, got one of length {min(bad)}")
+            if pts and all(isinstance(c, bool) for c in flat(pts)):
+                raise TypeError("bools alone")
+            points = np.fromiter(map(operator.index, flat(pts)), np.int64, len(pts) * d)
+        except (TypeError, OverflowError) as err:
+            raise ValueError(f"need integer {d}-dimensional points: {err}") from None
+        points = points.reshape(len(pts), d)
+    if points.ndim != 2 or points.shape[1] != d:
+        raise DimensionMismatch(f"need {d}-dimensional points, got an array of shape {points.shape}")
+    if points.dtype.kind not in "iu":
+        raise ValueError(f"need integer {d}-dimensional points, got {points.dtype}")
+    # read as unsigned, a negative int64 is at least 2**63 > q
+    if points.dtype == np.int64 and points.view(np.uint64).max(initial=0) < m.q:
+        return points
+    # unsigned values reduce in uint64, so none past 2**63 wraps; signed ones in int64
+    wide = np.uint64 if points.dtype.kind == "u" else np.int64
+    return (points.astype(wide, copy=False) % m.q).astype(np.int64, copy=False)
 
 
 def vadd(m: Modulus, u: Vec, v: Vec) -> Vec:
@@ -266,8 +296,7 @@ def lines_in_stratum(m: Modulus, n: int) -> tuple[Line, ...]:
 
 def lines_through(m: Modulus, v: Vec) -> tuple[Line, ...]:
     """Full-length lines containing v, by scanning the whole stratum-0 census."""
-    v = tuple(c % m.q for c in v)
-    if all(c == 0 for c in v):
+    if all(c % m.q == 0 for c in v):  # Line.__contains__ reduces v itself
         raise ValueError("the zero vector lies on every line")
     return tuple(line for line in lines_in_stratum(m, 0) if v in line)
 

@@ -280,8 +280,6 @@ def parse_pointset(text: str) -> PointSet:
     q, d = header
     m = Modulus.from_q(q)
     for row in rows:
-        if len(row) != d:
-            raise ValueError(f"point {row} is not {d}-dimensional")
         if any(not 0 <= c < q for c in row):
             raise ValueError(f"point {row} has a residue outside [0, {q})")
     return PointSet(m, d, tuple(rows))
@@ -390,7 +388,7 @@ def generate_set(cfg: ExperimentConfig, trial: int) -> PointSet:
     if src.mode == "product":
         if ps.d != 1:
             raise ValueError(f"product source needs a 1-dimensional base file, got d={ps.d}")
-        E = PointSet.product(m, (pt[0] for pt in ps), cfg.d)
+        E = PointSet.product(m, ps.as_array()[:, 0], cfg.d)
         _within_digits(f"the size of A^d with |A| = {len(E.base)}", cfg.d, len(E.base), cfg.d)
         return E
     if ps.d != cfg.d:

@@ -15,7 +15,7 @@ import numpy as np
 import numpy.fft  # loaded with the package, so no count pays its 1.4-2.3 ms first import
 
 from . import _census
-from .geometry import DimensionMismatch, valuation_table, vsub
+from .geometry import _read_points, valuation_table, vsub
 from .ring import Modulus, Polynomial, hensel_lift_root
 
 __all__ = [
@@ -291,9 +291,9 @@ def _wide_keys(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
 
 
 def pair_orbit_keys(m: Modulus, u, v) -> np.ndarray:
-    """One key per pair (u, v) of plane vectors, given as integer arrays of
-    shape (..., 2) that broadcast together; two pairs get equal keys exactly
-    when they lie in one SO_2 orbit.
+    """One key per pair (u, v) of plane vectors, given as integer arrays of shape
+    (..., 2) that broadcast together, or as _plane_vectors reads them; two pairs
+    get equal keys exactly when they lie in one SO_2 orbit.
 
     Read u and v as Gaussian integers z and w of Z_r[i], r = q at first.  A
     rotation theta = a + bi has norm N(theta) = a**2 + b**2 = 1 and acts by
@@ -333,7 +333,7 @@ def pair_orbit_keys(m: Modulus, u, v) -> np.ndarray:
     and compares in the same order.
     """
     q, p, l = m.q, m.p, m.l
-    u, v = np.asarray(u, dtype=np.int64) % q, np.asarray(v, dtype=np.int64) % q
+    u, v = _plane_vectors(m, u), _plane_vectors(m, v)
     coords = (u[..., 0], u[..., 1], v[..., 0], v[..., 1])
     head, b, c = _level_keys(m, q, *coords)
     deep = np.flatnonzero(head < 0)
@@ -349,6 +349,15 @@ def pair_orbit_keys(m: Modulus, u, v) -> np.ndarray:
     if _key_dtype(m) == np.int64:
         return (head * q + b) * q + c
     return _wide_keys(head, b * q + c)
+
+
+def _plane_vectors(m: Modulus, w) -> np.ndarray:
+    """pair_orbit_keys' u or v by _read_points: an integer (..., 2) array, a vector or a list."""
+    if isinstance(w, np.ndarray):
+        return _read_points(m, 2, w.reshape(-1, 2) if w.shape[-1:] == (2,) else w).reshape(w.shape)
+    pts = list(w)
+    one = pts and not any(isinstance(c, (tuple, list, np.ndarray)) for c in pts)
+    return _read_points(m, 2, [pts])[0] if one else _read_points(m, 2, pts)
 
 
 def _key_dtype(m: Modulus) -> np.dtype:
@@ -407,8 +416,9 @@ def _orbit_min(rot: np.ndarray, codes: np.ndarray, q: int) -> tuple[np.ndarray, 
     rot, codes = rot.astype(small), codes.astype(small)
     for rs in _census._blocks(len(codes), len(rot), _census._BLOCK_BYTES):
         img = _turn(rot[:, :1], rot[:, 1:], codes[None, rs], q)
-        arg[rs] = img.argmin(axis=0)
-        best[rs] = img.min(axis=0)
+        # argmin's transposed copy of img stays below _turn's three block-sized terms
+        arg[rs] = at = img.argmin(axis=0)
+        best[rs] = img[at, np.arange(len(at))]
         del img  # freed before the next block's turn
     return best, arg
 
@@ -438,7 +448,7 @@ def _canonical_pairs(
     least, theta = _orbit_min(g, codes, q)
     depth = _depths(m, least // q, least % q)[:, ru]
     order = np.lexsort(depth)
-    heads = np.flatnonzero(np.diff(depth[:, order], prepend=-1).any(axis=0))
+    heads = np.flatnonzero(_census._heads(depth[:, order].T))
     for lo, hi in zip(heads, np.r_[heads[1:], len(ru)]):
         stab = _fixing(m, int(least[ru[order[lo]]]))
         for rs in _census._blocks(hi - lo, 16, _census._BLOCK_BYTES):  # 16 int64 temporaries a pair
@@ -453,21 +463,6 @@ def _row_counts(rank: np.ndarray, size: int) -> np.ndarray:
     k = len(rank)
     flat = (np.arange(k)[:, None] * size + rank).ravel()
     return np.bincount(flat, minlength=k * size).reshape(k, size).astype(np.float64)
-
-
-def _planar(m: Modulus, points: Iterable[Vec2] | np.ndarray) -> np.ndarray:
-    """The points as an (n, 2) int64 array reduced mod q, for reading only:
-    an int64 array already reduced (the read-only PointSet.as_array(), say)
-    comes back as it is."""
-    if not isinstance(points, np.ndarray):
-        points = [tuple(v) for v in points]
-    pts = np.asarray(points, dtype=np.int64)
-    if len(pts) == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise DimensionMismatch("triangle classes are a planar census")
-    # read as unsigned, a negative entry is at least 2**63 > q
-    return pts % m.q if pts.view(np.uint64).max() >= m.q else pts
 
 
 def _class_census(m: Modulus, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -555,7 +550,7 @@ def triangle_classes(m: Modulus, points: Iterable[Vec2]) -> dict[TriangleClass, 
     _CLASS_KEY_BYTES a key.
     """
     q = m.q
-    u, v, counts = _class_census(m, _planar(m, points))
+    u, v, counts = _class_census(m, _read_points(m, 2, points))
     pairs = zip(zip((u // q).tolist(), (u % q).tolist()), zip((v // q).tolist(), (v % q).tolist()))
     # the collector's full passes over the growing dict took 1.6 s of 2.8 s at 970291 classes
     enabled = gc.isenabled()
@@ -585,9 +580,8 @@ def triangle_class_count(m: Modulus, points: Iterable[Vec2] | np.ndarray) -> int
       _ORBIT_KEY_BYTES per int64 key it may hold (twice that per _WIDE_KEY)
       passes _CENSUS_BYTES (_key_blocks).
     """
-    pts = _planar(m, points)
     q = m.q
-    codes = _census._merged([pts[:, 0] * q + pts[:, 1]])
+    codes = _census._merged([_read_points(m, 2, points) @ [q, 1]])
     n = len(codes)
     if realizes_every_pair(m, n):
         return orbit_pair_total(m)

@@ -248,6 +248,8 @@ def test_only_the_census_module_defines_budgets_block_steps_meters_and_merges():
 
 def test_counters_reach_no_private_kit_name_of_orthogroup_or_geometry():
     allowed = {("harness", "orthogroup", "_turn")}  # group maths, not the kit
+    # the one reader of caller points, not the kit either
+    allowed |= {("configsets", "geometry", "_read_points"), ("fourier", "geometry", "_read_points")}
     found, trees = [], _trees()
     for module in ("configsets", "harness", "fourier"):
         for node in ast.walk(trees[module]):

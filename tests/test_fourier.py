@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from zqgeom import fourier
+from zqgeom import fourier, geometry
 from zqgeom.fourier import (
     GridFunction,
     SpectrumTable,
@@ -220,7 +220,7 @@ def test_cached_roots_of_unity_are_read_only():
 
 
 def _asarray_grid_index(m, d, points):
-    """_grid_index's reading of tuples through np.asarray, as it was (the oracle)."""
+    """The indicator's old reading of tuples through np.asarray, per axis (the oracle)."""
     points = np.asarray(list(points) or np.empty((0, d), np.int64))
     if points.ndim != 2 or points.shape[1] != d or points.dtype.kind not in "iu":
         raise ValueError("refused")
@@ -258,9 +258,9 @@ def test_tuples_are_read_as_np_asarray_reads_them(case):
     # wrapped to int64, so to wrong indices; they are refused now
     if want is None or np.asarray(points).dtype == np.uint64:
         with pytest.raises(ValueError):
-            fourier._grid_index(M9, d, points)
+            geometry._read_points(M9, d, points)
     else:
-        got = fourier._grid_index(M9, d, iter(points))
+        got = geometry._read_points(M9, d, iter(points)).T
         assert len(got) == d and all(np.array_equal(a, b) for a, b in zip(got, want))
         assert all(a.dtype == np.int64 for a in got)
 
@@ -297,7 +297,7 @@ def test_array_points_give_the_same_tables_as_tuples():
 )
 def test_array_points_of_every_int_kind_index_their_residues(q, values, dtype):
     m = Modulus.from_q(q)
-    (got,) = fourier._grid_index(m, 1, np.array([values], dtype=dtype).T)
+    got = geometry._read_points(m, 1, np.array([values], dtype=dtype).T)[:, 0]
     assert got.dtype == np.int64 and got.tolist() == [v % q for v in values]
     f = GridFunction.indicator(m, 1, np.array([[values[0]]], dtype=dtype))
     assert np.flatnonzero(f.values).tolist() == [values[0] % q]

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zqgeom import _census, orthogroup
+from zqgeom import _census, geometry, orthogroup
 from zqgeom.geometry import norm, stratum_of, vadd, vsub
 from zqgeom.harness import random_subset
 from zqgeom.orthogroup import (
@@ -419,17 +419,23 @@ def test_triangle_class_count_matches_the_census(m, pts, repeats, chunk_bytes):
     st.sampled_from([np.int64, np.int32, np.float64]),
 )
 def test_triangle_class_count_reduces_unreduced_arrays(m, pts, shift, dtype):
-    # negative, unreduced or non-int64 arrays count as their reduced rows,
-    # and the caller's array is left as it was
+    # negative, unreduced or non-int64 integer arrays count as their reduced
+    # rows, and the caller's array is left as it was; float arrays are refused,
+    # integral or not
     reduced = np.array(pts, dtype=np.int64) % m.q
     raw = (reduced + m.q * np.array(shift)).astype(dtype)
     before = raw.copy()
-    assert triangle_class_count(m, raw) == triangle_class_count(m, reduced)
-    assert len(triangle_classes(m, raw)) == len(triangle_classes(m, reduced))
+    if dtype == np.float64:
+        for count in (triangle_class_count, triangle_classes):
+            with pytest.raises(ValueError):
+                count(m, raw)
+    else:
+        assert triangle_class_count(m, raw) == triangle_class_count(m, reduced)
+        assert len(triangle_classes(m, raw)) == len(triangle_classes(m, reduced))
     assert np.array_equal(raw, before)
     # a reduced int64 array, as PointSet.as_array() gives, is read in place
     reduced.flags.writeable = False
-    assert orthogroup._planar(m, reduced) is reduced
+    assert geometry._read_points(m, 2, reduced) is reduced
     assert triangle_class_count(m, reduced) == triangle_class_count(m, pts)
 
 
