@@ -124,13 +124,16 @@ class PointSet:
         return zip(*self.as_array().T.tolist())
 
     def __contains__(self, v) -> bool:
-        v = tuple(v)
+        try:
+            row = tuple(_read_points(self.m, self.d, [v])[0].tolist())
+        except ValueError:
+            return False
+        if row != tuple(v):  # a coordinate outside [0, q), which the reader reduced, names no point
+            return False
         if self._index is None:
             members = self if self._factor is None else self._factor
             object.__setattr__(self, "_index", frozenset(members))
-        if self._factor is None:
-            return v in self._index
-        return len(v) == self.d and all(c in self._index for c in v)
+        return row in self._index if self._factor is None else all(c in self._index for c in row)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointSet):
@@ -142,7 +145,7 @@ class PointSet:
         if self._factor is None and other._factor is None:
             return np.array_equal(self._points, other._points)
         listed, lazy = (self, other) if self._factor is None else (other, self)
-        return all(v in lazy for v in listed)
+        return bool(np.isin(listed.as_array(), lazy._factor).all())  # sizes equal, rows distinct
 
     def __hash__(self) -> int:
         return hash((self.m, self.d, self.base, self.size))
@@ -503,6 +506,5 @@ def restricted_line_count(E: PointSet, x: Vec, i: int) -> int:
     m = E.m
     if not 0 <= i <= m.l - 1:
         raise ValueError(f"depth must lie in [0, {m.l - 1}], got {i}")
-    w = m.p ** (m.l - i)
-    slice_pts = {tuple((s * c) % m.q for c in x) for s in range(w) if s % m.p != 0}
-    return sum(1 for t in slice_pts if t in E)
+    x, w = _read_points(m, E.d, [x])[0].tolist(), m.p ** (m.l - i)
+    return sum(t in E for t in {tuple(s * c % m.q for c in x) for s in range(w) if s % m.p})

@@ -78,7 +78,7 @@ class _Table:
         return table
 
     def at(self, v) -> complex:
-        return complex(self.values[tuple(c % self.m.q for c in v)])
+        return complex(self.values[tuple(_read_points(self.m, self.d, [v])[0])])
 
 
 class GridFunction(_Table):

@@ -84,30 +84,34 @@ def _read_points(m: Modulus, d: int, points) -> np.ndarray:
 
 
 def vadd(m: Modulus, u: Vec, v: Vec) -> Vec:
+    """u + v mod q.  Like the helpers below, it takes residues as given: they run
+    inside the oracles' loops, where a _read_points call costs several times theirs."""
     if len(u) != len(v):
         raise DimensionMismatch(f"sum of a {len(u)}-vector and a {len(v)}-vector")
     return tuple((a + b) % m.q for a, b in zip(u, v))
 
 
 def vsub(m: Modulus, u: Vec, v: Vec) -> Vec:
+    """u - v mod q, of residues taken as given."""
     if len(u) != len(v):
         raise DimensionMismatch(f"difference of a {len(u)}-vector and a {len(v)}-vector")
     return tuple((a - b) % m.q for a, b in zip(u, v))
 
 
 def norm(m: Modulus, v: Vec) -> int:
-    """Sum of squared coordinates mod q (a quadratic form, not a metric)."""
+    """Sum of squared coordinates mod q (a quadratic form, not a metric); v is taken as given."""
     return sum(c * c for c in v) % m.q
 
 
 def dot(m: Modulus, u: Vec, v: Vec) -> int:
+    """u . v mod q, of residues taken as given."""
     if len(u) != len(v):
         raise DimensionMismatch(f"dot of a {len(u)}-vector with a {len(v)}-vector")
     return sum(a * b for a, b in zip(u, v)) % m.q
 
 
 def det2(m: Modulus, u: Vec, v: Vec) -> int:
-    """Determinant of the 2x2 matrix with columns u, v."""
+    """Determinant of the 2x2 matrix with columns u, v, of residues taken as given."""
     if len(u) != 2 or len(v) != 2:
         raise DimensionMismatch("det2 needs two plane vectors")
     return (u[0] * v[1] - u[1] * v[0]) % m.q
@@ -140,7 +144,7 @@ def sphere_points(m: Modulus, j: int, d: int) -> tuple[Vec, ...]:
 
 
 def stratum_of(m: Modulus, v: Vec) -> int:
-    """Exact power of p dividing every coordinate (l for the zero vector)."""
+    """Exact power of p dividing every coordinate (l for the zero vector); v is taken as given."""
     return min(m.valuation(c) for c in v)
 
 
@@ -191,10 +195,13 @@ def stratum_points(m: Modulus, n: int) -> tuple[Vec, ...]:
 
 @dataclass(frozen=True)
 class Line:
-    """Cyclic submodule of Z_q^2 spanned by a canonical generator.
+    """Cyclic submodule of Z_q^2 spanned by a canonical generator p**n * g, g
+    with a unit coordinate, as spanned_line and lines_in_stratum build it.
 
-    Points are materialized on demand; membership solves for the scalar
-    directly, so it costs one modular inversion at most.
+    Points are materialized on demand.  v lies on the line exactly when p**n
+    divides both coordinates of v and det(g, v) = 0 mod q: if so, solving
+    along g's unit coordinate gives v = s * g, and p**n | v gives p**n | s.
+    A vector that _read_points refuses lies on no line.
     """
 
     m: Modulus
@@ -210,25 +217,13 @@ class Line:
         return [((t * a) % q, (t * b) % q) for t in range(len(self))]
 
     def __contains__(self, v) -> bool:
-        if len(v) != 2:
+        try:
+            x, y = _read_points(self.m, 2, [v])[0].tolist()
+        except ValueError:
             return False
-        p, q = self.m.p, self.m.q
-        pn = p**self.stratum
-        v0, v1 = v[0] % q, v[1] % q
-        if v0 % pn or v1 % pn:
-            return False
-        w = p ** (self.m.l - self.stratum)
-        a0, b0 = self.generator[0] // pn, self.generator[1] // pn
-        w0, w1 = (v0 // pn) % w, (v1 // pn) % w
-        if a0 == 1:
-            return (w0 * b0) % w == w1
-        if b0 == 1:
-            return (w1 * a0) % w == w0
-        if a0 % p:
-            t = (w0 * pow(a0, -1, w)) % w
-            return (t * b0) % w == w1
-        t = (w1 * pow(b0, -1, w)) % w
-        return (t * a0) % w == w0
+        pn = self.m.p**self.stratum
+        g0, g1 = self.generator[0] // pn, self.generator[1] // pn
+        return x % pn == y % pn == 0 and (g0 * y - g1 * x) % self.m.q == 0
 
 
 def spanned_line(m: Modulus, v: Vec) -> Line:
@@ -240,19 +235,15 @@ def spanned_line(m: Modulus, v: Vec) -> Line:
     to p**n * (c', 1).  Two vectors span the same line exactly when
     they normalize to the same generator.
     """
-    if len(v) != 2:
-        raise DimensionMismatch("lines live in the plane")
-    v = (v[0] % m.q, v[1] % m.q)
-    if v == (0, 0):
+    x, y = _read_points(m, 2, [v])[0].tolist()
+    if x == y == 0:
         raise ValueError("the zero vector spans no line")
-    n = stratum_of(m, v)
+    n = stratum_of(m, (x, y))
     pn, w = m.p**n, m.p ** (m.l - n)
-    a0, b0 = v[0] // pn, v[1] // pn
+    a0, b0 = x // pn, y // pn
     if a0 % m.p:
-        g0 = (1, (b0 * pow(a0, -1, w)) % w)
-    else:
-        g0 = ((a0 * pow(b0, -1, w)) % w, 1)
-    return Line(m, (pn * g0[0], pn * g0[1]), n)
+        return Line(m, (pn, pn * (b0 * pow(a0, -1, w) % w)), n)
+    return Line(m, (pn * (a0 * pow(b0, -1, w) % w), pn), n)
 
 
 def _spanned_generators(m: Modulus, n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -295,10 +286,13 @@ def lines_in_stratum(m: Modulus, n: int) -> tuple[Line, ...]:
 
 
 def lines_through(m: Modulus, v: Vec) -> tuple[Line, ...]:
-    """Full-length lines containing v, by scanning the whole stratum-0 census."""
-    if all(c % m.q == 0 for c in v):  # Line.__contains__ reduces v itself
+    """Full-length lines containing v, by Line.__contains__'s determinant test
+    on the whole stratum-0 census at once (p**0 divides every v)."""
+    x, y = _read_points(m, 2, [v])[0].tolist()
+    if x == y == 0:
         raise ValueError("the zero vector lies on every line")
-    return tuple(line for line in lines_in_stratum(m, 0) if v in line)
+    g0, g1 = np.divmod(line_generators(m, 0), m.q)
+    return tuple(itertools.compress(lines_in_stratum(m, 0), (g0 * y - g1 * x) % m.q == 0))
 
 
 def line_point_codes(m: Modulus, n: int, generators: np.ndarray) -> np.ndarray:

@@ -69,10 +69,12 @@ class Rotation:
     m: Modulus
 
     def apply(self, v: Vec2) -> Vec2:
+        """theta v, for a residue vector v taken as given (see geometry.vadd)."""
         q = self.m.q
         return ((self.a * v[0] - self.b * v[1]) % q, (self.b * v[0] + self.a * v[1]) % q)
 
     def compose(self, other: "Rotation") -> "Rotation":
+        """self * other, of residues taken as given."""
         q = self.m.q
         return Rotation(
             (self.a * other.a - self.b * other.b) % q,
@@ -124,7 +126,7 @@ def so2_elements(m: Modulus) -> tuple[Rotation, ...]:
 
 def stabilizer(m: Modulus, xi: Vec2) -> tuple[Rotation, ...]:
     """Rotations fixing xi, in so2_table order."""
-    rows = _fixing(m, xi[0] % m.q * m.q + xi[1] % m.q)
+    rows = _fixing(m, int(_read_points(m, 2, [xi])[0] @ [m.q, 1]))
     return tuple(Rotation(a, b, m) for a, b in rows.tolist())
 
 
@@ -251,12 +253,12 @@ def realizes_every_pair(m: Modulus, n: int) -> bool:
 def congruence_witness(m: Modulus, t1: Triangle, t2: Triangle) -> Optional[Rotation]:
     """First rotation carrying the difference vectors of t2 onto those of t1.
 
-    Triangles are ordered vertex triples; congruence asks for one theta
-    with x_i - x_j = theta(y_i - y_j) for all vertex pairs.  Returns None
-    when the triangles are not congruent.
+    Triangles are ordered vertex triples, each read as one 3-row array;
+    congruence asks for one theta with x_i - x_j = theta(y_i - y_j) for all
+    vertex pairs.  Returns None when the triangles are not congruent.
     """
-    d1 = (vsub(m, t1[0], t1[1]), vsub(m, t1[1], t1[2]), vsub(m, t1[0], t1[2]))
-    d2 = (vsub(m, t2[0], t2[1]), vsub(m, t2[1], t2[2]), vsub(m, t2[0], t2[2]))
+    d1, d2 = ([vsub(m, x, y), vsub(m, y, z), vsub(m, x, z)]  # unpacking: 3 rows or ValueError
+              for x, y, z in (map(tuple, _read_points(m, 2, t).tolist()) for t in (t1, t2)))
     for theta in so2_elements(m):
         if all(theta.apply(b) == a for a, b in zip(d1, d2)):
             return theta
@@ -275,6 +277,7 @@ class TriangleClass(NamedTuple):
 @lru_cache(maxsize=0)
 def canonical_pair(m: Modulus, u: Vec2, v: Vec2) -> TriangleClass:
     """Lexicographically least image of (u, v) under the diagonal action."""
+    u, v = (tuple(_read_points(m, 2, [w])[0].tolist()) for w in (u, v))
     best = min((theta.apply(u), theta.apply(v)) for theta in so2_elements(m))
     return TriangleClass(*best)
 

@@ -138,8 +138,12 @@ def test_spanned_line_canonicalizes_the_generator():
         spanned_line(M9, (1, 2, 3))
 
 
+# every odd prime power the determinant test was checked at against the old scalar solve
+_MEMBERSHIP_MODULI = [Modulus.from_q(q) for q in (3, 5, 7, 9, 11, 13, 25, 27, 49)]
+
+
 def test_line_membership_matches_point_listing():
-    for m in (M9, M27, M25):
+    for m in _MEMBERSHIP_MODULI:
         grid = list(itertools.product(range(m.q), repeat=2))
         for n in range(m.l):
             for line in lines_in_stratum(m, n):
@@ -153,6 +157,15 @@ def test_lines_through_examples():
     assert [line.generator for line in lines_through(M9, (3, 3))] == [(1, 1), (1, 4), (1, 7)]
     with pytest.raises(ValueError):
         lines_through(M9, (0, 0))
+
+
+@pytest.mark.parametrize("m", _MEMBERSHIP_MODULI, ids=str)
+def test_lines_through_matches_the_per_line_loop(m):
+    # the loop lines_through ran before it tested the census array at once
+    census = [(line, set(line.points())) for line in lines_in_stratum(m, 0)]
+    for v in itertools.product(range(m.q), repeat=2):
+        if v != (0, 0):
+            assert lines_through(m, v) == tuple(line for line, pts in census if v in pts)
 
 
 @pytest.mark.parametrize("m", [M9, M27, M25], ids=str)
