@@ -18,8 +18,8 @@ _CENSUS_BYTES = 1 << 30
 # to a seen table, and the cap on the dense (distinct differences)**2 pair table,
 # which at this size holds the full Z_27 grid's 729**2 pairs
 _BLOCK_BYTES = 1 << 23
-# bytes of one int64 block of an area or dot scan, a pair product or sum, or
-# a rotation correlation; an area or dot scan keeps at most four blocks' worth alive
+# bytes of one int64 block of an area or dot scan, or of a pair product or sum;
+# an area or dot scan keeps at most four blocks' worth alive
 _SCAN_BYTES = 1 << 22
 # values in the first block of a doubling scan, at least: below 2**12 values
 # numpy's per-call overhead outweighs a block's arithmetic

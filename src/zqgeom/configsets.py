@@ -4,8 +4,9 @@ Every counter is an exhaustive enumeration, vectorized with numpy when
 the triple or pair count warrants it, in blocks sized in bytes; the set
 counters stop early once every residue has been seen.  Dot products of a
 product set A^d are the exception: they are counted exactly as a sumset
-of A.A, without listing A^d.  Transforms here only cross-check
-identities; the t2 orbit cover rounds one to its exact |E ∩ (E - w)|.
+of A.A, without listing A^d.  The rotation correlation is one FFT
+correlation rounded to exact counts, the one the t2 orbit cover takes
+for |E ∩ (E - w)|.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _census
-from .fourier import GridFunction
+from .fourier import GridFunction, _correlation
 from .geometry import DimensionMismatch, Line, Vec, _read_points, norm, vadd, valuation_table, vsub
 from .orthogroup import Rotation
 from .ring import Modulus
@@ -127,8 +128,6 @@ class PointSet:
         try:
             row = tuple(_read_points(self.m, self.d, [v])[0].tolist())
         except ValueError:
-            return False
-        if row != tuple(v):  # a coordinate outside [0, q), which the reader reduced, names no point
             return False
         if self._index is None:
             members = self if self._factor is None else self._factor
@@ -399,27 +398,18 @@ def _area_values(E: PointSet) -> np.ndarray:
 def rotation_correlation(E: PointSet, theta: Rotation) -> dict[Vec, int]:
     """nu_theta(t), ordered pairs with u - theta(v) = t, densely over Z_q^2.
 
-    The set is rotated once; the codes t0*q + t1 of the differences are
-    bincounted one block of rows u at a time, each block at most
-    _SCAN_BYTES of int64, so memory stays O(_SCAN_BYTES + q**2) in |E|.
+    The correlation of the indicators of E and theta E (fourier._correlation),
+    so time and memory follow the q**2 table, not the |E|**2 pairs.
     """
     if E.d != 2:
         raise DimensionMismatch("rotation correlation is a planar counter")
     q, pts = E.m.q, E.as_array()
     a, b = theta.a, theta.b
+    ind, turned = np.zeros((q, q)), np.zeros((q, q))
+    ind[pts[:, 0], pts[:, 1]] = 1
     # every product stays below q**2, inside int64 for q up to MAX_Q
-    r0 = (a * pts[:, 0] - b * pts[:, 1]) % q
-    r1 = (b * pts[:, 0] + a * pts[:, 1]) % q
-    counts = np.zeros(q * q, dtype=np.int64)
-    for rs in _census._blocks(len(pts), len(pts), _census._SCAN_BYTES):
-        rows = pts[rs]
-        code = rows[:, :1] - r0
-        code %= q
-        code *= q
-        t1 = rows[:, 1:] - r1
-        t1 %= q
-        code += t1
-        counts += np.bincount(code.ravel(), minlength=q * q)
+    turned[(a * pts[:, 0] - b * pts[:, 1]) % q, (b * pts[:, 0] + a * pts[:, 1]) % q] = 1
+    counts = _correlation(ind, turned).ravel()
     return dict(zip(itertools.product(range(q), repeat=2), counts.tolist()))
 
 

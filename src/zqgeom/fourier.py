@@ -22,6 +22,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
+import numpy.fft  # loaded with the package, so no count pays its 1.4-2.3 ms first import
 
 from . import _census
 from .geometry import _read_points
@@ -177,6 +178,20 @@ def inverse(fhat: SpectrumTable) -> GridFunction:
 
 def inverse_naive(fhat: SpectrumTable) -> GridFunction:
     return GridFunction._adopt(fhat.m, fhat.d, _literal_sum(fhat, _roots_of_unity(fhat.m.q)))
+
+
+def _correlation(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sum_w f(t + w) g(w) at each t of Z_q^2, for q x q count tables f and g:
+    the inverse of fhat * conj(ghat) by real 2-D FFTs in in-place 1-D calls,
+    rounded to int64.  Rounding is exact while the float64 error, at most about
+    c log2(q**2) 2**-53 |f|_2 |g|_2 for a small c (Higham, Accuracy and Stability
+    of Numerical Algorithms, 24.1), stays below 1/2: for indicators, whose
+    |f|_2 |g|_2 <= q**2, until q**2 passes 2**40, past any table memory holds."""
+    spec = np.fft.rfft(f[None] if g is f else np.stack((f, g)), axis=-1)
+    np.fft.fft(spec, axis=-2, out=spec)
+    spec = np.multiply(spec[0], spec[-1].conj(), out=spec[0])
+    np.fft.ifft(spec, axis=0, out=spec)
+    return np.rint(np.fft.irfft(spec, n=f.shape[1], axis=1)).astype(np.int64)
 
 
 def plancherel_gap(f: GridFunction) -> float:

@@ -12,9 +12,9 @@ from functools import lru_cache, partial
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
-import numpy.fft  # loaded with the package, so no count pays its 1.4-2.3 ms first import
 
 from . import _census
+from .fourier import _correlation
 from .geometry import _read_points, valuation_table, vsub
 from .ring import Modulus, Polynomial, hensel_lift_root
 
@@ -411,17 +411,17 @@ def _turn(a, b, codes, q: int) -> np.ndarray:
 
 
 def _orbit_min(rot: np.ndarray, codes: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Least image of each vector code under the rotations `rot`, and the row
-    of `rot` attaining it."""
+    """Least image of each vector code under the rotations `rot`, and the first
+    row of `rot` attaining it."""
     best, arg = np.empty_like(codes), np.empty_like(codes)
     # _turn's terms stay below 2q**2, so under q = 32768 int32 halves the bytes
     small = _census._int_dtype(2 * q * q)
     rot, codes = rot.astype(small), codes.astype(small)
     for rs in _census._blocks(len(codes), len(rot), _census._BLOCK_BYTES):
         img = _turn(rot[:, :1], rot[:, 1:], codes[None, rs], q)
-        # argmin's transposed copy of img stays below _turn's three block-sized terms
-        arg[rs] = at = img.argmin(axis=0)
-        best[rs] = img[at, np.arange(len(at))]
+        # the first row at the minimum is the argmin, which is slow along axis 0 of a wide block
+        best[rs] = low = img.min(axis=0)
+        arg[rs] = (img == low).argmax(axis=0)
         del img  # freed before the next block's turn
     return best, arg
 
@@ -614,22 +614,14 @@ def _difference_blocks(pts: np.ndarray, q: int) -> Iterator[np.ndarray]:
         yield block
 
 
-def _overlap_sizes(ind: np.ndarray) -> np.ndarray:
-    """|E ∩ (E - w)| at each plane code w, from E's q x q indicator: its autocorrelation
-    by two real 2-D FFTs, as in-place 1-D calls, with float64 error far below 0.5."""
-    spec = np.fft.rfft(ind, axis=1)
-    np.fft.fft(spec, axis=0, out=spec)
-    np.fft.ifft(np.multiply(spec, spec.conj(), out=spec), axis=0, out=spec)
-    return np.rint(np.fft.irfft(spec, n=len(ind), axis=1)).astype(np.int64).ravel()
-
-
 def _cover_count(m: Modulus, codes: np.ndarray, budget: int) -> int:
     """triangle_class_count of the points with these distinct codes, one
     orbit of first differences at a time, within `budget` operations.
 
     With C the complement of E, no y in A_w = E ∩ (E - w) realizes (w, v)
     for v in ∩_{y in A_w} (y - C).  A scan of the plane gives the least
-    member u of each orbit, and _overlap_sizes every |A_w|.  An orbit adds
+    member u of each orbit, and |A_w| at every w is E's indicator
+    correlated with itself (fourier._correlation).  An orbit adds
     _pair_orbits_by_depth at its depth at once when a member has
     |A_w| + n > q**2, as A_w then meets every E + v, and nothing when no
     member is a difference; only if an orbit is left are cut tables built.
@@ -651,7 +643,7 @@ def _cover_count(m: Modulus, codes: np.ndarray, budget: int) -> int:
     meter.charge(2 * q2 * q.bit_length())  # two real 2-D FFTs
     least, reps, gains = _cover_tables(m)
     ind = (np.bincount(codes, minlength=q2) > 0).reshape(q, q)
-    sizes = _overlap_sizes(ind)
+    sizes = _correlation(ind, ind).ravel()
     largest = np.zeros(q2, dtype=np.int64)  # at u, the largest |A_w| over u's orbit
     np.maximum.at(largest, least, sizes)
     seen = largest[reps] > 0

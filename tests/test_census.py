@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from zqgeom import _census, configsets, fourier, geometry, harness, orthogroup
 from zqgeom.configsets import PointSet
 from zqgeom.harness import random_subset
-from zqgeom.orthogroup import Rotation
 from zqgeom.ring import Modulus
 
 # distinct small budgets, so that a recorded budget names the one a site read
@@ -93,14 +92,10 @@ def _sites():
     for n in (40, 200):
         pts = random_subset(M727, 2, n, seed=n).as_array()
         f = fourier.GridFunction.indicator(M27, 2, random_subset(M27, 2, n, seed=n).points)
-        E = random_subset(M125, 2, n, seed=n)
         cases += [
             ("_difference_blocks", lambda pts=pts: list(orthogroup._difference_blocks(pts, 727)),
              [(n, 8 * n, _BLOCK)]),
             ("_literal_sum", lambda f=f: fourier.forward_naive(f), [(27**2, 16 * n, _KERNEL)]),
-            ("rotation_correlation",
-             lambda E=E: configsets.rotation_correlation(E, Rotation(1, 0, M125)),
-             [(n, 8 * n, _SCAN)]),
         ]
     return cases
 

@@ -620,23 +620,13 @@ def test_rotation_correlation_matches_the_pair_loop(m, pts):
         assert all(type(c) is int for c in nu.values())
 
 
-def test_rotation_correlation_over_tiny_chunks(monkeypatch):
-    blocks = []
-    bincount = np.bincount
-
-    def counting(x, *args, **kwargs):
-        blocks.append(x.size)
-        return bincount(x, *args, **kwargs)
-
-    E = random_subset(M27, 2, 30, seed=8)
-    for chunk, rows in ((8, 1), (8 * 7 * len(E), 7)):
-        monkeypatch.setattr(_census, "_SCAN_BYTES", chunk)
-        monkeypatch.setattr(np, "bincount", counting)
-        for theta in so2_elements(M27)[::5]:
-            blocks.clear()
-            assert rotation_correlation(E, theta) == _rotation_correlation_loop(E, theta)
-            assert len(blocks) == -(-len(E) // rows) > 1
-            assert sum(blocks) == len(E) ** 2
+def test_rotation_correlation_is_exact_on_the_full_z243_grid():
+    # every t is hit by all q**2 points u, the largest counts the FFT's rounding must keep
+    m = Modulus(3, 5)
+    grid = PointSet.full_grid(m, 2)
+    for theta in so2_elements(m)[::37]:
+        nu = rotation_correlation(grid, theta)
+        assert len(nu) == m.q**2 and set(nu.values()) == {m.q**2}
 
 
 def test_rotation_correlation_holds_a_few_blocks():
@@ -887,7 +877,8 @@ def test_lazy_full_grid_matches_its_listed_twin(m, d):
     twin = PointSet(m, d, itertools.product(range(m.q), repeat=d))
     assert len(grid) == len(twin) == m.q**d and grid.base is None
     assert grid == twin and hash(grid) == hash(twin)
-    assert (0,) * d in grid and (m.q,) + (0,) * (d - 1) not in grid
+    # (q, 0, ...) is read as (0, 0, ...), as the constructor reads it
+    assert (0,) * d in grid and (m.q,) + (0,) * (d - 1) in grid
     assert list(grid) == list(twin)
     assert np.array_equal(grid.as_array(), twin.as_array())
 

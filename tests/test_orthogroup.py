@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zqgeom import _census, geometry, orthogroup
+from zqgeom import _census, fourier, geometry, orthogroup
 from zqgeom.geometry import norm, stratum_of, vadd, vsub
 from zqgeom.harness import random_subset
 from zqgeom.orthogroup import (
@@ -945,15 +945,21 @@ def test_missed_orbits_by_keys_match_the_stabilizer_count(q, where, seed, densit
         assert missed == orthogroup._pair_orbits_by_depth(m)[depth]
 
 
-def _overlaps_by_pairs(codes, q):
+def _overlaps_by_pairs(codes, q, others=None):
     """|E ∩ (E - w)| at each plane code w: a bincount of the difference
-    codes over E x E."""
+    codes over E x E; given others, of the differences a - b over E x others."""
     x, y = np.divmod(np.asarray(codes, dtype=np.int64), q)
-    return np.bincount(((x[:, None] - x) % q * q + (y[:, None] - y) % q).ravel(), minlength=q * q)
+    u, v = (x, y) if others is None else np.divmod(np.asarray(others, dtype=np.int64), q)
+    return np.bincount(((x[:, None] - u) % q * q + (y[:, None] - v) % q).ravel(), minlength=q * q)
+
+
+def _indicator(codes, q):
+    return (np.bincount(codes, minlength=q * q) > 0).reshape(q, q)
 
 
 def _overlaps_by_fft(codes, q):
-    return orthogroup._overlap_sizes((np.bincount(codes, minlength=q * q) > 0).reshape(q, q))
+    ind = _indicator(codes, q)
+    return fourier._correlation(ind, ind).ravel()
 
 
 @settings(max_examples=100, deadline=None)
@@ -985,6 +991,12 @@ def test_overlap_sizes_of_2000_random_points_match_the_difference_bincount(q):
     codes = np.unique(E[:, 0] * q + E[:, 1])
     assert len(codes) == 2000
     assert (_overlaps_by_fft(codes, q) == _overlaps_by_pairs(codes, q)).all()
+    # two sets: sum_w f(t + w) g(w) counts the pairs (a, b) with a - b = t
+    F = random_subset(m, 2, 2000, seed=2).as_array()
+    others = np.unique(F[:, 0] * q + F[:, 1])
+    assert len(others) == 2000 and not np.array_equal(codes, others)
+    got = fourier._correlation(_indicator(codes, q), _indicator(others, q)).ravel()
+    assert (got == _overlaps_by_pairs(codes, q, others)).all()
 
 
 def test_importing_the_package_loads_numpy_fft():

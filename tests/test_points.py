@@ -258,9 +258,6 @@ def test_single_vectors_are_refused_or_read_as_the_reader_reads_them(m, v):
             assert all(a is (False if name in falses else ValueError) for a in flat), (name, answer)
         return
     want = _single_vector_answers(m, r, table, E)
-    # a point set's members are residue tuples: a coordinate the reader reduces names none
-    if r != tuple(v):
-        want["PointSet.__contains__"] = [False, False]
     assert got == want
     # two of the readings by hand
     assert got["Line.__contains__"] == [r in set(line.points())
@@ -303,6 +300,13 @@ def test_vectors_of_floats_lie_on_no_line_and_in_no_set():
     assert (2.0, 6.0) not in Line(M9, (1, 3), 0)
     assert (2.0, 6.0) not in PointSet(M9, 2, [(2, 6)])
     assert (2, 6) in Line(M9, (1, 3), 0) and (2, 6) in PointSet(M9, 2, [(2, 6)])
+
+
+def test_lines_and_sets_read_members_as_their_constructors_do():
+    # the set answered False, though PointSet(M9, 2, [(11, 6)]) is this set
+    assert PointSet(M9, 2, [(11, 6)]) == PointSet(M9, 2, [(2, 6)])
+    assert (11, 6) in Line(M9, (1, 3), 0) and (11, 6) in PointSet(M9, 2, [(2, 6)])
+    assert (11, -3) in PointSet.product(M9, (2, 6), 2) and (9, 0) in PointSet.full_grid(M9, 2)
 
 
 @pytest.mark.parametrize("lazy", [
