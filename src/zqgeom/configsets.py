@@ -46,46 +46,43 @@ FULL_GRID_CAP = 10**6
 
 
 class PointSet:
-    """A deduplicated, lexicographically sorted subset of Z_q^d.
+    """A deduplicated, lexicographically sorted subset of Z_q^d, in one of two shapes.
 
-    The points are held as one read-only (n, d) int64 array in
+    A listed set holds its points as one read-only (n, d) int64 array in
     lexicographic order, which as_array() returns and every counter reads;
     .points, iteration and membership make Python tuples from it when
-    asked.  `base` records the one-dimensional factor when the set was
-    built as a d-fold product A x ... x A; counters that only make sense
-    for product sets require it.  Sets from `product` and `full_grid` keep
-    only their factor and d: size and membership come from the factor,
-    and the array is filled on first use, which is refused past
-    FULL_GRID_CAP.  Instances are immutable.
+    asked.  A product A x ... x A, from `product` or from `full_grid` (where
+    A = Z_q), keeps only `base`, the sorted A, and d: size, membership and
+    the dot counters read `base`, and the array is filled on first use,
+    which is refused past FULL_GRID_CAP.  `base` is None for every listed
+    set.  Sets with the same m, d and points are equal whatever their
+    shape.  Instances are immutable.
     """
 
-    __slots__ = ("m", "d", "base", "_factor", "_points", "_index")
+    __slots__ = ("m", "d", "base", "_points", "_index")
 
-    def __init__(
-        self, m: Modulus, d: int, points: Iterable[Vec], base: Iterable[int] | None = None
-    ) -> None:
+    def __init__(self, m: Modulus, d: int, points: Iterable[Vec]) -> None:
         _check_dimension(d)
-        base = None if base is None else PointSet.product(m, base, 1).base
         pts = _read_points(m, d, points)
         rows = pts[np.lexsort(pts.T[::-1])]
-        self._fill(m, d, base, None, rows[_census._heads(rows)])
+        self._fill(m, d, None, rows[_census._heads(rows)])
 
-    def _fill(self, m, d, base, factor, rows) -> None:
+    def _fill(self, m, d, base, rows) -> None:
         if rows is not None:
             rows.flags.writeable = False
-        for name, value in zip(self.__slots__, (m, d, base, factor, rows, None)):
+        for name, value in zip(self.__slots__, (m, d, base, rows, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"PointSet is immutable; cannot set {name}")
 
     @classmethod
-    def _made(cls, m: Modulus, d: int, *, rows=None, factor=None, base=None) -> "PointSet":
+    def _made(cls, m: Modulus, d: int, *, rows=None, base=None) -> "PointSet":
         """A set built by the library, taken as given with no reduction or sort:
         either `rows`, an (n, d) int64 array of distinct residue rows in
-        [0, q) in lexicographic order, or the sorted `factor` of a product."""
+        [0, q) in lexicographic order, or the sorted `base` of a product."""
         ps = cls.__new__(cls)
-        ps._fill(m, d, base, factor, rows)
+        ps._fill(m, d, base, rows)
         return ps
 
     @classmethod
@@ -94,15 +91,16 @@ class PointSet:
         _check_dimension(d)
         cells = base[:, None] if isinstance(base, np.ndarray) else [(c,) for c in base]
         a = tuple(sorted(set(_read_points(m, 1, cells)[:, 0].tolist())))
-        return cls._made(m, d, factor=a, base=a)
+        return cls._made(m, d, base=a)
 
     @classmethod
     def full_grid(cls, m: Modulus, d: int) -> "PointSet":
+        """Z_q^d, the product of A = Z_q."""
         _check_dimension(d)
         # q >= 3, so d >= 20 passes the cap before q**d is formed
         if d >= FULL_GRID_CAP.bit_length() or m.q**d > FULL_GRID_CAP:
             raise ValueError(f"grid Z_{m.q}^{d} exceeds the {FULL_GRID_CAP}-point cap")
-        return cls._made(m, d, factor=tuple(range(m.q)))
+        return cls._made(m, d, base=tuple(range(m.q)))
 
     @property
     def points(self) -> tuple[Vec, ...]:
@@ -112,9 +110,9 @@ class PointSet:
     @property
     def size(self) -> int:
         """The exact number of points; len() fails once it passes sys.maxsize."""
-        if self._factor is None:
+        if self.base is None:
             return len(self._points)
-        return len(self._factor) ** self.d
+        return len(self.base) ** self.d
 
     def __len__(self) -> int:
         return self.size
@@ -130,24 +128,24 @@ class PointSet:
         except ValueError:
             return False
         if self._index is None:
-            members = self if self._factor is None else self._factor
+            members = self if self.base is None else self.base
             object.__setattr__(self, "_index", frozenset(members))
-        return row in self._index if self._factor is None else all(c in self._index for c in row)
+        return row in self._index if self.base is None else all(c in self._index for c in row)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointSet):
             return NotImplemented
-        if (self.m, self.d, self.base, self.size) != (other.m, other.d, other.base, other.size):
+        if (self.m, self.d, self.size) != (other.m, other.d, other.size):
             return False
-        if self._factor is not None and other._factor is not None:
-            return self._factor == other._factor
-        if self._factor is None and other._factor is None:
+        if self.base is not None and other.base is not None:
+            return self.base == other.base
+        if self.base is None and other.base is None:
             return np.array_equal(self._points, other._points)
-        listed, lazy = (self, other) if self._factor is None else (other, self)
-        return bool(np.isin(listed.as_array(), lazy._factor).all())  # sizes equal, rows distinct
+        listed, product = (self, other) if self.base is None else (other, self)
+        return bool(np.isin(listed.as_array(), product.base).all())  # sizes equal, rows distinct
 
     def __hash__(self) -> int:
-        return hash((self.m, self.d, self.base, self.size))
+        return hash((self.m, self.d, self.size))
 
     def __repr__(self) -> str:
         return f"PointSet(m={self.m!r}, d={self.d}, size={self.size}, base={self.base!r})"
@@ -158,11 +156,11 @@ class PointSet:
         if self._points is None:
             if self.size > FULL_GRID_CAP:
                 raise ValueError(
-                    f"product A^{self.d} with |A| = {len(self._factor)} exceeds the "
+                    f"product A^{self.d} with |A| = {len(self.base)} exceeds the "
                     f"{FULL_GRID_CAP}-point cap"
                 )
-            factor = np.array(self._factor, dtype=np.int64)
-            rows = factor[np.indices((len(factor),) * self.d).reshape(self.d, -1).T]
+            base = np.array(self.base, dtype=np.int64)
+            rows = base[np.indices((len(base),) * self.d).reshape(self.d, -1).T]
             rows.flags.writeable = False
             object.__setattr__(self, "_points", rows)
         return self._points
@@ -220,33 +218,33 @@ def _area_blocks(E: PointSet) -> Iterator[np.ndarray]:
         yield block
 
 
-def _is_product(E: PointSet) -> bool:
-    return E.base is not None and E._factor is not None
-
-
 def _sumset_meter(E: PointSet) -> _census._Meter:
     return _census._Meter(f"dot products of A^{E.d} with |A| = {len(E.base)}")
 
 
-def _pair_blocks(x, y, q: int, op, meter) -> Iterator[tuple[int, np.ndarray]]:
+def _pair_blocks(x, y, q: int, op, meter=None) -> Iterator[tuple[int, np.ndarray]]:
     """(s, op(x[s : s + k, None], y) mod q) over row blocks of x of at most
-    _SCAN_BYTES of int64, once the meter is charged len(x) len(y); op is
-    np.multiply or np.add, so every entry stays below q**2 until reduced."""
-    meter.charge(len(x) * len(y))
-    for rs in _census._blocks(len(x), len(y), _census._SCAN_BYTES):
+    _SCAN_BYTES of int64; op is np.multiply or np.add, so every entry stays
+    below q**2 until reduced.  Given a meter, each block is charged as it is
+    handed out (_census._blocks), so a reader that stops once saturated pays
+    only for the blocks it read."""
+    for rs in _census._blocks(len(x), len(y), _census._SCAN_BYTES, meter=meter):
         yield rs.start, op(x[rs, None], y[None, :]) % q
 
 
 def _convolve(x, cx, y, cy, q: int, op, meter) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct op(x_i, y_j) mod q, each with the sum of its weights cx_i * cy_j."""
+    """Distinct op(x_i, y_j) mod q, each with the sum of its weights cx_i * cy_j,
+    once the meter is charged all len(x) len(y) pairs."""
+    meter.charge(len(x) * len(y))
     return _census._tally(
         (block, cx[s : s + len(block), None] * cy[None, :])
-        for s, block in _pair_blocks(x, y, q, op, meter)
+        for s, block in _pair_blocks(x, y, q, op)
     )
 
 
 def _dot_sumset(E: PointSet) -> np.ndarray:
-    """S_d, the d-fold sumset of A.A, sorted, in at most q steps whatever d is.
+    """S_d, the d-fold sumset of A.A, sorted, in at most q steps whatever d is;
+    each step stops once it holds all of Z_q, as A.A = Z_q does for the full grid.
 
     S_(k+1) = S_k + A.A holds S_k + p for each p in A.A, so once the two are
     the same size S_(k+1) = S_k + p, then S_(k+2) = S_k + A.A + p = S_(k+1) + p,
@@ -339,9 +337,9 @@ class _DotValues(ValuesView):
 def dot_product_set(E: PointSet) -> set[int]:
     """Dot products over ordered pairs.
 
-    For a set built by PointSet.product these are the d-fold sumset of
-    A.A = {a a' : a, a' in A} in Z_q, found without listing A^d and refused
-    past _OP_CAP operations (see _dot_sumset).  Any other set is
+    For a product A^d (the full grid is Z_q^d) these are the d-fold sumset
+    of A.A = {a a' : a, a' in A} in Z_q, found without listing A^d and
+    refused past _OP_CAP operations (see _dot_sumset).  A listed set is
     scanned in row blocks of at most _SCAN_BYTES of int64 each, with at
     most four blocks' worth alive at once.  Both stop once all q values
     have appeared.
@@ -355,7 +353,7 @@ def dot_product_count(E: PointSet) -> int:
 
 
 def _dot_values(E: PointSet) -> np.ndarray:
-    if _is_product(E):
+    if E.base is not None:
         return _dot_sumset(E)
     return _census._residues(_dot_blocks(E), E.m.q)
 
@@ -363,13 +361,13 @@ def _dot_values(E: PointSet) -> np.ndarray:
 def dot_product_counts(E: PointSet) -> Mapping[int, int]:
     """nu(t), the number of ordered pairs with x.y = t, for every t in Z_q.
 
-    The table is held sparse, so no length-q array is allocated.  For a set
-    built by PointSet.product, nu is the d-fold cyclic convolution of the
-    histogram of A.A, exact in int64; it is refused past _OP_CAP or
-    once |A|**(2d) reaches 2**63.  Any other set is tallied over the row
-    blocks of its pair scan.
+    The table is held sparse, so no length-q array is allocated.  For a
+    product A^d, nu is the d-fold cyclic convolution of the histogram of
+    A.A, exact in int64; it is refused past _OP_CAP or once |A|**(2d)
+    reaches 2**63.  A listed set is tallied over the row blocks of its
+    pair scan.
     """
-    if _is_product(E):
+    if E.base is not None:
         return _DotCounts(E.m.q, *_dot_convolution(E))
     return _DotCounts(E.m.q, *_census._tally((b, np.ones_like(b)) for b in _dot_blocks(E)))
 
@@ -488,8 +486,9 @@ def sumset(E: PointSet, line: Line) -> set[Vec]:
 def restricted_line_count(E: PointSet, x: Vec, i: int) -> int:
     """Size of E's slice along the unit multiples {s*x : s a unit of Z_{p**(l-i)}}.
 
-    Only meaningful for product sets, where the count is capped by both
-    the number of scalars and the size of the one-dimensional base.
+    Only meaningful for product sets, the full grid among them, where the
+    count is capped by both the number of scalars and the size of the
+    one-dimensional base.
     """
     if E.base is None:
         raise ValueError("the point set was not built as a product; no base recorded")

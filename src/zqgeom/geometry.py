@@ -70,7 +70,7 @@ def _read_points(m: Modulus, d: int, points) -> np.ndarray:
             points = np.fromiter(map(operator.index, flat(pts)), np.int64, len(pts) * d)
         except (TypeError, OverflowError) as err:
             raise ValueError(f"need integer {d}-dimensional points: {err}") from None
-        points = points.reshape(len(pts), d)
+        return np.remainder(points, m.q, out=points).reshape(len(pts), d)
     if points.ndim != 2 or points.shape[1] != d:
         raise DimensionMismatch(f"need {d}-dimensional points, got an array of shape {points.shape}")
     if points.dtype.kind not in "iu":

@@ -67,14 +67,10 @@ SCHEMA_VERSION = 1
 EXPERIMENT_KINDS = ("t2", "v2", "dotprod")
 CSV_HEADER = ("trial", "set_size", "statistic", "bound", "pass")
 
-# the suite refuses planes beyond this many points, and skips the rows
-# whose scan would exceed the op budget
-SUITE_PLANE_CAP = 10**6
 # bytes an experiment holds per trial in its records and JSON report: 1.9 KB
-# for t2 and 2.1 KB for dotprod, by max RSS over 10**5 trials at Z_3
+# for t2 and 2.1 KB for dotprod, by max RSS over 10**5 trials at Z_3; past
+# _census._CENSUS_BYTES of them the config is refused
 _TRIAL_BYTES = 2200
-# bytes an experiment's trials may hold; past it the config is refused
-_TRIALS_BYTES = 1 << 30
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +249,8 @@ def _decimal(token: str, where: str = "") -> int:
 
 def parse_pointset(text: str) -> PointSet:
     """Parse the on-disk format: a 'q=<q> d=<d>' header, one point per line,
-    comma-separated decimal residues, '#' starting a comment."""
+    comma-separated decimal residues, '#' starting a comment; refused at the
+    first row past FULL_GRID_CAP points, before that row is held."""
     header: tuple[int, int] | None = None
     rows: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -274,6 +271,8 @@ def parse_pointset(text: str) -> PointSet:
                 raise ValueError(f"line {lineno}: header must set exactly q and d")
             header = (_decimal(fields["q"], where), _decimal(fields["d"], where))
             continue
+        if len(rows) == FULL_GRID_CAP:
+            raise ValueError(f"{where}the set file lists more than the {FULL_GRID_CAP}-point cap")
         rows.append(tuple(_decimal(tok.strip(), where) for tok in line.split(",")))
     if header is None:
         raise ValueError("missing 'q=<q> d=<d>' header line")
@@ -348,9 +347,9 @@ class ExperimentConfig:
             raise ValueError(f"kind must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
         if self.trials < 1:
             raise ValueError(f"need at least one trial, got {self.trials}")
-        if self.trials * _TRIAL_BYTES > _TRIALS_BYTES:
+        if self.trials * _TRIAL_BYTES > _census._CENSUS_BYTES:
             raise ValueError(f"{self.trials} trials would hold about {self.trials * _TRIAL_BYTES} "
-                             f"bytes of records, past the {_TRIALS_BYTES}-byte budget")
+                             f"bytes of records, past the {_census._CENSUS_BYTES}-byte budget")
         _check_dimension(self.d)
         if self.kind in ("t2", "v2") and self.d != 2:
             raise ValueError(f"kind {self.kind} is planar; got d={self.d}")
@@ -598,7 +597,7 @@ def run_theorem_experiment(cfg: ExperimentConfig) -> Report:
     source's set is built and counted once, and every record reuses it.
     A trial whose set misses the size hypothesis still runs; the record
     keeps meets_threshold false so the shortfall is visible.  For the
-    dot-product kind the hypothesis also requires a product-shaped set.
+    dot-product kind the hypothesis also requires a product (`product:` or `full`).
     """
     t0 = time.perf_counter()
     m = cfg.modulus
@@ -955,12 +954,12 @@ def run_lemma_suite(m: Modulus) -> Report:
     records the exhausted universe, the extremal or mismatch statistic,
     and a witness.  Rows whose preconditions fail (p = 1 mod 4 cases) or
     whose scans would pass the op budget declare a skip note, and their
-    checks do not run for them.
+    checks do not run for them.  A plane past FULL_GRID_CAP points is refused.
     """
     t0 = time.perf_counter()
-    if m.q**2 > SUITE_PLANE_CAP:
+    if m.q**2 > FULL_GRID_CAP:
         raise ValueError(
-            f"plane over {m} has {m.q**2} points, beyond the exhaustive cap {SUITE_PLANE_CAP}"
+            f"plane over {m} has {m.q**2} points, beyond the exhaustive cap {FULL_GRID_CAP}"
         )
     groups = itertools.groupby(enumerate(LEMMAS), key=lambda row: row[1].check)
     checks = [row for _, rows in groups for row in _lemma_rows(m, list(rows))]

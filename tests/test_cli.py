@@ -99,17 +99,24 @@ def test_unrecognized_arguments_are_reported_by_the_parser_that_read_them(capsys
 
 
 def test_product_source_above_the_cap_exits_2(tmp_path):
-    # the whole of Z_3^9 as A: its 19683**2 products alone pass the sumset budget
+    # the c in Z_3^9 with 9 not dividing c: their products are never in 27 Z_q,
+    # so A.A never holds all of Z_q, and its 17496**2 products pass the sumset budget
     base = tmp_path / "base.txt"
-    base.write_text("q=19683 d=1\n" + "".join(f"{c}\n" for c in range(19683)))
-    res = run_cli(
-        "experiment", "--kind", "dotprod", "--p", "3", "--l", "9", "--d", "2",
-        "--set", f"product:{base}",
-    )
+    base.write_text("q=19683 d=1\n" + "".join(f"{c}\n" for c in range(19683) if c % 9))
+    run = ("experiment", "--kind", "dotprod", "--p", "3", "--l", "9", "--d", "2")
+    res = run_cli(*run, "--set", f"product:{base}")
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
-    assert (f"0 operations spent, and {19683**2} more would pass the {_census._OP_CAP}-operation "
-            "budget") in res.stderr
+    spent, more = map(int, re.search(
+        r"dot products of A\^2 with \|A\| = 17496: (\d+) operations spent, and (\d+) more "
+        f"would pass the {_census._OP_CAP}-operation budget", res.stderr).groups())
+    assert spent <= _census._OP_CAP < spent + more
+    # the whole of Z_3^9 as A: A.A is all of Z_q within the first block of products
+    whole = tmp_path / "whole.txt"
+    whole.write_text("q=19683 d=1\n" + "".join(f"{c}\n" for c in range(19683)))
+    res = run_cli(*run, "--set", f"product:{whole}", "--format", "csv")
+    assert res.returncode == 0
+    assert res.stdout.splitlines()[1] == f"0,{19683**2},19683,9841.5,true"
 
 
 def test_product_source_beyond_the_point_cap_runs_as_a_sumset(tmp_path):
@@ -212,7 +219,49 @@ def test_trials_past_the_byte_budget_exit_2_before_any_trial():
     assert res.returncode == 2 and res.stdout == ""
     assert res.stderr == (f"error: 1000000000 trials would hold about "
                           f"{10**9 * harness._TRIAL_BYTES} bytes of records, past the "
-                          f"{harness._TRIALS_BYTES}-byte budget\n")
+                          f"{_census._CENSUS_BYTES}-byte budget\n")
+
+
+# the CSV rows of dotprod over the full grid, as the row-block scan of the listed grid
+# gave them before the full grid was read as the product of A = Z_q
+_FULL_GRID_DOTPROD = {
+    (3, 1, 2): "0,9,3,1.5,true",
+    (3, 1, 3): "0,27,3,1.5,true",
+    (3, 1, 4): "0,81,3,1.5,true",
+    (3, 2, 2): "0,81,9,4.5,true",
+}
+
+
+@pytest.mark.parametrize("p, l, d", list(_FULL_GRID_DOTPROD), ids=str)
+def test_dotprod_over_the_full_grid_meets_the_hypothesis(capsys, tmp_path, p, l, d):
+    grid = ["--p", str(p), "--l", str(l), "--d", str(d)]
+    run = ["experiment", "--kind", "dotprod", *grid]
+    assert cli.main([*run, "--set", "full", "--format", "csv"]) == 0
+    csv = capsys.readouterr().out
+    assert csv == f"trial,set_size,statistic,bound,pass\n{_FULL_GRID_DOTPROD[p, l, d]}\n"
+    assert cli.main([*run, "--set", "full"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["aggregate"]["all_meet_hypothesis"] is True
+    assert report["trials"][0]["meets_threshold"] is True
+    # the same points from a file form a listed set: the same statistic, by the scan,
+    # but no product, so the hypothesis is not met
+    path = tmp_path / "grid.txt"
+    assert cli.main(["gen-set", *grid, "--full", "--out", str(path)]) == 0
+    assert cli.main([*run, "--set", f"file:{path}"]) == 0
+    listed = json.loads(capsys.readouterr().out)
+    assert listed["trials"][0]["statistic"] == report["trials"][0]["statistic"]
+    assert listed["aggregate"]["all_meet_hypothesis"] is False
+
+
+def test_set_files_past_the_point_cap_exit_2(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(harness, "FULL_GRID_CAP", 3)
+    path = tmp_path / "set.txt"
+    path.write_text("q=9 d=2\n0,0\n0,1\n0,2\n")
+    run = ["experiment", "--kind", "v2", "--p", "3", "--l", "2", "--set", f"file:{path}"]
+    assert _in_process(capsys, run)[0] == 1
+    path.write_text("q=9 d=2\n0,0\n0,1\n0,2\n0,3\n")
+    assert _in_process(capsys, run) == (
+        2, "", "error: line 5: the set file lists more than the 3-point cap\n")
 
 
 _INTEGER_OPTIONS = [

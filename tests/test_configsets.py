@@ -68,7 +68,7 @@ def test_product_and_full_grid():
     assert ps.base == (1, 2)
     assert ps.points == ((1, 1), (1, 2), (2, 1), (2, 2))
     full = PointSet.full_grid(M3, 2)
-    assert len(full) == 9 and full.base is None
+    assert len(full) == 9 and full.base == (0, 1, 2)
     with pytest.raises(ValueError):
         PointSet.full_grid(Modulus(7, 3), 4)
 
@@ -291,6 +291,23 @@ def test_restricted_line_count_never_beats_either_cap():
                 assert count <= min(scalars, len(E))
 
 
+def _restricted_line_loop(E, x, i):
+    """How many points of E are s x for some unit s below p**(l - i), point by point."""
+    m = E.m
+    scalars = [s for s in range(m.p ** (m.l - i)) if s % m.p]
+    return sum(any(y == tuple(s * c % m.q for c in x) for s in scalars) for y in E)
+
+
+@pytest.mark.parametrize("m", [M9, M27, M25], ids=str)
+def test_restricted_line_count_on_the_full_grid_matches_its_listed_twin(m):
+    grid = PointSet.full_grid(m, 2)
+    twin = PointSet(m, 2, itertools.product(range(m.q), repeat=2))
+    p = m.p
+    for x in [(1, 0), (1, 1), (p, 2 * p), (0, m.q // p), (0, 0), (m.q - 1, 3), (m.q + 2, -1)]:
+        for i in range(m.l):
+            assert restricted_line_count(grid, x, i) == _restricted_line_loop(twin, x, i)
+
+
 def test_counting_chain_cauchy_schwarz():
     # |E|**6 <= |T_2| * sum mu**2 and |E|**4 <= |Pi| * sum nu**2
     m = M9
@@ -422,7 +439,8 @@ def test_counters_over_tiny_chunks_stop_once_saturated(monkeypatch):
     areas = _counting(monkeypatch, "_area_blocks")
     dots = _counting(monkeypatch, "_dot_blocks")
 
-    full = PointSet.full_grid(Modulus(5, 1), 2)
+    # the listed grid: the full grid itself is a product, whose dots take the sumset
+    full = PointSet(Modulus(5, 1), 2, itertools.product(range(5), repeat=2))
     assert triangle_area_set(full) == _areas_brute(full) == set(range(1, 5))
     assert 0 < len(areas) < len(full) ** 2
     assert dot_product_set(full) == set(range(5))
@@ -690,7 +708,7 @@ _PRODUCT_CASES.append((Modulus(2**31 - 1, 1), 5))
 def _listed_twin(E):
     """The same product with its points handed over, so nothing is lazy and
     the dot counters scan it in row blocks."""
-    return PointSet(E.m, E.d, E.points, base=E.base)
+    return PointSet(E.m, E.d, E.points)
 
 
 def _dot_counts_pair_loop(E):
@@ -813,7 +831,7 @@ def _nonzero_counts(counts):
 )
 def test_general_set_counts_are_sparse(q, pts):
     E = PointSet(Modulus(q, 1), 2, pts)
-    assert not configsets._is_product(E)
+    assert E.base is None
     tracemalloc.start()
     try:
         counts = dot_product_counts(E)
@@ -827,20 +845,29 @@ def test_general_set_counts_are_sparse(q, pts):
     assert counts[next(t for t in range(q) if t not in want)] == 0
 
 
-def test_sumset_path_refuses_past_its_budget():
+def test_sumset_path_refuses_past_its_budget(monkeypatch):
     q = 3**9
     E = PointSet.product(Modulus.from_q(q), range(q), 2)
+    # the convolution is charged all |A|**2 products before it starts
     refusal = (f"dot products of A\\^2 with \\|A\\| = {q}: 0 operations spent, and {q * q} "
                f"more would pass the {_census._OP_CAP}-operation budget")
     with pytest.raises(ValueError, match=refusal):
-        dot_product_set(E)
-    with pytest.raises(ValueError, match=refusal):
         dot_product_counts(E)
+    # A = Z_q, so A.A is all of Z_q within the first block of products
+    assert dot_product_set(E) == set(range(q))
     # |A|**(2d) = 9**30 overflows int64, so only the set is exact
     wide = PointSet.product(M9, range(9), 15)
     assert dot_product_set(wide) == set(range(9))
     with pytest.raises(ValueError, match="2\\^63"):
         dot_product_counts(wide)
+    # units multiply to units, so A.A never holds all of Z_q, and the sumset's
+    # blocks are charged one by one until the next would pass the budget
+    monkeypatch.setattr(_census, "_OP_CAP", 10**6)
+    units = [a for a in range(3**7) if a % 3]
+    refusal = (f"dot products of A\\^2 with \\|A\\| = {len(units)}: [1-9][0-9]* operations "
+               "spent, and [0-9]+ more would pass the 1000000-operation budget")
+    with pytest.raises(ValueError, match=refusal):
+        dot_product_set(PointSet.product(Modulus(3, 7), units, 2))
 
 
 @settings(max_examples=60, deadline=None)
@@ -853,18 +880,19 @@ def test_sumset_path_refuses_past_its_budget():
 def test_lazy_product_matches_its_listed_twin(m, d, base, probes):
     E = PointSet.product(m, base, d)
     factor = sorted({c % m.q for c in base})
-    twin = PointSet(m, d, itertools.product(factor, repeat=d), base=base)
+    twin = PointSet(m, d, itertools.product(factor, repeat=d))
     assert len(E) == len(twin) == len(set(c % m.q for c in base)) ** d
     for v in [*probes, *(p[:d] for p in probes), *twin.points[:5]]:
         assert (v in E) == (v in twin)
     assert E == twin and twin == E and hash(E) == hash(twin)
     if len(twin):
-        assert E != PointSet(m, d, twin.points[1:], base=E.base)
-        assert E != PointSet(m, d, twin.points)  # no base recorded
+        assert E != PointSet(m, d, twin.points[1:])
+    assert E == PointSet(m, d, twin.points)  # a product equals the listed set of its points
+    assert twin.base is None
     if d == 2:
         for x in [*twin.points[:4], (1, 1)]:
             for i in range(m.l):
-                assert restricted_line_count(E, x, i) == restricted_line_count(twin, x, i)
+                assert restricted_line_count(E, x, i) == _restricted_line_loop(twin, x, i)
     assert E._points is None  # nothing above needed E listed
     assert np.array_equal(E.as_array(), twin.as_array())
     assert list(E) == list(twin)  # listing follows the same lexicographic order
@@ -875,7 +903,8 @@ def test_lazy_product_matches_its_listed_twin(m, d, base, probes):
 def test_lazy_full_grid_matches_its_listed_twin(m, d):
     grid = PointSet.full_grid(m, d)
     twin = PointSet(m, d, itertools.product(range(m.q), repeat=d))
-    assert len(grid) == len(twin) == m.q**d and grid.base is None
+    assert len(grid) == len(twin) == m.q**d
+    assert grid.base == tuple(range(m.q)) and twin.base is None
     assert grid == twin and hash(grid) == hash(twin)
     # (q, 0, ...) is read as (0, 0, ...), as the constructor reads it
     assert (0,) * d in grid and (m.q,) + (0,) * (d - 1) in grid

@@ -19,7 +19,6 @@ from zqgeom.configsets import FULL_GRID_CAP, PointSet
 from zqgeom.harness import (
     CSV_HEADER,
     LEMMAS,
-    SUITE_PLANE_CAP,
     ExperimentConfig,
     Lemma,
     SetSource,
@@ -356,7 +355,7 @@ def test_experiment_config_validation():
         ExperimentConfig(p=3, l=2, kind="v2", source=src, trials=0)
     with pytest.raises(ValueError):
         ExperimentConfig(p=4, l=2, kind="v2", source=src)
-    most = harness._TRIALS_BYTES // harness._TRIAL_BYTES
+    most = _census._CENSUS_BYTES // harness._TRIAL_BYTES
     ExperimentConfig(p=3, l=2, kind="t2", source=src, trials=most)  # fine
     with pytest.raises(ValueError, match=f"{most + 1} trials .*-byte budget"):
         ExperimentConfig(p=3, l=2, kind="t2", source=src, trials=most + 1)
@@ -639,17 +638,33 @@ def test_every_declared_skip_is_pinned_by_a_golden_report():
 
 
 def test_plane_cap_bounds_the_incidence_and_group_scans():
-    # the suite refuses q**2 > SUITE_PLANE_CAP before any check runs, so over
+    # the suite refuses q**2 > FULL_GRID_CAP before any check runs, so over
     # every modulus it takes the incidence census (|L_0| * q line points) and
     # the group products (|SO_2|**2 pairs) stay about 200 times inside _OP_CAP
-    moduli = [Modulus(p, l) for p in range(3, isqrt(SUITE_PLANE_CAP) + 1) if is_prime(p)
-              for l in range(1, 20) if p ** (2 * l) <= SUITE_PLANE_CAP]
+    moduli = [Modulus(p, l) for p in range(3, isqrt(FULL_GRID_CAP) + 1) if is_prime(p)
+              for l in range(1, 20) if p ** (2 * l) <= FULL_GRID_CAP]
     assert max(m.q for m in moduli) == 997
     incidence = {m.q: (m.q + m.q // m.p) * m.q for m in moduli}
     pairs = {m.q: len(orthogroup.so2_table(m)) ** 2 for m in moduli}
     assert max(incidence.values()) == incidence[997] == 995_006
     assert max(pairs.values()) == pairs[997] == 992_016
     assert 200 * max(incidence[997], pairs[997]) < _OP_CAP
+
+
+def test_suite_refuses_a_plane_past_the_point_cap():
+    with pytest.raises(ValueError, match=r"has 1018081 points, beyond the exhaustive cap 1000000$"):
+        run_lemma_suite(Modulus(1009, 1))
+
+
+def test_set_files_past_the_point_cap_are_refused_at_the_first_row_past_it(monkeypatch):
+    monkeypatch.setattr(harness, "FULL_GRID_CAP", 3)
+    assert len(parse_pointset("q=9 d=2\n0,0\n# a comment\n\n0,1\n0,2\n")) == 3
+    with pytest.raises(ValueError, match="^line 5: the set file lists more than the 3-point cap$"):
+        parse_pointset("q=9 d=2\n0,0\n0,1\n0,2\n0,3\n")
+    # rows are counted as listed, repeats included, and the row past the cap is
+    # refused before it is read
+    with pytest.raises(ValueError, match="^line 5: .* the 3-point cap$"):
+        parse_pointset("q=9 d=2\n1,1\n1,1\n1,1\nnot a point\n")
 
 
 def test_incidence_check_runs_beyond_the_old_scan_budget():

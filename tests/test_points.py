@@ -316,13 +316,14 @@ def test_lines_and_sets_read_members_as_their_constructors_do():
 def test_listed_and_lazy_sets_compare_by_their_points(lazy):
     lazy = lazy()
     rows = [tuple(r) for r in lazy.as_array().tolist()]
-    listed = PointSet(lazy.m, 2, rows[::-1], base=lazy.base)
-    assert listed == lazy and lazy == listed
-    if lazy.base is not None:
+    listed = PointSet(lazy.m, 2, rows[::-1])
+    assert listed.base is None
+    assert listed == lazy and lazy == listed and hash(listed) == hash(lazy)
+    if lazy.base != tuple(range(lazy.m.q)):
         # the same size, but one row leaves A
-        outside = PointSet(lazy.m, 2, rows[:-1] + [(5, 7)], base=lazy.base)
+        outside = PointSet(lazy.m, 2, rows[:-1] + [(5, 7)])
         assert outside != lazy and lazy != outside
-    # a full grid's factor is all of Z_q, so a set of its size has no row outside it;
+    # a full grid's base is all of Z_q, so a set of its size has no row outside it;
     # one row fewer makes the sizes differ
-    fewer = PointSet(lazy.m, 2, rows[1:], base=lazy.base)
+    fewer = PointSet(lazy.m, 2, rows[1:])
     assert fewer != lazy and lazy != fewer
