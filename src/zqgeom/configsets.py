@@ -11,6 +11,7 @@ for |E ∩ (E - w)|.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 from collections.abc import ItemsView, Iterable, Iterator, Mapping, ValuesView
@@ -49,17 +50,16 @@ class PointSet:
     """A deduplicated, lexicographically sorted subset of Z_q^d, in one of two shapes.
 
     A listed set holds its points as one read-only (n, d) int64 array in
-    lexicographic order, which as_array() returns and every counter reads;
-    .points, iteration and membership make Python tuples from it when
-    asked.  A product A x ... x A, from `product` or from `full_grid` (where
-    A = Z_q), keeps only `base`, the sorted A, and d: size, membership and
-    the dot counters read `base`, and the array is filled on first use,
-    which is refused past FULL_GRID_CAP.  `base` is None for every listed
-    set.  Sets with the same m, d and points are equal whatever their
-    shape.  Instances are immutable.
+    lexicographic order, which as_array() returns and every counter and
+    membership test reads; .points and iteration make Python tuples from it.
+    A product A x ... x A, from `product` or from `full_grid` (where A = Z_q),
+    keeps only `base`, the sorted A, and d, which size, membership, equality,
+    repr and the dot counters read; its array is filled on first use, which
+    is refused past FULL_GRID_CAP.  `base` is None for every listed set.
+    Sets with the same m, d and points are equal whatever their shape.  Instances are immutable.
     """
 
-    __slots__ = ("m", "d", "base", "_points", "_index")
+    __slots__ = ("m", "d", "base", "_points")
 
     def __init__(self, m: Modulus, d: int, points: Iterable[Vec]) -> None:
         _check_dimension(d)
@@ -67,11 +67,12 @@ class PointSet:
         rows = pts[np.lexsort(pts.T[::-1])]
         self._fill(m, d, None, rows[_census._heads(rows)])
 
-    def _fill(self, m, d, base, rows) -> None:
+    def _fill(self, m, d, base, rows) -> "PointSet":
         if rows is not None:
             rows.flags.writeable = False
-        for name, value in zip(self.__slots__, (m, d, base, rows, None)):
+        for name, value in zip(self.__slots__, (m, d, base, rows)):
             object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"PointSet is immutable; cannot set {name}")
@@ -81,24 +82,20 @@ class PointSet:
         """A set built by the library, taken as given with no reduction or sort:
         either `rows`, an (n, d) int64 array of distinct residue rows in
         [0, q) in lexicographic order, or the sorted `base` of a product."""
-        ps = cls.__new__(cls)
-        ps._fill(m, d, base, rows)
-        return ps
+        return cls.__new__(cls)._fill(m, d, base, rows)
 
     @classmethod
     def product(cls, m: Modulus, base: Iterable[int], d: int) -> "PointSet":
         """The d-fold product A x ... x A of a subset A of Z_q."""
         _check_dimension(d)
         cells = base[:, None] if isinstance(base, np.ndarray) else [(c,) for c in base]
-        a = tuple(sorted(set(_read_points(m, 1, cells)[:, 0].tolist())))
-        return cls._made(m, d, base=a)
+        return cls._made(m, d, base=tuple(sorted(set(_read_points(m, 1, cells)[:, 0].tolist()))))
 
     @classmethod
     def full_grid(cls, m: Modulus, d: int) -> "PointSet":
         """Z_q^d, the product of A = Z_q."""
         _check_dimension(d)
-        # q >= 3, so d >= 20 passes the cap before q**d is formed
-        if d >= FULL_GRID_CAP.bit_length() or m.q**d > FULL_GRID_CAP:
+        if _exceeds(m.q, d, FULL_GRID_CAP):
             raise ValueError(f"grid Z_{m.q}^{d} exceeds the {FULL_GRID_CAP}-point cap")
         return cls._made(m, d, base=tuple(range(m.q)))
 
@@ -110,9 +107,7 @@ class PointSet:
     @property
     def size(self) -> int:
         """The exact number of points; len() fails once it passes sys.maxsize."""
-        if self.base is None:
-            return len(self._points)
-        return len(self.base) ** self.d
+        return len(self._points) if self.base is None else len(self.base) ** self.d
 
     def __len__(self) -> int:
         return self.size
@@ -124,49 +119,54 @@ class PointSet:
 
     def __contains__(self, v) -> bool:
         try:
-            row = tuple(_read_points(self.m, self.d, [v])[0].tolist())
+            row = _read_points(self.m, self.d, [v])[0].tolist()
         except ValueError:
             return False
-        if self._index is None:
-            members = self if self.base is None else self.base
-            object.__setattr__(self, "_index", frozenset(members))
-        return row in self._index if self.base is None else all(c in self._index for c in row)
+        if self.base is not None:
+            return all(bisect.bisect_left(self.base, c) < bisect.bisect(self.base, c) for c in row)
+        lo, hi = 0, len(self._points)
+        for k, c in enumerate(row):  # rows that agree before column k are sorted by it
+            lo, hi = lo + self._points[lo:hi, k].searchsorted([c, c + 1])
+        return bool(lo < hi)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointSet):
             return NotImplemented
-        if (self.m, self.d, self.size) != (other.m, other.d, other.size):
+        if (self.m, self.d) != (other.m, other.d):
             return False
         if self.base is not None and other.base is not None:
             return self.base == other.base
         if self.base is None and other.base is None:
             return np.array_equal(self._points, other._points)
-        listed, product = (self, other) if self.base is None else (other, self)
-        return bool(np.isin(listed.as_array(), product.base).all())  # sizes equal, rows distinct
+        rows, base = (self._points, other.base) if self.base is None else (other._points, self.base)
+        # distinct rows of A^d are all of it once there are |A|**d of them
+        return not _exceeds(len(base), self.d, len(rows)) and bool(np.isin(rows, base).all())
 
     def __hash__(self) -> int:
-        return hash((self.m, self.d, self.size))
+        return hash((self.m, self.d))
 
     def __repr__(self) -> str:
-        return f"PointSet(m={self.m!r}, d={self.d}, size={self.size}, base={self.base!r})"
+        size = len(self._points) if self.base is None else f"{len(self.base)}**{self.d}"
+        return f"PointSet(m={self.m!r}, d={self.d}, size={size}, base={self.base!r})"
 
     def as_array(self) -> np.ndarray:
         """The points as a read-only (n, d) int64 array in lexicographic order,
         the same array on every call; a product's is filled on the first."""
         if self._points is None:
-            if self.size > FULL_GRID_CAP:
-                raise ValueError(
-                    f"product A^{self.d} with |A| = {len(self.base)} exceeds the "
-                    f"{FULL_GRID_CAP}-point cap"
-                )
-            base = np.array(self.base, dtype=np.int64)
-            rows = base[np.indices((len(base),) * self.d).reshape(self.d, -1).T]
-            rows.flags.writeable = False
-            object.__setattr__(self, "_points", rows)
+            if _exceeds(len(self.base), self.d, FULL_GRID_CAP):
+                raise ValueError(f"product A^{self.d} with |A| = {len(self.base)} exceeds the "
+                                 f"{FULL_GRID_CAP}-point cap")
+            cells = np.indices((len(self.base),) * self.d).reshape(self.d, -1).T
+            self._fill(self.m, self.d, self.base, np.array(self.base, dtype=np.int64)[cells])
         return self._points
 
     def indicator(self) -> GridFunction:
         return GridFunction.indicator(self.m, self.d, self.as_array())
+
+
+def _exceeds(k: int, d: int, n: int) -> bool:
+    """Whether k**d > n, where k >= 2 passes n within bit_length(n) + 1 factors."""
+    return k ** min(d, n.bit_length() + 1) > n
 
 
 def _check_dimension(d: int) -> None:
@@ -251,8 +251,10 @@ def _dot_sumset(E: PointSet) -> np.ndarray:
     and each later step shifts by p.  Until then |S_k| grows.
     """
     q, d, a, meter = E.m.q, E.d, np.array(E.base, dtype=np.int64), _sumset_meter(E)
-    prods = _census._residues((b for _, b in _pair_blocks(a, a, q, np.multiply, meter)), q)
-    found = prods
+    if misses_zero := bool((a % E.m.p ** ((E.m.l + 1) // 2)).all()):  # 2 v(a) < l over A, and
+        meter.charge(len(a) ** 2)  # a a' = 0 needs v(a) + v(a') >= l: the step cannot stop early
+    pairs = _pair_blocks(a, a, q, np.multiply, None if misses_zero else meter)
+    found = prods = _census._residues((b for _, b in pairs), q)
     for k in range(1, d):
         if len(found) == q:
             break

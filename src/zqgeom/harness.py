@@ -936,7 +936,7 @@ LEMMAS = (
     Lemma("stabilizer_bound_zero_norm", "le", _rotated_plane_checks,
           "max |Stab(xi)| over nonzero xi with ||xi|| = 0 is <= p^(l-1)",
           lambda m: "" if m.p % 4 == 3
-          else "bound needs p = 3 mod 4; zero-norm stabilizers can be large otherwise"),
+          else "bound stated for p = 3 mod 4"),
     Lemma("zero_norm_stratum_form", "eq", _check_zero_norm_structure,
           "for p = 3 mod 4, nonzero xi has ||xi|| = 0 iff its stratum m satisfies 2m >= l",
           lambda m: "" if m.p % 4 == 3 else "characterization needs p = 3 mod 4"),

@@ -99,8 +99,8 @@ def test_unrecognized_arguments_are_reported_by_the_parser_that_read_them(capsys
 
 
 def test_product_source_above_the_cap_exits_2(tmp_path):
-    # the c in Z_3^9 with 9 not dividing c: their products are never in 27 Z_q,
-    # so A.A never holds all of Z_q, and its 17496**2 products pass the sumset budget
+    # the c in Z_3^9 with 9 not dividing c: 2 v(c) <= 2 < 9, so no product is 0,
+    # A.A never holds all of Z_q, and its 17496**2 products are refused up front
     base = tmp_path / "base.txt"
     base.write_text("q=19683 d=1\n" + "".join(f"{c}\n" for c in range(19683) if c % 9))
     run = ("experiment", "--kind", "dotprod", "--p", "3", "--l", "9", "--d", "2")
@@ -110,7 +110,7 @@ def test_product_source_above_the_cap_exits_2(tmp_path):
     spent, more = map(int, re.search(
         r"dot products of A\^2 with \|A\| = 17496: (\d+) operations spent, and (\d+) more "
         f"would pass the {_census._OP_CAP}-operation budget", res.stderr).groups())
-    assert spent <= _census._OP_CAP < spent + more
+    assert (spent, more) == (0, 17496**2) == (0, 306110016)
     # the whole of Z_3^9 as A: A.A is all of Z_q within the first block of products
     whole = tmp_path / "whole.txt"
     whole.write_text("q=19683 d=1\n" + "".join(f"{c}\n" for c in range(19683)))

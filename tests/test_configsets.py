@@ -82,7 +82,7 @@ def test_product_past_sys_maxsize_has_an_exact_size():
         E.points
     with pytest.raises(ValueError, match=f"{configsets.FULL_GRID_CAP}-point cap"):
         E.as_array()
-    assert repr(E) == f"PointSet(m={M3!r}, d=40, size={3**40}, base=(0, 1, 2))"
+    assert repr(E) == f"PointSet(m={M3!r}, d=40, size=3**40, base=(0, 1, 2))"
     same = PointSet.product(M3, [0, 1, 2], 40)
     assert E == same and hash(E) == hash(same)
     assert E != PointSet.product(M3, [0, 1], 40) and E != PointSet.product(M3, [0, 1, 2], 39)
@@ -860,14 +860,20 @@ def test_sumset_path_refuses_past_its_budget(monkeypatch):
     assert dot_product_set(wide) == set(range(9))
     with pytest.raises(ValueError, match="2\\^63"):
         dot_product_counts(wide)
-    # units multiply to units, so A.A never holds all of Z_q, and the sumset's
-    # blocks are charged one by one until the next would pass the budget
+    # units multiply to units, so A.A misses 0 and never holds all of Z_q: its
+    # |A|**2 products are charged before the first block runs
     monkeypatch.setattr(_census, "_OP_CAP", 10**6)
     units = [a for a in range(3**7) if a % 3]
-    refusal = (f"dot products of A\\^2 with \\|A\\| = {len(units)}: [1-9][0-9]* operations "
-               "spent, and [0-9]+ more would pass the 1000000-operation budget")
+    refusal = (f"dot products of A\\^2 with \\|A\\| = {len(units)}: 0 operations "
+               "spent, and 2125764 more would pass the 1000000-operation budget")
     with pytest.raises(ValueError, match=refusal):
         dot_product_set(PointSet.product(Modulus(3, 7), units, 2))
+    # with 0 in A, A.A holds 0 but still only units besides, so it never saturates;
+    # the up-front test cannot tell, and the blocks are charged one by one
+    refusal = (f"dot products of A\\^2 with \\|A\\| = {len(units) + 1}: [1-9][0-9]* operations "
+               "spent, and [0-9]+ more would pass the 1000000-operation budget")
+    with pytest.raises(ValueError, match=refusal):
+        dot_product_set(PointSet.product(Modulus(3, 7), [0, *units], 2))
 
 
 @settings(max_examples=60, deadline=None)
@@ -929,6 +935,54 @@ def test_as_array_is_one_shared_read_only_array(make):
     with pytest.raises(ValueError, match="read-only"):
         rows[0, 0] = 1
     assert E.points == tuple(map(tuple, rows.tolist())) == tuple(sorted(E.points))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(_SMALL),
+    st.integers(1, 3),
+    st.lists(st.lists(st.integers(-3, 30), min_size=3, max_size=3), max_size=30),
+    st.lists(st.lists(st.integers(-3, 30), min_size=1, max_size=4), max_size=10),
+)
+def test_listed_membership_matches_a_tuple_set(m, d, pts, probes):
+    E = PointSet(m, d, [p[:d] for p in pts])
+    members = {tuple(c % m.q for c in p[:d]) for p in pts}
+    for v in [*probes, *(p[:d] for p in pts), *members]:
+        assert (v in E) == (len(v) == d and tuple(c % m.q for c in v) in members)
+
+
+def test_first_membership_query_builds_no_index():
+    E = random_subset(Modulus(997, 1), 2, 10**5, 1)
+    probe = tuple(E.as_array()[54321].tolist())
+    tracemalloc.start()
+    try:
+        assert probe in E
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * E.as_array().nbytes
+
+
+def test_a_huge_product_answers_from_its_base_and_dimension():
+    # 3**(10**8) has about 4.8 * 10**7 digits, minutes to form and print
+    E, d = PointSet.product(M3, (0, 1, 2), 10**8), 10**8
+    checks = [
+        lambda: repr(E) == f"PointSet(m={M3!r}, d={d}, size=3**{d}, base=(0, 1, 2))",
+        lambda: hash(E) == hash(PointSet.product(M3, (2, 0, 1), d)),
+        lambda: E == PointSet.product(M3, (2, 0, 1), d) and E != PointSet.product(M3, (0, 1), d),
+        lambda: E != PointSet.product(M3, (0, 1, 2), d - 1),
+    ]
+    for check in checks:
+        t0 = time.perf_counter()
+        assert check()
+        assert time.perf_counter() - t0 < 1
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=f"{configsets.FULL_GRID_CAP}-point cap"):
+        E.as_array()
+    assert time.perf_counter() - t0 < 1
+    # a listed set is compared by its row count, with no |A|**d formed
+    E40 = PointSet.product(M3, (0, 1, 2), 40)
+    assert E40 != PointSet(M3, 40, [(0,) * 40, (1,) * 40]) != E40
 
 
 def test_product_past_the_point_cap_lists_nothing_until_asked():

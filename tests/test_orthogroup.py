@@ -123,6 +123,17 @@ def test_stabilizer_sizes_split_by_norm_when_p_is_1_mod_4():
     assert worst[True] == 5
 
 
+@pytest.mark.parametrize("q", [5, 13, 25, 125, 169, 625])
+def test_zero_norm_stabilizers_meet_the_bound_when_p_is_1_mod_4(q):
+    # the lemma suite states this bound for p = 3 mod 4 only, yet here too the
+    # largest stabilizer on the nonzero zero-norm cone is exactly p**(l-1)
+    m = Modulus.from_q(q)
+    x = np.arange(q)
+    cone = (x[:, None] ** 2 + x[None, :] ** 2) % q == 0
+    cone[0, 0] = False
+    assert stabilizer_table(m)[cone].max() == m.p ** (m.l - 1)
+
+
 @pytest.mark.parametrize("m", [M9, M27, M49], ids=str)
 def test_zero_norm_vectors_are_exactly_the_deep_strata(m):
     for v in itertools.product(range(m.q), repeat=2):
