@@ -1,7 +1,7 @@
 """What every census shares: the operation meter and its cap, the byte
-budgets, the block planner (_blocks) and the streaming merges of sorted values.
-Callers read a budget as an attribute of this module when they run, so one
-patch of a budget reaches every census that uses it."""
+budgets, the grid cap, the block planner (_blocks) and the streaming merges
+of sorted values.  Callers read a budget as an attribute of this module when
+they run, so one patch of a budget reaches every census that uses it."""
 
 from __future__ import annotations
 
@@ -27,6 +27,20 @@ _FIRST_BLOCK = 1 << 12
 # bytes of a complex kernel row block of the literal Fourier sums: forward_naive
 # over 240 points of Z_27^2 peaks at 1.6 MiB with it, 4.1 MiB with 8 MiB blocks
 _KERNEL_BYTES = 1 << 20
+# ceiling on materialized grids, sampling universes and Fourier tables
+FULL_GRID_CAP = 10**6
+
+
+def _exceeds(k: int, d: int, n: int) -> bool:
+    """Whether k**d > n, where k >= 2 passes n within bit_length(n) + 1 factors."""
+    return k ** min(d, n.bit_length() + 1) > n
+
+
+def _grid_shape(q: int, d: int) -> tuple[int, ...]:
+    """(q,) * d, the shape of Z_q^d, refused past FULL_GRID_CAP points (by _exceeds)."""
+    if _exceeds(q, d, FULL_GRID_CAP):
+        raise ValueError(f"grid Z_{q}^{d} exceeds the {FULL_GRID_CAP}-point cap")
+    return (q,) * d
 
 
 def _int_dtype(bound: int) -> type:

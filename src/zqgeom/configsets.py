@@ -14,12 +14,14 @@ from __future__ import annotations
 import bisect
 import itertools
 import operator
+from collections import Counter
 from collections.abc import ItemsView, Iterable, Iterator, Mapping, ValuesView
 from fractions import Fraction
 
 import numpy as np
 
 from . import _census
+from ._census import FULL_GRID_CAP, _exceeds
 from .fourier import GridFunction, _correlation
 from .geometry import DimensionMismatch, Line, Vec, _read_points, norm, vadd, valuation_table, vsub
 from .orthogroup import Rotation
@@ -41,9 +43,6 @@ __all__ = [
     "triangle_area_count",
     "triangle_area_set",
 ]
-
-# ceiling on materialized grids and sampling universes
-FULL_GRID_CAP = 10**6
 
 
 class PointSet:
@@ -95,8 +94,7 @@ class PointSet:
     def full_grid(cls, m: Modulus, d: int) -> "PointSet":
         """Z_q^d, the product of A = Z_q."""
         _check_dimension(d)
-        if _exceeds(m.q, d, FULL_GRID_CAP):
-            raise ValueError(f"grid Z_{m.q}^{d} exceeds the {FULL_GRID_CAP}-point cap")
+        _census._grid_shape(m.q, d)
         return cls._made(m, d, base=tuple(range(m.q)))
 
     @property
@@ -153,20 +151,15 @@ class PointSet:
         """The points as a read-only (n, d) int64 array in lexicographic order,
         the same array on every call; a product's is filled on the first."""
         if self._points is None:
-            if _exceeds(len(self.base), self.d, FULL_GRID_CAP):
+            if _exceeds(len(self.base), self.d, _census.FULL_GRID_CAP):
                 raise ValueError(f"product A^{self.d} with |A| = {len(self.base)} exceeds the "
-                                 f"{FULL_GRID_CAP}-point cap")
+                                 f"{_census.FULL_GRID_CAP}-point cap")
             cells = np.indices((len(self.base),) * self.d).reshape(self.d, -1).T
             self._fill(self.m, self.d, self.base, np.array(self.base, dtype=np.int64)[cells])
         return self._points
 
     def indicator(self) -> GridFunction:
         return GridFunction.indicator(self.m, self.d, self.as_array())
-
-
-def _exceeds(k: int, d: int, n: int) -> bool:
-    """Whether k**d > n, where k >= 2 passes n within bit_length(n) + 1 factors."""
-    return k ** min(d, n.bit_length() + 1) > n
 
 
 def _check_dimension(d: int) -> None:
@@ -280,60 +273,65 @@ def _dot_convolution(E: PointSet) -> tuple[np.ndarray, np.ndarray]:
         )
     a, ones = np.array(E.base, dtype=np.int64), np.ones(size, dtype=np.int64)
     meter = _sumset_meter(E)
-    prods = _convolve(a, ones, a, ones, q, np.multiply, meter)
-    keys, counts = prods
+    keys, counts = prods = _convolve(a, ones, a, ones, q, np.multiply, meter)
     for _ in range(d - 1):
         keys, counts = _convolve(keys, counts, *prods, q, np.add, meter)
     return keys, counts
 
 
-class _DotCounts(Mapping):
-    """nu(t) for every t in Z_q, held as the sorted t with nu(t) > 0."""
+class _CountTable(Mapping):
+    """nu(t) for every t in Z_q^d, held as two int64 arrays: the sorted codes
+    t.(q**(d-1), ..., q, 1) of the t with nu(t) > 0, and their counts.  Keys are
+    ints at d = 1, else d-tuples; the walks run in lexicographic order with zeros."""
 
-    def __init__(self, q: int, keys: np.ndarray, counts: np.ndarray) -> None:
-        self._q, self._keys, self._counts = q, keys, counts
+    def __init__(self, q: int, d: int, codes: np.ndarray, counts: np.ndarray) -> None:
+        self._q, self._d, self._codes, self._counts = q, d, codes, counts
 
     def __getitem__(self, t) -> int:
+        coords = (t,) if self._d == 1 else t if isinstance(t, tuple) else ()
         try:
-            t = operator.index(t)
-        except TypeError:
+            code = np.ravel_multi_index([operator.index(c) for c in coords], (self._q,) * self._d)
+        except (TypeError, ValueError):
             raise KeyError(t) from None
-        if not 0 <= t < self._q:
-            raise KeyError(t)
-        i = int(np.searchsorted(self._keys, t))
-        hit = i < len(self._keys) and self._keys[i] == t
-        return int(self._counts[i]) if hit else 0
+        i = int(np.searchsorted(self._codes, code))
+        return int(self._counts[i]) if i < len(self._codes) and self._codes[i] == code else 0
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self._q))
+    def __iter__(self) -> Iterator:
+        axis = range(self._q)
+        return iter(axis) if self._d == 1 else itertools.product(axis, repeat=self._d)
 
     def __len__(self) -> int:
-        return self._q
+        return self._q**self._d
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _CountTable):
+            return super().__eq__(other)
+        return (self._q, self._d) == (other._q, other._d) and all(
+            map(np.array_equal, (self._codes, self._counts), (other._codes, other._counts)))
 
     def items(self) -> ItemsView:
-        return _DotItems(self)
+        return _CountItems(self)
 
     def values(self) -> ValuesView:
-        return _DotValues(self)
+        return _CountValues(self)
 
-    def _walk(self) -> Iterator[tuple[int, int]]:
-        """(t, nu(t)) for t = 0..q-1, stepping through the sorted keys alongside."""
-        t = 0
-        for k, c in zip(self._keys.tolist(), self._counts.tolist()):
-            yield from zip(range(t, k), itertools.repeat(0))
-            yield k, c
-            t = k + 1
-        yield from zip(range(t, self._q), itertools.repeat(0))
+    def _nonzero(self) -> tuple[np.ndarray, np.ndarray]:  # the t with nu(t) > 0, as rows
+        return np.stack(np.unravel_index(self._codes, (self._q,) * self._d), axis=1), self._counts
 
 
-class _DotItems(ItemsView):
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return self._mapping._walk()
+class _CountItems(ItemsView):
+    def __iter__(self) -> Iterator[tuple]:
+        return zip(self._mapping, _CountValues(self._mapping))
 
 
-class _DotValues(ValuesView):
+class _CountValues(ValuesView):
     def __iter__(self) -> Iterator[int]:
-        return (c for _, c in self._mapping._walk())
+        t, table = 0, self._mapping  # each count in key order, after the zeros before it
+        for k, c in zip(table._codes.tolist(), table._counts.tolist()):
+            yield from itertools.repeat(0, k - t)
+            yield c
+            t = k + 1
+        yield from itertools.repeat(0, len(table) - t)
 
 
 def dot_product_set(E: PointSet) -> set[int]:
@@ -370,8 +368,8 @@ def dot_product_counts(E: PointSet) -> Mapping[int, int]:
     pair scan.
     """
     if E.base is not None:
-        return _DotCounts(E.m.q, *_dot_convolution(E))
-    return _DotCounts(E.m.q, *_census._tally((b, np.ones_like(b)) for b in _dot_blocks(E)))
+        return _CountTable(E.m.q, 1, *_dot_convolution(E))
+    return _CountTable(E.m.q, 1, *_census._tally((b, np.ones_like(b)) for b in _dot_blocks(E)))
 
 
 def triangle_area_set(E: PointSet) -> set[int]:
@@ -395,28 +393,23 @@ def _area_values(E: PointSet) -> np.ndarray:
     return _census._residues(_area_blocks(E), E.m.q, start=1)
 
 
-def rotation_correlation(E: PointSet, theta: Rotation) -> dict[Vec, int]:
-    """nu_theta(t), ordered pairs with u - theta(v) = t, densely over Z_q^2.
+def rotation_correlation(E: PointSet, theta: Rotation) -> Mapping[Vec, int]:
+    """nu_theta(t), ordered pairs with u - theta(v) = t, for every t in Z_q^2.
 
     The correlation of the indicators of E and theta E (fourier._correlation),
-    so time and memory follow the q**2 table, not the |E|**2 pairs.
+    kept as its t with nu_theta(t) > 0: time and memory follow the q**2 grid,
+    of at most FULL_GRID_CAP points, not the |E|**2 pairs; theta is a rotation mod q.
     """
     if E.d != 2:
         raise DimensionMismatch("rotation correlation is a planar counter")
-    q, pts = E.m.q, E.as_array()
-    a, b = theta.a, theta.b
-    ind, turned = np.zeros((q, q)), np.zeros((q, q))
-    ind[pts[:, 0], pts[:, 1]] = 1
+    q, (x, y), a, b = E.m.q, E.as_array().T, theta.a, theta.b
+    if theta.m != E.m or (a * a + b * b) % q != 1:
+        raise ValueError(f"({a}, {b}) over {theta.m} is not a rotation of Z_{q}")
     # every product stays below q**2, inside int64 for q up to MAX_Q
-    turned[(a * pts[:, 0] - b * pts[:, 1]) % q, (b * pts[:, 0] + a * pts[:, 1]) % q] = 1
-    counts = _correlation(ind, turned).ravel()
-    return dict(zip(itertools.product(range(q), repeat=2), counts.tolist()))
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, np.generic):
-        x = x.item()
-    return Fraction(x)
+    turned = GridFunction.indicator(E.m, 2, np.stack(((a * x - b * y) % q, (b * x + a * y) % q), 1))
+    counts = _correlation(E.indicator().values, turned.values).ravel()
+    codes = np.flatnonzero(counts)
+    return _CountTable(q, 2, codes, counts[codes])
 
 
 def moment_bound(table, n: int) -> tuple[Fraction, Fraction]:
@@ -425,28 +418,29 @@ def moment_bound(table, n: int) -> tuple[Fraction, Fraction]:
     lhs = sum f**n and
     rhs = |F| mean**n + n(n-1)/2 * max**(n-2) * sum (f - mean)**2,
     both as Fractions so the comparison is exact.  Equality holds exactly
-    for constant tables.  The spread is taken as sum f**2 - mean * sum f;
-    integer tables (numpy integers included) are summed in Python ints,
-    and any other value sends the whole table through Fractions.
+    for constant tables.  The sums run over the distinct values with their
+    multiplicities, read from a count table's arrays or in one pass over any
+    other table.  Integers (numpy's too) are summed in Python ints, and any
+    other value sends them all through Fractions.
     """
-    values = table.values() if isinstance(table, Mapping) else table
-    vals = list(values)
-    if not vals:
+    if isinstance(table, _CountTable):  # its nonzero counts, and the zeros between them
+        hist = Counter(table._counts.tolist())
+        hist[0] += len(table) - len(table._counts)
+    else:
+        hist = Counter(table.values() if isinstance(table, Mapping) else table)
+    if not hist:
         raise ValueError("the table must be nonempty")
     if n < 2:
         raise ValueError(f"moment order must be at least 2, got {n}")
-    if all(isinstance(v, (int, np.integer)) for v in vals):
-        vals = [int(v) for v in vals]
-    else:
-        vals = [_as_fraction(v) for v in vals]
-    if min(vals) < 0:
+    hist = [(v.item() if isinstance(v, np.generic) else v, k) for v, k in hist.items()]
+    if not all(isinstance(v, int) for v, _ in hist):
+        hist = [(Fraction(v), k) for v, k in hist]
+    if min(hist)[0] < 0:
         raise ValueError("table values must be nonnegative")
-    count, total = len(vals), sum(vals)
+    count, total, squares, lhs = (sum(v**e * k for v, k in hist) for e in (0, 1, 2, n))
     mean = Fraction(total, count)
-    spread = sum(v * v for v in vals) - mean * total
-    lhs = Fraction(sum(v**n for v in vals))
-    rhs = count * mean**n + Fraction(n * (n - 1), 2) * max(vals) ** (n - 2) * spread
-    return lhs, rhs
+    spread = squares - mean * total  # sum (f - mean)**2, a Fraction
+    return Fraction(lhs), count * mean**n + n * (n - 1) * max(hist)[0] ** (n - 2) * spread / 2
 
 
 def difference_stratum_counts(m: Modulus) -> tuple[list[int], int]:

@@ -6,12 +6,13 @@ and inversion carries no normalization factor.  The default path is
 numpy's FFT over every axis; the literal sum over the table's support, run
 in kernel row blocks of about 1 MiB, is the oracle; they agree within 1e-10.
 
-Tables are immutable: the constructor copies the caller's values into a
-read-only array, float64 if they are real and complex128 otherwise, and
-forward keeps the spectrum for plancherel_gap.  A table with no nonzero
-imaginary part takes a half-size real FFT into the front of its spectrum,
-whose tail is filled in place from fhat(-m) = conj fhat(m); inverse gives
-the float64 real inverse FFT of that half.  Other tables take the complex FFT.
+Tables are immutable, refused past FULL_GRID_CAP points before allocation:
+the constructor copies the caller's values into a read-only array, float64
+if they are real and complex128 otherwise, and forward keeps the spectrum
+for plancherel_gap.  A table with no nonzero imaginary part takes a
+half-size real FFT into the front of its spectrum, whose tail is filled in
+place from fhat(-m) = conj fhat(m); inverse gives the float64 real inverse
+FFT of that half.  Other tables take the complex FFT.
 """
 
 from __future__ import annotations
@@ -62,10 +63,11 @@ class _Table:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        shape = _census._grid_shape(self.m.q, self.d)
         vals = _float_or_complex(self.values)
         if vals.size != self.m.q**self.d:
             raise ValueError(f"need {self.m.q**self.d} values, got {vals.size}")
-        vals = vals.reshape((self.m.q,) * self.d)
+        vals = vals.reshape(shape)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -87,15 +89,18 @@ class GridFunction(_Table):
 
     @classmethod
     def indicator(cls, m: Modulus, d: int, points: Iterable) -> "GridFunction":
-        vals = np.zeros((m.q,) * d)
+        vals = np.zeros(_census._grid_shape(m.q, d))
         vals[tuple(_read_points(m, d, points).T)] = 1.0
         return cls._adopt(m, d, vals)
 
     @classmethod
     def from_counts(cls, m: Modulus, d: int, table: Mapping) -> "GridFunction":
-        counts = _float_or_complex(list(table.values()))
-        vals = np.zeros((m.q,) * d, dtype=counts.dtype)
-        vals[tuple(_read_points(m, d, table.keys()).T)] = counts
+        """The table's values at its keys; a configsets count table gives its nonzero ones."""
+        shape, nonzero = _census._grid_shape(m.q, d), getattr(table, "_nonzero", None)
+        keys, counts = nonzero() if nonzero else (table.keys(), list(table.values()))
+        counts = _float_or_complex(counts)
+        vals = np.zeros(shape, dtype=counts.dtype)
+        vals[tuple(_read_points(m, d, keys).T)] = counts
         return cls._adopt(m, d, vals)
 
     @cached_property

@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt, log10
+from math import isqrt, log10, prod
 from pathlib import Path
 from statistics import fmean
 from typing import Callable, NamedTuple
@@ -213,10 +213,7 @@ def random_subset(m: Modulus, d: int, size: int, seed: int, trial: int = 0) -> P
     dict loop this sampler replaced), and at 46 B a point when k = q**d.
     """
     _check_dimension(d)
-    # q >= 3, so d >= 20 passes the cap before q**d is formed
-    total = m.q**d if d < FULL_GRID_CAP.bit_length() else FULL_GRID_CAP + 1
-    if total > FULL_GRID_CAP:
-        raise ValueError(f"grid Z_{m.q}^{d} exceeds the {FULL_GRID_CAP}-point sampling cap")
+    total = prod(_census._grid_shape(m.q, d))
     if not 0 <= size <= total:
         raise ValueError(f"subset size {size} does not fit in the {total}-point grid")
     chosen = _sample_indices(trial_rng(seed, trial), total, size)

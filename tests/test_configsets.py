@@ -1,6 +1,7 @@
 """Configuration counters checked against small brute-force oracles."""
 
 import itertools
+import operator
 import re
 import time
 import tracemalloc
@@ -27,6 +28,7 @@ from zqgeom.configsets import (
     triangle_area_count,
     triangle_area_set,
 )
+from zqgeom.fourier import GridFunction
 from zqgeom.geometry import (
     DimensionMismatch,
     det2,
@@ -819,7 +821,7 @@ def test_dot_count_views_do_not_search_per_key(monkeypatch):
 
 def _nonzero_counts(counts):
     """The t with nu(t) > 0 of a sparse dot-count table, without visiting Z_q."""
-    return dict(zip(counts._keys.tolist(), counts._counts.tolist()))
+    return dict(zip(counts._codes.tolist(), counts._counts.tolist()))
 
 
 @pytest.mark.parametrize(
@@ -843,6 +845,102 @@ def test_general_set_counts_are_sparse(q, pts):
     assert _nonzero_counts(counts) == want
     assert len(counts) == q and all(counts[t] == c for t, c in want.items())
     assert counts[next(t for t in range(q) if t not in want)] == 0
+
+
+# -- one sparse count table for the rotation correlation and the dot counts --
+
+
+def test_rotation_correlation_refuses_foreign_maps_and_grids_past_the_cap():
+    E = random_subset(M27, 2, 20, seed=3)
+    # 0**2 + 4**2 = 16 is 1 mod 5 but not mod 27
+    foreign = next(t for t in so2_elements(Modulus(5, 1)) if (t.a, t.b) == (0, 4))
+    for theta in (foreign, Rotation(0, 4, M27), so2_elements(M9)[1]):
+        with pytest.raises(ValueError, match="is not a rotation of Z_27"):
+            rotation_correlation(E, theta)
+    assert sum(rotation_correlation(E, so2_elements(M27)[1]).values()) == 400
+    # Z_1009^2 has 1018081 points; nothing of that size is allocated before the refusal
+    m = Modulus(1009, 1)
+    cap = f"grid Z_1009\\^2 exceeds the {configsets.FULL_GRID_CAP}-point cap"
+    E = PointSet(m, 2, [(1, 2)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=cap):
+            rotation_correlation(E, Rotation(1, 0, m))
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_rotation_correlation_at_z961_keeps_the_transform_not_a_dict():
+    m = Modulus(31, 2)
+    E = random_subset(m, 2, 10, 1, 0)
+    theta = Rotation(*orthogroup.so2_table(m)[5].tolist(), m)
+    # the FFT alone peaks at about 42 MiB; a dict of all q**2 counts took 125 MiB
+    assert _peak_bytes(rotation_correlation, E, theta) <= 64 * 2**20
+    nu = rotation_correlation(E, theta)
+    assert len(nu) == m.q**2 and int(nu._counts.sum()) == 100
+    assert _peak_bytes(moment_bound, nu, 4) < 2**20
+    assert moment_bound(nu, 2)[0] == sum(c * c for c in nu._counts.tolist())
+
+
+def test_dot_tables_compare_and_bound_without_visiting_z_q():
+    m = Modulus(2**31 - 1, 1)
+    pts = ((1, 2), (-1, 2**30), (2**31 - 2, 12345), (7, 7))
+    E, F = PointSet(m, 2, pts), PointSet(m, 2, pts[:3])
+    one, two = dot_product_counts(E), dot_product_counts(E)
+    assert _peak_bytes(operator.eq, one, two) < 2**20
+    assert one == two and one != dot_product_counts(F)
+    assert _peak_bytes(moment_bound, one, 3) < 2**20
+    want = _dot_counts_pair_loop(E)
+    lhs, rhs = moment_bound(one, 3)
+    assert lhs == sum(c**3 for c in want.values())
+    mean = Fraction(16, m.q)
+    assert rhs == m.q * mean**3 + 3 * max(want.values()) * (
+        sum(c * c for c in want.values()) - mean * 16)
+
+
+def test_rotation_tables_read_like_a_dict_of_pairs():
+    E = random_subset(M9, 2, 6, seed=1)
+    theta = so2_elements(M9)[2]
+    nu, want = rotation_correlation(E, theta), _rotation_correlation_loop(E, theta)
+    assert nu == want and want == nu and dict(nu) == want
+    assert list(nu.keys()) == list(want) and list(nu.items()) == list(want.items())
+    assert nu != {**want, (0, 0): want[(0, 0)] + 1}
+    for bad in ((9, 0), (0,), (0, 0, 0), [0, 0], (0.0, 0), 0, "ab", None):
+        assert bad not in nu
+        with pytest.raises(KeyError):
+            nu[bad]
+    assert all(nu[t] == c for t, c in want.items())
+    assert nu != rotation_correlation(random_subset(M9, 2, 6, seed=2), theta)
+    assert dot_product_counts(PointSet(M9, 2, [(0, 0)])) != rotation_correlation(E, theta)
+
+
+def _count_tables(m, E, index):
+    group = so2_elements(m)
+    return {1: dot_product_counts(E), 2: rotation_correlation(E, group[index % len(group)])}
+
+
+@pytest.mark.parametrize("m", [M9, M25, M27], ids=str)
+def test_from_counts_of_a_count_table_reads_its_nonzero_entries(m):
+    for seed in range(3):
+        E = random_subset(m, 2, 4 + 5 * seed, seed=seed)
+        for d, table in _count_tables(m, E, seed).items():
+            nonzero = {((t,) if d == 1 else t): c for t, c in table.items() if c}
+            got = GridFunction.from_counts(m, d, table)
+            assert np.array_equal(got.values, GridFunction.from_counts(m, d, nonzero).values)
+            assert got.values.sum() == len(E) ** 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([M9, M25, M27]),
+    st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)), max_size=30),
+    st.integers(0, 100),
+    st.sampled_from((2, 3, 4, 5)),
+)
+def test_moment_bound_of_a_count_table_matches_fractions(m, pts, index, n):
+    for table in _count_tables(m, PointSet(m, 2, pts), index).values():
+        assert moment_bound(table, n) == _moment_bound_fractions(list(table.values()), n)
 
 
 def test_sumset_path_refuses_past_its_budget(monkeypatch):

@@ -136,6 +136,37 @@ def test_rotation_twist_shows_up_as_frequency_twist():
         assert abs(nuhat.at(xi) - rhs) < 1e-10
 
 
+def test_tables_past_the_grid_cap_are_refused_before_any_allocation():
+    from zqgeom.configsets import FULL_GRID_CAP, PointSet, dot_product_counts
+
+    deep, wide = Modulus(3, 13), Modulus(2**31 - 1, 1)
+    cap = f"exceeds the {FULL_GRID_CAP}-point cap"
+    values = np.zeros(3**13)
+    counts = dot_product_counts(PointSet(wide, 2, [(1, 2), (3, 4)]))
+    builders = [
+        lambda: GridFunction.indicator(deep, 1, [(0,)]),
+        lambda: GridFunction.indicator(M3, 13, []),
+        lambda: GridFunction.from_counts(wide, 1, counts),
+        lambda: GridFunction.from_counts(M9, 7, {}),
+        lambda: GridFunction(deep, 1, values),
+        lambda: SpectrumTable(deep, 1, values),
+    ]
+    tracemalloc.start()
+    try:
+        for build in builders:
+            with pytest.raises(ValueError, match=cap):
+                build()
+        assert tracemalloc.get_traced_memory()[1] < 2**16
+    finally:
+        tracemalloc.stop()
+    # up to the cap, the dot counts of Z_q transform like any other table
+    m = Modulus(999983, 1)
+    E = PointSet(m, 2, [(1, 2), (3, -4), (500000, 7)])
+    f = GridFunction.from_counts(m, 1, dot_product_counts(E))
+    assert f.values.sum() == 9 and f.at((5,)) == 1 and f.at((1,)) == 0
+    assert GridFunction.indicator(Modulus(3, 12), 1, [(0,)]).values.size == 3**12
+
+
 def test_indicator_and_from_counts_validate_points():
     for bad in ([(1,)], [(1, 2, 3)], [()], [(1, 2), (3,)], [(1.5, 2)]):
         with pytest.raises(ValueError):
