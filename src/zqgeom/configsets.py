@@ -476,6 +476,8 @@ def sumset(E: PointSet, line: Line) -> set[Vec]:
     """Pointwise sums e + x over the line's points."""
     if E.d != 2:
         raise DimensionMismatch("line sumsets are a planar counter")
+    if line.m != E.m:
+        raise ValueError(f"a line over {line.m} is not a line of {E.m}")
     return {vadd(E.m, e, x) for e in E for x in line.points()}
 
 

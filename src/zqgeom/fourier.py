@@ -97,6 +97,8 @@ class GridFunction(_Table):
     def from_counts(cls, m: Modulus, d: int, table: Mapping) -> "GridFunction":
         """The table's values at its keys; a configsets count table gives its nonzero ones."""
         shape, nonzero = _census._grid_shape(m.q, d), getattr(table, "_nonzero", None)
+        if getattr(table, "_q", m.q) != m.q:  # a configsets count table records its q
+            raise ValueError(f"a count table over Z_{table._q} is not a table over {m}")
         keys, counts = nonzero() if nonzero else (table.keys(), list(table.values()))
         counts = _float_or_complex(counts)
         vals = np.zeros(shape, dtype=counts.dtype)

@@ -674,100 +674,100 @@ def _lemma_rows(m: Modulus, rows: list[tuple[int, Lemma]]) -> list[LemmaCheck]:
     found = [None] * len(rows) if all(notes) else rows[0][1].check(m)
     outcomes = found if isinstance(found, list) else [found]
     return [
-        LemmaCheck(i, lemma.name, lemma.statement, 0, 0, 0, "eq", "", skipped=True, note=note)
-        if note
-        else LemmaCheck(i, lemma.name, lemma.statement, o.universe, o.statistic, o.bound,
-                        lemma.cmp, o.witness)
+        LemmaCheck(index=i, name=lemma.name, statement=lemma.statement,
+                   cmp="eq" if note else lemma.cmp, skipped=bool(note), note=note,
+                   **(Outcome(0, 0, 0) if note else o)._asdict())
         for (i, lemma), note, o in zip(rows, notes, outcomes, strict=True)
     ]
 
 
+def _mismatches(universe: int, bad, name: Callable[[int], str]) -> Outcome:
+    """The Outcome of an exact check from its failures per case.
+
+    bad holds a bool or a failure count per case, in case order (an array
+    is read flat); the statistic is their total, the bound 0, and the
+    witness name(i) of the first failing case i."""
+    bad = np.ravel(bad)
+    fails = int(bad.sum())
+    return Outcome(universe, fails, 0, name(int(np.flatnonzero(bad)[0])) if fails else "")
+
+
+def _in_order(universe: int, parts: list[Outcome]) -> Outcome:
+    """One Outcome from the Outcomes of a check's ordered parts: their
+    failures summed, and the witness of the first part that fails."""
+    witness = next((o.witness for o in parts if o.statistic), "")
+    return Outcome(universe, sum(o.statistic for o in parts), 0, witness)
+
+
 def _check_unit_decomposition(m: Modulus) -> Outcome:
-    fails, witness = 0, ""
-    for x in range(1, m.q):
-        v = m.valuation(x)
-        u = x // m.p**v
-        if not (m.is_unit(u) and u * m.p**v == x):
-            fails += 1
-            witness = witness or f"x={x}"
-    return Outcome(m.q - 1, fails, 0, witness)
+    x = np.arange(1, m.q)
+    power = m.p ** np.array([m.valuation(v) for v in x.tolist()])
+    unit = x // power
+    return _mismatches(m.q - 1, (unit % m.p == 0) | (unit * power != x), lambda i: f"x={i + 1}")
 
 
 def _check_inverse_involution(m: Modulus) -> Outcome:
-    fails, witness, units = 0, "", m.units()
-    for x in units:
-        inv = m.inverse(x)
-        if (x * inv) % m.q != 1 or m.inverse(inv) != x:
-            fails += 1
-            witness = witness or f"x={x}"
-    return Outcome(len(units), fails, 0, witness)
+    units, q = m.units(), m.q
+    bad = [x * y % q != 1 or m.inverse(y) != x for x, y in zip(units, map(m.inverse, units))]
+    return _mismatches(len(units), bad, lambda i: f"x={units[i]}")
 
 
 def _check_hensel_quadratics(m: Modulus) -> Outcome:
+    """Each simple root r mod p of x^2 + b x + c against the roots mod q above it.
+
+    r is a root iff c = -r(r + b), and a simple one iff 2r + b is a unit, so
+    the cases are those (b, r), listed in (b, c, r) order; the q/p
+    candidates r + p k above each r make one row of a (p - 1) q array."""
     p, q = m.p, m.q
-    fails, witness, tested = 0, "", 0
-    xs = np.arange(q, dtype=np.int64)
-    for b in range(p):
-        # roots[c, x]: x is a root mod q of x^2 + b x + c, for every c < p at once
-        roots = (xs * xs + b * xs) % q == -np.arange(p)[:, None] % q
-        for c in range(p):
-            for r in range(p):
-                if (r * r + b * r + c) % p or (2 * r + b) % p == 0:
-                    continue
-                tested += 1
-                lifted = hensel_lift_root(Polynomial((c, b, 1)), r, m)
-                if (r + p * np.flatnonzero(roots[c, r::p])).tolist() != [lifted]:
-                    fails += 1
-                    witness = witness or f"f=x^2+{b}x+{c}, r={r}"
-    return Outcome(tested, fails, 0, witness)
+    b, r = np.divmod(np.arange(p * p), p)
+    simple = (2 * r + b) % p != 0
+    b, r = b[simple], r[simple]
+    c = -r * (r + b) % p
+    order = np.lexsort((r, c, b))
+    b, c, r = b[order], c[order], r[order]
+    x = r[:, None] + p * np.arange(q // p)
+    roots = (x * (x + b[:, None]) + c[:, None]) % q == 0
+    lifts = [hensel_lift_root(Polynomial((cf, bf, 1)), rf, m)
+             for bf, cf, rf in zip(b.tolist(), c.tolist(), r.tolist())]
+    # the case passes iff its candidates hold exactly one root, the lift
+    first = x[np.arange(len(x)), roots.argmax(axis=1)]
+    bad = (roots.sum(axis=1) != 1) | (first != lifts)
+    return _mismatches(len(bad), bad, lambda i: f"f=x^2+{b[i]}x+{c[i]}, r={r[i]}")
 
 
 def _check_stratum_sizes(m: Modulus) -> Outcome:
-    fails, witness, total = 0, "", 0
-    for n in range(m.l):
-        size = len(geometry.stratum_coords(m, n)[0])
-        total += size
-        if size != geometry.stratum_size(m, n):
-            fails += 1
-            witness = witness or f"n={n}"
-    if total != m.q**2 - 1:
-        fails += 1
-        witness = witness or "partition total"
-    return Outcome(m.q**2 - 1, fails, 0, witness)
+    sizes = [len(geometry.stratum_coords(m, n)[0]) for n in range(m.l)]
+    bad = [size != geometry.stratum_size(m, n) for n, size in enumerate(sizes)]
+    bad.append(sum(sizes) != m.q**2 - 1)
+    return _mismatches(m.q**2 - 1, bad, lambda n: f"n={n}" if n < m.l else "partition total")
 
 
 def _check_line_census(m: Modulus) -> Outcome:
-    fails, witness, universe = 0, "", 0
-    for n in range(m.l):
+    p, l, q = m.p, m.l, m.q
+    parts, universe = [], 0
+    for n in range(l):
         gens = geometry.line_generators(m, n)
         universe += len(gens)
-        if len(gens) != m.p ** (m.l - n) + m.p ** (m.l - n - 1):
-            fails += 1
-            witness = witness or f"census size, n={n}"
+        size_bad = len(gens) != p ** (l - n) + p ** (l - n - 1)
+        parts.append(_mismatches(1, [size_bad], lambda _: f"census size, n={n}"))
         if not len(gens):
             continue
         rows = geometry.line_point_codes(m, n, gens)
-        short = np.flatnonzero((rows < m.q**2).sum(axis=1) != m.p ** (m.l - n))
-        if len(short):
-            fails += len(short)
-            witness = witness or f"short line {divmod(int(gens[short[0]]), m.q)}"
+        short = (rows < q**2).sum(axis=1) != p ** (l - n)
         # equal point sets give equal rows, and equal rows equal bytes
         keys = np.sort(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel())
-        if (keys[1:] == keys[:-1]).any():
-            fails += 1
-            witness = witness or f"duplicate point sets, n={n}"
-    return Outcome(universe, fails, 0, witness)
+        parts += [
+            _mismatches(len(gens), short, lambda i: f"short line {divmod(int(gens[i]), q)}"),
+            _mismatches(1, [(keys[1:] == keys[:-1]).any()], lambda _: f"duplicate point sets, n={n}"),
+        ]
+    return _in_order(universe, parts)
 
 
 def _check_point_line_incidence(m: Modulus) -> Outcome:
     hits = geometry.incidence_census(m)
     bad = hits != m.p ** geometry.stratum_table(m).astype(np.int64)
     bad[0, 0] = False
-    fails, witness = int(bad.sum()), ""
-    if fails:
-        i, j = map(int, np.argwhere(bad)[0])
-        witness = f"v={(i, j)}, hits={int(hits[i, j])}"
-    return Outcome(m.q**2 - 1, fails, 0, witness)
+    return _mismatches(m.q**2 - 1, bad, lambda i: f"v={divmod(i, m.q)}, hits={int(hits.flat[i])}")
 
 
 def _sphere_checks(m: Modulus) -> list[Outcome]:
@@ -790,6 +790,7 @@ def _norm_table(m: Modulus) -> np.ndarray:
 
 
 def _check_group_axioms(m: Modulus) -> Outcome:
+    """The inverses in table order, then the products t o u block by block."""
     g = orthogroup.so2_table(m)
     k, q = len(g), m.q
     member = np.zeros(q * q, dtype=bool)
@@ -802,17 +803,10 @@ def _check_group_axioms(m: Modulus) -> Outcome:
     inverse = a * q + -b % q
     # t o t^-1 turns the code of t^-1 by t; the identity (1, 0) has code q
     bad = ~member[inverse] | (orthogroup._turn(a, b, inverse, q) != q)
-    fails = int(bad.sum())
-    witness = f"inverse of {key(bad.argmax())}" if fails else ""
-    for s, block in _compositions(g, q):
-        bad = ~member[block]
-        n_bad = int(bad.sum())
-        if n_bad:
-            fails += n_bad
-            if not witness:
-                i, j = np.argwhere(bad)[0]
-                witness = f"{key(s + i)} o {key(j)}"
-    return Outcome(k**2, fails, 0, witness)
+    inverses = _mismatches(k, bad, lambda t: f"inverse of {key(t)}")
+    products = (_mismatches(block.size, ~member[block], lambda i: f"{key(s + i // k)} o {key(i % k)}")
+                for s, block in _compositions(g, q))
+    return _in_order(k**2, [inverses, *products])
 
 
 def _compositions(g: np.ndarray, q: int):
@@ -838,14 +832,13 @@ def _rotated_plane_checks(m: Modulus) -> list[Outcome]:
     # below[k] = number of plane points whose norm has valuation < k
     below = np.r_[0, np.cumsum(np.bincount(depth, minlength=l + 1))]
     reach = l - v[(g[:, 0] ** 2 + g[:, 1] ** 2 - 1) % q]
-    per_row = below[reach]
-    fails, witness = int(per_row.sum()), ""
-    if fails:
-        t = int(np.argmax(per_row > 0))
+
+    def name(t: int) -> str:
         i, j = divmod(int(np.argmax(depth < reach[t])), q)
-        witness = f"theta={tuple(g[t].tolist())}, v=({i},{j})"
-    counts = orthogroup.stabilizer_table(m)
-    return [Outcome(q**2 * len(g), fails, 0, witness), *_stabilizer_bounds(m, counts)]
+        return f"theta={tuple(g[t].tolist())}, v=({i},{j})"
+
+    norms = _mismatches(q**2 * len(g), below[reach], name)
+    return [norms, *_stabilizer_bounds(m, orthogroup.stabilizer_table(m))]
 
 
 def _stabilizer_bounds(m: Modulus, counts: np.ndarray) -> list[Outcome]:
@@ -872,12 +865,7 @@ def _check_zero_norm_structure(m: Modulus) -> Outcome:
     zero_norm = _norm_table(m) == 0
     deep = 2 * geometry.stratum_table(m) >= m.l
     zero_norm[0, 0] = deep[0, 0] = False
-    bad = zero_norm ^ deep
-    fails, witness = int(bad.sum()), ""
-    if fails:
-        i, j = map(int, np.argwhere(bad)[0])
-        witness = f"xi=({i},{j})"
-    return Outcome(m.q**2 - 1, fails, 0, witness)
+    return _mismatches(m.q**2 - 1, zero_norm ^ deep, lambda i: f"xi=({i // m.q},{i % m.q})")
 
 
 def _check_difference_bound(m: Modulus) -> Outcome:
@@ -895,13 +883,9 @@ def _census_skip(m: Modulus) -> str:
 
 def _check_difference_census(m: Modulus) -> Outcome:
     census = difference_stratum_census(m)
-    fails, witness = 0, ""
-    for i in range(m.l):
-        expected = m.q**2 * geometry.stratum_size(m, i)
-        if census[i] != expected:
-            fails += 1
-            witness = witness or f"i={i}, census={census[i]}, formula={expected}"
-    return Outcome(m.q**4, fails, 0, witness)
+    formula = [m.q**2 * geometry.stratum_size(m, i) for i in range(m.l)]
+    bad = [census[i] != formula[i] for i in range(m.l)]
+    return _mismatches(m.q**4, bad, lambda i: f"i={i}, census={census[i]}, formula={formula[i]}")
 
 
 # the suite in report order; rows that share a check are adjacent

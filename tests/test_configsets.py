@@ -259,6 +259,13 @@ def test_sumset_examples():
     assert sumset(as_set, line) == set(line.points())  # closed under itself
 
 
+def test_sumset_refuses_a_line_over_another_ring():
+    E = PointSet(M27, 2, ((0, 0), (1, 5), (20, 3)))
+    with pytest.raises(ValueError, match="^a line over Z_9 is not a line of Z_27$"):
+        sumset(E, spanned_line(M9, (1, 2)))
+    assert len(sumset(E, spanned_line(M27, (1, 2)))) == 81
+
+
 def test_sumset_lower_bound_for_a_seeded_set():
     m = M9
     E = random_subset(m, 2, 47, seed=42)
@@ -929,6 +936,18 @@ def test_from_counts_of_a_count_table_reads_its_nonzero_entries(m):
             got = GridFunction.from_counts(m, d, table)
             assert np.array_equal(got.values, GridFunction.from_counts(m, d, nonzero).values)
             assert got.values.sum() == len(E) ** 2
+
+
+def test_from_counts_refuses_a_count_table_over_another_q():
+    # the Z_27 keys of {1, 5, 20} would land mod 9 and overwrite each other
+    E = PointSet(M27, 1, ((1,), (5,), (20,)))
+    plane = PointSet(M27, 2, ((1, 0), (5, 2), (20, 26)))
+    tables = {1: dot_product_counts(E), 2: rotation_correlation(plane, so2_elements(M27)[1])}
+    for d, table in tables.items():
+        for m in (M9, Modulus(3, 4), M25):
+            with pytest.raises(ValueError, match=f"^a count table over Z_27 is not a table over {m}$"):
+                GridFunction.from_counts(m, d, table)
+        assert GridFunction.from_counts(M27, d, table).values.sum() == 9
 
 
 @settings(max_examples=60, deadline=None)

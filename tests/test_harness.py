@@ -26,8 +26,12 @@ from zqgeom.harness import (
     _check_difference_census,
     _check_group_axioms,
     _check_hensel_quadratics,
+    _check_inverse_involution,
     _check_line_census,
     _check_point_line_incidence,
+    _check_stratum_sizes,
+    _check_unit_decomposition,
+    _check_zero_norm_structure,
     _compositions,
     _csv_num,
     _draw_below,
@@ -1023,7 +1027,7 @@ def _hensel_loop(m, lift):
     return fails, witness, tested
 
 
-@pytest.mark.parametrize("m", [M9, M25, M27, Modulus(7, 2)], ids=str)
+@pytest.mark.parametrize("m", [M9, M25, M27, Modulus(7, 2), Modulus(101, 1)], ids=str)
 @pytest.mark.parametrize("shift", [0, 1, "p"], ids=["clean", "off-residue", "off-lift"])
 def test_hensel_check_reports_a_faulty_lift_like_the_loop(monkeypatch, m, shift):
     # the lifts of x^2 + 2x + c moved: by 1 out of their residue class, by p within it
@@ -1037,7 +1041,7 @@ def test_hensel_check_reports_a_faulty_lift_like_the_loop(monkeypatch, m, shift)
     (check,) = _rows(m, _check_hensel_quadratics)
     fails, witness, tested = _hensel_loop(m, lift)
     assert (check.statistic, check.witness, check.universe) == (fails, witness, tested)
-    assert (fails > 0) == (step != 0)
+    assert (fails > 0) == (step % m.q != 0)  # at l = 1 a shift by p moves no root
 
 
 def _duplicate(gens, k):
@@ -1127,3 +1131,175 @@ def test_group_products_in_int32_match_int64(monkeypatch, m, rows):
     ta, tb, ua, ub = g[:, :1], g[:, 1:], g[:, 0], g[:, 1]
     want = (ta * ua - tb * ub) % q * q + (tb * ua + ta * ub) % q
     assert np.array_equal(got, want)
+
+
+# the five checks below against the loops they replaced, under a faulty
+# library function: each loop returns (mismatches, first witness, universe)
+
+def _unit_decomposition_loop(m):
+    fails, witness = 0, ""
+    for x in range(1, m.q):
+        v = m.valuation(x)
+        u = x // m.p**v
+        if not (m.is_unit(u) and u * m.p**v == x):
+            fails += 1
+            witness = witness or f"x={x}"
+    return fails, witness, m.q - 1
+
+
+@pytest.mark.parametrize(
+    "m, fault",
+    [
+        (M9, lambda x, v: v + 1 if x % 3 == 0 else v),  # p**(v+1) does not divide x
+        (M27, lambda x, v: 0 if x == 18 else v),  # 18 is not a unit
+        (M25, lambda x, v: max(v - 1, 0) if x % 5 == 0 else v),
+        (Modulus(7, 2), lambda x, v: 2 if x in (3, 14) else v),
+        (Modulus(13, 1), lambda x, v: 1 if x > 6 else v),
+    ],
+    ids=["Z_9-deeper", "Z_27-unit", "Z_25-shallower", "Z_49-two", "Z_13-half"],
+)
+def test_unit_check_reports_a_faulty_valuation_like_the_loop(monkeypatch, m, fault):
+    real = Modulus.valuation
+    monkeypatch.setattr(Modulus, "valuation", lambda mod, x: fault(x, real(mod, x)))
+    (check,) = _rows(m, _check_unit_decomposition)
+    fails, witness, universe = _unit_decomposition_loop(m)
+    assert fails > 0 and not check.passed
+    assert (check.statistic, check.witness, check.universe) == (fails, witness, universe)
+
+
+def _inverse_involution_loop(m):
+    fails, witness, units = 0, "", m.units()
+    for x in units:
+        inv = m.inverse(x)
+        if (x * inv) % m.q != 1 or m.inverse(inv) != x:
+            fails += 1
+            witness = witness or f"x={x}"
+    return fails, witness, len(units)
+
+
+@pytest.mark.parametrize(
+    "m, fault",
+    [
+        # inverse(2) is off, so 2 fails the product and 2^-1 the involution
+        (M9, lambda x, inv, q: (inv + 1) % q if x == 2 else inv),
+        (M27, lambda x, inv, q: (inv + 3) % q if x % 4 == 1 else inv),
+        (M25, lambda x, inv, q: x if x in (7, 18) else inv),
+        (Modulus(11, 1), lambda x, inv, q: q - inv if x > 5 else inv),
+    ],
+    ids=["Z_9-one", "Z_27-many", "Z_25-self", "Z_11-negated"],
+)
+def test_inverse_check_reports_a_faulty_inverse_like_the_loop(monkeypatch, m, fault):
+    real = Modulus.inverse
+    monkeypatch.setattr(Modulus, "inverse", lambda mod, x: fault(x % mod.q, real(mod, x), mod.q))
+    (check,) = _rows(m, _check_inverse_involution)
+    fails, witness, universe = _inverse_involution_loop(m)
+    assert fails > 0 and not check.passed
+    assert (check.statistic, check.witness, check.universe) == (fails, witness, universe)
+
+
+def _stratum_sizes_loop(m):
+    fails, witness, total = 0, "", 0
+    for n in range(m.l):
+        size = len(geometry.stratum_coords(m, n)[0])
+        total += size
+        if size != geometry.stratum_size(m, n):
+            fails += 1
+            witness = witness or f"n={n}"
+    if total != m.q**2 - 1:
+        fails += 1
+        witness = witness or "partition total"
+    return fails, witness, m.q**2 - 1
+
+
+def _drop(coords, k):
+    return tuple(np.delete(c, k) for c in coords)
+
+
+def _repeat(coords, k):
+    return tuple(np.append(c, c[k]) for c in coords)
+
+
+@pytest.mark.parametrize(
+    "m, faults",
+    [
+        (M9, {0: lambda c: _drop(c, 3)}),
+        (M27, {2: lambda c: _repeat(c, 0)}),
+        # a point moved from stratum 0 to stratum 1 keeps the partition total
+        (M25, {0: lambda c: _drop(c, 0), 1: lambda c: _repeat(c, 1)}),
+        (Modulus(3, 4), {1: lambda c: _drop(c, 0), 3: lambda c: _drop(c, 2)}),
+    ],
+    ids=["Z_9-dropped", "Z_27-repeated", "Z_25-moved", "Z_81-two-strata"],
+)
+def test_stratum_check_reports_faulty_coordinates_like_the_loop(monkeypatch, m, faults):
+    real = geometry.stratum_coords
+    monkeypatch.setattr(
+        geometry, "stratum_coords", lambda mod, n: faults.get(n, lambda c: c)(real(mod, n))
+    )
+    (check,) = _rows(m, _check_stratum_sizes)
+    fails, witness, universe = _stratum_sizes_loop(m)
+    assert fails > 0 and not check.passed
+    assert (check.statistic, check.witness, check.universe) == (fails, witness, universe)
+
+
+def _zero_norm_loop(m):
+    # per plane point: a zero norm against a stratum n with 2n >= l
+    fails, witness, strata = 0, "", geometry.stratum_table(m)
+    for x, y in itertools.product(range(m.q), repeat=2):
+        if (x, y) == (0, 0):
+            continue
+        if ((x * x + y * y) % m.q == 0) != (2 * int(strata[x, y]) >= m.l):
+            fails += 1
+            witness = witness or f"xi=({x},{y})"
+    return fails, witness, m.q**2 - 1
+
+
+@pytest.mark.parametrize(
+    "m, cells",
+    [
+        (M9, {(0, 3): 0}),
+        (M27, {(9, 18): 1, (1, 1): 2, (26, 0): 3}),
+        (Modulus(7, 2), {(0, 0): 0, (7, 14): 0, (48, 48): 1}),
+        (Modulus(11, 2), {(5, 0): 2}),
+    ],
+    ids=["Z_9-shallow", "Z_27-three", "Z_49-origin", "Z_121-deep"],
+)
+def test_zero_norm_check_reports_a_faulty_stratum_table_like_the_loop(monkeypatch, m, cells):
+    table = geometry.stratum_table(m).copy()
+    for cell, n in cells.items():
+        table[cell] = n
+    real = geometry.stratum_table
+    monkeypatch.setattr(geometry, "stratum_table", lambda mod: table if mod == m else real(mod))
+    (check,) = _rows(m, _check_zero_norm_structure)
+    fails, witness, universe = _zero_norm_loop(m)
+    assert fails > 0 and not check.passed
+    assert (check.statistic, check.witness, check.universe) == (fails, witness, universe)
+
+
+def _difference_census_loop(m):
+    census = harness.difference_stratum_census(m)
+    fails, witness = 0, ""
+    for i in range(m.l):
+        expected = m.q**2 * geometry.stratum_size(m, i)
+        if census[i] != expected:
+            fails += 1
+            witness = witness or f"i={i}, census={census[i]}, formula={expected}"
+    return fails, witness, m.q**4
+
+
+@pytest.mark.parametrize(
+    "m, fault",
+    [
+        (M9, lambda c: [c[0] + 1, *c[1:]]),
+        (M27, lambda c: [c[1], c[0], c[2]]),
+        (M25, lambda c: [c[0], c[1] - 25]),
+        (Modulus(3, 4), lambda c: [*c[:3], 2**70]),
+    ],
+    ids=["Z_9-plus-one", "Z_27-swapped", "Z_25-short", "Z_81-huge"],
+)
+def test_difference_census_check_reports_a_faulty_census_like_the_loop(monkeypatch, m, fault):
+    real = harness.difference_stratum_census
+    monkeypatch.setattr(harness, "difference_stratum_census", lambda mod: fault(real(mod)))
+    (check,) = _rows(m, _check_difference_census)
+    fails, witness, universe = _difference_census_loop(m)
+    assert fails > 0 and not check.passed
+    assert (check.statistic, check.witness, check.universe) == (fails, witness, universe)
